@@ -9,6 +9,13 @@ and the difference operator are exact.
 Eigenvalue multiplicities come from kernel ranks over a splitting field
 GF(q^s), s the multiplicative order of q modulo the element order, with the
 distinguished root w = r^((q^s-1)/o) for the canonical primitive root r.
+
+Symmetric powers never need their own matrices.  A p-regular element is
+diagonalizable over the splitting field, so once the exponents e of its
+eigenvalues w^e on the (d+1)-dimensional space are known, the character of
+Sym^n at it is the degree-n coefficient of prod_e 1/(1 - x^e t) in Z[Z/o][[t]]
+(a Molien-type series; Benson, Polynomial Invariants of Finite Groups, ch. 2).
+`brauer_char` keeps the matrix route for arbitrary modules.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field, make_field, subfield_root, embed_scalar
-from .groups import GroupData, ModuleRep, Representation, sym_matrix_stream
+from .groups import GroupData, ModuleRep, Representation
 
 _SPLIT_CACHE: dict[tuple[int, int, int], tuple[Field, np.ndarray | None, int]] = {}
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
@@ -213,12 +220,37 @@ def char_zero(G: GroupData) -> BrauerChar:
     return BrauerChar(N, reps, {r: tuple([0] * N) for r in reps})
 
 
+def _sym_exponent_counts(exps: list[int], o: int, degrees: list[int]) -> dict[int, list[int]]:
+    """Row k counts the degree-k monomials in eigenvalues w^e by exponent sum mod o.
+
+    Row k is the degree-k coefficient of prod_e 1/(1 - x^e t) over Z[Z/o].
+    With c_i the partial product over the first i eigenvalues,
+    c_i[k] = c_(i-1)[k] + x^(e_i) c_i[k-1], so advancing one degree needs only
+    the previous degree's len(exps) + 1 rows of o counts each.
+    """
+    want = set(degrees)
+    prev = [[1] + [0] * (o - 1)] * (len(exps) + 1)
+    out = {0: prev[-1]} if 0 in want else {}
+    for k in range(1, degrees[-1] + 1):
+        cur = [[0] * o]
+        for row, e in zip(prev[1:], exps):
+            # shifted[s] = row[(s - e) % o]
+            shifted = row[o - e:] + row[:o - e]
+            cur.append([a + b for a, b in zip(cur[-1], shifted)])
+        prev = cur
+        if k in want:
+            out[k] = cur[-1]
+    return out
+
+
 def sym_brauer_sequence(rep: Representation, group: GroupData, degrees) -> dict[int, BrauerChar]:
     """Brauer characters of Sym^k for each requested degree k.
 
-    Streams symmetric powers of each class representative's own small matrix,
-    so no full module is ever materialized; memory stays at two degrees per
-    class regardless of how high the degrees go.
+    Each p-regular class representative is probed once, on its own
+    (d+1)-dimensional matrix, for the exponents of its eigenvalues; the
+    values of every degree then follow by exact counting over Z/o, with no
+    symmetric-power matrix built.  Work grows linearly in the top degree and
+    memory holds only the requested degrees.
     """
     degrees = sorted(set(int(d) for d in degrees))
     if not degrees:
@@ -226,21 +258,20 @@ def sym_brauer_sequence(rep: Representation, group: GroupData, degrees) -> dict[
     if min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     reps, N = _class_frame(group)
-    F = rep.field
-    d1 = rep.dim
-    top = degrees[-1]
-    want = set(degrees)
     values: dict[int, dict[int, tuple[int, ...]]] = {k: {} for k in degrees}
     for r in reps:
+        A = group.elements[r]
         o = group.element_order(r)
-        if r == 0:
-            for k in degrees:
-                dim_k = math.comb(k + d1 - 1, d1 - 1)
-                values[k][r] = tuple([dim_k] + [0] * (N - 1))
-            continue
-        for k, S in sym_matrix_stream(F, group.elements[r], top):
-            if k in want:
-                values[k][r] = _value_vector(F, S, o, N)
+        dims = root_space_dims(rep.field, A, o)
+        if sum(dims) != A.shape[0]:
+            raise AssertionError("p-regular action must be diagonalizable over GF(q^s)")
+        exps = [s for s, ds in enumerate(dims) for _ in range(ds)]
+        step = N // o
+        for k, counts in _sym_exponent_counts(exps, o, degrees).items():
+            vals = [0] * N
+            for s, c in enumerate(counts):
+                vals[s * step] = c
+            values[k][r] = tuple(vals)
     return {k: BrauerChar(N, reps, values[k]) for k in degrees}
 
 

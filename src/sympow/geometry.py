@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import root_space_dims
-from .groups import GroupData
+from .groups import GroupData, _is_p_power
 
 EMPTY = -1
 
@@ -109,9 +109,3 @@ def ramification(G: GroupData) -> RamificationReport:
         faithful_on_p=True,
         elements=elements,
     )
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1

@@ -570,8 +570,6 @@ def decompose(M: ModuleRep, registry: Registry, seed: int) -> dict[int, int]:
 
 def projective_part_dim(M: ModuleRep) -> int:
     """#G_p times the rank of the Sylow trace operator on M."""
-    from .groups import trace_operator
-
     G = M.group
     syl = G.sylow()
     T = la.zeros(M.dim, M.dim)
@@ -640,6 +638,14 @@ def _group_key(G: GroupData) -> bytes:
 # -- registry persistence -----------------------------------------------------------
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write through a temp file and rename, so no reader sees a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_registry(registry: Registry, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     index = {}
@@ -647,17 +653,19 @@ def save_registry(registry: Registry, path: str) -> None:
         lines = [f"# fingerprint {registry.fingerprints[mid].hex()}", f"# gens {len(mod.mats)} dim {mod.dim}"]
         for A in mod.mats:
             lines.append(la.mat_to_text(mod.field, A).rstrip("\n"))
-        with open(os.path.join(path, f"{mid}.mod"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text_atomic(os.path.join(path, f"{mid}.mod"), "\n".join(lines) + "\n")
         index[registry.fingerprints[mid].hex()] = sorted(
             set(index.get(registry.fingerprints[mid].hex(), [])) | {mid}
         )
-    with open(os.path.join(path, "index.json"), "w") as fh:
-        json.dump(index, fh, sort_keys=True, indent=0)
-        fh.write("\n")
+    write_text_atomic(os.path.join(path, "index.json"),
+                      json.dumps(index, sort_keys=True, indent=0) + "\n")
 
 
 def load_registry(path: str, group: GroupData) -> Registry:
+    """The registry saved under path.
+
+    A truncated or malformed file raises OSError, ValueError or IndexError.
+    """
     reg = Registry(group)
     index_path = os.path.join(path, "index.json")
     if not os.path.exists(index_path):
@@ -671,7 +679,11 @@ def load_registry(path: str, group: GroupData) -> Registry:
     F = group.field
     for mid, fp in sorted(ids):
         with open(os.path.join(path, f"{mid}.mod")) as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
+        # a cut inside the last row can still parse; every saved file ends in a newline
+        if not text.endswith("\n"):
+            raise ValueError(f"registry entry {mid} is truncated")
+        lines = text.splitlines()
         header = lines[1].split()
         ngens, dim = int(header[2]), int(header[4])
         mats = []

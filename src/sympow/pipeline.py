@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import koszul as kz
 from . import linalg as la
 from .chars import char_growth_check, check_delta_vanishing, sym_brauer_sequence
@@ -34,10 +36,8 @@ from .gf import make_field
 from .groups import (CapacityError, GroupData, ModuleRep, Representation,
                      SYM_DIM_CAP, close_group, sym_power)
 from .modules import (Registry, child_seed, decompose, load_registry,
-                      save_registry)
+                      save_registry, write_text_atomic)
 from .polyfit import detect_description, growth_degree
-
-VERSION = "0.1.0"
 
 CHECKS = ("decompose", "description", "delta_vanishing", "growth",
           "ramification", "koszul", "surface_progression", "char_growth")
@@ -197,6 +197,38 @@ def _absorb(G: GroupData, registry: Registry, entries) -> dict[int, int]:
     return vec
 
 
+def _read_cache(base: str | None, G: GroupData, degrees, stats: dict):
+    """(registry, {n: cached vector}) from a job's cache directory.
+
+    Damage degrades to misses and counts in stats["corrupt"].  An unreadable
+    sym entry is a miss for its degree.  An unreadable registry file drops
+    the whole directory, since every sym entry names registry ids.
+    """
+    registry = Registry(G)
+    cached: dict[int, dict[int, int]] = {}
+    if not base or not os.path.isdir(os.path.join(base, "registry")):
+        return registry, cached
+    try:
+        registry = load_registry(os.path.join(base, "registry"), G)
+    except (OSError, ValueError, IndexError):
+        stats["corrupt"] += 1
+        shutil.rmtree(base, ignore_errors=True)
+        return registry, cached
+    for n in degrees:
+        try:
+            with open(_sym_path(base, n)) as fh:
+                raw = json.load(fh)
+            vec = {int(k): int(v) for k, v in raw["vec"].items()}
+        except FileNotFoundError:
+            continue
+        except (OSError, ValueError, KeyError):
+            stats["corrupt"] += 1
+            continue
+        if all(mid in registry.entries for mid in vec):
+            cached[n] = vec
+    return registry, cached
+
+
 def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     """(vectors, registry, cache stats) for n = 0..n_max, cache-aware.
 
@@ -204,19 +236,8 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     later degrees can only be larger.
     """
     base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
-    registry = Registry(G)
-    cached: dict[int, dict[int, int]] = {}
-    if base and os.path.isdir(os.path.join(base, "registry")):
-        registry = load_registry(os.path.join(base, "registry"), G)
-        for n in range(cfg.n_max + 1):
-            try:
-                with open(_sym_path(base, n)) as fh:
-                    raw = json.load(fh)
-            except OSError:
-                continue
-            vec = {int(k): int(v) for k, v in raw["vec"].items()}
-            if all(mid in registry.entries for mid in vec):
-                cached[n] = vec
+    stats = {"hits": 0, "misses": 0, "corrupt": 0}
+    registry, cached = _read_cache(base, G, range(cfg.n_max + 1), stats)
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
     results: dict[int, list] = {}
     stop_at = None
@@ -256,11 +277,9 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
         for n, vec in vectors.items():
             if n in cached:
                 continue
-            with open(_sym_path(base, n), "w") as fh:
-                json.dump({"n": n, "vec": {str(k): v for k, v in sorted(vec.items())}},
-                          fh, sort_keys=True)
-                fh.write("\n")
-    stats = {"hits": len(cached), "misses": len(results)}
+            entry = {"n": n, "vec": {str(k): v for k, v in sorted(vec.items())}}
+            write_text_atomic(_sym_path(base, n), json.dumps(entry, sort_keys=True) + "\n")
+    stats.update(hits=len(cached), misses=len(results))
     return vectors, registry, stats
 
 
@@ -293,8 +312,14 @@ def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
     m = G.order ** 2
     hi, lo = d + 1, d
     nw = _char_window(G.dim, m, hi + 1, max(hi + 3, 8))
-    if nw <= hi:
-        raise CapacityError("stride too large for a difference window under the sym cap")
+    # The window's top degree must fit the sym cap, which bounds the 2*m
+    # character sequences below (each up to degree m*nw + m - 1).  Groups whose
+    # only p-regular class is the identity are exempt: their characters are
+    # the dimensions C(n+d, d).
+    top = m * nw + m - 1
+    if (math.comb(top + G.dim - 1, G.dim - 1) > SYM_DIM_CAP
+            and len(G.p_regular_class_reps()) > 1):
+        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     hi_reports = [check_delta_vanishing(rep, G, j, m, hi, nw) for j in range(m)]
     lo_reports = [check_delta_vanishing(rep, G, j, m, lo, nw) for j in range(m)]
     return {
@@ -437,24 +462,15 @@ def run_single(cfg: JobConfig, n: int) -> dict:
 
     Only full `analyze` sweeps write the cache: they assign registry ids in
     ascending-degree first-appearance order, and a stray single-degree write
-    would bake a different id numbering into the shared registry.
+    would bake a different id numbering into the shared registry.  (A cache
+    whose registry is unreadable is still dropped, as on any read.)
     """
     F = make_field(cfg.p, cfg.e)
     rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
     G = close_group(rep)
     base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
-    registry = Registry(G)
-    vec = None
-    if base and os.path.isdir(os.path.join(base, "registry")):
-        registry = load_registry(os.path.join(base, "registry"), G)
-        try:
-            with open(_sym_path(base, n)) as fh:
-                raw = json.load(fh)
-            cand = {int(k): int(v) for k, v in raw["vec"].items()}
-            if all(mid in registry.entries for mid in cand):
-                vec = cand
-        except OSError:
-            pass
+    registry, cached = _read_cache(base, G, [n], {"corrupt": 0})
+    vec = cached.get(n)
     if vec is None:
         entries = _decompose_degree(cfg.p, cfg.e, cfg.generators, n,
                                     child_seed(cfg.seed, "sym", n))[1]

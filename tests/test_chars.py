@@ -6,11 +6,13 @@ The S3 fixture over GF(2) has p-regular classes {e, 3-cycles} and N = 3, so
 everything here is checkable by hand.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from sympow.gf import make_field
-from sympow.groups import Representation, close_group, regular_rep, sym_power
+from sympow.groups import SYM_DIM_CAP, Representation, close_group, regular_rep, sym_power
 from sympow.chars import (BrauerChar, brauer_char, char_growth_check, char_zero,
                           check_delta_vanishing, cyclotomic, delta_seq,
                           reduce_root_vector, root_space_dims, sym_brauer_sequence)
@@ -116,11 +118,61 @@ def test_char_arithmetic_and_frame_mismatch(s3):
         _ = a + b
 
 
-def test_stream_matches_module_chars(s3):
+def _mat(rows):
+    return np.array(rows, dtype=np.int64)
+
+
+ORACLE_FIXTURES = {
+    "s3_gf2_line": (make_field(2), [[[0, 1], [1, 0]], [[1, 1], [0, 1]]], 16),
+    "c2_gf2_line": (make_field(2), [[[1, 1], [0, 1]]], 16),
+    "gf4_plane_transvection": (make_field(2, 2), [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]], 12),
+    # GL2(F3), order 48: its order-8 elements split only over GF(9)
+    "gl2_gf3_line": (make_field(3), [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]]], 12),
+    "gl3_gf2_plane": (make_field(2), [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], 10),
+}
+
+
+def test_stream_matches_module_chars():
+    """The eigenvalue-exponent count agrees with ranks on Sym^n matrices.
+
+    Raw multiplicity tuples must agree, not just their reductions: the
+    character table reports the raw values.
+    """
+    for name, (F, gens, top) in ORACLE_FIXTURES.items():
+        rep = Representation(F, tuple(_mat(A) for A in gens))
+        G = close_group(rep)
+        seq = sym_brauer_sequence(rep, G, range(top + 1))
+        assert sorted(seq) == list(range(top + 1))
+        for n in range(top + 1):
+            oracle = brauer_char(sym_power(rep, G, n))
+            assert seq[n].modulus == oracle.modulus and seq[n].reps == oracle.reps
+            assert seq[n].values == oracle.values, (name, n)
+
+
+def test_sequence_keeps_only_requested_degrees(s3):
     rep, G = s3
-    seq = sym_brauer_sequence(rep, G, range(11))
-    for n in range(11):
-        assert seq[n] == brauer_char(sym_power(rep, G, n))
+    seq = sym_brauer_sequence(rep, G, [7, 3, 7, 12])
+    assert sorted(seq) == [3, 7, 12]
+    full = sym_brauer_sequence(rep, G, range(13))
+    assert all(seq[n].values == full[n].values for n in (3, 7, 12))
+    assert sym_brauer_sequence(rep, G, []) == {}
+    with pytest.raises(ValueError):
+        sym_brauer_sequence(rep, G, [-1])
+
+
+def test_sequence_past_sym_cap(s3):
+    rep, G = s3
+    n = 60_000
+    assert math.comb(n + 1, 1) > SYM_DIM_CAP
+    seq = sym_brauer_sequence(rep, G, [n])
+    assert seq[n].degree() == math.comb(n + G.dim - 1, G.dim - 1)
+    # a 3-cycle's eigenvalues w, w^2 give the monomials x^a y^b exponent a + 2b
+    three_cycle = [r for r in G.p_regular_class_reps() if G.element_order(r) == 3][0]
+    counts = [0, 0, 0]
+    for a in range(n + 1):
+        counts[(a + 2 * (n - a)) % 3] += 1
+    assert seq[n].values[three_cycle] == tuple(counts)
 
 
 def test_delta_seq_ints():

@@ -87,6 +87,34 @@ def test_analyze_deterministic_and_cache_sound(tmp_path):
     assert "volatile" not in report
 
 
+@pytest.mark.parametrize("victim,hits", [
+    ("sym/3.json", 16),           # one degree is a miss
+    ("registry/index.json", 0),   # the whole cache is dropped
+    ("registry/0.mod", 0),
+])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, victim, hits):
+    cfg_path = write_config(tmp_path, cache_dir=str(tmp_path / "cache"))
+    ref, out = str(tmp_path / "ref.json"), str(tmp_path / "out.json")
+    assert main(["analyze", "--config", cfg_path, "--output", ref]) == 0
+    cfg = load_config(cfg_path)
+    target = tmp_path / "cache" / job_key(cfg) / victim
+
+    def truncate():
+        text = target.read_text()
+        target.write_text(text[: len(text) // 2])
+
+    truncate()
+    assert main(["analyze", "--config", cfg_path, "--output", out]) == 0
+    assert open(ref, "rb").read() == open(out, "rb").read()
+    truncate()
+    report = run(cfg)
+    assert report["volatile"]["cache"] == {"hits": hits, "misses": 17 - hits, "corrupt": 1}
+    assert canonical_json(report) == open(ref).read()
+    # the damaged entry was rewritten whole
+    assert run(cfg)["volatile"]["cache"] == {"hits": 17, "misses": 0, "corrupt": 0}
+    assert not [f for f in (tmp_path / "cache").rglob("*.tmp")]
+
+
 def test_parallel_jobs_match_sequential(tmp_path):
     cfg_path = write_config(tmp_path)
     a, b = str(tmp_path / "seq.json"), str(tmp_path / "par.json")
@@ -141,6 +169,23 @@ def test_capacity_overflow_degrades_gracefully(tmp_path, monkeypatch):
     # independent checks are untouched by the overflow
     assert report["checks"]["growth"]["ok"]
     assert report["checks"]["ramification"]["dimB"] == "empty"
+
+
+def test_delta_window_past_sym_cap(tmp_path):
+    # GL3(F2) on P^2: at stride 168^2 even the shortest window is past the cap
+    gl3 = write_config(tmp_path, "gl3.json", checks=["delta_vanishing"], generators=[
+        "3 3\n1 1 0\n0 1 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"])
+    out = str(tmp_path / "gl3_report.json")
+    assert main(["analyze", "--config", gl3, "--output", out]) == 2
+    assert json.load(open(out))["errors"] == {
+        "delta_vanishing": "CapacityError: sym dimension exceeds cap 50000"}
+    # the unitriangular 2-group of order 8: only the identity is 2-regular
+    u3 = write_config(tmp_path, "u3.json", checks=["delta_vanishing"], generators=[
+        "3 3\n1 1 0\n0 1 0\n0 0 1\n", "3 3\n1 0 0\n0 1 1\n0 0 1\n"])
+    out = str(tmp_path / "u3_report.json")
+    assert main(["analyze", "--config", u3, "--output", out]) == 0
+    delta = json.load(open(out))["checks"]["delta_vanishing"]
+    assert delta["stride"] == 64 and delta["all_vanish_hi"] and not delta["any_vanish_lo"]
 
 
 def test_check_subcommand_surfaces_errors(tmp_path):
