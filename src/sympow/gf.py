@@ -151,6 +151,46 @@ def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
+def _rem_into(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x %= p in place for nonnegative int64 x; scratch is overwritten.
+
+    numpy divides int64 arrays by a scalar several times faster than it
+    takes their remainder, so this beats np.remainder on large arrays.
+    """
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+
+
+def _lookup(table: np.ndarray, q: int, a, b, c=None) -> np.ndarray:
+    """table[a*q + b], or table[(a*q + b)*q + c], over broadcast code arrays.
+
+    Large operands build the index in one fresh array and gather into it,
+    instead of allocating a temporary per arithmetic step.
+    """
+    idx = np.asarray(a, dtype=np.int64) * q
+    if idx.size < 4096:
+        idx = idx + b
+        if c is not None:
+            idx = idx * q + c
+        return table[idx]
+    idx = _add_in_place(idx, b)
+    if c is not None:
+        idx *= q
+        idx = _add_in_place(idx, c)
+    # in-bounds by construction; take reads each index before overwriting it
+    table.take(idx, out=idx, mode="clip")
+    return idx
+
+
+def _add_in_place(idx: np.ndarray, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape == idx.shape or not x.ndim:
+        idx += x
+        return idx
+    return idx + x  # x broadcasts to a larger shape
+
+
 class Field:
     """GF(p^e) with canonical modulus; elements are int codes in [0, p^e).
 
@@ -186,6 +226,7 @@ class Field:
         self._root: int | None = None
         self._op_tables: tuple[np.ndarray, ...] | None = None
         self._fused_tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._kron_table: np.ndarray | None = None
 
     # -- scalar codecs --------------------------------------------------
 
@@ -353,9 +394,20 @@ class Field:
         if self.e == 1:
             return (a + b) % self.p
         if self.q <= TABLE_CAP:
-            tab = self._tables()[0]
-            return tab[np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)]
+            return _lookup(self._tables()[0], self.q, a, b)
         return self.join_layers(self.split_layers(a) + self.split_layers(b))
+
+    def vec_add_into(self, out: np.ndarray, b: np.ndarray) -> None:
+        """out[...] = out + b in place; b (int64, out's shape) is scratch."""
+        if self.e == 1 or self.q > TABLE_CAP:
+            out[...] = self.vec_add(out, b)
+            return
+        # the add table is symmetric, so index b*q + a gives a + b; take
+        # reads each index before it overwrites that slot
+        b *= self.q
+        b += out
+        self._tables()[0].take(b, out=b, mode="clip")
+        out[...] = b
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
         if self.e == 1:
@@ -368,8 +420,7 @@ class Field:
         if self.e == 1:
             return (a - b) % self.p
         if self.q <= TABLE_CAP:
-            tab = self._tables()[1]
-            return tab[np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)]
+            return _lookup(self._tables()[1], self.q, a, b)
         return self.join_layers(self.split_layers(a) - self.split_layers(b) + self.p)
 
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,8 +428,7 @@ class Field:
         if self.e == 1:
             return (a * b) % self.p
         if self.q <= TABLE_CAP:
-            tab = self._tables()[2]
-            return tab[np.asarray(a, dtype=np.int64) * self.q + np.asarray(b, dtype=np.int64)]
+            return _lookup(self._tables()[2], self.q, a, b)
         return self._mul_layered(np.asarray(a), np.asarray(b))
 
     def _mul_layered(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,6 +452,49 @@ class Field:
         # join_layers reduces each digit mod p itself; acc stays nonnegative
         return self.join_layers(acc[:e])
 
+    def kron_plan(self) -> tuple[int, int]:
+        """(bits, step) of the Kronecker packing of GF(p^2) codes.
+
+        A code a0 + a1*p packs into the float64 a0 + a1*2**bits, so the
+        float64 product of two packed matrices holds the three coefficients
+        of the digit-polynomial convolution in bits-wide slots.  `step` is
+        the longest inner dimension one packed product may sum over: after
+        kron_unpack folds slot 2 into slots 0 and 1 (weights below p), each
+        slot stays below 2**bits and the whole value below 2**52, so the BLAS
+        result is exact and converts to int64 in place (linalg._mm_kron).
+        """
+        if self.e != 2:
+            raise ValueError("Kronecker packing is for degree-2 extensions")
+        bits = 52 // 3
+        p = self.p
+        return bits, ((1 << bits) - 1) // ((p + 1) * (p - 1) ** 2)
+
+    def kron_pack(self, arr: np.ndarray) -> np.ndarray:
+        """float64 array of packed codes, one gather from a q-entry table."""
+        if self._kron_table is None:
+            bits = self.kron_plan()[0]
+            digits = self.split_layers(np.arange(self.q, dtype=np.int64))
+            self._kron_table = (digits[0] + digits[1] * (1 << bits)).astype(np.float64)
+        return self._kron_table[np.asarray(arr, dtype=np.int64)]
+
+    def kron_unpack(self, X: np.ndarray) -> np.ndarray:
+        """Codes of a packed product held as int64; overwrites X."""
+        bits, p = self.kron_plan()[0], self.p
+        # x^2 = r0 + r1*x: move slot 2 into slots 0 and 1 without unpacking
+        r0, r1 = (int(c) for c in self._red[0])
+        top = np.right_shift(X, 2 * bits)
+        X &= (1 << (2 * bits)) - 1
+        top *= r0 + (r1 << bits)
+        X += top
+        np.right_shift(X, bits, out=top)
+        X &= (1 << bits) - 1
+        scratch = np.empty_like(X)
+        _rem_into(X, p, scratch)
+        _rem_into(top, p, scratch)
+        top *= p
+        top += X
+        return top
+
     def _fused(self) -> tuple[np.ndarray, np.ndarray]:
         """(submul, addmul) tables: entry (a*q + m)*q + b holds a -+ m*b."""
         if self._fused_tables is None:
@@ -417,8 +510,7 @@ class Field:
         if self.e == 1:
             return (a - m * b) % self.p
         if self.q <= FUSED_CAP:
-            idx = (np.asarray(a, dtype=np.int64) * self.q + np.asarray(m, dtype=np.int64)) * self.q
-            return self._fused()[0][idx + np.asarray(b, dtype=np.int64)]
+            return _lookup(self._fused()[0], self.q, a, m, b)
         return self.vec_sub(a, self.vec_mul(m, b))
 
     def vec_addmul(self, a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,8 +518,7 @@ class Field:
         if self.e == 1:
             return (a + m * b) % self.p
         if self.q <= FUSED_CAP:
-            idx = (np.asarray(a, dtype=np.int64) * self.q + np.asarray(m, dtype=np.int64)) * self.q
-            return self._fused()[1][idx + np.asarray(b, dtype=np.int64)]
+            return _lookup(self._fused()[1], self.q, a, m, b)
         return self.vec_add(a, self.vec_mul(m, b))
 
     def vec_inv(self, a: np.ndarray) -> np.ndarray:

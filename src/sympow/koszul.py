@@ -45,17 +45,24 @@ def _form_scatter(F: Field, form: np.ndarray, deg: int, k: int, d1: int):
     entry has no repeats, so a plan drives exact products against a matrix as
     a few indexed row updates instead of a dense product.
     """
-    mons_src = monomials(d1, k)
-    mons_dst = monomials(d1, k + deg)
-    idx_dst = {m: i for i, m in enumerate(mons_dst)}
+    src = np.array(monomials(d1, k), dtype=np.int64).reshape(-1, d1)
+    dst = np.array(monomials(d1, k + deg), dtype=np.int64).reshape(-1, d1)
+    # exponent vectors as base-(k+deg+1) numbers, z_0 most significant: the
+    # graded-lex list of one degree is then in descending key order
+    weights = (k + deg + 1) ** np.arange(d1 - 1, -1, -1, dtype=np.int64)
+    asc_keys = (dst @ weights)[::-1]
+    src_keys = src @ weights
     plan = []
     for fi, fm in enumerate(monomials(d1, deg)):
         c = int(form[fi])
         if not c:
             continue
-        rows = np.array([idx_dst[tuple(a + b for a, b in zip(sm, fm))] for sm in mons_src])
+        fm = np.array(fm, dtype=np.int64)
+        rows = len(dst) - 1 - np.searchsorted(asc_keys, src_keys + fm @ weights)
+        if not np.array_equal(dst[rows], src + fm):
+            raise AssertionError("monomial index lookup failed")
         plan.append((c, rows))
-    return len(mons_dst), plan
+    return len(dst), plan
 
 
 def mul_form_matrix(F: Field, form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:

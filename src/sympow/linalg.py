@@ -2,8 +2,11 @@
 
 A matrix is a 2-D numpy int64 array of field codes (see gf.Field); the field
 travels alongside as an explicit argument.  Products go through float64 BLAS
-on digit layers, with operand splitting whenever exactness bounds would be
-violated, so every result is the exact field value.
+with operand splitting whenever exactness bounds would be violated, so every
+result is the exact field value.  Over GF(p^2) with p <= 19 the two base-p
+digits of each code are Kronecker-packed into one float64 (Field.kron_plan),
+so a single BLAS product carries all four digit products; other extension
+fields multiply digit layers pairwise.
 
 Elimination uses first-nonzero pivoting (row order, then column order), which
 makes every echelon form, kernel basis and solve deterministic.  The blocked
@@ -22,6 +25,11 @@ import numpy as np
 from .gf import Field
 
 _PANEL = 128
+# below this many inner columns per packed product (p > 19), the digit-layer
+# products of mat_mul beat Kronecker packing
+_KRON_MIN_STEP = 16
+# entries per row block of a packed product's temporaries
+_BLOCK_ELEMS = 1 << 16
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -59,6 +67,47 @@ def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sum(parts) % p
 
 
+def _mm_kron(F: Field, A: np.ndarray, B: np.ndarray, dest: np.ndarray,
+             accumulate: bool) -> None:
+    """dest = A @ B (or dest += A @ B) over GF(p^2), in place.
+
+    Codes are Kronecker-packed (Field.kron_plan), so each BLAS product is
+    exact; rows go in blocks so every temporary stays a few hundred KB.
+    """
+    step = F.kron_plan()[1]
+    pa, pb = F.kron_pack(A), F.kron_pack(B)
+    k = A.shape[1]
+    rows = max(1, _BLOCK_ELEMS // max(1, B.shape[1]))
+    for r0 in range(0, A.shape[0], rows):
+        blk = dest[r0:r0 + rows]
+        added = accumulate
+        for s in range(0, k, step):
+            X = pa[r0:r0 + rows, s:s + step] @ pb[s:s + step]
+            # the entries are integers below 2**52, so adding 2**52 pins the
+            # exponent and leaves each integer in the low mantissa bits
+            X += 2.0**52
+            X = X.view(np.int64)
+            X &= (1 << 52) - 1
+            part = F.kron_unpack(X)
+            if added:
+                F.vec_add_into(blk, part)
+            else:
+                blk[...] = part
+                added = True
+
+
+def _uses_kron(F: Field, k: int) -> bool:
+    return F.e == 2 and k > 0 and F.kron_plan()[1] >= _KRON_MIN_STEP
+
+
+def mat_submul_into(F: Field, W: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
+    """W -= A @ B in place (W may be a view)."""
+    if _uses_kron(F, A.shape[1]):
+        _mm_kron(F, F.vec_neg(A), B, W, accumulate=True)
+    else:
+        W[...] = F.vec_sub(W, mat_mul(F, A, B))
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of code matrices over F."""
     if A.shape[1] != B.shape[0]:
@@ -67,6 +116,10 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _mm_prime(F.p, A, B)
     e, p = F.e, F.p
     k = A.shape[1]
+    if _uses_kron(F, k):
+        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+        _mm_kron(F, A, B, out, accumulate=False)
+        return out
     la, lb = F.split_layers(A), F.split_layers(B)
     if k and (p - 1) ** 2 * k * e < 2**53:
         # all e**2 layer products fit float64 exactly, even summed per degree,
@@ -201,8 +254,7 @@ def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
             _forward_solve(F, M[:k, :k], np.array(inv_scales, dtype=np.int64), U)
             # one product updates every row below the panel's pivot rows
             if base + k < m:
-                corr = mat_mul(F, M[k:, :k], U)
-                W[base + k:, c1:] = F.vec_sub(W[base + k:, c1:], corr)
+                mat_submul_into(F, W[base + k:, c1:], M[k:, :k], U)
         c0 = c1
     if reduce and pivots:
         R = len(pivots)
@@ -220,8 +272,7 @@ def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
             if b0 > 0:
                 C = W[:b0, [pivots[j] for j in range(b0, b1)]]
                 if np.any(C):
-                    corr = mat_mul(F, C, W[b0:b1])
-                    W[:b0] = F.vec_sub(W[:b0], corr)
+                    mat_submul_into(F, W[:b0], C, W[b0:b1])
             b1 = b0
     return W, pivots
 

@@ -99,7 +99,7 @@ def test_jordan_conjugation_invariance(F):
         assert sum(part) == n
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
+@pytest.mark.parametrize("F", FIELDS + [make_field(3, 2)], ids=str)
 def test_blocked_vs_naive_differential(F):
     """The panel-blocked elimination must match the reference exactly."""
     rng = np.random.default_rng(4242 + F.q)
@@ -172,6 +172,49 @@ def test_matmul_against_naive_loops():
                 for k in range(6):
                     acc = F.add(acc, F.mul(int(A[i, k]), int(B[k, j])))
                 assert acc == C[i, j]
+
+
+def test_packed_matmul_against_naive_loops():
+    # Kronecker-packed GF(p^2) products, with inner dimensions past one
+    # packed chunk (GF(49) packs 455 columns per product, GF(9) 8191)
+    rng = np.random.default_rng(37)
+    cases = ((F4, 9), (make_field(3, 2), 9), (make_field(3, 2), 8300),
+             (make_field(5, 2), 40), (make_field(7, 2), 1000))
+    for F, k in cases:
+        A = la.rand_mat(F, rng, 3, k)
+        B = la.rand_mat(F, rng, k, 2)
+        C = la.mat_mul(F, A, B)
+        for i in range(3):
+            for j in range(2):
+                acc = 0
+                for t in range(k):
+                    acc = F.add(acc, F.mul(int(A[i, t]), int(B[t, j])))
+                assert acc == C[i, j], (F, k, i, j)
+
+
+def test_packed_matmul_worst_case_slots():
+    # every digit p-1 drives each packed slot to its bound; two full chunks
+    # plus a remainder must still come out exact
+    for F in (F4, make_field(3, 2), make_field(7, 2)):
+        k = 2 * F.kron_plan()[1] + 3
+        A = np.full((2, k), F.q - 1, dtype=np.int64)
+        B = np.full((k, 2), F.q - 1, dtype=np.int64)
+        expect = F.mul(F.mul(F.q - 1, F.q - 1), k % F.p)
+        assert np.all(la.mat_mul(F, A, B) == expect), F
+
+
+def test_mat_submul_into_view(monkeypatch):
+    # one-row blocks exercise the blocked accumulation of packed products
+    monkeypatch.setattr(la, "_BLOCK_ELEMS", 4)
+    rng = np.random.default_rng(41)
+    for F in (F3, F4, make_field(3, 2), make_field(2, 4), make_field(101, 2)):
+        W = la.rand_mat(F, rng, 9, 12)
+        A = la.rand_mat(F, rng, 5, 6)
+        B = la.rand_mat(F, rng, 6, 7)
+        expect = W.copy()
+        expect[2:7, 3:10] = F.vec_sub(W[2:7, 3:10], la.mat_mul(F, A, B))
+        la.mat_submul_into(F, W[2:7, 3:10], A, B)
+        assert np.array_equal(W, expect), F
 
 
 def test_large_prime_matmul_split_path():
