@@ -302,9 +302,19 @@ def check_delta_vanishing(rep: Representation, group: GroupData, j: int, m: int,
     the least n with all later k-th differences zero, or None if even the last
     computed difference is nonzero.
     """
+    chars = sym_brauer_sequence(rep, group, [m * n + j for n in range(n_max + 1)])
+    return delta_vanishing_report(chars, j, m, k, n_max)
+
+
+def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
+                           n_max: int) -> dict:
+    """The `check_delta_vanishing` report from characters already computed.
+
+    `chars` maps each degree m n + j, n = 0..n_max, to its Brauer character,
+    so one sequence can serve every offset and order of a job.
+    """
     if n_max < k:
         raise ValueError("window too short for the requested difference order")
-    chars = sym_brauer_sequence(rep, group, [m * n + j for n in range(n_max + 1)])
     seq = [chars[m * n + j] for n in range(n_max + 1)]
     deltas = delta_seq(seq, k)
     flags = [d.is_zero() for d in deltas]

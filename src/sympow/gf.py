@@ -295,6 +295,10 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(p^e)")
+        if self.e == 1:
+            return pow(a, -1, self.p)
+        if self.q <= TABLE_CAP:
+            return int(self._tables()[4][a])
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, n: int) -> int:
@@ -524,8 +528,6 @@ class Field:
     def vec_inv(self, a: np.ndarray) -> np.ndarray:
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero in GF(p^e)")
-        if self.e == 1:
-            return np.vectorize(lambda x: pow(int(x), self.p - 2, self.p), otypes=[np.int64])(a)
         if self.q <= TABLE_CAP:
             return self._tables()[4][np.asarray(a, dtype=np.int64)]
         result = np.ones_like(a)

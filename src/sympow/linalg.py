@@ -233,7 +233,7 @@ def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
             if i != r:
                 W[[r, i]] = W[[i, r]]
                 M[[r - base, i - base]] = M[[i - base, r - base]]
-            s = int(F.vec_inv(W[r, c:c + 1])[0])
+            s = F.inv(int(W[r, c]))
             # columns c0..c-1 are zero at and below row r, so skip them
             W[r, c:c1] = F.vec_mul(W[r, c:c1], np.int64(s))
             mult = W[r + 1:m, c].copy()
@@ -281,6 +281,36 @@ def rref(F: Field, A: np.ndarray):
     """Reduced row echelon form: returns (R, rank, pivot column list)."""
     R, pivots = _echelon(F, A, reduce=True)
     return R, len(pivots), pivots
+
+
+def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray):
+    """rref(F, vstack([R, S])) for R already in RREF with the given pivots.
+
+    The new rows are reduced against R with one product, only their
+    remainder is eliminated (on the non-pivot columns), and R is cleared at
+    the new pivot columns before the rows interleave by pivot.  An RREF is
+    unique to its row space, so the result equals that of the stacked rows.
+    """
+    m, n = R.shape[0] + S.shape[0], S.shape[1]
+    if not pivots:
+        out, rk, piv = rref(F, S)
+        return np.vstack([out, zeros(R.shape[0], n)]), rk, piv
+    old = R[:len(pivots)]
+    S = S.copy()
+    mat_submul_into(F, S, S[:, pivots], old)
+    free = np.setdiff1d(np.arange(n), pivots)
+    T0, k, fp = rref(F, S[:, free])
+    new = [int(c) for c in free[fp]]
+    T = zeros(k, n)
+    T[:, free] = T0[:k]
+    base = old.copy()
+    if k:
+        mat_submul_into(F, base, base[:, new], T)
+    piv = pivots + new
+    order = np.argsort(piv, kind="stable")
+    out = zeros(m, n)
+    out[:len(piv)] = np.vstack([base, T])[order]
+    return out, len(piv), sorted(piv)
 
 
 def rank(F: Field, A: np.ndarray) -> int:

@@ -123,14 +123,8 @@ def submodule(M: ModuleRep, C: np.ndarray, verify: bool = True) -> ModuleRep:
 
 def quotient_module(M: ModuleRep, C: np.ndarray) -> ModuleRep:
     """M modulo the G-invariant column space of C, on the free coordinates."""
-    F = M.field
-    R, rk, piv = la.rref(F, C.T)
-    free = [c for c in range(M.dim) if c not in set(piv)]
-    mats = []
-    for A in M.mats:
-        red = la.reduce_mod_rowspace(F, R[:rk], piv, A[:, free])
-        mats.append(red[free, :])
-    return ModuleRep(M.group, mats, dim=len(free))
+    R, rk, piv = la.rref(M.field, C.T)
+    return _quotient_from_rowspace(M, R[:rk], piv)
 
 
 # -- Fitting decomposition ----------------------------------------------------
@@ -521,10 +515,9 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         t = max(1, min(t, (D - r) // n))
         V = la.rand_mat(F, rng, D, t)
         S = _orbit_stack(M, V)
-        stacked = np.vstack([state_R, S]) if r else S
-        R, rk, piv = la.rref(F, stacked)
+        R, rk, piv = la.rref_extend(F, state_R, state_piv, S)
         if rk - r == t * n:
-            state_R, state_piv, r, s = R[:rk], list(piv), rk, s + t
+            state_R, state_piv, r, s = R[:rk], piv, rk, s + t
             t *= 2
             fails = 0
         elif t > 1:

@@ -7,10 +7,13 @@ canonical JSON (sorted keys, exact fraction strings); wall-clock timing and
 cache counters live in a `volatile` section that the canonical form drops,
 which is what makes the determinism contract byte-exact.
 
-Degrees fan out over a process pool when jobs > 1.  A worker decomposes its
-degree against a fresh registry and ships the indecomposable parts home as
-plain integer lists; the parent matches them into the shared registry in
-ascending-degree order, so ids come out identical to a sequential run.
+A sequential job (jobs == 1) decomposes every degree straight into one job
+registry, in ascending degree order, so kG is decomposed once and each part
+is matched once.  With jobs > 1 the degrees fan out over a process pool: a
+worker decomposes its degree against a fresh registry and ships the
+indecomposable parts home as plain integer lists, and the parent matches them
+into the job registry in ascending-degree order, so ids come out identical to
+a sequential run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import koszul as kz
 from . import linalg as la
-from .chars import char_growth_check, check_delta_vanishing, sym_brauer_sequence
+from .chars import char_growth_check, delta_vanishing_report, sym_brauer_sequence
 from .geometry import fixed_dims, ramification
 from .gf import make_field
 from .groups import (CapacityError, GroupData, ModuleRep, Representation,
@@ -170,11 +173,11 @@ def _sym_path(base: str, n: int) -> str:
 
 
 def _decompose_degree(p: int, e: int, gen_texts: list[str], n: int, seed: int):
-    """Decompose Sym^n against a fresh registry; parts travel as int lists.
+    """Pool worker (jobs > 1): decompose Sym^n against a fresh registry.
 
-    Entries come back in first-appearance order (ascending fresh-registry id),
-    so the parent's match-or-insert sweep assigns the same ids a sequential
-    run would.
+    Parts travel home as int lists, in first-appearance order (ascending
+    fresh-registry id), so the parent's `_absorb` assigns the same ids the
+    sequential sweep does.
     """
     F = make_field(p, e)
     rep = Representation(F, tuple(la.mat_from_text(F, t) for t in gen_texts))
@@ -229,57 +232,45 @@ def _read_cache(base: str | None, G: GroupData, degrees, stats: dict):
     return registry, cached
 
 
-def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
+def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: dict):
     """(vectors, registry, cache stats) for n = 0..n_max, cache-aware.
 
-    A capacity overflow at some degree records an error and keeps the prefix;
-    later degrees can only be larger.
+    The first degree that fails (a capacity overflow, say) records its error
+    and ends the sweep, keeping the prefix; later degrees can only be larger.
+    `sym_power` raises before `decompose` touches the registry, so an overflow
+    degree leaves no classes behind, and both paths give the same report.
     """
     base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
     stats = {"hits": 0, "misses": 0, "corrupt": 0}
     registry, cached = _read_cache(base, G, range(cfg.n_max + 1), stats)
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
-    results: dict[int, list] = {}
-    stop_at = None
-    if missing:
-        tasks = [(cfg.p, cfg.e, cfg.generators, n, child_seed(cfg.seed, "sym", n))
-                 for n in missing]
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = {pool.submit(_decompose_degree, *t): t[3] for t in tasks}
-                for fut, n in futures.items():
-                    try:
-                        results[n] = fut.result()[1]
-                    except Exception as exc:
-                        stop_at = n if stop_at is None else min(stop_at, n)
-                        errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
-        else:
-            for t in tasks:
-                try:
-                    results[t[3]] = _decompose_degree(*t)[1]
-                except Exception as exc:
-                    stop_at = t[3]
-                    errors[f"decompose_n{t[3]}"] = f"{type(exc).__name__}: {exc}"
-                    break
+    pending = {}
+    if cfg.jobs > 1 and missing:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            pending = {n: pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators, n,
+                                      child_seed(cfg.seed, "sym", n)) for n in missing}
     vectors: dict[int, dict[int, int]] = {}
     for n in range(cfg.n_max + 1):
-        if stop_at is not None and n >= stop_at:
-            break
         if n in cached:
             vectors[n] = cached[n]
-        elif n in results:
-            vectors[n] = _absorb(G, registry, results[n])
-        else:
+            continue
+        try:
+            if pending:
+                vec = _absorb(G, registry, pending[n].result()[1])
+            else:
+                vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
+        except Exception as exc:
+            errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
             break
-    if base and results:
+        vectors[n] = vec
+    fresh = [n for n in vectors if n not in cached]
+    if base and fresh:
         os.makedirs(os.path.join(base, "sym"), exist_ok=True)
         save_registry(registry, os.path.join(base, "registry"))
-        for n, vec in vectors.items():
-            if n in cached:
-                continue
-            entry = {"n": n, "vec": {str(k): v for k, v in sorted(vec.items())}}
+        for n in fresh:
+            entry = {"n": n, "vec": {str(k): v for k, v in sorted(vectors[n].items())}}
             write_text_atomic(_sym_path(base, n), json.dumps(entry, sort_keys=True) + "\n")
-    stats.update(hits=len(cached), misses=len(results))
+    stats.update(hits=len(cached), misses=len(fresh))
     return vectors, registry, stats
 
 
@@ -312,16 +303,17 @@ def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
     m = G.order ** 2
     hi, lo = d + 1, d
     nw = _char_window(G.dim, m, hi + 1, max(hi + 3, 8))
-    # The window's top degree must fit the sym cap, which bounds the 2*m
-    # character sequences below (each up to degree m*nw + m - 1).  Groups whose
+    # The window's top degree must fit the sym cap, which bounds the one
+    # character sequence below (degrees 0..m*nw + m - 1).  Groups whose
     # only p-regular class is the identity are exempt: their characters are
     # the dimensions C(n+d, d).
     top = m * nw + m - 1
     if (math.comb(top + G.dim - 1, G.dim - 1) > SYM_DIM_CAP
             and len(G.p_regular_class_reps()) > 1):
         raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
-    hi_reports = [check_delta_vanishing(rep, G, j, m, hi, nw) for j in range(m)]
-    lo_reports = [check_delta_vanishing(rep, G, j, m, lo, nw) for j in range(m)]
+    chars = sym_brauer_sequence(rep, G, range(top + 1))
+    hi_reports = [delta_vanishing_report(chars, j, m, hi, nw) for j in range(m)]
+    lo_reports = [delta_vanishing_report(chars, j, m, lo, nw) for j in range(m)]
     return {
         "stride": m,
         "window": nw,
@@ -423,7 +415,7 @@ def run(cfg: JobConfig) -> dict:
     }
     vectors = registry = None
     if _NEED_VECTORS & set(cfg.checks):
-        vectors, registry, stats = _compute_vectors(cfg, G, errors)
+        vectors, registry, stats = _compute_vectors(cfg, rep, G, errors)
         report["volatile"]["cache"] = stats
         if "decompose" in cfg.checks:
             checks["decompose"] = {
@@ -472,9 +464,7 @@ def run_single(cfg: JobConfig, n: int) -> dict:
     registry, cached = _read_cache(base, G, [n], {"corrupt": 0})
     vec = cached.get(n)
     if vec is None:
-        entries = _decompose_degree(cfg.p, cfg.e, cfg.generators, n,
-                                    child_seed(cfg.seed, "sym", n))[1]
-        vec = _absorb(G, registry, entries)
+        vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
     return {
         "artifact_version": VERSION,
         "n": n,

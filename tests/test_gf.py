@@ -153,6 +153,24 @@ def test_vectorized_matches_scalar():
         assert all(F.vec_inv(nz)[i] == F.inv(int(nz[i])) for i in range(200))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 9), (3, 6), (67108879, 1)])
+def test_inv_matches_fermat_power(p, e):
+    """Scalar and vector inverses agree with a^(q-2), across the table cap."""
+    import numpy as np
+
+    F = make_field(p, e)
+    rng = random.Random(5)
+    codes = range(1, F.q) if F.q <= 1000 else [1, 2, 3, F.q - 2, F.q - 1] + [
+        rng.randrange(1, F.q) for _ in range(50)]
+    want = [F.pow(a, F.q - 2) for a in codes]
+    assert [F.inv(a) for a in codes] == want
+    assert F.vec_inv(np.array(list(codes), dtype=np.int64)).tolist() == want
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.vec_inv(np.array([1, 0], dtype=np.int64))
+
+
 def test_subfield_embedding():
     F4, F16 = make_field(2, 2), make_field(2, 4)
     r = subfield_root(F16, F4)

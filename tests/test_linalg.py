@@ -118,6 +118,38 @@ def test_blocked_vs_naive_differential(F):
             assert np.array_equal(R1, R2), f"echelon mismatch on {m}x{n} over {F}"
 
 
+@pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(67108879)], ids=str)
+def test_rref_extend_matches_stacked_rref(F):
+    """Extending an RREF by new rows must equal the RREF of the stacked rows."""
+    rng = np.random.default_rng(515 + F.q % 1000)
+
+    def check(R, piv, S):
+        got = la.rref_extend(F, R, piv, S)
+        want = la.rref(F, np.vstack([R, S]))
+        assert got[1:] == want[1:], f"rank/pivots differ over {F}"
+        assert np.array_equal(got[0], want[0]), f"RREF differs over {F}"
+
+    n = 12
+    for _ in range(6):
+        S = la.rand_mat(F, rng, 4, n)
+        check(la.zeros(0, n), [], S)                         # empty base
+        check(la.zeros(2, n), [], S)                         # zero base rows
+        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 5, n))
+        check(R, piv, la.rand_mat(F, rng, 4, n))           # base with its zero rows
+        check(R[:rk], piv, la.mat_mul(F, la.rand_mat(F, rng, 3, rk), R[:rk]))  # dependent
+        A = la.rand_mat(F, rng, 4, n)
+        A[:, :6] = 0
+        R, rk, piv = la.rref(F, A)
+        check(R[:rk], piv, la.rand_mat(F, rng, 3, n))     # new pivots left of old ones
+        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 3, n))
+        check(R[:rk], piv, la.rand_mat(F, rng, 2 * n, n))  # more new rows than columns
+        A = la.rand_mat(F, rng, 6, n)
+        A[1] = A[0]
+        A[:, 3] = 0
+        R, rk, piv = la.rref(F, A[:4])
+        check(R[:rk], piv, A[4:])                           # mixed, zero column
+
+
 def test_inv_and_solve_random():
     rng = np.random.default_rng(7)
     for F in FIELDS:

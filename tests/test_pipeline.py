@@ -123,6 +123,63 @@ def test_parallel_jobs_match_sequential(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
+
+
+def test_parallel_jobs_write_the_same_cache(tmp_path):
+    trees = {}
+    for jobs in (1, 2):
+        cache = tmp_path / f"cache{jobs}"
+        cfg_path = write_config(tmp_path, name=f"job{jobs}.json", generators=S3_GENS,
+                                n_max=12, cache_dir=str(cache))
+        out = str(tmp_path / f"out{jobs}.json")
+        assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 0
+        trees[jobs] = {str(f.relative_to(cache)): f.read_bytes()
+                       for f in sorted(cache.rglob("*")) if f.is_file()}
+    assert any(name.endswith(".mod") for name in trees[1])
+    assert any(name.endswith("index.json") for name in trees[1])
+    assert sum(os.path.basename(os.path.dirname(name)) == "sym" for name in trees[1]) == 13
+    assert trees[1] == trees[2]
+
+
+def test_sequential_sweep_decomposes_kg_once(tmp_path, monkeypatch):
+    import sympow.modules as modules
+
+    calls = []
+    real = modules.regular_rep
+
+    def counting(G):
+        calls.append(G.order)
+        return real(G)
+
+    monkeypatch.setattr(modules, "regular_rep", counting)
+    report = run(config_from_dict({**BASE, "generators": S3_GENS, "n_max": 20,
+                                   "checks": ["decompose"]}))
+    assert report["errors"] == {}
+    assert calls == [6]
+
+
+def test_delta_job_computes_one_character_sequence(monkeypatch):
+    import sympow.chars as chars
+    import sympow.pipeline as pipeline
+
+    calls = []
+    real = chars.sym_brauer_sequence
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(chars, "sym_brauer_sequence", counting)
+    monkeypatch.setattr(pipeline, "sym_brauer_sequence", counting)
+    report = run(config_from_dict({**BASE, "generators": S3_GENS,
+                                   "checks": ["delta_vanishing"]}))
+    delta = report["checks"]["delta_vanishing"]
+    assert delta["all_vanish_hi"] and not delta["any_vanish_lo"]
+    assert len(delta["order_hi"]) == len(delta["order_lo"]) == 36
+    assert len(calls) == 1
+
+
 def test_seed_override_changes_echo_not_content(tmp_path):
     cfg_path = write_config(tmp_path)
     a, b = str(tmp_path / "s7.json"), str(tmp_path / "s8.json")
@@ -169,6 +226,22 @@ def test_capacity_overflow_degrades_gracefully(tmp_path, monkeypatch):
     # independent checks are untouched by the overflow
     assert report["checks"]["growth"]["ok"]
     assert report["checks"]["ramification"]["dimB"] == "empty"
+
+
+def test_capacity_overflow_same_report_in_parallel(tmp_path, monkeypatch):
+    # the sequential sweep builds Sym^5 before it touches the registry, so the
+    # overflow degree leaves no classes behind, as the pool's fresh registries do
+    monkeypatch.setattr("sympow.groups.SYM_DIM_CAP", 20)
+    cfg_path = write_config(
+        tmp_path,
+        generators=["3 3\n1 0 0\n0 1 0\n0 0 1\n"],
+        n_max=10,
+        checks=["decompose", "growth", "ramification"],
+    )
+    outs = [str(tmp_path / f"jobs{j}.json") for j in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 2
+    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
 
 def test_delta_window_past_sym_cap(tmp_path):
