@@ -28,7 +28,8 @@ from . import linalg as la
 from .gf import Field, make_field, subfield_root, embed_scalar
 from .groups import GroupData, ModuleRep, Representation
 
-_SPLIT_CACHE: dict[tuple[int, int, int], tuple[Field, np.ndarray | None, int]] = {}
+# cyclotomic(N) is a pure function of one integer, shared by every field and
+# group, so its memo is global like the field interning in `gf`
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
 
 
@@ -81,11 +82,13 @@ def _mult_order(q: int, o: int) -> int:
 
 
 def _splitting_data(F: Field, o: int) -> tuple[Field, np.ndarray | None, int]:
-    """(splitting field K of x^o - 1, embedding table or None, o-th root)."""
-    key = (F.p, F.e, o)
-    if key not in _SPLIT_CACHE:
+    """(splitting field K of x^o - 1, embedding table or None, o-th root).
+
+    Kept on F (`Field.splitting`), next to its op tables.
+    """
+    if o not in F.splitting:
         if o == 1:
-            _SPLIT_CACHE[key] = (F, None, 1 % F.q if F.q > 1 else 0)
+            F.splitting[o] = (F, None, 1 % F.q if F.q > 1 else 0)
         else:
             if o % F.p == 0:
                 raise ValueError("element order divisible by the characteristic")
@@ -99,8 +102,8 @@ def _splitting_data(F: Field, o: int) -> tuple[Field, np.ndarray | None, int]:
                     [embed_scalar(K, F, root, a) for a in range(F.q)], dtype=np.int64
                 )
             w = K.pow(K.root, (K.q - 1) // o)
-            _SPLIT_CACHE[key] = (K, table, w)
-    return _SPLIT_CACHE[key]
+            F.splitting[o] = (K, table, w)
+    return F.splitting[o]
 
 
 def root_space_dims(F: Field, A: np.ndarray, o: int) -> list[int]:

@@ -44,11 +44,19 @@ def fixed_dims(G: GroupData, g: int) -> list[tuple[int, int]]:
 class RamificationReport:
     dim_b: int
     dim_bp: int
-    c: int
-    cp: int
     generically_free: bool
     faithful_on_p: bool
     elements: list[dict]
+
+    @property
+    def c(self) -> int:
+        """c = dim B, with the structure sheaf as the coefficient sheaf."""
+        return self.dim_b
+
+    @property
+    def cp(self) -> int:
+        """c_p = dim B_p, likewise."""
+        return self.dim_bp
 
     def to_json(self) -> dict:
         def enc(v: int):
@@ -103,8 +111,6 @@ def ramification(G: GroupData) -> RamificationReport:
     return RamificationReport(
         dim_b=dim_b,
         dim_bp=dim_bp,
-        c=dim_b,
-        cp=dim_bp,
         generically_free=True,
         faithful_on_p=True,
         elements=elements,

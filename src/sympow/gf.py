@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p^e) with canonical moduli, primitive roots, discrete logs.
+"""Arithmetic in GF(p^e) with canonical moduli and primitive roots.
 
 A field element is carried as an integer code in [0, p^e): the code's base-p
 digits, little-endian, are the coefficients of the element written in the
@@ -9,8 +9,7 @@ constant coefficient is most significant.  The distinguished generator is the
 least primitive element in the same coefficient order.  Registries and caches
 depend on both scans being reproducible, so do not reorder them.
 
-Scalar arithmetic is polynomial arithmetic mod f (no log tables); only dlog
-builds a power table, and only for fields of size at most 2**20.
+Scalar arithmetic is polynomial arithmetic mod f (no log tables).
 
 Vectorized variants (vec_add and friends) act elementwise on numpy int64
 arrays of codes and are the substrate for the linalg layer.
@@ -23,7 +22,6 @@ import itertools
 import numpy as np
 
 FIELD_SIZE_CAP = 2**31
-DLOG_CAP = 2**20
 DEGREE_CAP = 16
 # extension fields up to this size get q*q elementwise op tables (one gather
 # per element instead of a digit-layer round trip)
@@ -221,12 +219,13 @@ class Field:
                     cur = [(cur[i] + top * red[0][i]) % p for i in range(e)]
                 red.append(list(cur))
         self._red = np.array(red, dtype=np.int64) if red else np.zeros((0, e), dtype=np.int64)
-        self._pow_table: list[int] | None = None
-        self._dlog_table: dict[int, int] | None = None
         self._root: int | None = None
         self._op_tables: tuple[np.ndarray, ...] | None = None
         self._fused_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._kron_table: np.ndarray | None = None
+        # chars._splitting_data per root-of-unity order o: (splitting field of
+        # x^o - 1, embedding table or None, canonical o-th root)
+        self.splitting: dict[int, tuple] = {}
 
     # -- scalar codecs --------------------------------------------------
 
@@ -325,7 +324,7 @@ class Field:
                     break
         return n
 
-    # -- canonical generator and dlog ------------------------------------
+    # -- canonical generator ---------------------------------------------
 
     def _lex_codes(self):
         """All codes in coefficient-lexicographic order (c0 most significant)."""
@@ -346,19 +345,6 @@ class Field:
                     break
         assert self._root is not None
         return self._root
-
-    def dlog(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("dlog of zero")
-        if self.q > DLOG_CAP:
-            raise CapacityError(f"dlog table capped at field size {DLOG_CAP}")
-        if self._dlog_table is None:
-            table, x, r = {}, 1, self.root
-            for k in range(self.q - 1):
-                table[x] = k
-                x = self.mul(x, r)
-            self._dlog_table = table
-        return self._dlog_table[a]
 
     # -- vectorized arithmetic on int64 code arrays ----------------------
 
@@ -544,6 +530,8 @@ class Field:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
 
+# interning, not a job cache: one Field per (p, e) keeps identity checks and
+# the per-field tables shared by everything built over that field
 _FIELDS: dict[tuple[int, int], Field] = {}
 
 

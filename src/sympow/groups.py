@@ -8,6 +8,11 @@ action evaluate group elements with one product per element.
 
 `ModuleRep` is the carrier for all downstream work: a kG-module given by the
 action matrices of the group generators on a chosen basis.
+
+A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k of its
+generators for the group's lifetime and resumes from the highest degree
+built, and koszul's equivariance memo and `modules.extend_scalars`' extended
+groups live on it too.  Nothing outlives the group that made it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,13 @@ class Representation:
 
 
 class GroupData:
-    """Closed element list with words, orders, Sylow subgroup, classes."""
+    """Closed element list with words, orders, Sylow subgroup, classes.
+
+    Also the owner of state derived from the group: the Sym^k towers of its
+    generators (`sym`), the (form bytes, source degree, generator index)
+    triples koszul has verified equivariant (`equivariant_forms`), and its
+    scalar extensions by extension degree (`extensions`).
+    """
 
     def __init__(self, field: Field, dim: int, gens: list[np.ndarray]):
         self.field = field
@@ -65,6 +76,9 @@ class GroupData:
         self._sylow: tuple[int, ...] | None = None
         self._conj_classes: list[tuple[int, ...]] | None = None
         self._left: tuple[list[int], np.ndarray, np.ndarray] | None = None
+        self._sym_towers: list[dict[int, np.ndarray]] = [{} for _ in self.gens]
+        self.equivariant_forms: set[tuple[bytes, int, int]] = set()
+        self.extensions: dict[int, GroupData] = {}
 
     # -- enumeration -----------------------------------------------------
 
@@ -243,6 +257,24 @@ class GroupData:
         p = self.field.p
         return [cls[0] for cls in self.conj_classes() if self.element_order(cls[0]) % p != 0]
 
+    # -- symmetric powers ----------------------------------------------------
+
+    def sym(self, n: int) -> list[np.ndarray]:
+        """Sym^n of each generator, on the graded-lex monomial basis.
+
+        Every degree built is kept, so a request resumes from the highest
+        degree below n instead of restarting at zero.
+        """
+        if math.comb(n + self.dim - 1, self.dim - 1) > SYM_DIM_CAP:
+            raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
+        for A, tower in zip(self.gens, self._sym_towers):
+            if n not in tower:
+                below = [k for k in tower if k < n]
+                start = (max(below), tower[max(below)]) if below else None
+                for k, S in sym_matrix_stream(self.field, A, n, start=start):
+                    tower.setdefault(k, S)
+        return [tower[n] for tower in self._sym_towers]
+
 
 def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
@@ -319,24 +351,11 @@ def monomials(nvars: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-_SYM_TOWERS: dict[tuple, dict[int, np.ndarray]] = {}
-
-
 def sym_matrix(F: Field, A: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of Sym^n(A) on the graded-lex monomial basis.
-
-    Towers are memoized per (field, generator), so repeated requests resume
-    from the highest degree already built instead of restarting at zero.
-    """
-    key = (F.p, F.e, A.shape[0], A.tobytes())
-    tower = _SYM_TOWERS.setdefault(key, {})
-    if n in tower:
-        return tower[n]
-    below = [k for k in tower if k < n]
-    start = (max(below), tower[max(below)]) if below else None
-    for k, S in sym_matrix_stream(F, A, n, start=start):
-        tower.setdefault(k, S)
-    return tower[n]
+    """Matrix of Sym^n(A) on the graded-lex monomial basis; keeps no state."""
+    for _, S in sym_matrix_stream(F, A, n):
+        pass
+    return S
 
 
 def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
@@ -389,13 +408,13 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
 
 
 def sym_power(rep: Representation, group: GroupData, n: int) -> ModuleRep:
-    """The degree-n graded piece H^0(P^d, O(n)) as a module over `group`."""
+    """The degree-n graded piece H^0(P^d, O(n)) as a module over `group`.
+
+    `group` is the group closed from `rep`; the matrices come from its towers.
+    """
     if n < 0:
         raise ValueError("sym_power needs n >= 0")
-    d1 = rep.dim
-    if math.comb(n + d1 - 1, d1 - 1) > SYM_DIM_CAP:
-        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
-    return ModuleRep(group, [sym_matrix(rep.field, A, n) for A in rep.gens])
+    return ModuleRep(group, group.sym(n))
 
 
 def sym_power_stream(rep: Representation, group: GroupData, n_max: int):
@@ -436,23 +455,3 @@ def regular_rep(G: GroupData) -> ModuleRep:
             P[G.mult(g, h), h] = 1
         mats.append(P)
     return ModuleRep(G, mats)
-
-
-def restrict(M: ModuleRep, H) -> ModuleRep:
-    """M as a module over the subgroup with index set H (re-closed canonically)."""
-    H = sorted(set(H))
-    sel: list[int] = []
-    closure = {0}
-    for i in H:
-        if i not in closure:
-            sel.append(i)
-            closure = set(M.group.subgroup_closure(sel))
-    if set(H) != closure:
-        raise ValueError("restrict: index set is not a subgroup")
-    sub = GroupData(M.field, M.group.dim, [M.group.elements[i] for i in sel])
-    sub._close(GROUP_CAP)
-    return ModuleRep(sub, [M.act(i) for i in sel], dim=M.dim)
-
-
-def dual(M: ModuleRep) -> ModuleRep:
-    return ModuleRep(M.group, [la.inv(M.field, A).T.copy() for A in M.mats])

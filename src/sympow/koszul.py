@@ -16,7 +16,6 @@ the outer ones.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from . import linalg as la
 from .gf import Field
 from .groups import (CapacityError, GroupData, ModuleRep, Representation,
-                     SYM_DIM_CAP, monomials, sym_matrix)
+                     SYM_DIM_CAP, monomials)
 from .modules import (Registry, decompose, dvec_add, dvec_scale, dvec_sub,
                       free_rank, quotient_module, submodule)
 
@@ -100,8 +99,7 @@ def form_product(F: Field, lin_forms: list[np.ndarray]) -> np.ndarray:
 
 def is_invariant_form(G: GroupData, form: np.ndarray, deg: int) -> bool:
     F = G.field
-    for A in G.gens:
-        S = sym_matrix(F, A, deg)
+    for S in G.sym(deg):
         if not np.array_equal(la.mat_mul(F, S, form[:, None])[:, 0], form):
             return False
     return True
@@ -186,7 +184,7 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
     terms = []
     blocks = []
     for r in range(R + 1):
-        block = [sym_matrix(F, A, degs[r]) for A in G.gens]
+        block = G.sym(degs[r])
         blocks.append(block)
         mats = [la.block_diag([B] * len(subsets[r])) for B in block]
         terms.append(ModuleRep(G, mats, dim=_sym_dim(d1, degs[r]) * len(subsets[r])))
@@ -232,20 +230,10 @@ def _tau_apply_left(K: KoszulComplex, r: int, X: np.ndarray) -> np.ndarray:
     return out
 
 
-_EQUIV_SEEN: set[bytes] = set()
-
-
 def _block_equivariance(G: GroupData, form: np.ndarray, deg: int, src_deg: int,
                         S_src: np.ndarray, S_dst: np.ndarray, gi: int):
-    """Check mult-by-form o Sym(g) == Sym(g) o mult-by-form, once per inputs."""
+    """Check mult-by-form o Sym(g) == Sym(g) o mult-by-form."""
     F = G.field
-    h = hashlib.sha256()
-    h.update(f"{F.p}.{F.e}.{src_deg}.{gi}.".encode())
-    h.update(G.gens[gi].tobytes())
-    h.update(form.tobytes())
-    key = h.digest()
-    if key in _EQUIV_SEEN:
-        return
     dst_dim, plan = _form_scatter(F, form, deg, src_deg, G.dim)
     left = la.zeros(dst_dim, S_src.shape[1])
     right = la.zeros(dst_dim, S_src.shape[1])
@@ -255,7 +243,6 @@ def _block_equivariance(G: GroupData, form: np.ndarray, deg: int, src_deg: int,
         right = F.vec_addmul(right, cc, S_dst[:, rows])
     if not np.array_equal(left, right):
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
-    _EQUIV_SEEN.add(key)
 
 
 def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
@@ -265,7 +252,8 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
     every rho is block diagonal with one sym matrix repeated and every tau
     block is a signed multiplication map, so the full identity holds exactly
     when each multiplication map commutes with the sym action; that reduced
-    identity is what gets checked (and memoized across complexes).
+    identity is what gets checked, once per (form, source degree, generator)
+    for the group's lifetime (`GroupData.equivariant_forms`).
     """
     for r in range(len(K.maps) - 1):
         comp = _tau_apply_left(K, r, K.maps[r + 1])
@@ -276,7 +264,11 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
         src_deg = K.m * (K.t - r) + K.j
         for form in K.forms:
             for gi in range(len(G.gens)):
-                _block_equivariance(G, form, K.m, src_deg, blocks[r][gi], blocks[r - 1][gi], gi)
+                key = (form.tobytes(), src_deg, gi)
+                if key not in G.equivariant_forms:
+                    _block_equivariance(G, form, K.m, src_deg,
+                                        blocks[r][gi], blocks[r - 1][gi], gi)
+                    G.equivariant_forms.add(key)
 
 
 def check_exact(K: KoszulComplex) -> dict:
@@ -302,7 +294,12 @@ def check_exact(K: KoszulComplex) -> dict:
 
 def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
                     seed: int, vec_c: dict[int, int] | None = None) -> bool:
-    """Krull-Schmidt splitting test for 0 -> <sub_cols> -> C -> quotient -> 0."""
+    """Krull-Schmidt splitting test for 0 -> <sub_cols> -> C -> quotient -> 0.
+
+    This is the oracle `test_koszul` uses to check `check_split_stagewise`:
+    it decomposes the submodule and the quotient directly, with none of the
+    stagewise shortcuts.
+    """
     sub = submodule(C, sub_cols, verify=False)
     quo = quotient_module(C, sub_cols)
     vc = decompose(C, registry, seed) if vec_c is None else vec_c

@@ -141,21 +141,6 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F._reduce_layers(acc)
 
 
-def mat_pow(F: Field, A: np.ndarray, k: int) -> np.ndarray:
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("mat_pow needs a square matrix")
-    if k < 0:
-        return mat_pow(F, inv(F, A), -k)
-    result = identity(A.shape[0])
-    base = A
-    while k:
-        if k & 1:
-            result = mat_mul(F, result, base)
-        base = mat_mul(F, base, base)
-        k >>= 1
-    return result
-
-
 def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):
     """Reference one-pivot-at-a-time (reduced) row echelon; returns (R, pivots)."""
     W = A.astype(np.int64, copy=True)

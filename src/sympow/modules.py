@@ -498,7 +498,6 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         _, rkT, pivT = la.rref(F, T)
         if rkT == 0:
             return 0, M
-        V = la.identity(D)[:, pivT]
         S = np.vstack([a[:, pivT].T for a in acts])  # type: ignore[index]
         R, rk, piv = la.rref(F, S)
         assert rk == rkT * n, "free span must have full orbit rank"
@@ -599,11 +598,12 @@ def nonfree(vec: dict[int, int], registry: Registry, seed: int = 0) -> dict[int,
 # -- scalar extension --------------------------------------------------------------
 
 
-_EXT_GROUPS: dict[tuple[bytes, int], GroupData] = {}
-
-
 def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
-    """The same module viewed over GF(q^s) via the canonical embedding."""
+    """The same module viewed over GF(q^s) via the canonical embedding.
+
+    Extensions of modules over one group share one extended group, which the
+    source group keeps (`GroupData.extensions`).
+    """
     if s < 1:
         raise ValueError("extension degree must be >= 1")
     if s == 1:
@@ -612,20 +612,10 @@ def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
     big = make_field(F.p, F.e * s)
     root = subfield_root(big, F)
     table = np.array([embed_scalar(big, F, root, a) for a in range(F.q)], dtype=np.int64)
-    key = (_group_key(M.group), s)
-    if key not in _EXT_GROUPS:
-        rep = Representation(big, tuple(table[g] for g in M.group.gens))
-        _EXT_GROUPS[key] = close_group(rep)
-    G2 = _EXT_GROUPS[key]
-    return ModuleRep(G2, [table[m] for m in M.mats], dim=M.dim)
-
-
-def _group_key(G: GroupData) -> bytes:
-    h = hashlib.sha256()
-    h.update(f"{G.field.p},{G.field.e},{G.dim};".encode())
-    for g in G.gens:
-        h.update(g.tobytes())
-    return h.digest()
+    G = M.group
+    if s not in G.extensions:
+        G.extensions[s] = close_group(Representation(big, tuple(table[g] for g in G.gens)))
+    return ModuleRep(G.extensions[s], [table[m] for m in M.mats], dim=M.dim)
 
 
 # -- registry persistence -----------------------------------------------------------

@@ -9,9 +9,10 @@ which is what makes the determinism contract byte-exact.
 
 A sequential job (jobs == 1) decomposes every degree straight into one job
 registry, in ascending degree order, so kG is decomposed once and each part
-is matched once.  With jobs > 1 the degrees fan out over a process pool: a
-worker decomposes its degree against a fresh registry and ships the
-indecomposable parts home as plain integer lists, and the parent matches them
+is matched once.  With jobs > 1 the degrees fan out over a process pool: the
+parent builds each Sym^n from its own group's towers and sends the matrices
+to a worker, which decomposes them against a fresh registry and ships the
+indecomposable parts home as plain integer lists; the parent matches them
 into the job registry in ascending-degree order, so ids come out identical to
 a sequential run.
 """
@@ -24,7 +25,7 @@ import math
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -172,18 +173,20 @@ def _sym_path(base: str, n: int) -> str:
 # -- per-degree decomposition --------------------------------------------------
 
 
-def _decompose_degree(p: int, e: int, gen_texts: list[str], n: int, seed: int):
+def _decompose_degree(p: int, e: int, gen_texts: list[str], sym_mats: list[np.ndarray],
+                      n: int, seed: int):
     """Pool worker (jobs > 1): decompose Sym^n against a fresh registry.
 
-    Parts travel home as int lists, in first-appearance order (ascending
-    fresh-registry id), so the parent's `_absorb` assigns the same ids the
-    sequential sweep does.
+    sym_mats are the generators' Sym^n matrices, which the parent takes from
+    its own group's towers, so no worker builds a tower.  Parts travel home
+    as int lists, in first-appearance order (ascending fresh-registry id), so
+    the parent's `_absorb` assigns the same ids the sequential sweep does.
     """
     F = make_field(p, e)
     rep = Representation(F, tuple(la.mat_from_text(F, t) for t in gen_texts))
     G = close_group(rep)
     reg = Registry(G)
-    vec = decompose(sym_power(rep, G, n), reg, seed)
+    vec = decompose(ModuleRep(G, sym_mats), reg, seed)
     entries = []
     for mid in sorted(vec):
         mod = reg.entries[mid]
@@ -239,16 +242,25 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
     and ends the sweep, keeping the prefix; later degrees can only be larger.
     `sym_power` raises before `decompose` touches the registry, so an overflow
     degree leaves no classes behind, and both paths give the same report.
+    The pool path builds each Sym^n in the parent and submits no degree past
+    the first one whose Sym^n raises.
     """
     base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
     stats = {"hits": 0, "misses": 0, "corrupt": 0}
     registry, cached = _read_cache(base, G, range(cfg.n_max + 1), stats)
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
-    pending = {}
+    pending: dict[int, Future] = {}
     if cfg.jobs > 1 and missing:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            pending = {n: pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators, n,
-                                      child_seed(cfg.seed, "sym", n)) for n in missing}
+            for n in missing:
+                try:
+                    mats = G.sym(n)
+                except Exception as exc:
+                    pending[n] = Future()
+                    pending[n].set_exception(exc)
+                    break
+                pending[n] = pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators,
+                                         mats, n, child_seed(cfg.seed, "sym", n))
     vectors: dict[int, dict[int, int]] = {}
     for n in range(cfg.n_max + 1):
         if n in cached:

@@ -12,10 +12,8 @@ from sympow.groups import (
     ModuleRep,
     Representation,
     close_group,
-    dual,
     monomials,
     regular_rep,
-    restrict,
     sym_matrix,
     sym_power,
     trace_operator,
@@ -114,6 +112,18 @@ def test_sym_power_dims():
         sym_power(rep, G, 200)
 
 
+def test_group_sym_towers_resume_and_stay_per_group():
+    rep = s3_rep()
+    G1, G2 = close_group(rep), close_group(rep)
+    for n in (5, 2, 9, 9):  # resume above, read below, resume again, reread
+        got = G1.sym(n)
+        assert len(got) == len(rep.gens)
+        for S, A in zip(got, rep.gens):
+            assert np.array_equal(S, sym_matrix(F2, A, n))
+    assert G1.sym(9)[0] is G1.sym(9)[0]
+    assert G2.sym(9)[0] is not G1.sym(9)[0]
+
+
 def test_sym_square_hand_expansion():
     """sigma z0 = z0, sigma z1 = z0+z1 forces the stated 3x3 matrix in char 2."""
     S = sym_matrix(F2, mk(F2, [[1, 1], [0, 1]]), 2)
@@ -183,28 +193,6 @@ def test_regular_rep():
     RR = regular_rep(GS3)
     for m in RR.mats:
         assert np.array_equal(m.sum(axis=0), np.ones(6, dtype=np.int64))
-
-
-def test_restrict():
-    rep = s3_rep()
-    G = close_group(rep)
-    M = sym_power(rep, G, 2)
-    triv = restrict(M, [0])
-    assert triv.dim == M.dim and triv.group.order == 1
-    assert np.array_equal(triv.act(0), la.identity(3))
-    sub = restrict(M, G.sylow())
-    assert sub.group.order == 2
-    with pytest.raises(ValueError):
-        restrict(M, [0, 1, 2, 3, 4])  # not a subgroup unless it closes
-
-
-def test_dual_is_involution():
-    rep = s3_rep()
-    G = close_group(rep)
-    M = sym_power(rep, G, 2)
-    DD = dual(dual(M))
-    for a, b in zip(M.mats, DD.mats):
-        assert np.array_equal(a, b)
 
 
 def test_word_evaluation_matches_elements():

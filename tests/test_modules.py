@@ -237,6 +237,17 @@ def test_extend_scalars_keeps_klein_family_apart():
     assert not is_iso(E2, E3)
 
 
+def test_extend_scalars_group_belongs_to_the_source_group():
+    rep = s3_rep()
+    G = close_group(rep)
+    M, N = sym_power(rep, G, 1), sym_power(rep, G, 3)
+    E = extend_scalars(M, 2)
+    assert E.group is extend_scalars(N, 2).group
+    assert E.group is G.extensions[2] and E.group.order == 6
+    other = close_group(rep)
+    assert extend_scalars(sym_power(rep, other, 1), 2).group is not E.group
+
+
 def test_submodule_rejects_non_invariant(s3):
     rep, G = s3
     M = sym_power(rep, G, 2)

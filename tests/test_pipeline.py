@@ -7,6 +7,7 @@ byte-identity comparisons can afford to run it several times.
 
 import json
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -242,6 +243,74 @@ def test_capacity_overflow_same_report_in_parallel(tmp_path, monkeypatch):
     for jobs, out in zip((1, 2), outs):
         assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 2
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
+def test_pool_stops_submitting_at_first_overflow(tmp_path, monkeypatch):
+    import sympow.pipeline as pipeline
+
+    submitted = []
+
+    class SyncPool:
+        """Runs each task at submit time, in this process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args[-2])  # the degree
+            fut = Future()
+            try:
+                fut.set_result(fn(*args))
+            except Exception as exc:
+                fut.set_exception(exc)
+            return fut
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SyncPool)
+    monkeypatch.setattr("sympow.groups.SYM_DIM_CAP", 20)
+    cfg = config_from_dict({**BASE, "generators": ["3 3\n1 0 0\n0 1 0\n0 0 1\n"],
+                            "n_max": 10, "checks": ["decompose"], "jobs": 2})
+    report = run(cfg)
+    assert submitted == [0, 1, 2, 3, 4]
+    assert list(report["errors"]) == ["decompose_n5"]
+    assert sorted(report["checks"]["decompose"]["vectors"]) == [0, 1, 2, 3, 4]
+
+
+def test_repeated_koszul_job_in_one_process_does_the_same_work(monkeypatch):
+    import sympow.groups as groups
+    import sympow.koszul as koszul
+
+    degrees, checks = [], []
+    real_stream, real_check = groups.sym_matrix_stream, koszul._block_equivariance
+
+    def counting_stream(*args, **kwargs):
+        for k, S in real_stream(*args, **kwargs):
+            degrees.append(k)
+            yield k, S
+
+    def counting_check(*args):
+        checks.append(args[3])
+        return real_check(*args)
+
+    monkeypatch.setattr(groups, "sym_matrix_stream", counting_stream)
+    monkeypatch.setattr(koszul, "_block_equivariance", counting_check)
+    cfg = config_from_dict({**BASE, "generators": S3_GENS, "checks": ["koszul"]})
+    counts, texts = [], []
+    for _ in range(2):
+        degrees.clear()
+        checks.clear()
+        report = run(cfg)
+        assert report["errors"] == {}
+        counts.append((len(degrees), len(checks)))
+        texts.append(canonical_json(report))
+    assert counts[0][0] > 0 and counts[0][1] > 0
+    assert counts[0] == counts[1]
+    assert texts[0] == texts[1]
 
 
 def test_delta_window_past_sym_cap(tmp_path):
