@@ -183,7 +183,7 @@ def _lookup(table: np.ndarray, q: int, a, b, c=None) -> np.ndarray:
 
 def _add_in_place(idx: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
-    if x.shape == idx.shape or not x.ndim:
+    if np.broadcast_shapes(idx.shape, x.shape) == idx.shape:
         idx += x
         return idx
     return idx + x  # x broadcasts to a larger shape
@@ -459,13 +459,14 @@ class Field:
         p = self.p
         return bits, ((1 << bits) - 1) // ((p + 1) * (p - 1) ** 2)
 
-    def kron_pack(self, arr: np.ndarray) -> np.ndarray:
-        """float64 array of packed codes, one gather from a q-entry table."""
+    def kron_pack(self, arr: np.ndarray, negate: bool = False) -> np.ndarray:
+        """float64 array of packed codes, or of their negatives, in one gather."""
         if self._kron_table is None:
             bits = self.kron_plan()[0]
-            digits = self.split_layers(np.arange(self.q, dtype=np.int64))
+            codes = np.arange(self.q, dtype=np.int64)
+            digits = self.split_layers(np.stack([codes, self.vec_neg(codes)]))
             self._kron_table = (digits[0] + digits[1] * (1 << bits)).astype(np.float64)
-        return self._kron_table[np.asarray(arr, dtype=np.int64)]
+        return self._kron_table[int(negate)][np.asarray(arr, dtype=np.int64)]
 
     def kron_unpack(self, X: np.ndarray) -> np.ndarray:
         """Codes of a packed product held as int64; overwrites X."""

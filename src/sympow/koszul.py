@@ -24,8 +24,7 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field
-from .groups import (CapacityError, GroupData, ModuleRep, Representation,
-                     SYM_DIM_CAP, monomials)
+from .groups import CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, monomials
 from .modules import (Registry, decompose, dvec_add, dvec_scale, dvec_sub,
                       free_rank, quotient_module, submodule)
 

@@ -10,9 +10,10 @@ fields multiply digit layers pairwise.
 
 Elimination uses first-nonzero pivoting (row order, then column order), which
 makes every echelon form, kernel basis and solve deterministic.  The blocked
-right-looking elimination `_echelon` performs the same field operations as
-the one-pivot-at-a-time reference `_echelon_naive`, just reassociated into
-matrix products; a differential test keeps the two in lockstep.
+right-looking elimination `_echelon` gives the same result as the
+one-pivot-at-a-time reference `_echelon_naive`: it reassociates the work into
+matrix products, and with the pivots fixed the echelon form, reduced or not,
+is unique.  Differential tests keep the two in lockstep.
 
 Matrix text format: a `rows cols` header line, then one row per line of
 scalar serializations separated by spaces.
@@ -22,9 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import Field
+from .gf import FUSED_CAP, TABLE_CAP, Field
 
 _PANEL = 128
+# from this many entries on, _echelon splits panels and back-substitution
+# blocks recursively down to _LEAF columns or rows
+_SPLIT_CELLS = 1 << 15
+_LEAF = 16
 # below this many inner columns per packed product (p > 19), the digit-layer
 # products of mat_mul beat Kronecker packing
 _KRON_MIN_STEP = 16
@@ -67,22 +72,35 @@ def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sum(parts) % p
 
 
-def _mm_kron(F: Field, A: np.ndarray, B: np.ndarray, dest: np.ndarray,
-             accumulate: bool) -> None:
-    """dest = A @ B (or dest += A @ B) over GF(p^2), in place.
+def _block(rows, cols):
+    """Index of W[rows][:, cols], for slices or index arrays."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        return np.ix_(rows, cols)
+    return rows, cols
 
-    Codes are Kronecker-packed (Field.kron_plan), so each BLAS product is
-    exact; rows go in blocks so every temporary stays a few hundred KB.
+
+def _mm_kron(F: Field, A: np.ndarray, B: np.ndarray, dest: np.ndarray,
+             accumulate: bool, rows=None, cols=slice(None), negate: bool = False) -> None:
+    """dest = A @ B (or dest += A @ B; -A for A with `negate`) over GF(p^2), in place.
+
+    With an index array `rows`, row i of A @ B lands in dest row rows[i];
+    `cols` (a slice or an index array) picks dest's columns.  Codes are
+    Kronecker-packed (Field.kron_plan), so each BLAS product is exact; rows
+    of A and dest go in blocks, so apart from packed B every temporary stays
+    a few hundred KB.
     """
     step = F.kron_plan()[1]
-    pa, pb = F.kron_pack(A), F.kron_pack(B)
+    pb = F.kron_pack(B)
     k = A.shape[1]
-    rows = max(1, _BLOCK_ELEMS // max(1, B.shape[1]))
-    for r0 in range(0, A.shape[0], rows):
-        blk = dest[r0:r0 + rows]
+    nrows = max(1, _BLOCK_ELEMS // max(1, k, B.shape[1]))
+    gather = rows is not None or isinstance(cols, np.ndarray)
+    for r0 in range(0, A.shape[0], nrows):
+        at = _block(slice(r0, r0 + nrows) if rows is None else rows[r0:r0 + nrows], cols)
+        blk = dest[at]
+        pa = F.kron_pack(A[r0:r0 + nrows], negate)
         added = accumulate
         for s in range(0, k, step):
-            X = pa[r0:r0 + rows, s:s + step] @ pb[s:s + step]
+            X = pa[:, s:s + step] @ pb[s:s + step]
             # the entries are integers below 2**52, so adding 2**52 pins the
             # exponent and leaves each integer in the low mantissa bits
             X += 2.0**52
@@ -94,18 +112,26 @@ def _mm_kron(F: Field, A: np.ndarray, B: np.ndarray, dest: np.ndarray,
             else:
                 blk[...] = part
                 added = True
+        if gather:
+            dest[at] = blk
 
 
 def _uses_kron(F: Field, k: int) -> bool:
     return F.e == 2 and k > 0 and F.kron_plan()[1] >= _KRON_MIN_STEP
 
 
-def mat_submul_into(F: Field, W: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
-    """W -= A @ B in place (W may be a view)."""
+def mat_submul_into(F: Field, W: np.ndarray, A: np.ndarray, B: np.ndarray,
+                    rows=None, cols=slice(None)) -> None:
+    """W -= A @ B in place (W may be a view).
+
+    With an index array `rows`, only W's rows rows[i] change, by row i of
+    A @ B; `cols` (a slice or an index array) restricts the columns.
+    """
     if _uses_kron(F, A.shape[1]):
-        _mm_kron(F, F.vec_neg(A), B, W, accumulate=True)
+        _mm_kron(F, A, B, W, accumulate=True, rows=rows, cols=cols, negate=True)
     else:
-        W[...] = F.vec_sub(W, mat_mul(F, A, B))
+        at = _block(slice(None) if rows is None else rows, cols)
+        W[at] = F.vec_sub(W[at], mat_mul(F, A, B))
 
 
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -174,91 +200,204 @@ def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):
     return W, pivots
 
 
-def _forward_solve(F: Field, M: np.ndarray, scales: np.ndarray, U: np.ndarray) -> None:
-    """Finalize a panel's pivot rows against each other, in place.
+def _scalar_ops(F: Field):
+    """(muladd, finish) on codes: a + m*t, and -a*s, for `_invert_lower`.
 
-    Row j of U becomes scales[j] * (U[j] - M[j, :j] @ U[:j]) with the earlier
-    rows already final; splitting the strictly lower triangle M in half turns
-    the row-at-a-time sweep into a few block products.
+    Over GF(p) the sums stay plain integers until `finish` reduces them.
     """
-    k = U.shape[0]
-    if k <= 8:
-        for j in range(k):
-            if j and np.any(M[j, :j]):
-                U[j] = F.vec_sub(U[j], mat_mul(F, M[j:j + 1, :j], U[:j])[0])
-            U[j] = F.vec_mul(U[j], scales[j])
+    if F.e == 1:
+        p = F.p
+        return (lambda a, m, t: a + m * t), (lambda a, s: -a * s % p)
+    if F.q <= TABLE_CAP:
+        q = F.q
+        add, _, mul, neg, _ = F._tables()
+        if q <= FUSED_CAP:
+            add, mul, neg = add.tolist(), mul.tolist(), neg.tolist()
+        return (lambda a, m, t: add[a * q + mul[m * q + t]]), (lambda a, s: neg[mul[s * q + a]])
+    return (lambda a, m, t: F.add(a, F.mul(m, t))), (lambda a, s: F.neg(F.mul(s, a)))
+
+
+def _invert_lower(F: Field, M: np.ndarray, T: np.ndarray, t0: int, t1: int) -> None:
+    """Set T[t0:t1, t0:t1] to the inverse of diag(1/s) + (the strict lower part of M).
+
+    The scales s sit on T's diagonal already.  With T the inverse, row j of
+    T @ U is s[j] * (U[j] - M[j, :j] @ (T @ U)[:j]): the panel's own row
+    operations, done to the trailing part of its pivot rows in one product.
+    Small blocks go entry by entry; larger ones are halved and joined.
+    """
+    if t1 - t0 > _LEAF:
+        h = (t0 + t1) // 2
+        _invert_lower(F, M, T, t0, h)
+        _invert_lower(F, M, T, h, t1)
+        _join_lower(F, M, T, t0, h, t1)
         return
-    h = k // 2
-    _forward_solve(F, M[:h, :h], scales[:h], U[:h])
-    if np.any(M[h:, :h]):
-        U[h:] = F.vec_sub(U[h:], mat_mul(F, M[h:, :h], U[:h]))
-    _forward_solve(F, M[h:, h:], scales[h:], U[h:])
+    L = M[t0:t1, t0:t1].tolist()
+    out = T[t0:t1, t0:t1].tolist()
+    muladd, finish = _scalar_ops(F)
+    for j in range(1, t1 - t0):
+        row = out[j]
+        for l, m in enumerate(L[j][:j]):
+            if m:
+                for c, t in enumerate(out[l][:l + 1]):
+                    if t:
+                        row[c] = muladd(row[c], m, t)
+        for c in range(j):
+            row[c] = finish(row[c], row[j])
+    T[t0:t1, t0:t1] = out
+
+
+def _join_lower(F: Field, M: np.ndarray, T: np.ndarray, t0: int, t1: int, t2: int) -> None:
+    """Fill T[t1:t2, t0:t1] once both diagonal blocks are inverted.
+
+    [[X, 0], [C, Y]]^-1 has lower block -Y^-1 @ C @ X^-1.
+    """
+    C = M[t1:t2, t0:t1]
+    if np.any(C):
+        T[t1:t2, t0:t1] = F.vec_neg(
+            mat_mul(F, T[t1:t2, t1:t2], mat_mul(F, C, T[t0:t1, t0:t1])))
+
+
+def _submul_rows(F: Field, W: np.ndarray, r: int, A: np.ndarray, src: slice,
+                 cols) -> None:
+    """W[r:r + len(A), cols] -= A @ W[src, cols], in place.
+
+    Rows where A is zero and columns where W[src] is zero stay as they are,
+    so the product skips them.  `cols` is a slice or an index array.
+    """
+    nz = np.flatnonzero(A.any(axis=1))
+    idx = np.arange(W.shape[1])[cols]
+    keep = idx[W[src].any(axis=0)[idx]]
+    if not nz.size or not keep.size:
+        return
+    if nz.size == A.shape[0] and keep.size == idx.size and isinstance(cols, slice):
+        mat_submul_into(F, W[r:r + nz.size, cols], A, W[src, cols])
+    else:
+        mat_submul_into(F, W, A[nz], W[src][:, keep], rows=r + nz, cols=keep)
+
+
+def _apply_pivots(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
+                  base: int, r0: int, r1: int, cols: slice) -> None:
+    """Bring W[r0:, cols] up to date with the panel's pivot rows r0..r1-1.
+
+    Row i of M and of T belongs to row base + i of W, column t to the pivot
+    in row base + t.  M holds the multipliers, T the inverse from
+    `_invert_lower`.
+    """
+    t0, t1 = r0 - base, r1 - base
+    U = W[r0:r1, cols]
+    if not U.any():
+        return
+    U[...] = mat_mul(F, T[t0:t1, t0:t1], U)
+    _submul_rows(F, W, r1, M[t1:, t0:t1], slice(r0, r1), cols)
+
+
+def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
+               pivots: list[int], base: int, r: int, c0: int, c1: int,
+               leaf: int, invert: bool) -> int:
+    """Forward-eliminate W[r:, c0:c1] in place; returns the row after the last pivot.
+
+    Columns wider than `leaf` are halved: the left half's pivots reach the
+    right half through `_apply_pivots`, so the pivot-at-a-time loop only
+    ever sweeps `leaf` columns.  Each pivot's multipliers go to M and its
+    inverse leading entry to T's diagonal; row swaps move M's rows along
+    with W's.  With `invert`, T holds the inverse for the pivots found here
+    on return.
+    """
+    if c1 - c0 > leaf:
+        h = c0 + (c1 - c0) // 2
+        r1 = _eliminate(F, W, M, T, pivots, base, r, c0, h, leaf, True)
+        if r1 > r:
+            _apply_pivots(F, W, M, T, base, r, r1, slice(h, c1))
+        r2 = _eliminate(F, W, M, T, pivots, base, r1, h, c1, leaf, invert)
+        if invert and r < r1 < r2:
+            _join_lower(F, M, T, r - base, r1 - base, r2 - base)
+        return r2
+    r0 = r
+    m = W.shape[0]
+    for c in range(c0, c1):
+        if r == m:
+            break
+        rows = np.nonzero(W[r:, c])[0]
+        if rows.size == 0:
+            continue
+        i = r + int(rows[0])
+        if i != r:
+            W[[r, i]] = W[[i, r]]
+            M[[r - base, i - base]] = M[[i - base, r - base]]
+        s = F.inv(int(W[r, c]))
+        # columns c0..c-1 are zero at and below row r, so skip them
+        W[r, c:c1] = F.vec_mul(W[r, c:c1], np.int64(s))
+        mult = W[r + 1:, c].copy()
+        nz = np.nonzero(mult)[0]
+        if nz.size:
+            rows_idx = r + 1 + nz
+            W[rows_idx, c:c1] = F.vec_submul(
+                W[rows_idx, c:c1], mult[nz][:, None], W[r, c:c1][None, :]
+            )
+        M[r + 1 - base:, r - base] = mult
+        T[r - base, r - base] = s
+        pivots.append(c)
+        r += 1
+    if invert:
+        _invert_lower(F, M, T, r0 - base, r - base)
+    return r
+
+
+def _back_substitute(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarray,
+                     a: int, b: int, leaf: int) -> None:
+    """Clear each pivot column pivots[j] in rows a..j-1, for j in a..b-1.
+
+    Rows are halved: once the bottom half is reduced, one product clears its
+    pivot columns in the top half.  Outside those columns, where it holds
+    the identity, the bottom half is nonzero only in non-pivot columns
+    (`free`), so the product runs over those alone.
+    """
+    if b - a > leaf:
+        h = (a + b) // 2
+        _back_substitute(F, W, pivots, free, h, b, leaf)
+        _submul_rows(F, W, a, W[a:h, pivots[h:b]], slice(h, b), free)
+        W[a:h, pivots[h:b]] = 0
+        _back_substitute(F, W, pivots, free, a, h, leaf)
+        return
+    for j in range(a + 1, b):
+        c = pivots[j]
+        above = W[a:j, c]
+        nz = np.nonzero(above)[0]
+        if nz.size:
+            rows_idx = a + nz
+            W[rows_idx, c:] = F.vec_submul(W[rows_idx, c:], above[nz][:, None], W[j, c:][None, :])
 
 
 def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
-    """Blocked elimination; field-op-identical to `_echelon_naive`."""
+    """Blocked elimination; the same result as `_echelon_naive`.
+
+    Columns go in panels of `panel`; each panel's pivots reach the columns
+    right of it through two products (`_apply_pivots`).  From _SPLIT_CELLS
+    entries on, panels and the back-substitution split recursively down to
+    _LEAF columns or rows, so nearly all the work runs as matrix products.
+    """
     W = A.astype(np.int64, copy=True)
     m, n = W.shape
+    leaf = _LEAF if m * n >= _SPLIT_CELLS else panel
     pivots: list[int] = []
     r = 0
     c0 = 0
     while r < m and c0 < n:
         c1 = min(c0 + panel, n)
-        width = c1 - c0
         base = r
+        k = min(c1 - c0, m - base)  # most pivots this panel can hold
         # multiplier buffer, rows aligned with W[base:] through every swap
-        M = zeros(m - base, width)
-        inv_scales: list[int] = []
-        k = 0
-        for c in range(c0, c1):
-            rows = np.nonzero(W[r:, c])[0]
-            if rows.size == 0:
-                continue
-            i = r + int(rows[0])
-            if i != r:
-                W[[r, i]] = W[[i, r]]
-                M[[r - base, i - base]] = M[[i - base, r - base]]
-            s = F.inv(int(W[r, c]))
-            # columns c0..c-1 are zero at and below row r, so skip them
-            W[r, c:c1] = F.vec_mul(W[r, c:c1], np.int64(s))
-            mult = W[r + 1:m, c].copy()
-            nz = np.nonzero(mult)[0]
-            if nz.size:
-                rows_idx = r + 1 + nz
-                W[rows_idx, c:c1] = F.vec_submul(
-                    W[rows_idx, c:c1], mult[nz][:, None], W[r, c:c1][None, :]
-                )
-            M[r + 1 - base:, k] = mult
-            inv_scales.append(s)
-            pivots.append(c)
-            r += 1
-            k += 1
-        if k and c1 < n:
-            # forward-substitute the panel ops into the pivot rows' trailing parts
-            U = W[base:base + k, c1:]
-            _forward_solve(F, M[:k, :k], np.array(inv_scales, dtype=np.int64), U)
-            # one product updates every row below the panel's pivot rows
-            if base + k < m:
-                mat_submul_into(F, W[base + k:, c1:], M[k:, :k], U)
+        M = zeros(m - base, k)
+        # the inverse `_apply_pivots` needs, rows and columns as M's columns
+        T = zeros(k, k)
+        r = _eliminate(F, W, M, T, pivots, base, r, c0, c1, leaf, c1 < n)
+        if r > base and c1 < n:
+            _apply_pivots(F, W, M, T, base, base, r, slice(c1, None))
         c0 = c1
     if reduce and pivots:
-        R = len(pivots)
-        b1 = R
-        while b1 > 0:
-            b0 = max(0, b1 - panel)
-            # reduce the block's pivot rows against each other, later into earlier
-            for j in range(b0 + 1, b1):
-                c = pivots[j]
-                above = W[b0:j, c]
-                nz = np.nonzero(above)[0]
-                if nz.size:
-                    rows_idx = b0 + nz
-                    W[rows_idx] = F.vec_submul(W[rows_idx], above[nz][:, None], W[j][None, :])
-            if b0 > 0:
-                C = W[:b0, [pivots[j] for j in range(b0, b1)]]
-                if np.any(C):
-                    mat_submul_into(F, W[:b0], C, W[b0:b1])
-            b1 = b0
+        free = np.ones(n, dtype=bool)
+        free[pivots] = False
+        _back_substitute(F, W, pivots, np.flatnonzero(free), 0, len(pivots), leaf)
     return W, pivots
 
 
@@ -314,7 +453,8 @@ def kernel_basis(F: Field, A: np.ndarray) -> np.ndarray:
 
 def kernel_from_rref(F: Field, R: np.ndarray, rk: int, pivots: list[int], n: int) -> np.ndarray:
     """The kernel_basis construction from an already computed rref."""
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
     K = zeros(n, len(free))
     if free:
         K[free, np.arange(len(free))] = 1

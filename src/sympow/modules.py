@@ -158,7 +158,8 @@ def _ker_module(M: ModuleRep, U: np.ndarray) -> ModuleRep | None:
     R, rk, piv = la.rref(F, U)
     if rk == M.dim:
         return None
-    free = [c for c in range(M.dim) if c not in set(piv)]
+    pivset = set(piv)
+    free = [c for c in range(M.dim) if c not in pivset]
     K = la.kernel_from_rref(F, R, rk, piv, M.dim)
     mats = [la.mat_mul(F, A, K)[free, :] for A in M.mats]
     return ModuleRep(M.group, mats, dim=len(free))
@@ -531,7 +532,8 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
 
 def _quotient_from_rowspace(M: ModuleRep, R: np.ndarray, piv: list[int]) -> ModuleRep:
     F = M.field
-    free = [c for c in range(M.dim) if c not in set(piv)]
+    pivset = set(piv)
+    free = [c for c in range(M.dim) if c not in pivset]
     mats = []
     for A in M.mats:
         red = la.reduce_mod_rowspace(F, R, piv, A[:, free])

@@ -19,6 +19,7 @@ a sequential run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -243,38 +244,43 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
     `sym_power` raises before `decompose` touches the registry, so an overflow
     degree leaves no classes behind, and both paths give the same report.
     The pool path builds each Sym^n in the parent and submits no degree past
-    the first one whose Sym^n raises.
+    the first one whose Sym^n raises; when a worker fails, the degrees not yet
+    started are cancelled.
     """
     base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
     stats = {"hits": 0, "misses": 0, "corrupt": 0}
     registry, cached = _read_cache(base, G, range(cfg.n_max + 1), stats)
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
-    pending: dict[int, Future] = {}
-    if cfg.jobs > 1 and missing:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for n in missing:
-                try:
-                    mats = G.sym(n)
-                except Exception as exc:
-                    pending[n] = Future()
-                    pending[n].set_exception(exc)
-                    break
-                pending[n] = pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators,
-                                         mats, n, child_seed(cfg.seed, "sym", n))
+    use_pool = cfg.jobs > 1 and bool(missing)
     vectors: dict[int, dict[int, int]] = {}
-    for n in range(cfg.n_max + 1):
-        if n in cached:
-            vectors[n] = cached[n]
-            continue
-        try:
-            if pending:
-                vec = _absorb(G, registry, pending[n].result()[1])
-            else:
-                vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
-        except Exception as exc:
-            errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
-            break
-        vectors[n] = vec
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if use_pool else contextlib.nullcontext() as pool:
+        pending: dict[int, Future] = {}
+        for n in (missing if use_pool else []):
+            try:
+                mats = G.sym(n)
+            except Exception as exc:
+                pending[n] = Future()
+                pending[n].set_exception(exc)
+                break
+            pending[n] = pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators,
+                                     mats, n, child_seed(cfg.seed, "sym", n))
+        # results are taken inside the pool block, so a failure cancels the
+        # later degrees instead of waiting for them at the block's exit
+        for n in range(cfg.n_max + 1):
+            if n in cached:
+                vectors[n] = cached[n]
+                continue
+            try:
+                if use_pool:
+                    vec = _absorb(G, registry, pending[n].result()[1])
+                else:
+                    vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
+            except Exception as exc:
+                errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
+                for fut in pending.values():
+                    fut.cancel()
+                break
+            vectors[n] = vec
     fresh = [n for n in vectors if n not in cached]
     if base and fresh:
         os.makedirs(os.path.join(base, "sym"), exist_ok=True)

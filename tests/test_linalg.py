@@ -96,7 +96,8 @@ def test_jordan_conjugation_invariance(F):
         assert sum(part) == n
 
 
-@pytest.mark.parametrize("F", FIELDS + [make_field(3, 2)], ids=str)
+@pytest.mark.parametrize("F", FIELDS + [make_field(3, 2), make_field(3, 5), make_field(23, 2)],
+                         ids=str)
 def test_blocked_vs_naive_differential(F):
     """The panel-blocked elimination must match the reference exactly."""
     rng = np.random.default_rng(4242 + F.q)
@@ -113,6 +114,35 @@ def test_blocked_vs_naive_differential(F):
             R2, p2 = la._echelon_naive(F, A, reduce=reduce)
             assert p1 == p2, f"pivot mismatch on {m}x{n} over {F}"
             assert np.array_equal(R1, R2), f"echelon mismatch on {m}x{n} over {F}"
+
+
+@pytest.mark.parametrize("F", [F4, make_field(3, 2), F5], ids=str)
+def test_recursive_vs_naive_differential(F):
+    """Matrices past la._SPLIT_CELLS take the recursive elimination; it must
+    match the reference exactly, pivots and entries, reduced or not."""
+    rng = np.random.default_rng(77 + F.q)
+
+    def sparse(m, n, density):
+        return la.rand_mat(F, rng, m, n) * (rng.random((m, n)) < density)
+
+    cases = {
+        "square": la.rand_mat(F, rng, 190, 190),
+        "tall sparse": sparse(420, 150, 0.02),
+        "wide sparse": sparse(140, 400, 0.03),
+        # rank 60 from a product, so later rows are combinations of earlier ones
+        "wide low rank": la.mat_mul(F, la.rand_mat(F, rng, 150, 60), la.rand_mat(F, rng, 60, 300)),
+        "tall low rank": la.mat_mul(F, sparse(330, 90, 0.05), sparse(90, 200, 0.1)),
+    }
+    for name, A in cases.items():
+        assert A.size >= la._SPLIT_CELLS, name
+        A[5] = A[3]
+        A[-1] = A[0]
+        A[:, [1, 40, 130]] = 0
+        for reduce in (False, True):
+            R1, p1 = la._echelon(F, A, reduce=reduce)
+            R2, p2 = la._echelon_naive(F, A, reduce=reduce)
+            assert p1 == p2, f"pivot mismatch on {name} over {F}, reduce={reduce}"
+            assert np.array_equal(R1, R2), f"echelon mismatch on {name} over {F}, reduce={reduce}"
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(67108879)], ids=str)

@@ -281,6 +281,64 @@ def test_pool_stops_submitting_at_first_overflow(tmp_path, monkeypatch):
     assert sorted(report["checks"]["decompose"]["vectors"]) == [0, 1, 2, 3, 4]
 
 
+def test_worker_failure_cancels_later_degrees(monkeypatch):
+    import sympow.pipeline as pipeline
+
+    ran = []
+
+    class LazyFuture(Future):
+        def __init__(self, fn, args):
+            super().__init__()
+            self.fn, self.args = fn, args
+
+        def run(self):
+            if self.done():  # cancelled, or already run
+                return
+            ran.append(self.args[-2])  # the degree
+            try:
+                self.set_result(self.fn(*self.args))
+            except Exception as exc:
+                self.set_exception(exc)
+
+        def result(self, timeout=None):
+            self.run()
+            return super().result(timeout)
+
+    class LazyPool:
+        """Runs a task when its result is asked for; like a real pool, the
+        block's exit runs every task that is still queued."""
+
+        def __init__(self, max_workers):
+            self.tasks = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            for fut in self.tasks:
+                fut.run()
+            return False
+
+        def submit(self, fn, *args):
+            self.tasks.append(LazyFuture(fn, args))
+            return self.tasks[-1]
+
+    real_decompose = pipeline.decompose
+
+    def failing_decompose(M, registry, seed):
+        if M.dim == 4:  # Sym^3 of the plane
+            raise RuntimeError("worker failed")
+        return real_decompose(M, registry, seed)
+
+    monkeypatch.setattr(pipeline, "decompose", failing_decompose)
+    sequential = run(config_from_dict({**BASE, "checks": ["decompose"]}))
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", LazyPool)
+    pooled = run(config_from_dict({**BASE, "checks": ["decompose"], "jobs": 2}))
+    assert ran == [0, 1, 2, 3]
+    assert list(pooled["errors"]) == ["decompose_n3"]
+    assert canonical_json(pooled) == canonical_json(sequential)
+
+
 def test_repeated_koszul_job_in_one_process_does_the_same_work(monkeypatch):
     import sympow.groups as groups
     import sympow.koszul as koszul
