@@ -88,6 +88,10 @@ def ramification(G: GroupData) -> RamificationReport:
     p-elements.  With the structure sheaf as the coefficient sheaf, c = dim B
     and c_p = dim B_p.  A nonidentity scalar element acts trivially on P^d
     and makes the whole notion collapse, so it is a hard error.
+
+    That raise is why `generically_free` and `faithful_on_p` always hold:
+    only scalars act trivially on P^d, and a non-scalar g fixes just its
+    eigenspaces, proper linear subspaces, so B is a proper closed subset.
     """
     p = G.field.p
     dim_b, dim_bp = EMPTY, EMPTY

@@ -12,7 +12,8 @@ depend on both scans being reproducible, so do not reorder them.
 Scalar arithmetic is polynomial arithmetic mod f (no log tables).
 
 Vectorized variants (vec_add and friends) act elementwise on numpy int64
-arrays of codes and are the substrate for the linalg layer.
+arrays of codes and are the substrate for the linalg layer.  Past TABLE_CAP
+they work on base-p digit layers and multiply through `times_x`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 FIELD_SIZE_CAP = 2**31
 DEGREE_CAP = 16
 # extension fields up to this size get q*q elementwise op tables (one gather
-# per element instead of a digit-layer round trip)
+# per element instead of a pass per digit layer)
 TABLE_CAP = 512
 # fused a +- m*b tables take q**3 entries, so they get a tighter cap
 FUSED_CAP = 64
@@ -207,18 +208,8 @@ class Field:
         self.e = e
         self.q = p**e
         self.modulus = _canonical_modulus(p, e)  # length e+1, monic
-        # reduction rows: x^(e+k) = sum_i red[k][i] x^i  (mod f), k = 0..e-2
-        red = []
-        if e > 1:
-            cur = [(-c) % p for c in self.modulus[:e]]  # x^e fully reduced
-            red.append(list(cur))
-            for _ in range(e - 2):
-                top = cur[e - 1]
-                cur = [0] + cur[: e - 1]  # multiply by x, capture overflow
-                if top:
-                    cur = [(cur[i] + top * red[0][i]) % p for i in range(e)]
-                red.append(list(cur))
-        self._red = np.array(red, dtype=np.int64) if red else np.zeros((0, e), dtype=np.int64)
+        # x^e = sum_i _xe[i] x^i  (mod f): the fold of `times_x`
+        self._xe = np.array([(-c) % p for c in self.modulus[:e]], dtype=np.int64)
         self._root: int | None = None
         self._op_tables: tuple[np.ndarray, ...] | None = None
         self._fused_tables: tuple[np.ndarray, np.ndarray] | None = None
@@ -353,16 +344,12 @@ class Field:
         out = np.empty((self.e,) + arr.shape, dtype=np.int64)
         rem = arr.astype(np.int64, copy=True)
         for i in range(self.e):
-            out[i] = rem % self.p
-            rem //= self.p
+            np.divmod(rem, self.p, out=(rem, out[i, ...]))
         return out
 
     def join_layers(self, layers: np.ndarray) -> np.ndarray:
-        out = np.zeros(layers.shape[1:], dtype=np.int64)
-        for i in range(self.e - 1, -1, -1):
-            out *= self.p
-            out += layers[i] % self.p
-        return out
+        """Codes from digit layers (layer axis first), each digit taken mod p."""
+        return np.tensordot(self.p ** np.arange(self.e), layers % self.p, axes=1)
 
     def _tables(self) -> tuple[np.ndarray, ...]:
         """(add, sub, mul, neg, inv) tables; binary ones flat, index a*q + b."""
@@ -373,7 +360,7 @@ class Field:
             la, lb = self.split_layers(a), self.split_layers(b)
             add = self.join_layers(la + lb)
             sub = self.join_layers(la - lb + self.p)
-            mul = self._mul_layered(a, b)
+            mul = self._mul_xpow(a, b)
             ones = np.nonzero(mul == 1)[0]
             inv = np.zeros(q, dtype=np.int64)
             inv[ones // q] = ones % q
@@ -419,28 +406,32 @@ class Field:
             return (a * b) % self.p
         if self.q <= TABLE_CAP:
             return _lookup(self._tables()[2], self.q, a, b)
-        return self._mul_layered(np.asarray(a), np.asarray(b))
+        return self._mul_xpow(a, b)
 
-    def _mul_layered(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        la, lb = self.split_layers(a), self.split_layers(b)
-        shape = np.broadcast_shapes(la.shape[1:], lb.shape[1:])
-        acc = np.zeros((2 * self.e - 1,) + shape, dtype=np.int64)
-        for i in range(self.e):
-            for j in range(self.e):
-                acc[i + j] += la[i] * lb[j]
-        return self._reduce_layers(acc)
+    def times_x(self, L: np.ndarray) -> np.ndarray:
+        """Digit layers of x*a from those of a (layer axis first): shift, fold x^e."""
+        out = np.zeros_like(L)
+        out[1:] = L[:-1]
+        scratch = np.empty_like(L[-1])
+        for i in np.flatnonzero(self._xe):
+            np.multiply(L[-1], self._xe[i], out=scratch)
+            out[i] += scratch
+            _rem_into(out[i], self.p, scratch)
+        return out
 
-    def _reduce_layers(self, acc: np.ndarray) -> np.ndarray:
-        """Fold layers e..2e-2 of a convolution back below degree e, mod p."""
-        e = self.e
-        for k in range(acc.shape[0] - 1, e - 1, -1):
-            row = self._red[k - e]
-            top = acc[k]
-            for i in range(e):
-                if row[i]:
-                    acc[i] += row[i] * top
-        # join_layers reduces each digit mod p itself; acc stays nonnegative
-        return self.join_layers(acc[:e])
+    def _mul_xpow(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a*b as sum_i a_i * (x^i b); b is the smaller operand."""
+        a, b = np.asarray(a), np.asarray(b)
+        if a.size < b.size:
+            a, b = b, a
+        da = self.split_layers(a)
+        xb = self.split_layers(b.reshape((1,) * (a.ndim - b.ndim) + b.shape))
+        acc = da[0] * xb
+        for i in range(1, self.e):
+            xb = self.times_x(xb)
+            acc += da[i] * xb
+        # join_layers reduces each digit mod p itself
+        return self.join_layers(acc)
 
     def kron_plan(self) -> tuple[int, int]:
         """(bits, step) of the Kronecker packing of GF(p^2) codes.
@@ -472,7 +463,7 @@ class Field:
         """Codes of a packed product held as int64; overwrites X."""
         bits, p = self.kron_plan()[0], self.p
         # x^2 = r0 + r1*x: move slot 2 into slots 0 and 1 without unpacking
-        r0, r1 = (int(c) for c in self._red[0])
+        r0, r1 = (int(c) for c in self._xe)
         top = np.right_shift(X, 2 * bits)
         X &= (1 << (2 * bits)) - 1
         top *= r0 + (r1 << bits)

@@ -1,12 +1,11 @@
 """Dense exact linear algebra over GF(p^e).
 
 A matrix is a 2-D numpy int64 array of field codes (see gf.Field); the field
-travels alongside as an explicit argument.  Products go through float64 BLAS
-with operand splitting whenever exactness bounds would be violated, so every
-result is the exact field value.  Over GF(p^2) with p <= 19 the two base-p
-digits of each code are Kronecker-packed into one float64 (Field.kron_plan),
-so a single BLAS product carries all four digit products; other extension
-fields multiply digit layers pairwise.
+travels alongside as an explicit argument.  Every product is an exact float64
+BLAS product mod p (`_mm_prime`, split where exactness needs it).  Over
+GF(p^2) with p <= 19 the two base-p digits of each code of 2-D operands are
+Kronecker-packed into one float64 (Field.kron_plan, `_mm_kron`); every other
+extension field multiplies A's digits by those of x^i B (`_mm_xpow`).
 
 Elimination uses first-nonzero pivoting (row order, then column order), which
 makes every echelon form, kernel basis and solve deterministic.  The blocked
@@ -30,8 +29,8 @@ _PANEL = 128
 # blocks recursively down to _LEAF columns or rows
 _SPLIT_CELLS = 1 << 15
 _LEAF = 16
-# below this many inner columns per packed product (p > 19), the digit-layer
-# products of mat_mul beat Kronecker packing
+# below this many inner columns per packed product (p > 19), the x-power
+# product beats Kronecker packing
 _KRON_MIN_STEP = 16
 # entries per row block of a packed product's temporaries
 _BLOCK_ELEMS = 1 << 16
@@ -46,28 +45,27 @@ def identity(n: int) -> np.ndarray:
 
 
 def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact A @ B mod p for residue matrices, via float64 BLAS."""
-    m, k = A.shape
-    n = B.shape[1]
-    if k == 0 or m == 0 or n == 0:
-        return zeros(m, n)
+    """Exact A @ B mod p for int64 or float64 residue matrices or stacks of them."""
+    k = A.shape[-1]
+    if not A.size or not B.size:
+        return np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
     if (p - 1) ** 2 * k < 2**53:
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return C.astype(np.int64) % p
+        return (A @ B).astype(np.int64) % p
     if (p - 1) ** 2 <= 2**53:
         # split the inner dimension
         step = max(1, 2**53 // (p - 1) ** 2)
-        acc = zeros(m, n)
+        acc = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
         for s in range(0, k, step):
-            C = A[:, s:s + step].astype(np.float64) @ B[s:s + step].astype(np.float64)
-            acc += C.astype(np.int64) % p
+            acc += (A[..., s:s + step] @ B[..., s:s + step, :]).astype(np.int64) % p
         return acc % p
     # large prime: 16-bit operand split, exact for k up to 2**21
     a1, a0 = np.divmod(A, 1 << 16)
     b1, b0 = np.divmod(B, 1 << 16)
     parts = []
     for (x, y, shift) in ((a1, b1, 32), (a1, b0, 16), (a0, b1, 16), (a0, b0, 0)):
-        C = (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % p
+        C = (x @ y).astype(np.int64) % p
         parts.append(C * pow(2, shift, p) % p)
     return sum(parts) % p
 
@@ -134,37 +132,39 @@ def mat_submul_into(F: Field, W: np.ndarray, A: np.ndarray, B: np.ndarray,
         W[at] = F.vec_sub(W[at], mat_mul(F, A, B))
 
 
+def _mm_xpow(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over an extension field as one GF(p) product.
+
+    With A = sum_i A_i x^i over its digit matrices, digit l of A @ B is
+    sum_i A_i @ digit_l(x^i B): the A_i side by side, (m, e*k), times the
+    (e*k, e*n) matrix with block (i, l) digit l of x^i B.
+    """
+    e = F.e
+    k, n = B.shape[-2:]
+    digits = F.split_layers(B)
+    xb = np.empty(B.shape[:-2] + (e, k, e, n))
+    for i in range(e):
+        if i:
+            digits = F.times_x(digits)
+        xb[..., i, :, :, :] = np.moveaxis(digits, 0, -2)
+    a = np.ascontiguousarray(np.moveaxis(F.split_layers(A), 0, -2), dtype=np.float64)
+    C = _mm_prime(F.p, a.reshape(A.shape[:-1] + (e * k,)),
+                  xb.reshape(B.shape[:-2] + (e * k, e * n)))
+    # C's digits are reduced, so one small product joins them into codes
+    return F.p ** np.arange(e) @ C.reshape(C.shape[:-1] + (e, n))
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of code matrices over F."""
-    if A.shape[1] != B.shape[0]:
+    """Exact product of code matrices over F, or of (c, m, k) and (c, k, n) stacks."""
+    if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dimension mismatch {A.shape} @ {B.shape}")
     if F.e == 1:
         return _mm_prime(F.p, A, B)
-    e, p = F.e, F.p
-    k = A.shape[1]
-    if _uses_kron(F, k):
+    if A.ndim == 2 and _uses_kron(F, A.shape[1]):
         out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
         _mm_kron(F, A, B, out, accumulate=False)
         return out
-    la, lb = F.split_layers(A), F.split_layers(B)
-    if k and (p - 1) ** 2 * k * e < 2**53:
-        # all e**2 layer products fit float64 exactly, even summed per degree,
-        # so cast each operand once and reduce mod p a single time
-        laf = la.astype(np.float64)
-        lbf = lb.astype(np.float64)
-        conv: list = [None] * (2 * e - 1)
-        for i in range(e):
-            for j in range(e):
-                C = laf[i] @ lbf[j]
-                conv[i + j] = C if conv[i + j] is None else conv[i + j] + C
-        acc = np.stack(conv).astype(np.int64) % p
-        return F._reduce_layers(acc)
-    conv2 = [zeros(A.shape[0], B.shape[1]) for _ in range(2 * e - 1)]
-    for i in range(e):
-        for j in range(e):
-            conv2[i + j] = (conv2[i + j] + _mm_prime(p, la[i], lb[j])) % p
-    acc = np.stack(conv2)
-    return F._reduce_layers(acc)
+    return _mm_xpow(F, A, B)
 
 
 def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):

@@ -42,7 +42,7 @@ from . import linalg as la
 from .chars import BrauerChar, brauer_char
 from .gf import (Field, make_field, poly_coprime_split, subfield_root,
                  embed_scalar)
-from .groups import GroupData, ModuleRep, close_group, regular_rep, Representation
+from .groups import GroupData, ModuleRep, close_group, regular_rep, Representation, trace_operator
 
 FITTING_K = 40
 END_SCAN_SPACE = 2**16
@@ -131,11 +131,8 @@ def quotient_module(M: ModuleRep, C: np.ndarray) -> ModuleRep:
 
 
 def _span_element(F: Field, basis: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
-    out = la.zeros(*basis[0].shape)
-    for c, E in zip(coeffs, basis):
-        if c:
-            out = F.vec_add(out, F.vec_mul(E, np.int64(int(c))))
-    return out
+    flat = np.stack(basis).reshape(len(basis), -1)
+    return la.mat_mul(F, np.asarray(coeffs)[None], flat).reshape(basis[0].shape)
 
 
 def _fitting_power(F: Field, phi: np.ndarray) -> np.ndarray:
@@ -184,20 +181,14 @@ def _idempotent_scan(M: ModuleRep, basis: list[np.ndarray]):
     F = M.field
     q, k, d = F.q, len(basis), M.dim
     I = la.identity(d)
-    stack = np.stack(basis)
+    flat = np.stack(basis).reshape(k, d * d)
     chunk = 2048
-    codes = np.arange(q, dtype=np.int64)
     total = q**k
     for start in range(0, total, chunk):
-        idxs = np.arange(start, min(start + chunk, total))
-        combo = la.zeros(len(idxs), d * d).reshape(len(idxs), d, d)
-        rest = idxs.copy()
-        for i in range(k):
-            rest, ci = np.divmod(rest, q)
-            coeff = codes[ci]
-            if np.any(coeff):
-                combo = F.vec_add(combo, F.vec_mul(coeff[:, None, None], stack[i][None]))
-        sq = _batched_mm(F, combo, combo)
+        # row j: the base-q digits of start + j, the coefficients of one element
+        coeffs = np.arange(start, min(start + chunk, total))[:, None] // q ** np.arange(k) % q
+        combo = la.mat_mul(F, coeffs, flat).reshape(-1, d, d)
+        sq = la.mat_mul(F, combo, combo)
         good = np.all(sq == combo, axis=(1, 2))
         good &= np.any(combo != 0, axis=(1, 2))
         good &= np.any(combo != I[None], axis=(1, 2))
@@ -207,21 +198,6 @@ def _idempotent_scan(M: ModuleRep, basis: list[np.ndarray]):
             if split is not None:
                 return split
     return None
-
-
-def _batched_mm(F: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Exact batched matrix product for stacks of small matrices."""
-    if F.e == 1:
-        assert (F.p - 1) ** 2 * X.shape[-1] < 2**53
-        return np.mod(X.astype(np.float64) @ Y.astype(np.float64), F.p).astype(np.int64)
-    lx, ly = F.split_layers(X), F.split_layers(Y)
-    conv = np.zeros((2 * F.e - 1,) + np.broadcast_shapes(X.shape, Y.shape), dtype=np.int64)
-    for i in range(F.e):
-        for j in range(F.e):
-            prod = np.mod(lx[i].astype(np.float64) @ ly[j].astype(np.float64), F.p)
-            conv[i + j] += prod.astype(np.int64)
-            conv[i + j] %= F.p
-    return F._reduce_layers(conv)
 
 
 def fitting_decompose(M: ModuleRep, seed: int) -> list[ModuleRep]:
@@ -564,12 +540,8 @@ def decompose(M: ModuleRep, registry: Registry, seed: int) -> dict[int, int]:
 
 def projective_part_dim(M: ModuleRep) -> int:
     """#G_p times the rank of the Sylow trace operator on M."""
-    G = M.group
-    syl = G.sylow()
-    T = la.zeros(M.dim, M.dim)
-    for h in syl:
-        T = M.field.vec_add(T, M.act(h))
-    return len(syl) * la.rank(M.field, T)
+    syl = M.group.sylow()
+    return len(syl) * la.rank(M.field, trace_operator(M, syl))
 
 
 def is_projective_id(registry: Registry, mid: int) -> bool:

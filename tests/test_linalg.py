@@ -221,7 +221,8 @@ def test_matmul_associativity_extension_field():
 
 def test_matmul_against_naive_loops():
     rng = np.random.default_rng(31)
-    for F in (F2, F3, F4, make_field(2, 4)):
+    for F in (F2, F3, F4, make_field(2, 4), make_field(2, 3), make_field(3, 3),
+              make_field(3, 5), make_field(23, 2)):
         A = la.rand_mat(F, rng, 5, 6)
         B = la.rand_mat(F, rng, 6, 4)
         C = la.mat_mul(F, A, B)
@@ -249,6 +250,22 @@ def test_packed_matmul_against_naive_loops():
                 for t in range(k):
                     acc = F.add(acc, F.mul(int(A[i, t]), int(B[t, j])))
                 assert acc == C[i, j], (F, k, i, j)
+
+
+def test_stacked_matmul_matches_slices():
+    # (c, m, k) @ (c, k, n) stacks: the idempotent scan's 2048 x 8 x 8 chunks
+    # and an empty inner dimension.  GF(9) stacks take the x-power product,
+    # the 2-D slices the packed one.
+    rng = np.random.default_rng(43)
+    for F in (F2, make_field(3, 2), make_field(2, 3), make_field(23, 2),
+              make_field(2147483647)):
+        for c, m, k, n in ((2048, 8, 8, 8), (5, 3, 0, 4), (3, 4, 6, 2)):
+            A = rng.integers(0, F.q, size=(c, m, k), dtype=np.int64)
+            B = rng.integers(0, F.q, size=(c, k, n), dtype=np.int64)
+            C = la.mat_mul(F, A, B)
+            assert C.shape == (c, m, n)
+            for i in range(c):
+                assert np.array_equal(C[i], la.mat_mul(F, A[i], B[i])), (F, c, m, k, n, i)
 
 
 def test_packed_matmul_worst_case_slots():
