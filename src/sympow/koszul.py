@@ -12,6 +12,11 @@ signed multiplication by the forms.  Exactness is pure rank bookkeeping;
 stage splitting is the Krull-Schmidt criterion: a short exact sequence of
 modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
+
+Each map is eliminated once, with its columns reversed (`map_rref`).  Ranks,
+the canonical kernel bases (`kernel`) and the pivot columns that span the
+image (`cokernel`) are all read off that one RREF, and the identity checks
+are products of stored matrices.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ import numpy as np
 from . import linalg as la
 from .gf import Field
 from .groups import CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, monomials
-from .modules import (Registry, decompose, dvec_add, dvec_scale, dvec_sub,
-                      free_rank, quotient_module, submodule)
+from .modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
+                      dvec_scale, dvec_sub, free_rank, module_on_basis,
+                      quotient_module, submodule)
 
 FORM_ATTEMPTS = 64
 
@@ -35,14 +41,8 @@ def _sym_dim(d1: int, n: int) -> int:
     return math.comb(n + d1 - 1, d1 - 1)
 
 
-def _form_scatter(F: Field, form: np.ndarray, deg: int, k: int, d1: int):
-    """Scatter plan of multiplication by a degree-`deg` form out of Sym^k.
-
-    Returns (dst_dim, plan) where each plan entry (c, rows) says column j of
-    the multiplication matrix holds c at row rows[j].  The rows array of one
-    entry has no repeats, so a plan drives exact products against a matrix as
-    a few indexed row updates instead of a dense product.
-    """
+def mul_form_matrix(F: Field, form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
+    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
     src = np.array(monomials(d1, k), dtype=np.int64).reshape(-1, d1)
     dst = np.array(monomials(d1, k + deg), dtype=np.int64).reshape(-1, d1)
     # exponent vectors as base-(k+deg+1) numbers, z_0 most significant: the
@@ -50,7 +50,8 @@ def _form_scatter(F: Field, form: np.ndarray, deg: int, k: int, d1: int):
     weights = (k + deg + 1) ** np.arange(d1 - 1, -1, -1, dtype=np.int64)
     asc_keys = (dst @ weights)[::-1]
     src_keys = src @ weights
-    plan = []
+    out = la.zeros(len(dst), len(src))
+    cols = np.arange(len(src))
     for fi, fm in enumerate(monomials(d1, deg)):
         c = int(form[fi])
         if not c:
@@ -59,16 +60,6 @@ def _form_scatter(F: Field, form: np.ndarray, deg: int, k: int, d1: int):
         rows = len(dst) - 1 - np.searchsorted(asc_keys, src_keys + fm @ weights)
         if not np.array_equal(dst[rows], src + fm):
             raise AssertionError("monomial index lookup failed")
-        plan.append((c, rows))
-    return len(dst), plan
-
-
-def mul_form_matrix(F: Field, form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
-    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
-    dst_dim, plan = _form_scatter(F, form, deg, k, d1)
-    out = la.zeros(dst_dim, _sym_dim(d1, k))
-    cols = np.arange(out.shape[1])
-    for c, rows in plan:
         # (row, col) pairs are distinct across form monomials, plain assignment
         out[rows, cols] = c
     return out
@@ -157,10 +148,40 @@ class KoszulComplex:
         return len(self.terms) - 1
 
     def map_rref(self, r: int):
-        """Cached full rref of maps[r]; exactness and kernels share it."""
+        """Cached rref of maps[r] with its columns reversed.
+
+        Reversing columns keeps the rank, and it puts each kernel vector's
+        free coordinate last, which is what makes `kernel` canonical.
+        """
         if r not in self.rrefs:
-            self.rrefs[r] = la.rref(self.terms[0].field, self.maps[r])
+            self.rrefs[r] = la.rref(self.terms[0].field,
+                                    np.ascontiguousarray(self.maps[r][:, ::-1]))
         return self.rrefs[r]
+
+    def kernel(self, r: int) -> tuple[np.ndarray, list[int]]:
+        """Canonical basis of ker maps[r] and its leading coordinates.
+
+        A kernel vector read off `map_rref` is 1 at its free column, 0 at the
+        other free columns and nonzero only before it.  Flipped back, the
+        vectors lead with that 1 in ascending order: the basis is the RREF of
+        the kernel, exactly what `_colspace_canonical` would return.
+        """
+        R, rk, piv = self.map_rref(r)
+        n = self.maps[r].shape[1]
+        Kb = la.kernel_from_rref(self.terms[0].field, R, rk, piv, n)[::-1, ::-1]
+        pivset = set(piv)
+        return np.ascontiguousarray(Kb), [c for c in range(n) if n - 1 - c not in pivset]
+
+    def cokernel(self) -> ModuleRep:
+        """C_0 modulo the image of maps[0], taken from its pivot columns.
+
+        Those columns span the image, and an RREF is unique to its row space,
+        so the quotient is the one all of maps[0] gives, from fewer rows.
+        """
+        if not self.maps:
+            return self.terms[0]
+        n, piv = self.maps[0].shape[1], self.map_rref(0)[2]
+        return quotient_module(self.terms[0], self.maps[0][:, [n - 1 - c for c in reversed(piv)]])
 
 
 def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> KoszulComplex:
@@ -207,56 +228,28 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
     return K
 
 
-def _tau_apply_left(K: KoszulComplex, r: int, X: np.ndarray) -> np.ndarray:
-    """maps[r] @ X through the scatter plans, never a dense product."""
-    F = K.terms[0].field
-    d1 = K.terms[0].group.dim
-    src_deg = K.m * (K.t - (r + 1)) + K.j
-    src_dim = _sym_dim(d1, src_deg)
-    dst_dim = _sym_dim(d1, src_deg + K.m)
-    out = la.zeros(K.terms[r].dim, X.shape[1])
-    dst_pos = {S: i for i, S in enumerate(K.subsets[r])}
-    plans: dict[int, list] = {}
-    for si, S in enumerate(K.subsets[r + 1]):
-        Xi = X[si * src_dim:(si + 1) * src_dim]
-        for ell, i in enumerate(S):
-            if i not in plans:
-                plans[i] = _form_scatter(F, K.forms[i], K.m, src_deg, d1)[1]
-            base = dst_pos[tuple(x for x in S if x != i)] * dst_dim
-            for c, rows in plans[i]:
-                cc = np.int64(F.neg(c) if ell % 2 == 1 else c)
-                out[base + rows] = F.vec_addmul(out[base + rows], cc, Xi)
-    return out
-
-
 def _block_equivariance(G: GroupData, form: np.ndarray, deg: int, src_deg: int,
                         S_src: np.ndarray, S_dst: np.ndarray, gi: int):
     """Check mult-by-form o Sym(g) == Sym(g) o mult-by-form."""
     F = G.field
-    dst_dim, plan = _form_scatter(F, form, deg, src_deg, G.dim)
-    left = la.zeros(dst_dim, S_src.shape[1])
-    right = la.zeros(dst_dim, S_src.shape[1])
-    for c, rows in plan:
-        cc = np.int64(c)
-        left[rows] = F.vec_addmul(left[rows], cc, S_src)
-        right = F.vec_addmul(right, cc, S_dst[:, rows])
-    if not np.array_equal(left, right):
+    M = mul_form_matrix(F, form, deg, src_deg, G.dim)
+    if not np.array_equal(la.mat_mul(F, M, S_src), la.mat_mul(F, S_dst, M)):
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
 def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
-    """Exact identity checks on the assembled complex.
+    """Exact identity checks on the assembled complex, both as products.
 
-    tau o tau = 0 is evaluated on the stored matrices.  For equivariance,
+    tau o tau = 0 is one product of the stored maps.  For equivariance,
     every rho is block diagonal with one sym matrix repeated and every tau
     block is a signed multiplication map, so the full identity holds exactly
     when each multiplication map commutes with the sym action; that reduced
     identity is what gets checked, once per (form, source degree, generator)
     for the group's lifetime (`GroupData.equivariant_forms`).
     """
+    F = K.terms[0].field
     for r in range(len(K.maps) - 1):
-        comp = _tau_apply_left(K, r, K.maps[r + 1])
-        if np.any(comp):
+        if np.any(la.mat_mul(F, K.maps[r], K.maps[r + 1])):
             raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
     G = K.terms[0].group
     for r in range(1, len(K.terms)):
@@ -323,11 +316,9 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     0 -> im -> C_0 -> coker -> 0 splits).  Absent either certificate the
     quotient module is decomposed directly.
     """
-    F = K.terms[0].field
     R = K.top
     exact_spots = set(check_exact(K)["exact_at"])
-    coker = quotient_module(K.terms[0], K.maps[0]) if K.maps else K.terms[0]
-    vcoker = decompose(coker, registry, seed)
+    vcoker = decompose(K.cokernel(), registry, seed)
     q = free_rank(vcoker, registry, seed)
     kg = registry.regular_vec(seed)
     coker_free = vcoker == dvec_scale(kg, q)
@@ -341,9 +332,8 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     stages = []
     kernel_vecs: dict[int, dict[int, int]] = {}
     for r in range(1, R + 1):
-        Rr, rk, piv = K.map_rref(r - 1)
-        Kb = la.kernel_from_rref(F, Rr, rk, piv, K.maps[r - 1].shape[1])
-        ker = submodule(K.terms[r], Kb, verify=False)
+        Kb, lead = K.kernel(r - 1)
+        ker = module_on_basis(K.terms[r], Kb, lead, verify=False)
         vker = decompose(ker, registry, seed)
         kernel_vecs[r] = vker
         vquo = None
@@ -354,7 +344,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
         elif r > 1 and (r - 1) in exact_spots:
             vquo = kernel_vecs[r - 1]
         if vquo is None:
-            vquo = decompose(quotient_module(K.terms[r], Kb), registry, seed)
+            vquo = decompose(_quotient_from_rowspace(K.terms[r], Kb.T, lead), registry, seed)
         split = term_vec(r) == dvec_add(vker, vquo)
         stages.append({"r": r, "split": bool(split), "kernel_dim": Kb.shape[1]})
     return {

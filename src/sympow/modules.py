@@ -104,18 +104,23 @@ def _colspace_canonical(F: Field, C: np.ndarray):
 
 
 def submodule(M: ModuleRep, C: np.ndarray, verify: bool = True) -> ModuleRep:
-    """The G-invariant column space of C as a module in a canonical basis.
+    """The G-invariant column space of C as a module in a canonical basis."""
+    B, piv = _colspace_canonical(M.field, C)
+    return module_on_basis(M, B, piv, verify)
 
-    The canonical basis has identity rows at its pivot coordinates, so
-    coordinates of any vector in the space are just its entries there.
+
+def module_on_basis(M: ModuleRep, B: np.ndarray, piv: list[int],
+                    verify: bool = True) -> ModuleRep:
+    """The span of the canonical basis B (identity rows at piv) as a module.
+
+    Coordinates of any vector in the span are its entries at piv, so only
+    those rows of each A @ B are computed unless invariance is verified.
     """
     F = M.field
-    B, piv = _colspace_canonical(F, C)
     mats = []
     for A in M.mats:
-        AB = la.mat_mul(F, A, B)
-        X = AB[piv, :]
-        if verify and not np.array_equal(la.mat_mul(F, B, X), AB):
+        X = la.mat_mul(F, A[piv], B)
+        if verify and not np.array_equal(la.mat_mul(F, B, X), la.mat_mul(F, A, B)):
             raise ValueError("column space is not invariant under the action")
         mats.append(X)
     return ModuleRep(M.group, mats, dim=B.shape[1])
@@ -158,7 +163,7 @@ def _ker_module(M: ModuleRep, U: np.ndarray) -> ModuleRep | None:
     pivset = set(piv)
     free = [c for c in range(M.dim) if c not in pivset]
     K = la.kernel_from_rref(F, R, rk, piv, M.dim)
-    mats = [la.mat_mul(F, A, K)[free, :] for A in M.mats]
+    mats = [la.mat_mul(F, A[free], K) for A in M.mats]
     return ModuleRep(M.group, mats, dim=len(free))
 
 
@@ -507,13 +512,19 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
 
 
 def _quotient_from_rowspace(M: ModuleRep, R: np.ndarray, piv: list[int]) -> ModuleRep:
+    """M modulo the row space of the RREF rows R (pivots piv), on the free coordinates.
+
+    W = A[:, free] reduced modulo R is zero on the pivot rows, so only its
+    free rows W[free] - R[:, free]^T W[piv] are computed.
+    """
     F = M.field
     pivset = set(piv)
     free = [c for c in range(M.dim) if c not in pivset]
+    Rf = R[:len(piv), free].T
     mats = []
     for A in M.mats:
-        red = la.reduce_mod_rowspace(F, R, piv, A[:, free])
-        mats.append(red[free, :])
+        X = A[np.ix_(free, free)]
+        mats.append(F.vec_sub(X, la.mat_mul(F, Rf, A[np.ix_(piv, free)])) if piv else X)
     return ModuleRep(M.group, mats, dim=len(free))
 
 

@@ -2,11 +2,13 @@
 
 The C2-on-the-plane fixture over GF(4) is small enough that each complex
 builds in milliseconds, yet its cokernel and stage behavior are the real
-thing.  Structured evaluation paths (scatter plans, derived quotient
-classes) are differentially tested against dense products and against the
-direct short-exact-sequence route so the fast paths cannot drift.
+thing.  The fast paths (kernels read off a column-reversed RREF, the
+cokernel from pivot columns, derived quotient classes) are differentially
+tested against direct eliminations and against the direct
+short-exact-sequence route so they cannot drift.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +18,13 @@ from sympow import linalg as la
 from sympow.gf import make_field
 from sympow.groups import (ModuleRep, Representation, close_group, monomials,
                            sym_power)
-from sympow.koszul import (_tau_apply_left, build_complex, check_exact,
-                           check_split_stagewise, choose_forms, euler_identity,
-                           form_product, is_invariant_form, mul_form_matrix,
-                           ses_split_check, surface_progression_check)
-from sympow.modules import Registry, decompose, direct_sum
+from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
+                           check_exact, check_split_stagewise, choose_forms,
+                           euler_identity, form_product, is_invariant_form,
+                           mul_form_matrix, ses_split_check,
+                           surface_progression_check)
+from sympow.modules import (Registry, _colspace_canonical, decompose, direct_sum,
+                            quotient_module)
 
 SEED = 11
 
@@ -36,6 +40,28 @@ def plane_fixture():
 @pytest.fixture(scope="module")
 def plane():
     return plane_fixture()
+
+
+@pytest.fixture(scope="module")
+def p3():
+    """The 3-cycle on three of four coordinates of P^3 over GF(9)."""
+    F = make_field(3, 2)
+    P = np.zeros((4, 4), dtype=np.int64)
+    P[[0, 1, 2, 3], [2, 0, 1, 3]] = 1
+    G = close_group(Representation(F, (P,)))
+    forms, m = choose_forms(G, 3, SEED)
+    return G, forms, m
+
+
+@pytest.fixture(scope="module")
+def complexes(plane, p3):
+    """Exact and inexact complexes over GF(4) and GF(9)."""
+    _, G2, f2, _ = plane
+    G3, f3, _ = p3
+    return [build_complex(G2, f2, t=3, j=0), build_complex(G2, f2, t=2, j=1),
+            build_complex(G2, [f2[0], f2[0]], t=2, j=0),
+            build_complex(G3, f3, t=3, j=1),
+            build_complex(G3, [f3[0], f3[0], f3[1]], t=3, j=0)]
 
 
 def test_trivial_group_line_complex():
@@ -107,16 +133,6 @@ def test_mul_form_matrix_matches_dict_oracle():
         assert np.array_equal(M[:, col], expect)
 
 
-def test_tau_scatter_matches_dense_product(plane):
-    _, G, forms, _ = plane
-    K = build_complex(G, forms, t=3, j=0)
-    rng = np.random.default_rng(2)
-    for r in range(len(K.maps)):
-        X = la.rand_mat(G.field, rng, K.maps[r].shape[1], 5)
-        assert np.array_equal(_tau_apply_left(K, r, X),
-                              la.mat_mul(G.field, K.maps[r], X))
-
-
 def test_complex_identities_hold_densely(plane):
     _, G, forms, _ = plane
     K = build_complex(G, forms, t=3, j=1)
@@ -155,12 +171,52 @@ def test_stagewise_matches_direct_ses_route(plane):
     out = check_split_stagewise(K, reg, seed=SEED)
     assert out["all_split"] and out["coker_free"]
     assert out["coker_free_rank"] * G.order == 4
-    F = G.field
     for stage in out["stages"]:
         r = stage["r"]
-        Rr, rk, piv = K.map_rref(r - 1)
-        Kb = la.kernel_from_rref(F, Rr, rk, piv, K.maps[r - 1].shape[1])
+        Kb, _ = K.kernel(r - 1)
         assert ses_split_check(K.terms[r], Kb, reg, seed=SEED) == stage["split"]
+
+
+def test_kernel_is_the_canonical_rref_basis(complexes):
+    assert any(not check_exact(K)["exact"] for K in complexes)
+    for K in complexes:
+        F = K.terms[0].field
+        for r, A in enumerate(K.maps):
+            B, lead = _colspace_canonical(F, la.kernel_from_rref(F, *la.rref(F, A), A.shape[1]))
+            Kb, klead = K.kernel(r)
+            assert np.array_equal(Kb, B) and klead == lead
+            assert not np.any(la.mat_mul(F, A, Kb))
+
+
+def test_cokernel_from_pivot_columns_matches_full_quotient(complexes):
+    for K in complexes:
+        full = quotient_module(K.terms[0], K.maps[0])
+        coker = K.cokernel()
+        assert coker.dim == full.dim
+        assert all(np.array_equal(a, b) for a, b in zip(coker.mats, full.mats))
+
+
+def test_verify_complex_rejects_a_flipped_block(p3):
+    G, forms, m = p3
+    K = build_complex(G, forms, t=3, j=0)
+    blocks = [G.sym(m * (K.t - r) + K.j) for r in range(len(K.terms))]
+    _verify_complex(K, blocks)
+    rows, cols = K.terms[1].dim // 3, K.terms[2].dim // 3
+    bad = K.maps[1].copy()
+    bad[:rows, :cols] = G.field.vec_neg(bad[:rows, :cols])
+    assert np.any(bad[:rows, :cols])
+    with pytest.raises(AssertionError, match="tau_1 o tau_2"):
+        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), blocks)
+
+
+def test_block_equivariance_rejects_a_non_invariant_form(plane):
+    _, G, forms, m = plane
+    y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
+    y_sq[monomials(3, m).index((0, 2, 0))] = 1
+    S_src, S_dst = G.sym(3)[0], G.sym(3 + m)[0]
+    _block_equivariance(G, forms[0], m, 3, S_src, S_dst, 0)
+    with pytest.raises(AssertionError, match="not equivariant"):
+        _block_equivariance(G, y_sq, m, 3, S_src, S_dst, 0)
 
 
 def test_stagewise_accepts_precomputed_sym_vectors(plane):

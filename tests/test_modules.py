@@ -19,6 +19,7 @@ from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scal
                             is_iso, is_projective_id, load_registry, nonfree,
                             projective_part_dim, quotient_module, save_registry,
                             split_projective, submodule)
+from sympow.modules import _colspace_canonical, _span_element
 
 
 def cyclic_rep(p: int):
@@ -255,6 +256,31 @@ def test_submodule_rejects_non_invariant(s3):
     C[0, 0] = 1
     with pytest.raises(ValueError):
         submodule(M, C)
+
+
+def test_sub_and_quotient_rows_match_full_products(s3):
+    """Both constructions compute only the rows they keep; the full products
+    cut down to those rows afterwards must agree with them exactly."""
+    rep, G = s3
+    rng = np.random.default_rng(3)
+    ranks = set()
+    for M in (sym_power(rep, G, 5), extend_scalars(sym_power(rep, G, 6), 2)):
+        F = M.field
+        H = hom_basis(M, M)
+        for _ in range(4):
+            phi = _span_element(F, H, rng.integers(0, F.q, len(H)))
+            B, piv = _colspace_canonical(F, phi)
+            ranks.add(len(piv) / M.dim)
+            for verify in (False, True):
+                sub = submodule(M, phi, verify=verify)
+                assert all(np.array_equal(X, la.mat_mul(F, A, B)[piv])
+                           for X, A in zip(sub.mats, M.mats))
+            R, rk, rpiv = la.rref(F, phi.T)
+            free = [c for c in range(M.dim) if c not in rpiv]
+            quo = quotient_module(M, phi)
+            assert all(np.array_equal(X, la.reduce_mod_rowspace(F, R[:rk], rpiv, A[:, free])[free])
+                       for X, A in zip(quo.mats, M.mats))
+    assert any(0 < x < 1 for x in ranks)
 
 
 def test_quotient_module_dims(c2):
