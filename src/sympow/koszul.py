@@ -214,12 +214,11 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         dst_dim = _sym_dim(d1, degs[r - 1])
         tau = la.zeros(dst_dim * len(subsets[r - 1]), src_dim * len(subsets[r]))
         dst_pos = {S: i for i, S in enumerate(subsets[r - 1])}
+        mults = [mul_form_matrix(F, form, m, degs[r], d1) for form in forms]
         for si, S in enumerate(subsets[r]):
             for ell, i in enumerate(S):
                 Sminus = tuple(x for x in S if x != i)
-                block = mul_form_matrix(F, forms[i], m, degs[r], d1)
-                if ell % 2 == 1:
-                    block = F.vec_neg(block)
+                block = F.vec_neg(mults[i]) if ell % 2 else mults[i]
                 di = dst_pos[Sminus]
                 tau[di * dst_dim:(di + 1) * dst_dim, si * src_dim:(si + 1) * src_dim] = block
         maps.append(tau)

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over GF(p^e).
 
 A matrix is a 2-D numpy int64 array of field codes (see gf.Field); the field
-travels alongside as an explicit argument.  Every product is an exact float64
-BLAS product mod p (`_mm_prime`, split where exactness needs it).  Over
-GF(p^2) with p <= 19 the two base-p digits of each code of 2-D operands are
+travels alongside as an explicit argument.  Over an extension field a 2-D
+product with a monomial factor, such as Sym^n of a permutation action, is a
+gather (`_mm_monomial`).  Every other product is an exact float64 BLAS
+product mod p (`_mm_prime`, split where exactness needs it).  Over GF(p^2)
+with p <= 19 the two base-p digits of each code of 2-D operands are
 Kronecker-packed into one float64 (Field.kron_plan, `_mm_kron`); every other
 extension field multiplies A's digits by those of x^i B (`_mm_xpow`).
 
@@ -154,12 +156,50 @@ def _mm_xpow(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F.p ** np.arange(e) @ C.reshape(C.shape[:-1] + (e, n))
 
 
+def _monomial_picks(X: np.ndarray, axis: int):
+    """(index, value) of the lone nonzero of each row (axis 1) or column (axis 0) of X.
+
+    None when one holds two; an all-zero one picks a zero.  Values broadcast.
+    """
+    nnz = np.count_nonzero(X)
+    if nnz > X.shape[1 - axis]:
+        return None
+    idx = X.argmax(axis=axis)  # codes are nonnegative: a nonzero wins
+    vals = np.take_along_axis(X, np.expand_dims(idx, axis), axis)
+    return (idx, vals) if np.count_nonzero(vals) == nnz else None
+
+
+def _mm_monomial(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """A @ B as a fresh int64 gather when A or B is monomial, else None.
+
+    Rows of B that A picks, or columns of A that B picks, scaled by the picks.
+    """
+    if (picks := _monomial_picks(A, 1)) is not None:
+        out = B[picks[0]]
+    elif (picks := _monomial_picks(B, 0)) is not None:
+        out = A[:, picks[0]]
+    else:
+        return None
+    out, vals = out.astype(np.int64, copy=False), picks[1]
+    if vals.max(initial=0) > 1:
+        return F.vec_mul(out, vals)
+    if not vals.all():
+        out *= vals  # values 0 and 1: clear what picks a zero
+    return out
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of code matrices over F, or of (c, m, k) and (c, k, n) stacks."""
+    """Exact product of code matrices over F, or of (c, m, k) and (c, k, n) stacks.
+
+    Over an extension field a 2-D product with a monomial factor is a gather
+    (`_mm_monomial`), checked against the dense `_mm_kron` and `_mm_xpow`.
+    """
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"dimension mismatch {A.shape} @ {B.shape}")
     if F.e == 1:
         return _mm_prime(F.p, A, B)
+    if A.ndim == B.ndim == 2 and A.shape[1] and (out := _mm_monomial(F, A, B)) is not None:
+        return out
     if A.ndim == 2 and _uses_kron(F, A.shape[1]):
         out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
         _mm_kron(F, A, B, out, accumulate=False)

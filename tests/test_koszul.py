@@ -24,7 +24,7 @@ from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
                            mul_form_matrix, ses_split_check,
                            surface_progression_check)
 from sympow.modules import (Registry, _colspace_canonical, decompose, direct_sum,
-                            quotient_module)
+                            module_on_basis, quotient_module)
 
 SEED = 11
 
@@ -217,6 +217,41 @@ def test_block_equivariance_rejects_a_non_invariant_form(plane):
     _block_equivariance(G, forms[0], m, 3, S_src, S_dst, 0)
     with pytest.raises(AssertionError, match="not equivariant"):
         _block_equivariance(G, y_sq, m, 3, S_src, S_dst, 0)
+
+
+def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkeypatch):
+    # the 3-cycle makes every Sym^n matrix a permutation matrix, so the
+    # products with it are gathers (la._mm_monomial)
+    G, forms, m = p3
+    F = G.field
+    K = complexes[3]
+    Kb, lead = K.kernel(0)
+    expect = [la._mm_xpow(F, A[lead], Kb) for A in K.terms[1].mats]
+    rng = np.random.default_rng(SEED)
+    A2, B = la.identity(4), la.rand_mat(F, rng, 4, 5)
+    A2[1, 3] = 1
+    B[:2] = rng.integers(1, F.q, (2, 5))  # two nonzeros in every column of B
+    P = G.sym(4)[0]
+    F3 = make_field(3)
+    B3 = la.rand_mat(F3, rng, P.shape[0], 6)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense product")
+
+    monkeypatch.setattr(la, "_mm_kron", dense)
+    monkeypatch.setattr(la, "_mm_xpow", dense)
+    ker = module_on_basis(K.terms[1], Kb, lead, verify=False)
+    assert all(np.array_equal(X, Y) for X, Y in zip(ker.mats, expect))
+    _block_equivariance(G, forms[0], m, 4, P, G.sym(4 + m)[0], 0)
+    with pytest.raises(AssertionError, match="dense product"):
+        la.mat_mul(F, A2, B)
+    # prime fields keep the BLAS product, with no gather in front of it
+    primes = []
+    real_prime = la._mm_prime
+    monkeypatch.setattr(la, "_mm_monomial", dense)
+    monkeypatch.setattr(la, "_mm_prime", lambda *a: primes.append(1) or real_prime(*a))
+    assert np.array_equal(la.mat_mul(F3, P, B3), real_prime(3, P, B3))
+    assert primes == [1]
 
 
 def test_stagewise_accepts_precomputed_sym_vectors(plane):

@@ -268,6 +268,62 @@ def test_stacked_matmul_matches_slices():
                 assert np.array_equal(C[i], la.mat_mul(F, A[i], B[i])), (F, c, m, k, n, i)
 
 
+def _monomial(F, rng, m, k, units_only=False):
+    """m x k matrix with at most one nonzero per row, some rows zero."""
+    X = la.zeros(m, k)
+    rows = np.flatnonzero(rng.random(m) < 0.75)
+    vals = np.ones(rows.size, dtype=np.int64) if units_only else rng.integers(1, F.q, rows.size)
+    X[rows, rng.integers(0, k, rows.size)] = vals
+    return X
+
+
+def _dense_routes(F, A, B):
+    """The dense products the gather must agree with."""
+    out = [la._mm_xpow(F, A, B)]
+    if F.e == 2 and A.shape[1]:
+        out.append(np.empty((A.shape[0], B.shape[1]), dtype=np.int64))
+        la._mm_kron(F, A, B, out[-1], accumulate=False)
+    return out
+
+
+@pytest.mark.parametrize("F", [F4, make_field(3, 2), make_field(2, 3), make_field(3, 3),
+                               make_field(23, 2)], ids=str)
+def test_monomial_matmul_matches_dense_route(F):
+    rng = np.random.default_rng(53)
+    cases = []
+    for m, k, n in ((7, 5, 6), (5, 5, 5), (4, 9, 3)):
+        dense_a, dense_b = la.rand_mat(F, rng, m, k), la.rand_mat(F, rng, k, n)
+        dense_a[:, :2] = rng.integers(1, F.q, (m, 2))  # two nonzeros in every row
+        dense_b[:2] = rng.integers(1, F.q, (2, n))  # and in every column
+        for units in (False, True):
+            cases += [
+                (_monomial(F, rng, m, k, units), dense_b),
+                (dense_a, _monomial(F, rng, n, k, units).T.copy()),
+                (_monomial(F, rng, m, k, units), _monomial(F, rng, n, k, units).T.copy()),
+            ]
+        cases += [(la.zeros(m, k), dense_b), (dense_a, la.zeros(k, n)),
+                  (la.identity(m)[:, :k] if m >= k else la.identity(k)[:m], dense_b)]
+    cases += [(np.array([[c]]), np.array([[d]])) for c in (0, 1, F.q - 1) for d in (0, 1, 2)]
+    cases += [(la.zeros(0, 4), la.rand_mat(F, rng, 4, 3)), (la.identity(3), la.zeros(3, 0)),
+              (la.zeros(3, 4)[:, :2], la.zeros(2, 0))]
+    for A, B in cases:
+        C = la._mm_monomial(F, A, B)
+        assert C is not None and C.dtype == np.int64
+        for D in _dense_routes(F, A, B):
+            assert np.array_equal(C, D), (F, A, B)
+        assert np.array_equal(la.mat_mul(F, A, B), C)
+    # with two nonzeros in a row of A and in a column of B, the dense route runs
+    assert la._mm_monomial(F, dense_a, dense_b) is None
+    # an empty inner dimension never reaches the gather
+    assert np.array_equal(la.mat_mul(F, la.zeros(3, 0), la.zeros(0, 2)), la.zeros(3, 2))
+    # the result is fresh: writing into it leaves both operands as they were
+    for A, B in cases:
+        before = A.copy(), B.copy()
+        C = la.mat_mul(F, A, B)
+        C[...] = 1
+        assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+
+
 def test_packed_matmul_worst_case_slots():
     # every digit p-1 drives each packed slot to its bound; two full chunks
     # plus a remainder must still come out exact
