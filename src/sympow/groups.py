@@ -3,8 +3,10 @@
 A group is closed by breadth-first products from its generators; the element
 list is canonical (identity first, each BFS level sorted by serialized matrix
 bytes), so element indices are stable across runs and safe to persist.  Every
-element carries a word (parent index, generator index) which lets any module
-action evaluate group elements with one product per element.
+element carries a left word (parent index, generator index): element i is
+generator gi times element parent, with parent < i.  Walking the words in
+index order evaluates a module action on every element, or the G-orbit of a
+vector, with one product per element.
 
 `ModuleRep` is the carrier for all downstream work: a kG-module given by the
 action matrices of the group generators on a chosen basis.
@@ -17,6 +19,7 @@ groups live on it too.  Nothing outlives the group that made it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -70,12 +73,11 @@ class GroupData:
         self.gens = [g.astype(np.int64) for g in gens]
         self.elements: list[np.ndarray] = []
         self.index: dict[bytes, int] = {}
-        self.words: list[tuple[int, int]] = []  # (parent element, generator position)
+        self.words: list[tuple[int, int]] = []  # left words: (parent element, generator position)
         self._mult: dict[tuple[int, int], int] = {}
         self._orders: list[int] | None = None
         self._sylow: tuple[int, ...] | None = None
         self._conj_classes: list[tuple[int, ...]] | None = None
-        self._left: tuple[list[int], np.ndarray, np.ndarray] | None = None
         self._sym_towers: list[dict[int, np.ndarray]] = [{} for _ in self.gens]
         self.equivariant_forms: set[tuple[bytes, int, int]] = set()
         self.extensions: dict[int, GroupData] = {}
@@ -95,7 +97,7 @@ class GroupData:
             for xi in frontier:
                 X = self.elements[xi]
                 for gi, G in enumerate(self.gens):
-                    Y = la.mat_mul(F, X, G)
+                    Y = la.mat_mul(F, G, X)
                     k = _mat_key(Y)
                     if k not in self.index and k not in seen_here:
                         seen_here.add(k)
@@ -150,8 +152,7 @@ class GroupData:
         return self._orders
 
     def inv(self, i: int) -> int:
-        x, n = i, self.element_order(i)
-        return self.power(i, n - 1)
+        return self.power(i, self.element_order(i) - 1)
 
     def power(self, i: int, k: int) -> int:
         out, x = 0, i
@@ -161,34 +162,6 @@ class GroupData:
             x = self.mult(x, x)
             k >>= 1
         return out
-
-    def left_words(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Left-multiplication BFS words: (visit order, parents, generator pos).
-
-        Every nonidentity element y factors as gen * x with x visited earlier,
-        so a full orbit {rho(g) v} costs one matrix-vector product per element.
-        """
-        if self._left is None:
-            gidx = [self.index[_mat_key(g)] for g in self.gens]
-            parents = np.full(self.order, -1, dtype=np.int64)
-            genpos = np.full(self.order, -1, dtype=np.int64)
-            visit = [0]
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for pos, g in enumerate(gidx):
-                        y = self.mult(g, x)
-                        if y not in seen:
-                            seen.add(y)
-                            parents[y] = x
-                            genpos[y] = pos
-                            visit.append(y)
-                            nxt.append(y)
-                frontier = nxt
-            self._left = (visit, parents, genpos)
-        return self._left
 
     def subgroup_closure(self, idxs) -> tuple[int, ...]:
         seen = {0}
@@ -324,12 +297,10 @@ class ModuleRep:
                 self._acts[0] = la.identity(self.dim)
             else:
                 parent, gi = self.group.words[i]
-                self._acts[i] = la.mat_mul(self.field, self.act(parent), self.mats[gi])
+                self._acts[i] = la.mat_mul(self.field, self.mats[gi], self.act(parent))
         return self._acts[i]
 
     def key(self) -> bytes:
-        import hashlib
-
         h = hashlib.sha256()
         h.update(f"{self.field.p},{self.field.e},{self.dim},{len(self.mats)};".encode())
         for m in self.mats:

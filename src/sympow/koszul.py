@@ -30,9 +30,9 @@ import numpy as np
 from . import linalg as la
 from .gf import Field
 from .groups import CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, monomials
-from .modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
-                      dvec_scale, dvec_sub, free_rank, module_on_basis,
-                      quotient_module, submodule)
+from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
+                      dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
+                      nonfree, quotient_module, submodule)
 
 FORM_ATTEMPTS = 64
 
@@ -103,8 +103,6 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
     certified by exactness of the level-d complex they define; failing
     choices are resampled up to a fixed budget.
     """
-    from .modules import child_rng
-
     F = G.field
     d1 = G.dim
     if d1 != d + 1:
@@ -384,8 +382,6 @@ def euler_identity(registry: Registry, sym_vectors: dict[int, dict[int, int]],
 def surface_progression_check(registry: Registry, sym_vectors: dict[int, dict[int, int]],
                               m: int, j: int, t_range, seed: int = 0) -> dict:
     """Are first differences of nonfree classes along stride m eventually constant?"""
-    from .modules import nonfree
-
     ts = sorted(t_range)
     vecs = [nonfree(sym_vectors[m * t + j], registry, seed) for t in ts]
     diffs = [dvec_sub(b, a) for a, b in zip(vecs, vecs[1:])]

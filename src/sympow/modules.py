@@ -21,9 +21,11 @@ The engine has three layers:
   tractable; the Fitting engine then only sees the small non-free remainder.
 
 * the registry: canonical representatives of indecomposable classes, matched
-  through `is_iso` behind a fingerprint prefilter (dimension, Brauer
-  character, Jordan partitions of the Sylow generators, End dimension).
-  DecompVectors are plain {id: multiplicity} dicts over registry ids.
+  by the exact `_iso_detail` (some Hom basis element is invertible) behind a
+  fingerprint prefilter (dimension, Brauer character, Jordan partitions of
+  the Sylow generators, End dimension).  DecompVectors are plain
+  {id: multiplicity} dicts over registry ids, and `is_iso` compares two
+  modules' vectors over one fresh registry (Krull-Schmidt).
 
 Randomness is seed-threaded: every random choice derives from the caller's
 seed and the module's content hash, so runs are bit-reproducible.
@@ -46,7 +48,6 @@ from .groups import GroupData, ModuleRep, close_group, regular_rep, Representati
 
 FITTING_K = 40
 END_SCAN_SPACE = 2**16
-ISO_SPAN_SPACE = 2**20
 
 
 def child_seed(seed: int, *parts) -> int:
@@ -321,49 +322,40 @@ def iso_invariants(M: ModuleRep) -> bytes:
     return hashlib.sha256(";".join(parts).encode()).digest()
 
 
-def _iso_trials(q: int) -> int:
-    return 64 * max(1, math.ceil(8 / q))
+def _iso_detail(M: ModuleRep, N: ModuleRep) -> tuple[bool, np.ndarray | None]:
+    """(isomorphic, an isomorphism M -> N or None), exact for indecomposable M.
 
-
-def _iso_detail(M: ModuleRep, N: ModuleRep, scale: int = 1) -> tuple[bool, bool]:
-    """(isomorphic, certain).  Uncertainty only in the probabilistic regime."""
+    End(M) is local, so M ~ N exactly when some basis element of Hom(M, N)
+    is invertible: if phi = sum c_j phi_j has inverse psi, then
+    id = sum c_j psi phi_j, and the nonunits of a local ring form an ideal,
+    so some psi phi_j is a unit and phi_j is injective.  The invariants of
+    `iso_invariants` are not compared here; callers that need them (the
+    registry's fingerprint) compare them first.
+    """
     if M.group is not N.group:
         raise ValueError("is_iso needs modules over the same group")
     if M.dim != N.dim:
-        return False, True
-    if M.dim == 0:
-        return True, True
-    if np.array_equal(np.stack(M.mats) if M.mats else la.zeros(0, 0),
-                      np.stack(N.mats) if N.mats else la.zeros(0, 0)):
-        return True, True
-    if iso_invariants(M) != iso_invariants(N):
-        return False, True
-    F = M.field
-    H = hom_basis(M, N)
-    k = len(H)
-    if k == 0:
-        return False, True
-    rng = child_rng(0, M.key(), N.key(), "iso")
-    for _ in range(_iso_trials(F.q) * scale):
-        phi = _span_element(F, H, rng.integers(0, F.q, size=k))
-        if la.rank(F, phi) == M.dim:
-            return True, True
-    if F.q**k <= ISO_SPAN_SPACE:
-        for code in range(1, F.q**k):
-            coeffs = []
-            c = code
-            for _ in range(k):
-                c, r = divmod(c, F.q)
-                coeffs.append(r)
-            phi = _span_element(F, H, np.array(coeffs, dtype=np.int64))
-            if la.rank(F, phi) == M.dim:
-                return True, True
-        return False, True
-    return False, False
+        return False, None
+    if all(np.array_equal(A, B) for A, B in zip(M.mats, N.mats)):
+        return True, la.identity(M.dim)
+    for phi in hom_basis(M, N):
+        if la.rank(M.field, phi) == M.dim:
+            return True, phi
+    return False, None
 
 
 def is_iso(M: ModuleRep, N: ModuleRep) -> bool:
-    return _iso_detail(M, N)[0]
+    """Krull-Schmidt isomorphism test for any two modules over one group.
+
+    Both are decomposed against one fresh registry, where each indecomposable
+    class gets one id, and the decomposition vectors are compared.
+    """
+    if M.group is not N.group:
+        raise ValueError("is_iso needs modules over the same group")
+    if M.dim != N.dim:
+        return False
+    reg = Registry(M.group)
+    return decompose(M, reg, 0) == decompose(N, reg, 0)
 
 
 # -- registry -------------------------------------------------------------------
@@ -377,7 +369,6 @@ class Registry:
         self.entries: dict[int, ModuleRep] = {}
         self.fingerprints: dict[int, bytes] = {}
         self.by_fp: dict[bytes, list[int]] = {}
-        self.uncertain: list[tuple[int, str]] = []  # (id it was matched to, note)
         self._regular_vec: dict[int, int] | None = None
 
     def fingerprint(self, M: ModuleRep) -> bytes:
@@ -387,17 +378,16 @@ class Registry:
         return h.digest()
 
     def match_or_insert(self, M: ModuleRep) -> int:
+        """The id of M's class, minted when no entry is isomorphic to M.
+
+        M must be indecomposable, as every caller's input is: a Fitting part
+        from `decompose` or `regular_vec`, or one shipped home from a pool
+        worker's `decompose`.  That makes `_iso_detail` exact here.
+        """
         fp = self.fingerprint(M)
         for mid in self.by_fp.get(fp, []):
-            ok, certain = _iso_detail(self.entries[mid], M)
-            if ok:
+            if _iso_detail(self.entries[mid], M)[0]:
                 return mid
-            if not certain:
-                ok, certain = _iso_detail(self.entries[mid], M, scale=4)
-                if ok:
-                    return mid
-                if not certain:
-                    self.uncertain.append((mid, "treated as new class after escalated trials"))
         mid = len(self.entries)
         self.entries[mid] = M
         self.fingerprints[mid] = fp
@@ -444,15 +434,10 @@ def dvec_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _orbit_stack(M: ModuleRep, V: np.ndarray) -> np.ndarray:
     """Rows of all G-translates of the columns of V (|G|*t rows, dim cols)."""
-    G, F = M.group, M.field
-    order_list, parents, gens = G.left_words()
-    W: list[np.ndarray | None] = [None] * G.order
-    W[0] = V
-    for idx in order_list:
-        if idx == 0:
-            continue
-        W[idx] = la.mat_mul(F, M.mats[gens[idx]], W[parents[idx]])
-    return np.vstack([w.T for w in W])  # type: ignore[union-attr]
+    W = [V]
+    for parent, gi in M.group.words[1:]:
+        W.append(la.mat_mul(M.field, M.mats[gi], W[parent]))
+    return np.vstack([w.T for w in W])
 
 
 def _peel_free(M: ModuleRep, rng: np.random.Generator):
@@ -469,18 +454,15 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         return 0, M
     if G.p_part == n:
         # trace-pivot route
-        T = la.zeros(D, D)
-        order_list, parents, gens = G.left_words()
-        acts: list[np.ndarray | None] = [None] * n
-        acts[0] = la.identity(D)
-        for idx in order_list:
-            if idx:
-                acts[idx] = la.mat_mul(F, M.mats[gens[idx]], acts[parents[idx]])
-            T = F.vec_add(T, acts[idx])
+        acts = [la.identity(D)]
+        T = acts[0]
+        for parent, gi in G.words[1:]:
+            acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
+            T = F.vec_add(T, acts[-1])
         _, rkT, pivT = la.rref(F, T)
         if rkT == 0:
             return 0, M
-        S = np.vstack([a[:, pivT].T for a in acts])  # type: ignore[index]
+        S = np.vstack([a[:, pivT].T for a in acts])
         R, rk, piv = la.rref(F, S)
         assert rk == rkT * n, "free span must have full orbit rank"
         Q = _quotient_from_rowspace(M, R[:rk], piv)

@@ -18,6 +18,7 @@ from sympow.groups import (
     sym_power,
     trace_operator,
 )
+from sympow.modules import _orbit_stack
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -43,6 +44,11 @@ def s3_rep():
 def klein_rep(c=2):
     """Klein four group on P^1 over GF(4): two unipotent translations."""
     return Representation(F4, (mk(F4, [[1, 1], [0, 1]]), mk(F4, [[1, c], [0, 1]])))
+
+
+def gl2_f3_rep():
+    return Representation(F3, (mk(F3, [[1, 1], [0, 1]]), mk(F3, [[0, 1], [1, 0]]),
+                               mk(F3, [[2, 0], [0, 1]])))
 
 
 def test_close_group_orders():
@@ -200,3 +206,19 @@ def test_word_evaluation_matches_elements():
     M = ModuleRep(G, list(G.gens))
     for i in range(G.order):
         assert np.array_equal(M.act(i), G.elements[i])
+
+
+@pytest.mark.parametrize("rep", [s3_rep(), klein_rep(), gl2_f3_rep()], ids=["S3", "Klein", "GL2(F3)"])
+def test_left_words_rebuild_elements_and_orbits(rep):
+    G = close_group(rep)
+    F = G.field
+    assert G.words[0] == (-1, -1)
+    for i, (parent, gi) in enumerate(G.words[1:], start=1):
+        assert parent < i
+        assert np.array_equal(G.elements[i], la.mat_mul(F, G.gens[gi], G.elements[parent]))
+    M = sym_power(rep, G, 3)
+    for i in range(G.order):
+        assert np.array_equal(M.act(i), sym_matrix(F, G.elements[i], 3))
+    V = la.rand_mat(F, np.random.default_rng(4), M.dim, 2)
+    want = np.vstack([la.mat_mul(F, M.act(i), V).T for i in range(G.order)])
+    assert np.array_equal(_orbit_stack(M, V), want)

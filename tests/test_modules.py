@@ -13,13 +13,13 @@ import pytest
 from sympow import linalg as la
 from sympow.gf import make_field
 from sympow.groups import (ModuleRep, Representation, close_group, regular_rep,
-                           sym_matrix, sym_power)
+                           sym_matrix, sym_power, sym_power_stream)
 from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scale,
                             extend_scalars, fitting_decompose, free_rank, hom_basis,
                             is_iso, is_projective_id, load_registry, nonfree,
                             projective_part_dim, quotient_module, save_registry,
                             split_projective, submodule)
-from sympow.modules import _colspace_canonical, _span_element
+from sympow.modules import _colspace_canonical, _iso_detail, _span_element
 
 
 def cyclic_rep(p: int):
@@ -31,6 +31,25 @@ def s3_rep():
     F = make_field(2)
     return Representation(F, (np.array([[0, 1], [1, 0]], dtype=np.int64),
                               np.array([[1, 1], [0, 1]], dtype=np.int64)))
+
+
+def klein_rep():
+    F4 = make_field(2, 2)
+    return Representation(F4, (np.array([[1, 1], [0, 1]], dtype=np.int64),
+                               np.array([[1, 2], [0, 1]], dtype=np.int64)))
+
+
+def _conjugate(M: ModuleRep, rng) -> ModuleRep:
+    F = M.field
+    P = la.rand_invertible(F, rng, M.dim)
+    Pi = la.inv(F, P)
+    return ModuleRep(M.group, [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in M.mats])
+
+
+def _klein_rho(G, c):
+    """The 2-dim Klein module where the second generator translates by c."""
+    return ModuleRep(G, [np.array([[1, 1], [0, 1]], dtype=np.int64),
+                         np.array([[1, c], [0, 1]], dtype=np.int64)])
 
 
 @pytest.fixture(scope="module")
@@ -188,14 +207,11 @@ def test_free_rank_s3(s3):
 
 
 def test_klein_family_non_isomorphic():
-    F4 = make_field(2, 2)
-    rep = Representation(F4, (np.array([[1, 1], [0, 1]], dtype=np.int64),
-                              np.array([[1, 2], [0, 1]], dtype=np.int64)))
+    rep = klein_rep()
     G = close_group(rep)
     assert G.order == 4
     M2 = sym_power(rep, G, 1)
-    M3 = ModuleRep(G, [np.array([[1, 1], [0, 1]], dtype=np.int64),
-                       np.array([[1, 3], [0, 1]], dtype=np.int64)])
+    M3 = _klein_rho(G, 3)
     assert len(hom_basis(M2, M3)) == 1
     assert not is_iso(M2, M3)
     assert is_iso(M2, M2)
@@ -204,13 +220,64 @@ def test_klein_family_non_isomorphic():
 def test_iso_conjugation_invariant(s3):
     rep, G = s3
     M = sym_power(rep, G, 3)
-    rng = np.random.default_rng(9)
-    F = rep.field
-    P = la.rand_invertible(F, rng, M.dim)
-    Pi = la.inv(F, P)
-    N = ModuleRep(G, [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in M.mats])
-    assert is_iso(M, N)
+    assert is_iso(M, _conjugate(M, np.random.default_rng(9)))
     assert not is_iso(M, sym_power(rep, G, 2))
+
+
+def _iso_by_enumeration(M: ModuleRep, N: ModuleRep) -> bool:
+    """Oracle: does any nonzero combination of the Hom(M, N) basis have full rank?"""
+    if M.dim != N.dim:
+        return False
+    F, H = M.field, hom_basis(M, N)
+    for code in range(1, F.q ** len(H)):
+        coeffs = code // F.q ** np.arange(len(H)) % F.q
+        if la.rank(F, _span_element(F, H, coeffs)) == M.dim:
+            return True
+    return False
+
+
+def test_iso_detail_matches_enumeration():
+    F9 = make_field(3, 2)
+    klein = klein_rep()
+    c3_on_p3 = Representation(F9, (np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                                             [0, 0, 0, 1]], dtype=np.int64),))
+    rng = np.random.default_rng(21)
+    seen = {True: 0, False: 0}
+    for rep, n_max in ((s3_rep(), 14), (klein, 8), (c3_on_p3, 5)):
+        G = close_group(rep)
+        reg = Registry(G)
+        for n, M in sym_power_stream(rep, G, n_max):
+            decompose(M, reg, seed=n)
+        classes = list(reg.entries.values())
+        if rep is klein:
+            classes += [_klein_rho(G, c) for c in (1, 2, 3)]
+        for M in classes:
+            for N in classes + [_conjugate(M, rng)]:
+                ok, phi = _iso_detail(M, N)
+                assert ok == _iso_by_enumeration(M, N)
+                seen[ok] += M.dim == N.dim
+                if ok:
+                    F = M.field
+                    assert la.rank(F, phi) == M.dim
+                    assert all(np.array_equal(la.mat_mul(F, phi, A), la.mat_mul(F, B, phi))
+                               for A, B in zip(M.mats, N.mats))
+                else:
+                    assert phi is None
+    assert seen == {True: 26, False: 12}, seen  # same-dimension pairs
+
+
+def test_is_iso_on_decomposable_modules(s3):
+    rep, G = s3
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        M = sym_power(rep, G, n)
+        assert is_iso(M, _conjugate(M, rng)), n
+    K = close_group(klein_rep())
+    r1, r2, r3 = (_klein_rho(K, c) for c in (1, 2, 3))
+    assert is_iso(direct_sum(r1, r2), _conjugate(direct_sum(r2, r1), rng))
+    assert not is_iso(direct_sum(r1, r2), direct_sum(r1, r3))
+    with pytest.raises(ValueError):
+        is_iso(r1, sym_power(rep, G, 1))
 
 
 def test_extend_scalars_preserves_structure():
@@ -226,13 +293,10 @@ def test_extend_scalars_preserves_structure():
 
 
 def test_extend_scalars_keeps_klein_family_apart():
-    F4 = make_field(2, 2)
-    rep = Representation(F4, (np.array([[1, 1], [0, 1]], dtype=np.int64),
-                              np.array([[1, 2], [0, 1]], dtype=np.int64)))
+    rep = klein_rep()
     G = close_group(rep)
     M2 = sym_power(rep, G, 1)
-    M3 = ModuleRep(G, [np.array([[1, 1], [0, 1]], dtype=np.int64),
-                       np.array([[1, 3], [0, 1]], dtype=np.int64)])
+    M3 = _klein_rho(G, 3)
     E2, E3 = extend_scalars(M2, 2), extend_scalars(M3, 2)
     assert E2.field.q == 16 and E2.group is E3.group
     assert not is_iso(E2, E3)
