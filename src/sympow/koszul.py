@@ -207,34 +207,34 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         mats = [la.block_diag([B] * len(subsets[r])) for B in block]
         terms.append(ModuleRep(G, mats, dim=_sym_dim(d1, degs[r]) * len(subsets[r])))
     maps = []
+    mults = []  # mults[r - 1][i]: multiplication by forms[i] out of Sym^degs[r]
     for r in range(1, R + 1):
         src_dim = _sym_dim(d1, degs[r])
         dst_dim = _sym_dim(d1, degs[r - 1])
         tau = la.zeros(dst_dim * len(subsets[r - 1]), src_dim * len(subsets[r]))
         dst_pos = {S: i for i, S in enumerate(subsets[r - 1])}
-        mults = [mul_form_matrix(F, form, m, degs[r], d1) for form in forms]
+        mults.append([mul_form_matrix(F, form, m, degs[r], d1) for form in forms])
         for si, S in enumerate(subsets[r]):
             for ell, i in enumerate(S):
                 Sminus = tuple(x for x in S if x != i)
-                block = F.vec_neg(mults[i]) if ell % 2 else mults[i]
+                block = F.vec_neg(mults[-1][i]) if ell % 2 else mults[-1][i]
                 di = dst_pos[Sminus]
                 tau[di * dst_dim:(di + 1) * dst_dim, si * src_dim:(si + 1) * src_dim] = block
         maps.append(tau)
     K = KoszulComplex(d=d, m=m, j=j, t=t, forms=forms, terms=terms, maps=maps, subsets=subsets)
-    _verify_complex(K, blocks)
+    _verify_complex(K, blocks, mults)
     return K
 
 
-def _block_equivariance(G: GroupData, form: np.ndarray, deg: int, src_deg: int,
-                        S_src: np.ndarray, S_dst: np.ndarray, gi: int):
-    """Check mult-by-form o Sym(g) == Sym(g) o mult-by-form."""
-    F = G.field
-    M = mul_form_matrix(F, form, deg, src_deg, G.dim)
+def _block_equivariance(F: Field, M: np.ndarray, S_src: np.ndarray, S_dst: np.ndarray,
+                        gi: int):
+    """Check that the multiplication map M commutes with Sym(g): M S_src == S_dst M."""
     if not np.array_equal(la.mat_mul(F, M, S_src), la.mat_mul(F, S_dst, M)):
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
-def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
+def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]],
+                    mults: list[list[np.ndarray]]):
     """Exact identity checks on the assembled complex, both as products.
 
     tau o tau = 0 is one product of the stored maps.  For equivariance,
@@ -251,12 +251,11 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]]):
     G = K.terms[0].group
     for r in range(1, len(K.terms)):
         src_deg = K.m * (K.t - r) + K.j
-        for form in K.forms:
+        for form, M in zip(K.forms, mults[r - 1]):
             for gi in range(len(G.gens)):
                 key = (form.tobytes(), src_deg, gi)
                 if key not in G.equivariant_forms:
-                    _block_equivariance(G, form, K.m, src_deg,
-                                        blocks[r][gi], blocks[r - 1][gi], gi)
+                    _block_equivariance(F, M, blocks[r][gi], blocks[r - 1][gi], gi)
                     G.equivariant_forms.add(key)
 
 

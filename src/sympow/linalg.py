@@ -591,15 +591,6 @@ def mat_eval_poly(F: Field, coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduce_mod_rowspace(F: Field, R: np.ndarray, pivots: list[int], W: np.ndarray) -> np.ndarray:
-    """Reduce the columns of W modulo the row space of an RREF matrix R."""
-    if not pivots:
-        return W.copy()
-    rk = len(pivots)
-    corr = mat_mul(F, R[:rk].T, W[pivots, :])
-    return F.vec_sub(W, corr)
-
-
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
     m = sum(b.shape[0] for b in blocks)
     n = sum(b.shape[1] for b in blocks)

@@ -21,11 +21,10 @@ The engine has three layers:
   tractable; the Fitting engine then only sees the small non-free remainder.
 
 * the registry: canonical representatives of indecomposable classes, matched
-  by the exact `_iso_detail` (some Hom basis element is invertible) behind a
-  fingerprint prefilter (dimension, Brauer character, Jordan partitions of
-  the Sylow generators, End dimension).  DecompVectors are plain
-  {id: multiplicity} dicts over registry ids, and `is_iso` compares two
-  modules' vectors over one fresh registry (Krull-Schmidt).
+  by the exact `_iso_detail` (some Hom basis element is invertible) among the
+  entries of equal dimension.  DecompVectors are plain {id: multiplicity}
+  dicts over registry ids, and `is_iso` compares two modules' vectors over
+  one fresh registry (Krull-Schmidt).
 
 Randomness is seed-threaded: every random choice derives from the caller's
 seed and the module's content hash, so runs are bit-reproducible.
@@ -41,7 +40,6 @@ import os
 import numpy as np
 
 from . import linalg as la
-from .chars import BrauerChar, brauer_char
 from .gf import (Field, make_field, poly_coprime_split, subfield_root,
                  embed_scalar)
 from .groups import GroupData, ModuleRep, close_group, regular_rep, Representation, trace_operator
@@ -154,8 +152,8 @@ def _fitting_power(F: Field, phi: np.ndarray) -> np.ndarray:
 def _ker_module(M: ModuleRep, U: np.ndarray) -> ModuleRep | None:
     """ker(U) as a module in kernel-basis coordinates; None when U is injective.
 
-    The kernel basis carries an identity block on its free rows, so images of
-    basis vectors read off their own coordinates there.
+    The kernel basis carries an identity block on its free rows, which is
+    what `module_on_basis` reads coordinates off.
     """
     F = M.field
     R, rk, piv = la.rref(F, U)
@@ -163,9 +161,7 @@ def _ker_module(M: ModuleRep, U: np.ndarray) -> ModuleRep | None:
         return None
     pivset = set(piv)
     free = [c for c in range(M.dim) if c not in pivset]
-    K = la.kernel_from_rref(F, R, rk, piv, M.dim)
-    mats = [la.mat_mul(F, A[free], K) for A in M.mats]
-    return ModuleRep(M.group, mats, dim=len(free))
+    return module_on_basis(M, la.kernel_from_rref(F, R, rk, piv, M.dim), free, verify=False)
 
 
 def _split_by(M: ModuleRep, psi: np.ndarray) -> tuple[ModuleRep, ModuleRep] | None:
@@ -301,36 +297,13 @@ def _try_split(mod: ModuleRep, seed: int):
 # -- isomorphism testing -------------------------------------------------------
 
 
-def _sylow_gen_indices(G: GroupData) -> list[int]:
-    syl = G.sylow()
-    sel: list[int] = []
-    closure = {0}
-    for i in syl:
-        if i not in closure:
-            sel.append(i)
-            closure = set(G.subgroup_closure(sel))
-    return sel
-
-
-def iso_invariants(M: ModuleRep) -> bytes:
-    """Serialized (dim, Brauer character, Sylow-generator Jordan partitions)."""
-    parts = [str(M.dim)]
-    ch = brauer_char(M)
-    parts.append(ch.serialize())
-    for i in _sylow_gen_indices(M.group):
-        parts.append(str(la.unipotent_jordan(M.field, M.act(i))))
-    return hashlib.sha256(";".join(parts).encode()).digest()
-
-
 def _iso_detail(M: ModuleRep, N: ModuleRep) -> tuple[bool, np.ndarray | None]:
     """(isomorphic, an isomorphism M -> N or None), exact for indecomposable M.
 
     End(M) is local, so M ~ N exactly when some basis element of Hom(M, N)
     is invertible: if phi = sum c_j phi_j has inverse psi, then
     id = sum c_j psi phi_j, and the nonunits of a local ring form an ideal,
-    so some psi phi_j is a unit and phi_j is injective.  The invariants of
-    `iso_invariants` are not compared here; callers that need them (the
-    registry's fingerprint) compare them first.
+    so some psi phi_j is a unit and phi_j is injective.
     """
     if M.group is not N.group:
         raise ValueError("is_iso needs modules over the same group")
@@ -367,31 +340,22 @@ class Registry:
     def __init__(self, group: GroupData):
         self.group = group
         self.entries: dict[int, ModuleRep] = {}
-        self.fingerprints: dict[int, bytes] = {}
-        self.by_fp: dict[bytes, list[int]] = {}
         self._regular_vec: dict[int, int] | None = None
-
-    def fingerprint(self, M: ModuleRep) -> bytes:
-        h = hashlib.sha256()
-        h.update(iso_invariants(M))
-        h.update(str(len(hom_basis(M, M))).encode())
-        return h.digest()
 
     def match_or_insert(self, M: ModuleRep) -> int:
         """The id of M's class, minted when no entry is isomorphic to M.
 
         M must be indecomposable, as every caller's input is: a Fitting part
         from `decompose` or `regular_vec`, or one shipped home from a pool
-        worker's `decompose`.  That makes `_iso_detail` exact here.
+        worker's `decompose`.  That makes `_iso_detail` exact here, and since
+        ids are minted only on a miss, no two entries are isomorphic: the
+        first match is the only one.
         """
-        fp = self.fingerprint(M)
-        for mid in self.by_fp.get(fp, []):
-            if _iso_detail(self.entries[mid], M)[0]:
+        for mid, E in self.entries.items():
+            if E.dim == M.dim and _iso_detail(E, M)[0]:
                 return mid
         mid = len(self.entries)
         self.entries[mid] = M
-        self.fingerprints[mid] = fp
-        self.by_fp.setdefault(fp, []).append(mid)
         return mid
 
     def regular_vec(self, seed: int = 0) -> dict[int, int]:
@@ -597,24 +561,25 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def save_registry(registry: Registry, path: str) -> None:
+    """One `<id>.mod` file per entry, then `index.json`, whose presence marks
+    a finished write."""
     os.makedirs(path, exist_ok=True)
-    index = {}
     for mid, mod in registry.entries.items():
-        lines = [f"# fingerprint {registry.fingerprints[mid].hex()}", f"# gens {len(mod.mats)} dim {mod.dim}"]
+        lines = [f"# class {mid}", f"# gens {len(mod.mats)} dim {mod.dim}"]
         for A in mod.mats:
             lines.append(la.mat_to_text(mod.field, A).rstrip("\n"))
         write_text_atomic(os.path.join(path, f"{mid}.mod"), "\n".join(lines) + "\n")
-        index[registry.fingerprints[mid].hex()] = sorted(
-            set(index.get(registry.fingerprints[mid].hex(), [])) | {mid}
-        )
     write_text_atomic(os.path.join(path, "index.json"),
-                      json.dumps(index, sort_keys=True, indent=0) + "\n")
+                      json.dumps({"ids": sorted(registry.entries)}, indent=0) + "\n")
 
 
 def load_registry(path: str, group: GroupData) -> Registry:
     """The registry saved under path.
 
-    A truncated or malformed file raises OSError, ValueError or IndexError.
+    The ids are every entry of every list in `index.json`, which reads both
+    `{"ids": [...]}` and the older index keyed by a hash of class
+    invariants.  A truncated or malformed file raises OSError, ValueError or
+    IndexError.
     """
     reg = Registry(group)
     index_path = os.path.join(path, "index.json")
@@ -622,12 +587,8 @@ def load_registry(path: str, group: GroupData) -> Registry:
         return reg
     with open(index_path) as fh:
         index = json.load(fh)
-    ids: list[tuple[int, bytes]] = []
-    for fp_hex, mids in index.items():
-        for mid in mids:
-            ids.append((mid, bytes.fromhex(fp_hex)))
     F = group.field
-    for mid, fp in sorted(ids):
+    for mid in sorted(mid for mids in index.values() for mid in mids):
         with open(os.path.join(path, f"{mid}.mod")) as fh:
             text = fh.read()
         # a cut inside the last row can still parse; every saved file ends in a newline
@@ -643,8 +604,5 @@ def load_registry(path: str, group: GroupData) -> Registry:
             block = "\n".join(lines[cursor:cursor + rows + 1])
             mats.append(la.mat_from_text(F, block))
             cursor += rows + 1
-        mod = ModuleRep(group, mats, dim=dim)
-        reg.entries[mid] = mod
-        reg.fingerprints[mid] = fp
-        reg.by_fp.setdefault(fp, []).append(mid)
+        reg.entries[mid] = ModuleRep(group, mats, dim=dim)
     return reg

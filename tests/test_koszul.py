@@ -199,14 +199,16 @@ def test_cokernel_from_pivot_columns_matches_full_quotient(complexes):
 def test_verify_complex_rejects_a_flipped_block(p3):
     G, forms, m = p3
     K = build_complex(G, forms, t=3, j=0)
-    blocks = [G.sym(m * (K.t - r) + K.j) for r in range(len(K.terms))]
-    _verify_complex(K, blocks)
+    degs = [m * (K.t - r) + K.j for r in range(len(K.terms))]
+    blocks = [G.sym(deg) for deg in degs]
+    mults = [[mul_form_matrix(G.field, f, m, deg, G.dim) for f in forms] for deg in degs[1:]]
+    _verify_complex(K, blocks, mults)
     rows, cols = K.terms[1].dim // 3, K.terms[2].dim // 3
     bad = K.maps[1].copy()
     bad[:rows, :cols] = G.field.vec_neg(bad[:rows, :cols])
     assert np.any(bad[:rows, :cols])
     with pytest.raises(AssertionError, match="tau_1 o tau_2"):
-        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), blocks)
+        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), blocks, mults)
 
 
 def test_block_equivariance_rejects_a_non_invariant_form(plane):
@@ -214,9 +216,10 @@ def test_block_equivariance_rejects_a_non_invariant_form(plane):
     y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
     y_sq[monomials(3, m).index((0, 2, 0))] = 1
     S_src, S_dst = G.sym(3)[0], G.sym(3 + m)[0]
-    _block_equivariance(G, forms[0], m, 3, S_src, S_dst, 0)
+    F = G.field
+    _block_equivariance(F, mul_form_matrix(F, forms[0], m, 3, 3), S_src, S_dst, 0)
     with pytest.raises(AssertionError, match="not equivariant"):
-        _block_equivariance(G, y_sq, m, 3, S_src, S_dst, 0)
+        _block_equivariance(F, mul_form_matrix(F, y_sq, m, 3, 3), S_src, S_dst, 0)
 
 
 def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkeypatch):
@@ -232,6 +235,7 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     A2[1, 3] = 1
     B[:2] = rng.integers(1, F.q, (2, 5))  # two nonzeros in every column of B
     P = G.sym(4)[0]
+    M = mul_form_matrix(F, forms[0], m, 4, G.dim)
     F3 = make_field(3)
     B3 = la.rand_mat(F3, rng, P.shape[0], 6)
 
@@ -242,7 +246,7 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     monkeypatch.setattr(la, "_mm_xpow", dense)
     ker = module_on_basis(K.terms[1], Kb, lead, verify=False)
     assert all(np.array_equal(X, Y) for X, Y in zip(ker.mats, expect))
-    _block_equivariance(G, forms[0], m, 4, P, G.sym(4 + m)[0], 0)
+    _block_equivariance(F, M, P, G.sym(4 + m)[0], 0)
     with pytest.raises(AssertionError, match="dense product"):
         la.mat_mul(F, A2, B)
     # prime fields keep the BLAS product, with no gather in front of it

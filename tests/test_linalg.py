@@ -373,19 +373,6 @@ def test_matrix_text_roundtrip():
         la.mat_from_text(F3, "2 2\n1 2\n0")
 
 
-def test_reduce_mod_rowspace():
-    A = np.array([[1, 0, 1], [0, 1, 2]], dtype=np.int64)
-    R, rk, piv = la.rref(F3, A)
-    W = np.array([[1, 0], [1, 1], [1, 2]], dtype=np.int64)
-    red = la.reduce_mod_rowspace(F3, R, piv, W)
-    assert not np.any(red[piv, :]), "pivot coordinates must clear after reduction"
-    # reduced columns differ from originals by row-space elements
-    for j in range(2):
-        diff = F3.vec_sub(W[:, j], red[:, j])
-        aug = np.vstack([R[:rk], diff])
-        assert la.rank(F3, aug) == rk
-
-
 def test_min_poly_known_shapes():
     F3 = make_field(3)
     J3 = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)

@@ -7,6 +7,9 @@ same answer through a completely separate code path (unipotent_jordan), so
 the two routes cross-check each other.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -342,8 +345,9 @@ def test_sub_and_quotient_rows_match_full_products(s3):
             R, rk, rpiv = la.rref(F, phi.T)
             free = [c for c in range(M.dim) if c not in rpiv]
             quo = quotient_module(M, phi)
-            assert all(np.array_equal(X, la.reduce_mod_rowspace(F, R[:rk], rpiv, A[:, free])[free])
-                       for X, A in zip(quo.mats, M.mats))
+            for X, A in zip(quo.mats, M.mats):
+                W = A[:, free]
+                assert np.array_equal(X, F.vec_sub(W, la.mat_mul(F, R[:rk].T, W[rpiv]))[free])
     assert any(0 < x < 1 for x in ranks)
 
 
@@ -365,13 +369,42 @@ def test_registry_roundtrip(tmp_path, s3):
         decompose(sym_power(rep, G, n), reg, seed=n)
     save_registry(reg, str(tmp_path / "reg"))
     reg2 = load_registry(str(tmp_path / "reg"), G)
-    assert set(reg2.entries) == set(reg.entries)
-    assert reg2.fingerprints == reg.fingerprints
-    for mid, mod in reg.entries.items():
-        assert is_iso(mod, reg2.entries[mid])
+
+    def same_entries(loaded):
+        assert list(loaded.entries) == list(reg.entries)
+        for mid, mod in reg.entries.items():
+            assert loaded.entries[mid].dim == mod.dim
+            assert all(np.array_equal(A, B) for A, B in zip(loaded.entries[mid].mats, mod.mats))
+
+    same_entries(reg2)
     # matching against the reloaded registry reuses the same ids
     vec = decompose(sym_power(rep, G, 4), reg2, seed=99)
     assert vec == decompose(sym_power(rep, G, 4), reg, seed=99)
+    # the older layout: a fingerprint on line 0 of each entry file, and an
+    # index keyed by fingerprint (here one key per dimension)
+    old = tmp_path / "old"
+    old.mkdir()
+    index: dict[str, list[int]] = {}
+    for mid, mod in reg.entries.items():
+        fp = hashlib.sha256(str(mod.dim).encode()).hexdigest()
+        index.setdefault(fp, []).append(mid)
+        body = (tmp_path / "reg" / f"{mid}.mod").read_text().split("\n", 1)[1]
+        (old / f"{mid}.mod").write_text(f"# fingerprint {fp}\n{body}")
+    assert any(len(mids) > 1 for mids in index.values())
+    (old / "index.json").write_text(json.dumps(index, sort_keys=True, indent=0) + "\n")
+    same_entries(load_registry(str(old), G))
+
+
+def test_registry_ids_follow_isomorphism_classes():
+    """Non-isomorphic classes of one dimension get their own ids, and a
+    conjugate of each matches its own id without minting a new one."""
+    G = close_group(klein_rep())
+    reg = Registry(G)
+    classes = [_klein_rho(G, c) for c in (1, 2, 3)]
+    assert [reg.match_or_insert(M) for M in classes] == [0, 1, 2]
+    rng = np.random.default_rng(5)
+    assert [reg.match_or_insert(_conjugate(M, rng)) for M in classes] == [0, 1, 2]
+    assert len(reg.entries) == 3
 
 
 def test_dvec_helpers():
