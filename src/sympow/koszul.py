@@ -13,10 +13,12 @@ stage splitting is the Krull-Schmidt criterion: a short exact sequence of
 modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
 
-Each map is eliminated once, with its columns reversed (`map_rref`).  Ranks,
-the canonical kernel bases (`kernel`) and the pivot columns that span the
-image (`cokernel`) are all read off that one RREF, and the identity checks
-are products of stored matrices.
+Each map is eliminated once, transposed (`image_rref`): the rows of that RREF
+are the canonical basis of the map's image.  Ranks, the quotients
+Q_s = C_s / im tau_s (`quotient`; Q_0 is the cokernel) and, at exact spots,
+the canonical kernel bases (`kernel`) are all read off those RREFs, and the
+identity checks are products of stored matrices.  Only a kernel at an inexact
+spot costs a second elimination.
 """
 
 from __future__ import annotations
@@ -131,6 +133,14 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
 
 @dataclass
 class KoszulComplex:
+    """Terms C_0..C_top and maps[r] = tau_(r+1) : C_(r+1) -> C_r.
+
+    `rrefs` caches one RREF per map, of the map transposed (`image_rref`):
+    its rows are the canonical basis of the image.  Ranks, exactness
+    (`is_exact`), the quotients Q_s = C_s / im tau_s (`quotient`) and, at
+    exact spots, the kernels (`kernel`) are read off these alone.
+    """
+
     d: int
     m: int
     j: int
@@ -145,41 +155,61 @@ class KoszulComplex:
     def top(self) -> int:
         return len(self.terms) - 1
 
-    def map_rref(self, r: int):
-        """Cached rref of maps[r] with its columns reversed.
+    def image_rref(self, r: int):
+        """Cached rref of maps[r] transposed: the canonical basis of im maps[r].
 
-        Reversing columns keeps the rank, and it puts each kernel vector's
-        free coordinate last, which is what makes `kernel` canonical.
+        An RREF is unique to its row space, so its first rank rows are the
+        basis `_colspace_canonical(maps[r])` returns, transposed.
         """
         if r not in self.rrefs:
-            self.rrefs[r] = la.rref(self.terms[0].field,
-                                    np.ascontiguousarray(self.maps[r][:, ::-1]))
+            self.rrefs[r] = la.rref(self.terms[0].field, np.ascontiguousarray(self.maps[r].T))
         return self.rrefs[r]
+
+    def rank(self, r: int) -> int:
+        """rank maps[r]; 0 at the top, where no map leaves C_top."""
+        return self.image_rref(r)[1] if r < len(self.maps) else 0
+
+    def is_exact(self, r: int) -> bool:
+        """ker maps[r-1] == im maps[r], 1 <= r <= top: both lie in C_r and
+        im <= ker (tau o tau = 0), so equal dimensions decide it."""
+        return self.terms[r].dim - self.rank(r - 1) == self.rank(r)
+
+    def quotient(self, s: int) -> ModuleRep:
+        """Q_s = C_s / im maps[s] on the free coordinates of `image_rref(s)`.
+
+        It is the module `quotient_module(C_s, maps[s])` gives, which
+        eliminates the same transposed map.  Q_top = C_top.
+        """
+        if s == self.top:
+            return self.terms[s]
+        R, rk, piv = self.image_rref(s)
+        return _quotient_from_rowspace(self.terms[s], R[:rk], piv)
+
+    def cokernel(self) -> ModuleRep:
+        """The cokernel of the complex, Q_0."""
+        return self.quotient(0)
 
     def kernel(self, r: int) -> tuple[np.ndarray, list[int]]:
         """Canonical basis of ker maps[r] and its leading coordinates.
 
-        A kernel vector read off `map_rref` is 1 at its free column, 0 at the
-        other free columns and nonzero only before it.  Flipped back, the
-        vectors lead with that 1 in ascending order: the basis is the RREF of
-        the kernel, exactly what `_colspace_canonical` would return.
+        The basis is the RREF of the kernel, transposed: exactly what
+        `_colspace_canonical` returns.  At an exact spot r + 1 the kernel is
+        im maps[r+1], whose basis `image_rref(r + 1)` holds already (at the
+        top it is 0).  Elsewhere maps[r] is eliminated with its columns
+        reversed: a kernel vector read off that RREF is 1 at its free column,
+        0 at the other free columns and nonzero only before it, so flipped
+        back the vectors lead with that 1 in ascending order.
         """
-        R, rk, piv = self.map_rref(r)
-        n = self.maps[r].shape[1]
-        Kb = la.kernel_from_rref(self.terms[0].field, R, rk, piv, n)[::-1, ::-1]
+        F, n = self.terms[0].field, self.maps[r].shape[1]
+        if self.is_exact(r + 1):
+            if r + 1 == self.top:
+                return la.zeros(n, 0), []
+            R, rk, piv = self.image_rref(r + 1)
+            return R[:rk].T.copy(), list(piv)
+        R, rk, piv = la.rref(F, np.ascontiguousarray(self.maps[r][:, ::-1]))
+        Kb = la.kernel_from_rref(F, R, rk, piv, n)[::-1, ::-1]
         pivset = set(piv)
         return np.ascontiguousarray(Kb), [c for c in range(n) if n - 1 - c not in pivset]
-
-    def cokernel(self) -> ModuleRep:
-        """C_0 modulo the image of maps[0], taken from its pivot columns.
-
-        Those columns span the image, and an RREF is unique to its row space,
-        so the quotient is the one all of maps[0] gives, from fewer rows.
-        """
-        if not self.maps:
-            return self.terms[0]
-        n, piv = self.maps[0].shape[1], self.map_rref(0)[2]
-        return quotient_module(self.terms[0], self.maps[0][:, [n - 1 - c for c in reversed(piv)]])
 
 
 def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> KoszulComplex:
@@ -262,13 +292,10 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]],
 def check_exact(K: KoszulComplex) -> dict:
     """Rank bookkeeping: exact at r iff rank tau_(r+1) = dim ker tau_r."""
     R = K.top
-    ranks = [K.map_rref(r)[1] for r in range(len(K.maps))]
     exact_at, inexact_at = [], []
     for r in range(1, R + 1):
-        kdim = K.terms[r].dim - ranks[r - 1]
-        inner = ranks[r] if r < R else 0
-        (exact_at if inner == kdim else inexact_at).append(r)
-    coker = K.terms[0].dim - (ranks[0] if ranks else 0)
+        (exact_at if K.is_exact(r) else inexact_at).append(r)
+    coker = K.terms[0].dim - K.rank(0)
     expected = K.m ** K.d if R == K.d else None
     return {
         "exact_at": exact_at,
@@ -300,17 +327,29 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
                           sym_vectors: dict[int, dict[int, int]] | None = None) -> dict:
     """Per-stage splitting verdicts plus freeness of the cokernel class.
 
+    Stage r is 0 -> ker tau_(r-1) -> C_r -> C_r / ker tau_(r-1) -> 0.
     sym_vectors may carry precomputed decompositions of the symmetric powers
     (keyed by degree); C_r vectors are then their block multiples, which is
     the same Krull-Schmidt class without redoing the big modules.
 
-    Quotient classes lean on verified identities instead of fresh
-    decompositions where possible: C_r/ker tau_r is isomorphic to the image
-    of tau_r, which is ker tau_(r-1) at a rank-verified exact spot, and which
-    complements the cokernel in C_0 whenever that cokernel verified as free
-    (free modules are injective over a group algebra, so the sequence
-    0 -> im -> C_0 -> coker -> 0 splits).  Absent either certificate the
-    quotient module is decomposed directly.
+    Both outer classes lean on verified identities instead of fresh
+    decompositions where possible, through the quotients
+    Q_s = C_s / im tau_s (`KoszulComplex.quotient`; Q_0 is the cokernel,
+    Q_top = C_top):
+
+    * kernel: at a rank-verified exact spot r, ker tau_(r-1) = im tau_r,
+      which is isomorphic to C_(r+1) / ker tau_r.  If r + 1 is exact as
+      well, that is Q_(r+1); at an exact top the kernel is 0.
+    * quotient: C_1 / ker tau_0 is isomorphic to im tau_0, which complements
+      the cokernel in C_0 whenever that cokernel verified as free (free
+      modules are injective over a group algebra, so the sequence
+      0 -> im -> C_0 -> coker -> 0 splits).  For r > 1, C_r / ker tau_(r-1)
+      is isomorphic to im tau_(r-1), which is the previous stage's kernel
+      when r - 1 is exact.
+
+    Absent a certificate the kernel or quotient module is decomposed
+    directly.  At a fully exact complex with a free cokernel the only
+    modules decomposed are then Q_0 and Q_2, ..., Q_(top-1).
     """
     R = K.top
     exact_spots = set(check_exact(K)["exact_at"])
@@ -328,9 +367,17 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     stages = []
     kernel_vecs: dict[int, dict[int, int]] = {}
     for r in range(1, R + 1):
-        Kb, lead = K.kernel(r - 1)
-        ker = module_on_basis(K.terms[r], Kb, lead, verify=False)
-        vker = decompose(ker, registry, seed)
+        Kb = None
+        if r == R and r in exact_spots:
+            vker, kdim = {}, 0
+        elif {r, r + 1} <= exact_spots:
+            vker = term_vec(R) if r + 1 == R else decompose(K.quotient(r + 1), registry, seed)
+            kdim = K.rank(r)
+        else:
+            Kb, lead = K.kernel(r - 1)
+            ker = module_on_basis(K.terms[r], Kb, lead, verify=False)
+            vker = decompose(ker, registry, seed)
+            kdim = Kb.shape[1]
         kernel_vecs[r] = vker
         vquo = None
         if r == 1 and coker_free:
@@ -340,9 +387,11 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
         elif r > 1 and (r - 1) in exact_spots:
             vquo = kernel_vecs[r - 1]
         if vquo is None:
+            if Kb is None:
+                Kb, lead = K.kernel(r - 1)
             vquo = decompose(_quotient_from_rowspace(K.terms[r], Kb.T, lead), registry, seed)
         split = term_vec(r) == dvec_add(vker, vquo)
-        stages.append({"r": r, "split": bool(split), "kernel_dim": Kb.shape[1]})
+        stages.append({"r": r, "split": bool(split), "kernel_dim": kdim})
     return {
         "stages": stages,
         "all_split": all(s["split"] for s in stages),

@@ -477,8 +477,13 @@ def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray):
     return out, len(piv), sorted(piv)
 
 
+def pivot_columns(F: Field, A: np.ndarray) -> list[int]:
+    """rref(F, A)[2] by forward elimination alone, with no back-substitution."""
+    return _echelon(F, A, reduce=False)[1]
+
+
 def rank(F: Field, A: np.ndarray) -> int:
-    return len(_echelon(F, A, reduce=False)[1])
+    return len(pivot_columns(F, A))
 
 
 def kernel_basis(F: Field, A: np.ndarray) -> np.ndarray:

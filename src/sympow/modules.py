@@ -404,13 +404,35 @@ def _orbit_stack(M: ModuleRep, V: np.ndarray) -> np.ndarray:
     return np.vstack([w.T for w in W])
 
 
+def _orbit_rref(F: Field, acts: list[np.ndarray], piv0: list[int]):
+    """la.rref of the orbit rows vstack([a[:, piv0].T for a in acts]), acts[0] = I.
+
+    The identity's translates are the unit rows at piv0, so only the other
+    translates are eliminated, on the columns outside piv0.  Their RREF rows
+    are zero at piv0 and the unit rows are zero elsewhere, so the two
+    interleave by pivot into the stack's RREF, which is unique to its row
+    space: the same R, rank and pivots.
+    """
+    D = acts[0].shape[0]
+    free = np.setdiff1d(np.arange(D), piv0)
+    R0, k, fp = la.rref(F, np.vstack([a[np.ix_(free, piv0)].T for a in acts[1:]]))
+    new = free[fp]
+    piv = sorted(piv0 + new.tolist())
+    R = la.zeros(len(acts) * len(piv0), D)
+    R[np.searchsorted(piv, piv0), piv0] = 1
+    R[np.ix_(np.searchsorted(piv, new), free)] = R0[:k]
+    return R, len(piv), piv
+
+
 def _peel_free(M: ModuleRep, rng: np.random.Generator):
     """Split off s free summands; returns (s, remainder module).
 
     p-group route: pivot preimages of the trace operator span a maximal free
-    summand in one round (the trace rank IS the free rank there).  General
-    route: exponential ramp of random vectors, keeping orbit stacks only while
-    the rank grows by |G| per vector.
+    summand in one round (the trace rank IS the free rank there).  Only the
+    trace's pivot columns are needed, so it is eliminated forward only
+    (`la.pivot_columns`), and the orbit rows skip the identity's unit rows
+    (`_orbit_rref`).  General route: exponential ramp of random vectors,
+    keeping orbit stacks only while the rank grows by |G| per vector.
     """
     G, F, D = M.group, M.field, M.dim
     n = G.order
@@ -423,11 +445,11 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         for parent, gi in G.words[1:]:
             acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
             T = F.vec_add(T, acts[-1])
-        _, rkT, pivT = la.rref(F, T)
+        pivT = la.pivot_columns(F, T)
+        rkT = len(pivT)
         if rkT == 0:
             return 0, M
-        S = np.vstack([a[:, pivT].T for a in acts])
-        R, rk, piv = la.rref(F, S)
+        R, rk, piv = _orbit_rref(F, acts, pivT)
         assert rk == rkT * n, "free span must have full orbit rank"
         Q = _quotient_from_rowspace(M, R[:rk], piv)
         return rkT, Q

@@ -2,10 +2,12 @@
 
 The C2-on-the-plane fixture over GF(4) is small enough that each complex
 builds in milliseconds, yet its cokernel and stage behavior are the real
-thing.  The fast paths (kernels read off a column-reversed RREF, the
-cokernel from pivot columns, derived quotient classes) are differentially
+thing.  The fast paths (kernels and the cokernel read off each map's image
+RREF, stage classes from the quotients C_s / im tau_s) are differentially
 tested against direct eliminations and against the direct
-short-exact-sequence route so they cannot drift.
+short-exact-sequence route so they cannot drift.  The P^3 fixture over GF(9)
+adds complexes where the cokernel is not free or exactness fails, so the
+fallback routes meet the same oracle.
 """
 
 import dataclasses
@@ -23,8 +25,8 @@ from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
                            euler_identity, form_product, is_invariant_form,
                            mul_form_matrix, ses_split_check,
                            surface_progression_check)
-from sympow.modules import (Registry, _colspace_canonical, decompose, direct_sum,
-                            module_on_basis, quotient_module)
+from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose,
+                            direct_sum, free_rank, module_on_basis, quotient_module)
 
 SEED = 11
 
@@ -194,6 +196,70 @@ def test_cokernel_from_pivot_columns_matches_full_quotient(complexes):
         coker = K.cokernel()
         assert coker.dim == full.dim
         assert all(np.array_equal(a, b) for a, b in zip(coker.mats, full.mats))
+
+
+@pytest.fixture(scope="module")
+def p3_noncoker(p3):
+    """The forms job seed 1241856672 draws (benchmark seed 43), at t = 3, j = 0.
+
+    The complex is exact, but its cokernel is not free, and stage 1 does not
+    split.
+    """
+    G, _, _ = p3
+    forms, _ = choose_forms(G, 3, child_seed(1241856672, "forms"))
+    return build_complex(G, forms, t=3, j=0)
+
+
+def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
+    """Every stage verdict against `ses_split_check` on the P^3 / GF(9) group.
+
+    (a) exact with a free cokernel, where every class comes from the
+    quotients Q_s; (b) exact with a cokernel that is not free, where stage 1
+    decomposes its quotient module; (c) inexact, where kernels are
+    eliminated and decomposed.  The oracle's kernel comes from the map
+    directly, not from `KoszulComplex.kernel`.
+    """
+    cases = {"a": complexes[3], "b": p3_noncoker, "c": complexes[4]}
+    verdicts = {}
+    for name, K in cases.items():
+        F = K.terms[0].field
+        reg = Registry(K.terms[0].group)
+        out = check_split_stagewise(K, reg, seed=SEED)
+        for stage in out["stages"]:
+            r = stage["r"]
+            Kb = la.kernel_basis(F, K.maps[r - 1])
+            assert stage["kernel_dim"] == Kb.shape[1], (name, r)
+            assert ses_split_check(K.terms[r], Kb, reg, seed=SEED) == stage["split"], (name, r)
+        verdicts[name] = (check_exact(K)["exact"], out["coker_free"],
+                          [s["split"] for s in out["stages"]])
+        if name == "b":
+            kg = reg.regular_vec(SEED)
+            q = free_rank(out["coker_vector"], reg, SEED)
+            rest = {mid: v for mid, v in out["coker_vector"].items() if v != kg.get(mid, 0) * q}
+            assert q == 7 and sorted((reg.entries[mid].dim, v) for mid, v in rest.items()) \
+                == [(1, 2), (2, 2)]
+    assert verdicts["a"] == (True, True, [True, True, True])
+    assert verdicts["b"][:2] == (True, False) and verdicts["b"][2][0] is False
+    assert verdicts["c"][0] is False
+
+
+def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
+    """At exact spots, ranks, kernels and the cokernel share one RREF per map."""
+    G, forms, _ = p3
+    K = build_complex(G, forms, t=3, j=1)
+    shapes = []
+    real_rref = la.rref
+
+    def counted(F, A):
+        shapes.append(A.shape)
+        return real_rref(F, A)
+
+    monkeypatch.setattr(la, "rref", counted)
+    assert check_exact(K)["exact"]
+    K.cokernel()
+    for r in range(len(K.maps)):
+        K.kernel(r)
+    assert shapes == [A.T.shape for A in K.maps]
 
 
 def test_verify_complex_rejects_a_flipped_block(p3):

@@ -69,6 +69,20 @@ def test_rank_transpose_random(F):
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_pivot_columns_match_rref_on_rank_deficient_matrices(F):
+    rng = np.random.default_rng(97 + F.q)
+    # the 200 x 180 products reach the blocked, recursively split elimination
+    shapes = [(int(m), int(n), int(k)) for m, n, k in rng.integers(1, 12, size=(40, 3))]
+    shapes += [(200, 180, 120), (180, 200, 150)]
+    for m, n, k in shapes:
+        k = min(k, m, n) - 1
+        A = la.mat_mul(F, la.rand_mat(F, rng, m, k), la.rand_mat(F, rng, k, n))
+        piv = la.pivot_columns(F, A)
+        assert piv == la.rref(F, A)[2]
+        assert la.rank(F, A) == len(piv) <= k
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
 def test_kernel_exactness_random(F):
     rng = np.random.default_rng(271 + F.q)
     for _ in range(50):

@@ -22,7 +22,8 @@ from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scal
                             is_iso, is_projective_id, load_registry, nonfree,
                             projective_part_dim, quotient_module, save_registry,
                             split_projective, submodule)
-from sympow.modules import _colspace_canonical, _iso_detail, _span_element
+from sympow.modules import (_colspace_canonical, _iso_detail, _orbit_rref, _peel_free,
+                            _quotient_from_rowspace, _span_element)
 
 
 def cyclic_rep(p: int):
@@ -455,3 +456,48 @@ def test_permutation_cycle_plus_fixed_line_sym_powers():
         assert by_dim.get(1, 0) == fixed, n
         assert by_dim.get(3, 0) == (dim - fixed) // 3, n
     assert len(reg.entries) == 2
+
+
+def _perm(n, images):
+    P = np.zeros((n, n), dtype=np.int64)
+    P[images, np.arange(n)] = 1
+    return P
+
+
+@pytest.mark.parametrize("p,e,gens,degrees", [
+    (2, 2, [[1, 0]], (3, 6)),                              # C2 on P^1 over GF(4)
+    (3, 1, [[1, 2, 0]], (4, 7)),                           # C3 on P^2 over GF(3)
+    (3, 2, [[1, 2, 0, 3]], (3, 5)),                        # C3 on P^3 over GF(9)
+    (2, 1, [[1, 0, 3, 2], [2, 3, 0, 1]], (2, 4)),          # Klein four, regular, GF(2)
+], ids=["C2-GF4", "C3-GF3", "C3-GF9", "Klein-GF2"])
+def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
+    """The p-group peel's orbit RREF against `la.rref` of the whole orbit stack.
+
+    Permutation Sym^n modules and dense conjugates of them: the same R, rank
+    and pivots, and the quotient `_peel_free` returns is the one the full
+    stack gives.
+    """
+    F = make_field(p, e)
+    rep = Representation(F, tuple(_perm(len(g), g) for g in gens))
+    G = close_group(rep)
+    assert G.p_part == G.order > 1
+    rng = np.random.default_rng(2024 + F.q)
+    for n in degrees:
+        S = sym_power(rep, G, n)
+        for M in (S, _conjugate(S, rng)):
+            acts = [la.identity(M.dim)]
+            for parent, gi in G.words[1:]:
+                acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
+            T = acts[0]
+            for a in acts[1:]:
+                T = F.vec_add(T, a)
+            pivT = la.pivot_columns(F, T)
+            assert pivT == la.rref(F, T)[2] and pivT
+            want = la.rref(F, np.vstack([a[:, pivT].T for a in acts]))
+            got = _orbit_rref(F, acts, pivT)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+            assert want[1] == len(pivT) * G.order
+            s, Q = _peel_free(M, rng)
+            Qw = _quotient_from_rowspace(M, want[0][:want[1]], want[2])
+            assert s == len(pivT) and Q.dim == Qw.dim == M.dim - want[1]
+            assert all(np.array_equal(X, Y) for X, Y in zip(Q.mats, Qw.mats))
