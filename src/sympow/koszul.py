@@ -13,12 +13,14 @@ stage splitting is the Krull-Schmidt criterion: a short exact sequence of
 modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
 
-Each map is eliminated once, transposed (`image_rref`): the rows of that RREF
-are the canonical basis of the map's image.  Ranks, the quotients
-Q_s = C_s / im tau_s (`quotient`; Q_0 is the cokernel) and, at exact spots,
-the canonical kernel bases (`kernel`) are all read off those RREFs, and the
-identity checks are products of stored matrices.  Only a kernel at an inexact
-spot costs a second elimination.
+Each map is eliminated forward once, transposed, and that echelon form is
+kept: ranks and exactness read its pivot count alone.  It is back-substituted
+in place the first time a map's RREF is read (`image_rref`), whose rows are
+the canonical basis of the map's image: the quotients Q_s = C_s / im tau_s
+(`quotient`; Q_0 is the cokernel) and, at exact spots, the canonical kernel
+bases (`kernel`).  So at an all-exact d = 3 complex the middle map is only
+ever reduced forward.  The identity checks are products of stored matrices.
+Only a kernel at an inexact spot costs a second elimination.
 """
 
 from __future__ import annotations
@@ -135,10 +137,13 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
 class KoszulComplex:
     """Terms C_0..C_top and maps[r] = tau_(r+1) : C_(r+1) -> C_r.
 
-    `rrefs` caches one RREF per map, of the map transposed (`image_rref`):
-    its rows are the canonical basis of the image.  Ranks, exactness
-    (`is_exact`), the quotients Q_s = C_s / im tau_s (`quotient`) and, at
-    exact spots, the kernels (`kernel`) are read off these alone.
+    `echelons` caches one forward echelon form per map, of the map
+    transposed, with its pivots; ranks and exactness (`is_exact`) read the
+    pivot count.  The indices in `reduced` mark forms back-substituted in
+    place into the RREF (`image_rref`), whose rows are the canonical basis
+    of the image: the quotients Q_s = C_s / im tau_s (`quotient`) and, at
+    exact spots, the kernels (`kernel`) are read off these.  No map is
+    eliminated forward twice.
     """
 
     d: int
@@ -149,25 +154,37 @@ class KoszulComplex:
     terms: list[ModuleRep]      # C_0 .. C_R
     maps: list[np.ndarray]      # maps[r] : C_(r+1) -> C_r, r = 0..R-1
     subsets: list[list[tuple[int, ...]]]
-    rrefs: dict = field(default_factory=dict)
+    echelons: dict = field(default_factory=dict)
+    reduced: set = field(default_factory=set)
 
     @property
     def top(self) -> int:
         return len(self.terms) - 1
 
-    def image_rref(self, r: int):
-        """Cached rref of maps[r] transposed: the canonical basis of im maps[r].
+    def _echelon(self, r: int):
+        """Cached `la.forward_echelon` of maps[r] transposed: (W, pivots)."""
+        if r not in self.echelons:
+            self.echelons[r] = la.forward_echelon(
+                self.terms[0].field, np.ascontiguousarray(self.maps[r].T))
+        return self.echelons[r]
 
-        An RREF is unique to its row space, so its first rank rows are the
-        basis `_colspace_canonical(maps[r])` returns, transposed.
+    def image_rref(self, r: int):
+        """rref of maps[r] transposed: the canonical basis of im maps[r].
+
+        The cached forward form is back-substituted in place on first use;
+        that is the RREF `la.rref` gives.  An RREF is unique to its row
+        space, so its first rank rows are the basis
+        `_colspace_canonical(maps[r])` returns, transposed.
         """
-        if r not in self.rrefs:
-            self.rrefs[r] = la.rref(self.terms[0].field, np.ascontiguousarray(self.maps[r].T))
-        return self.rrefs[r]
+        W, piv = self._echelon(r)
+        if r not in self.reduced:
+            la.back_substitute(self.terms[0].field, W, piv)
+            self.reduced.add(r)
+        return W, len(piv), piv
 
     def rank(self, r: int) -> int:
         """rank maps[r]; 0 at the top, where no map leaves C_top."""
-        return self.image_rref(r)[1] if r < len(self.maps) else 0
+        return len(self._echelon(r)[1]) if r < len(self.maps) else 0
 
     def is_exact(self, r: int) -> bool:
         """ker maps[r-1] == im maps[r], 1 <= r <= top: both lie in C_r and

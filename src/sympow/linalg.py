@@ -11,10 +11,12 @@ extension field multiplies A's digits by those of x^i B (`_mm_xpow`).
 
 Elimination uses first-nonzero pivoting (row order, then column order), which
 makes every echelon form, kernel basis and solve deterministic.  The blocked
-right-looking elimination `_echelon` gives the same result as the
-one-pivot-at-a-time reference `_echelon_naive`: it reassociates the work into
-matrix products, and with the pivots fixed the echelon form, reduced or not,
-is unique.  Differential tests keep the two in lockstep.
+right-looking elimination, `forward_echelon` then `back_substitute` (which
+`rref` runs back to back), gives the same result as the one-pivot-at-a-time
+reference `_echelon_naive`: it reassociates the work into matrix products,
+and with the pivots fixed the echelon form, reduced or not, is unique.
+Differential tests keep the two in lockstep.  A caller that may need only
+the pivots keeps the forward form and back-substitutes it later, if at all.
 
 Matrix text format: a `rows cols` header line, then one row per line of
 scalar serializations separated by spaces.
@@ -27,7 +29,7 @@ import numpy as np
 from .gf import FUSED_CAP, TABLE_CAP, Field
 
 _PANEL = 128
-# from this many entries on, _echelon splits panels and back-substitution
+# from this many entries on, elimination splits panels and back-substitution
 # blocks recursively down to _LEAF columns or rows
 _SPLIT_CELLS = 1 << 15
 _LEAF = 16
@@ -383,8 +385,8 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
     return r
 
 
-def _back_substitute(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarray,
-                     a: int, b: int, leaf: int) -> None:
+def _clear_above(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarray,
+                 a: int, b: int, leaf: int) -> None:
     """Clear each pivot column pivots[j] in rows a..j-1, for j in a..b-1.
 
     Rows are halved: once the bottom half is reduced, one product clears its
@@ -394,10 +396,10 @@ def _back_substitute(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarra
     """
     if b - a > leaf:
         h = (a + b) // 2
-        _back_substitute(F, W, pivots, free, h, b, leaf)
+        _clear_above(F, W, pivots, free, h, b, leaf)
         _submul_rows(F, W, a, W[a:h, pivots[h:b]], slice(h, b), free)
         W[a:h, pivots[h:b]] = 0
-        _back_substitute(F, W, pivots, free, a, h, leaf)
+        _clear_above(F, W, pivots, free, a, h, leaf)
         return
     for j in range(a + 1, b):
         c = pivots[j]
@@ -408,17 +410,23 @@ def _back_substitute(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarra
             W[rows_idx, c:] = F.vec_submul(W[rows_idx, c:], above[nz][:, None], W[j, c:][None, :])
 
 
-def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
-    """Blocked elimination; the same result as `_echelon_naive`.
+def _leaf(W: np.ndarray, panel: int) -> int:
+    return _LEAF if W.size >= _SPLIT_CELLS else panel
 
-    Columns go in panels of `panel`; each panel's pivots reach the columns
-    right of it through two products (`_apply_pivots`).  From _SPLIT_CELLS
-    entries on, panels and the back-substitution split recursively down to
-    _LEAF columns or rows, so nearly all the work runs as matrix products.
+
+def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL):
+    """Blocked forward elimination of a copy of A; returns (W, pivots).
+
+    W is the row echelon form `_echelon_naive(F, A, reduce=False)` gives:
+    leading entries 1, zeros below them, nothing cleared above.  Columns go
+    in panels of `panel`; each panel's pivots reach the columns right of it
+    through two products (`_apply_pivots`).  From _SPLIT_CELLS entries on,
+    panels split recursively down to _LEAF columns, so nearly all the work
+    runs as matrix products.  `back_substitute` finishes W into the RREF.
     """
     W = A.astype(np.int64, copy=True)
     m, n = W.shape
-    leaf = _LEAF if m * n >= _SPLIT_CELLS else panel
+    leaf = _leaf(W, panel)
     pivots: list[int] = []
     r = 0
     c0 = 0
@@ -434,36 +442,52 @@ def _echelon(F: Field, A: np.ndarray, reduce: bool = True, panel: int = _PANEL):
         if r > base and c1 < n:
             _apply_pivots(F, W, M, T, base, base, r, slice(c1, None))
         c0 = c1
-    if reduce and pivots:
-        free = np.ones(n, dtype=bool)
-        free[pivots] = False
-        _back_substitute(F, W, pivots, np.flatnonzero(free), 0, len(pivots), leaf)
     return W, pivots
+
+
+def back_substitute(F: Field, W: np.ndarray, pivots: list[int], panel: int = _PANEL) -> None:
+    """Turn a `forward_echelon` form W into the RREF of the same rows, in place.
+
+    With the pivots fixed the reduced form is unique, so this is the RREF
+    `_echelon_naive` gives.  From _SPLIT_CELLS entries on, rows halve
+    recursively down to _LEAF, as in the forward pass.
+    """
+    if pivots:
+        free = np.ones(W.shape[1], dtype=bool)
+        free[pivots] = False
+        _clear_above(F, W, pivots, np.flatnonzero(free), 0, len(pivots), _leaf(W, panel))
 
 
 def rref(F: Field, A: np.ndarray):
     """Reduced row echelon form: returns (R, rank, pivot column list)."""
-    R, pivots = _echelon(F, A, reduce=True)
+    R, pivots = forward_echelon(F, A)
+    back_substitute(F, R, pivots)
     return R, len(pivots), pivots
 
 
-def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray):
+def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray,
+                need: int = 0):
     """rref(F, vstack([R, S])) for R already in RREF with the given pivots.
 
     The new rows are reduced against R with one product, only their
     remainder is eliminated (on the non-pivot columns), and R is cleared at
     the new pivot columns before the rows interleave by pivot.  An RREF is
     unique to its row space, so the result equals that of the stacked rows.
+    None when the remainder adds fewer than `need` pivots, before any merge.
     """
     m, n = R.shape[0] + S.shape[0], S.shape[1]
     if not pivots:
         out, rk, piv = rref(F, S)
+        if rk < need:
+            return None
         return np.vstack([out, zeros(R.shape[0], n)]), rk, piv
     old = R[:len(pivots)]
     S = S.copy()
     mat_submul_into(F, S, S[:, pivots], old)
     free = np.setdiff1d(np.arange(n), pivots)
     T0, k, fp = rref(F, S[:, free])
+    if k < need:
+        return None
     new = [int(c) for c in free[fp]]
     T = zeros(k, n)
     T[:, free] = T0[:k]
@@ -479,7 +503,7 @@ def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray):
 
 def pivot_columns(F: Field, A: np.ndarray) -> list[int]:
     """rref(F, A)[2] by forward elimination alone, with no back-substitution."""
-    return _echelon(F, A, reduce=False)[1]
+    return forward_echelon(F, A)[1]
 
 
 def rank(F: Field, A: np.ndarray) -> int:

@@ -15,10 +15,14 @@ The engine has three layers:
 * a bulk free-summand peel inside `decompose`: stacks of G-orbits of random
   vectors span free submodules, which are injective over a group algebra and
   therefore split off with complement isomorphic to the quotient.  For
-  p-groups the peel is exact in one round: the trace operator's rank equals
-  the free rank, and orbits of its pivot preimages are guaranteed to span a
-  maximal free summand.  This is what makes degree-thousands modules
-  tractable; the Fitting engine then only sees the small non-free remainder.
+  p-groups the peel is exact in one round.  A monomial module (Sym^n of a
+  permutation action) is then a sum of transitive permutation modules k[G/H],
+  each indecomposable and free exactly when H = 1 (Green 1959), so its free
+  part is spanned by its regular basis orbits and needs no elimination.
+  Any other module goes through the trace operator, whose rank equals the
+  free rank, and orbits of its pivot preimages span a maximal free summand.
+  This is what makes degree-thousands modules tractable; the Fitting engine
+  then only sees the small non-free remainder.
 
 * the registry: canonical representatives of indecomposable classes, matched
   by the exact `_iso_detail` (some Hom basis element is invertible) among the
@@ -424,14 +428,78 @@ def _orbit_rref(F: Field, acts: list[np.ndarray], piv0: list[int]):
     return R, len(piv), piv
 
 
+def _monomial_perms(M: ModuleRep) -> np.ndarray | None:
+    """Row i: the permutation of basis lines by group element i, when M is monomial.
+
+    M is monomial when every generator has one nonzero per column; element i
+    then sends the line of basis vector j to that of perms[i, j].  The rows
+    follow the group's words, as the element actions do.  None otherwise.
+    """
+    gens = []
+    for A in M.mats:
+        picks = la._monomial_picks(A, 0)
+        if picks is None:
+            return None
+        gens.append(picks[0])
+    G = M.group
+    perms = np.empty((G.order, M.dim), dtype=np.int64)
+    perms[0] = np.arange(M.dim)
+    for i, (parent, gi) in enumerate(G.words[1:], 1):
+        perms[i] = gens[gi][perms[parent]]
+    return perms
+
+
+def _peel_orbits(M: ModuleRep, perms: np.ndarray):
+    """The p-group peel of a monomial M, read off its basis orbits.
+
+    A basis line whose stabilizer H is trivial lies in a regular orbit;
+    those orbits span the free part, and the other lines span the remainder.
+    This is the trace-pivot route's answer: the trace's columns are
+    proportional within a regular orbit and zero elsewhere, because |H| = 0
+    in k (the scalars do not matter: H is a p-group, so its character into
+    k^x is trivial).  So pivT is the least index of each regular orbit, the
+    orbit rows span the unit vectors of the regular orbits, and the quotient
+    is the action on the other lines.
+    """
+    regular = (perms[1:] != perms[0]).all(axis=0)
+    s = int(np.count_nonzero(regular)) // M.group.order
+    if not s:
+        return 0, M
+    keep = np.flatnonzero(~regular)
+    return s, ModuleRep(M.group, [A[np.ix_(keep, keep)] for A in M.mats])
+
+
+def _peel_trace(M: ModuleRep):
+    """The p-group peel of any M through the trace operator's pivot columns.
+
+    Pivot preimages of the trace span a maximal free summand in one round
+    (the trace rank IS the free rank over a p-group).  Only the trace's
+    pivot columns are needed, so it is eliminated forward only
+    (`la.pivot_columns`), and the orbit rows skip the identity's unit rows
+    (`_orbit_rref`).
+    """
+    G, F, D = M.group, M.field, M.dim
+    acts = [la.identity(D)]
+    T = acts[0]
+    for parent, gi in G.words[1:]:
+        acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
+        T = F.vec_add(T, acts[-1])
+    pivT = la.pivot_columns(F, T)
+    rkT = len(pivT)
+    if rkT == 0:
+        return 0, M
+    R, rk, piv = _orbit_rref(F, acts, pivT)
+    assert rk == rkT * G.order, "free span must have full orbit rank"
+    return rkT, _quotient_from_rowspace(M, R[:rk], piv)
+
+
 def _peel_free(M: ModuleRep, rng: np.random.Generator):
     """Split off s free summands; returns (s, remainder module).
 
-    p-group route: pivot preimages of the trace operator span a maximal free
-    summand in one round (the trace rank IS the free rank there).  Only the
-    trace's pivot columns are needed, so it is eliminated forward only
-    (`la.pivot_columns`), and the orbit rows skip the identity's unit rows
-    (`_orbit_rref`).  General route: exponential ramp of random vectors,
+    Over a p-group the peel is exact in one round: a monomial M (Sym^n of a
+    permutation or monomial action) is read off its basis orbits
+    (`_peel_orbits`), and any other M goes through the trace operator
+    (`_peel_trace`).  General route: exponential ramp of random vectors,
     keeping orbit stacks only while the rank grows by |G| per vector.
     """
     G, F, D = M.group, M.field, M.dim
@@ -439,20 +507,8 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
     if n == 1 or D < n:
         return 0, M
     if G.p_part == n:
-        # trace-pivot route
-        acts = [la.identity(D)]
-        T = acts[0]
-        for parent, gi in G.words[1:]:
-            acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
-            T = F.vec_add(T, acts[-1])
-        pivT = la.pivot_columns(F, T)
-        rkT = len(pivT)
-        if rkT == 0:
-            return 0, M
-        R, rk, piv = _orbit_rref(F, acts, pivT)
-        assert rk == rkT * n, "free span must have full orbit rank"
-        Q = _quotient_from_rowspace(M, R[:rk], piv)
-        return rkT, Q
+        perms = _monomial_perms(M)
+        return _peel_trace(M) if perms is None else _peel_orbits(M, perms)
     # ramp route
     state_R = la.zeros(0, D)
     state_piv: list[int] = []
@@ -464,9 +520,10 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         t = max(1, min(t, (D - r) // n))
         V = la.rand_mat(F, rng, D, t)
         S = _orbit_stack(M, V)
-        R, rk, piv = la.rref_extend(F, state_R, state_piv, S)
-        if rk - r == t * n:
-            state_R, state_piv, r, s = R[:rk], piv, rk, s + t
+        ext = la.rref_extend(F, state_R, state_piv, S, need=t * n)
+        if ext is not None:
+            R, r, state_piv = ext
+            state_R, s = R[:r], s + t
             t *= 2
             fails = 0
         elif t > 1:

@@ -238,28 +238,48 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
             rest = {mid: v for mid, v in out["coker_vector"].items() if v != kg.get(mid, 0) * q}
             assert q == 7 and sorted((reg.entries[mid].dim, v) for mid, v in rest.items()) \
                 == [(1, 2), (2, 2)]
+        for r in range(len(K.maps)):
+            want = la.rref(F, K.maps[r].T)
+            got = K.image_rref(r)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (name, r)
     assert verdicts["a"] == (True, True, [True, True, True])
     assert verdicts["b"][:2] == (True, False) and verdicts["b"][2][0] is False
     assert verdicts["c"][0] is False
 
 
 def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
-    """At exact spots, ranks, kernels and the cokernel share one RREF per map."""
+    """Each map is eliminated forward once; only RREFs that are read get reduced.
+
+    On the all-exact t = 3 complex the stages read Q_0, Q_2 and the ranks,
+    so maps[1] is never back-substituted; its kernel role is taken by
+    `image_rref(2)`.  Reading maps[1]'s RREF later (`kernel(0)`) finishes the
+    cached form and eliminates nothing forward again.
+    """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
-    shapes = []
-    real_rref = la.rref
+    forward, back = [], []
+    real_forward, real_back = la.forward_echelon, la.back_substitute
 
-    def counted(F, A):
-        shapes.append(A.shape)
-        return real_rref(F, A)
+    def counted_forward(F, A):
+        forward.append(A.shape)
+        return real_forward(F, A)
 
-    monkeypatch.setattr(la, "rref", counted)
-    assert check_exact(K)["exact"]
+    def counted_back(F, W, pivots):
+        back.append(W.shape)
+        return real_back(F, W, pivots)
+
+    monkeypatch.setattr(la, "forward_echelon", counted_forward)
+    monkeypatch.setattr(la, "back_substitute", counted_back)
+    assert check_exact(K)["exact"] and K.top == 3
     K.cokernel()
-    for r in range(len(K.maps)):
+    K.quotient(2)
+    for r in range(1, len(K.maps)):
         K.kernel(r)
-    assert shapes == [A.T.shape for A in K.maps]
+    shapes = [A.T.shape for A in K.maps]
+    assert forward == shapes
+    assert back == [shapes[0], shapes[2]]
+    K.kernel(0)
+    assert forward == shapes and back == [shapes[0], shapes[2], shapes[1]]
 
 
 def test_verify_complex_rejects_a_flipped_block(p3):

@@ -110,6 +110,14 @@ def test_jordan_conjugation_invariance(F):
         assert sum(part) == n
 
 
+def _blocked(F, A, reduce, **panel):
+    """The blocked elimination: the forward pass, then back-substitution with `reduce`."""
+    W, pivots = la.forward_echelon(F, A, **panel)
+    if reduce:
+        la.back_substitute(F, W, pivots, **panel)
+    return W, pivots
+
+
 @pytest.mark.parametrize("F", FIELDS + [make_field(3, 2), make_field(3, 5), make_field(23, 2)],
                          ids=str)
 def test_blocked_vs_naive_differential(F):
@@ -124,7 +132,7 @@ def test_blocked_vs_naive_differential(F):
         if n > 3:
             A[:, 2] = 0
         for reduce in (False, True):
-            R1, p1 = la._echelon(F, A, reduce=reduce, panel=16)
+            R1, p1 = _blocked(F, A, reduce, panel=16)
             R2, p2 = la._echelon_naive(F, A, reduce=reduce)
             assert p1 == p2, f"pivot mismatch on {m}x{n} over {F}"
             assert np.array_equal(R1, R2), f"echelon mismatch on {m}x{n} over {F}"
@@ -153,7 +161,7 @@ def test_recursive_vs_naive_differential(F):
         A[-1] = A[0]
         A[:, [1, 40, 130]] = 0
         for reduce in (False, True):
-            R1, p1 = la._echelon(F, A, reduce=reduce)
+            R1, p1 = _blocked(F, A, reduce)
             R2, p2 = la._echelon_naive(F, A, reduce=reduce)
             assert p1 == p2, f"pivot mismatch on {name} over {F}, reduce={reduce}"
             assert np.array_equal(R1, R2), f"echelon mismatch on {name} over {F}, reduce={reduce}"
@@ -169,6 +177,11 @@ def test_rref_extend_matches_stacked_rref(F):
         want = la.rref(F, np.vstack([R, S]))
         assert got[1:] == want[1:], f"rank/pivots differ over {F}"
         assert np.array_equal(got[0], want[0]), f"RREF differs over {F}"
+        # a step that needs every new pivot it gets passes; one more is short
+        added = want[1] - len(piv)
+        full = la.rref_extend(F, R, piv, S, need=added)
+        assert full[1:] == want[1:] and np.array_equal(full[0], want[0])
+        assert la.rref_extend(F, R, piv, S, need=added + 1) is None
 
     n = 12
     for _ in range(6):

@@ -22,8 +22,10 @@ from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scal
                             is_iso, is_projective_id, load_registry, nonfree,
                             projective_part_dim, quotient_module, save_registry,
                             split_projective, submodule)
-from sympow.modules import (_colspace_canonical, _iso_detail, _orbit_rref, _peel_free,
-                            _quotient_from_rowspace, _span_element)
+from sympow import modules
+from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _orbit_rref,
+                            _peel_free, _peel_orbits, _peel_trace, _quotient_from_rowspace,
+                            _span_element)
 
 
 def cyclic_rep(p: int):
@@ -501,3 +503,76 @@ def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
             Qw = _quotient_from_rowspace(M, want[0][:want[1]], want[2])
             assert s == len(pivT) and Q.dim == Qw.dim == M.dim - want[1]
             assert all(np.array_equal(X, Y) for X, Y in zip(Q.mats, Qw.mats))
+
+
+def _same_peel(got, want):
+    (s1, Q1), (s2, Q2) = got, want
+    return s1 == s2 and Q1.dim == Q2.dim and all(
+        X.dtype == Y.dtype and np.array_equal(X, Y) for X, Y in zip(Q1.mats, Q2.mats))
+
+
+def _monomial_2group_gf4():
+    """g = [[0, w], [w^2, 0]] over GF(4) (order 2), and the Klein four-group
+    generated by diag(g, g) and the block swap, whose orbits on monomials
+    include ones of size 2 as well as regular ones and fixed lines."""
+    F = make_field(2, 2)
+    w = 2
+    w2 = F.mul(w, w)
+    assert w2 not in (0, 1) and F.mul(w, w2) == 1
+    g = np.array([[0, w], [w2, 0]], dtype=np.int64)
+    swap = np.zeros((4, 4), dtype=np.int64)
+    swap[[0, 1, 2, 3], [2, 3, 0, 1]] = 1
+    return [Representation(F, (g,)), Representation(F, (la.block_diag([g, g]), swap))]
+
+
+@pytest.mark.parametrize("case", ["C3-GF9", "C3-on-P3-GF9", "C2-GF4-scalars", "Klein-GF4-scalars"])
+def test_orbit_route_matches_the_trace_route(case):
+    """The monomial peel against the trace-pivot route, kept as its oracle.
+
+    Sym^n of the 3-cycle over GF(9) for n = 0..12 (free when 3 does not
+    divide n on P^2, never free on P^3) and monomial 2-group actions over
+    GF(4) with non-unit scalars (Sym^n on P^1 free for odd n, Sym^1 of the
+    Klein action regular): the same s and the same quotient arrays, and
+    `_peel_free` takes the orbit route.
+    """
+    F9 = make_field(3, 2)
+    reps = {"C3-GF9": Representation(F9, (_perm(3, [1, 2, 0]),)),
+            "C3-on-P3-GF9": Representation(F9, (_perm(4, [1, 2, 0, 3]),))}
+    reps["C2-GF4-scalars"], reps["Klein-GF4-scalars"] = _monomial_2group_gf4()
+    rep = reps[case]
+    G = close_group(rep)
+    assert G.p_part == G.order > 1
+    free_seen = partial_seen = False
+    for n in range(13 if rep.field.e == 2 and rep.field.p == 3 else 9):
+        M = sym_power(rep, G, n)
+        if M.dim < G.order:
+            continue
+        perms = _monomial_perms(M)
+        assert perms is not None, (case, n)
+        got = _peel_orbits(M, perms)
+        assert _same_peel(got, _peel_trace(M)), (case, n)
+        assert _same_peel(_peel_free(M, None), got), (case, n)
+        free_seen |= got[1].dim == 0
+        partial_seen |= 0 < got[1].dim < M.dim and got[0] > 0
+    assert partial_seen
+    assert free_seen == (case != "C3-on-P3-GF9")  # z_3^n is fixed on P^3
+
+
+def test_dense_conjugate_takes_the_trace_route(monkeypatch):
+    """A conjugated Sym^n is not monomial: `_peel_free` gives it to the trace
+    route, with the free rank of the monomial module it came from."""
+    F = make_field(3, 2)
+    rep = Representation(F, (_perm(4, [1, 2, 0, 3]),))
+    G = close_group(rep)
+    M = sym_power(rep, G, 7)
+    C = _conjugate(M, np.random.default_rng(31))
+    assert _monomial_perms(C) is None
+    routes = []
+    for name in ("_peel_orbits", "_peel_trace"):
+        real = getattr(modules, name)
+        monkeypatch.setattr(modules, name, lambda *a, real=real, name=name:
+                            routes.append(name) or real(*a))
+    s, Q = _peel_free(C, None)
+    assert routes == ["_peel_trace"]
+    assert s == _peel_free(M, None)[0] > 0 and Q.dim == M.dim - s * G.order
+    assert routes == ["_peel_trace", "_peel_orbits"]
