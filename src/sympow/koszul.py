@@ -13,14 +13,19 @@ stage splitting is the Krull-Schmidt criterion: a short exact sequence of
 modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
 
-Each map is eliminated forward once, transposed, and that echelon form is
-kept: ranks and exactness read its pivot count alone.  It is back-substituted
-in place the first time a map's RREF is read (`image_rref`), whose rows are
-the canonical basis of the map's image: the quotients Q_s = C_s / im tau_s
-(`quotient`; Q_0 is the cokernel) and, at exact spots, the canonical kernel
-bases (`kernel`).  So at an all-exact d = 3 complex the middle map is only
-ever reduced forward.  The identity checks are products of stored matrices.
-Only a kernel at an inexact spot costs a second elimination.
+Each map is eliminated forward once, transposed, top-down, and that
+echelon form is kept: ranks and exactness read its pivot count alone.  Of
+maps[r] transposed only the rows outside the pivots of the map above are
+eliminated: C_(r+1) is the span of those coordinates plus im tau_(r+2),
+which tau_(r+1) kills (tau o tau = 0, checked exactly by `_verify_complex`),
+so they span its row space.  The form is back-substituted in place the first
+time a map's RREF is read (`image_rref`); its first rank rows are the
+canonical basis of the map's image, off which the quotients
+Q_s = C_s / im tau_s (`quotient`; Q_0 is the cokernel) and, at exact spots,
+the canonical kernel bases (`kernel`) are read.  So at an all-exact d = 3
+complex the middle map is only ever reduced forward.  The identity checks
+are products of stored matrices.  Only a kernel at an inexact spot costs a
+second elimination.
 """
 
 from __future__ import annotations
@@ -139,11 +144,12 @@ class KoszulComplex:
 
     `echelons` caches one forward echelon form per map, of the map
     transposed, with its pivots; ranks and exactness (`is_exact`) read the
-    pivot count.  The indices in `reduced` mark forms back-substituted in
-    place into the RREF (`image_rref`), whose rows are the canonical basis
-    of the image: the quotients Q_s = C_s / im tau_s (`quotient`) and, at
-    exact spots, the kernels (`kernel`) are read off these.  No map is
-    eliminated forward twice.
+    pivot count.  Maps are eliminated top-down, each on the rows the pivots
+    of the map above leave free (`_echelon`).  The indices in `reduced` mark
+    forms back-substituted in place into the RREF (`image_rref`), whose
+    first rank rows are the canonical basis of the image: the quotients
+    Q_s = C_s / im tau_s (`quotient`) and, at exact spots, the kernels
+    (`kernel`) are read off these.  No map is eliminated forward twice.
     """
 
     d: int
@@ -162,18 +168,28 @@ class KoszulComplex:
         return len(self.terms) - 1
 
     def _echelon(self, r: int):
-        """Cached `la.forward_echelon` of maps[r] transposed: (W, pivots)."""
+        """Cached forward echelon form of maps[r] transposed: (W, pivots).
+
+        Only the rows outside the pivots of maps[r+1] (all rows for the top
+        map) are eliminated; they span the row space since tau o tau = 0
+        (`_verify_complex`).  So the pivots are the whole map's, but W may
+        have fewer than dim C_(r+1) rows; only its first rank rows are read.
+        """
         if r not in self.echelons:
+            A = self.maps[r].T
+            below = self._echelon(r + 1)[1] if r + 1 < len(self.maps) else []
+            rows = np.setdiff1d(np.arange(A.shape[0]), below)
             self.echelons[r] = la.forward_echelon(
-                self.terms[0].field, np.ascontiguousarray(self.maps[r].T))
+                self.terms[0].field, np.ascontiguousarray(A[rows]))
         return self.echelons[r]
 
     def image_rref(self, r: int):
-        """rref of maps[r] transposed: the canonical basis of im maps[r].
+        """RREF of maps[r] transposed: its first rank rows are the canonical
+        basis of im maps[r].
 
-        The cached forward form is back-substituted in place on first use;
-        that is the RREF `la.rref` gives.  An RREF is unique to its row
-        space, so its first rank rows are the basis
+        The cached forward form is back-substituted in place on first use.
+        An RREF is unique to its row space, so its first rank rows and
+        pivots are those of `la.rref(maps[r].T)`: the basis
         `_colspace_canonical(maps[r])` returns, transposed.
         """
         W, piv = self._echelon(r)

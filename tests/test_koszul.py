@@ -239,16 +239,18 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
             assert q == 7 and sorted((reg.entries[mid].dim, v) for mid, v in rest.items()) \
                 == [(1, 2), (2, 2)]
         for r in range(len(K.maps)):
-            want = la.rref(F, K.maps[r].T)
-            got = K.image_rref(r)
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:], (name, r)
+            R, rk, piv = la.rref(F, K.maps[r].T)
+            got, got_rk, got_piv = K.image_rref(r)
+            assert got_rk == rk and got_piv == piv, (name, r)
+            assert np.array_equal(got[:rk], R[:rk]) and not np.any(got[rk:]), (name, r)
     assert verdicts["a"] == (True, True, [True, True, True])
     assert verdicts["b"][:2] == (True, False) and verdicts["b"][2][0] is False
     assert verdicts["c"][0] is False
 
 
 def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
-    """Each map is eliminated forward once; only RREFs that are read get reduced.
+    """Each map is eliminated forward once, top-down, on the rows the map
+    above leaves free; only RREFs that are read get reduced.
 
     On the all-exact t = 3 complex the stages read Q_0, Q_2 and the ranks,
     so maps[1] is never back-substituted; its kernel role is taken by
@@ -257,6 +259,9 @@ def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
+    ranks = [la.rank(G.field, A) for A in K.maps] + [0]
+    shapes = [(A.shape[1] - ranks[r + 1], A.shape[0]) for r, A in enumerate(K.maps)]
+    assert all(shapes[r][0] < K.maps[r].shape[1] for r in (0, 1))
     forward, back = [], []
     real_forward, real_back = la.forward_echelon, la.back_substitute
 
@@ -275,11 +280,47 @@ def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     K.quotient(2)
     for r in range(1, len(K.maps)):
         K.kernel(r)
-    shapes = [A.T.shape for A in K.maps]
-    assert forward == shapes
+    assert forward == shapes[::-1]
     assert back == [shapes[0], shapes[2]]
     K.kernel(0)
-    assert forward == shapes and back == [shapes[0], shapes[2], shapes[1]]
+    assert forward == shapes[::-1] and back == [shapes[0], shapes[2], shapes[1]]
+
+
+def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, monkeypatch):
+    """Ranks, exactness and RREFs from the complement rows against whole maps.
+
+    Exact complexes over GF(4) and GF(9), the seed-43 complex (exact, with a
+    cokernel that is not free) and the repeated-form complexes, which are
+    inexact.  Each map is eliminated once, top-down, on the rows of C_(r+1)
+    outside the pivots of im tau_(r+2), inexact spots included.
+    """
+    G3, f3, _ = p3
+    cases = [complexes[0], complexes[1], complexes[2], complexes[3],
+             build_complex(G3, f3, t=4, j=2), p3_noncoker, complexes[4],
+             build_complex(G3, [f3[0], f3[1], f3[1]], t=3, j=0)]
+    forward = []
+    real_forward = la.forward_echelon
+    monkeypatch.setattr(la, "forward_echelon",
+                        lambda F, A: forward.append(A.shape) or real_forward(F, A))
+    inexact_seen = 0
+    for K in cases:
+        K = dataclasses.replace(K, echelons={}, reduced=set())
+        F = K.terms[0].field
+        full = [la.rref(F, A.T) for A in K.maps]
+        ranks = [rk for _, rk, _ in full] + [0]
+        forward.clear()
+        assert [K.rank(r) for r in range(len(K.maps))] == ranks[:-1]
+        for r in range(1, K.top + 1):
+            exact = K.terms[r].dim - ranks[r - 1] == ranks[r]
+            assert K.is_exact(r) == exact
+            inexact_seen += not exact
+        assert forward == [(A.shape[1] - ranks[r + 1], A.shape[0])
+                           for r, A in reversed(list(enumerate(K.maps)))]
+        for r, (R, rk, piv) in enumerate(full):
+            got, got_rk, got_piv = K.image_rref(r)
+            assert got_rk == rk and got_piv == piv
+            assert np.array_equal(got[:rk], R[:rk]) and not np.any(got[rk:])
+    assert inexact_seen == 3
 
 
 def test_verify_complex_rejects_a_flipped_block(p3):
