@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg as la
 from .gf import Field, make_field, subfield_root, embed_scalar
 from .groups import GroupData, ModuleRep, Representation
+from .polyfit import delta
 
 # cyclotomic(N) is a pure function of one integer, shared by every field and
 # group, so its memo is global like the field interning in `gf`
@@ -278,14 +279,6 @@ def sym_brauer_sequence(rep: Representation, group: GroupData, degrees) -> dict[
     return {k: BrauerChar(N, reps, values[k]) for k in degrees}
 
 
-def delta_seq(seq: list, k: int) -> list:
-    """k-fold forward difference of a sequence (any type supporting '-')."""
-    out = list(seq)
-    for _ in range(k):
-        out = [b - a for a, b in zip(out, out[1:])]
-    return out
-
-
 def _tail_threshold(flags: list[bool]) -> int | None:
     """Least index from which every flag is True; None if the last one isn't."""
     t = len(flags)
@@ -319,7 +312,7 @@ def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
     if n_max < k:
         raise ValueError("window too short for the requested difference order")
     seq = [chars[m * n + j] for n in range(n_max + 1)]
-    deltas = delta_seq(seq, k)
+    deltas = delta(seq, k)
     flags = [d.is_zero() for d in deltas]
     thr = _tail_threshold(flags)
     return {
@@ -358,7 +351,7 @@ def char_growth_check(rep: Representation, group: GroupData, g_idx: int, a: int,
     thresholds = []
     for coord in range(N):
         vals = [v[coord] for v in seq]
-        deltas = delta_seq(vals, k)
+        deltas = delta(vals, k)
         thresholds.append(_tail_threshold([d == 0 for d in deltas]))
     return {
         "class_rep": rep_idx,

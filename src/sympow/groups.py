@@ -236,10 +236,9 @@ class GroupData:
         """Sym^n of each generator, on the graded-lex monomial basis.
 
         Every degree built is kept, so a request resumes from the highest
-        degree below n instead of restarting at zero.
+        degree below n instead of restarting at zero.  A degree past
+        SYM_DIM_CAP raises CapacityError from `sym_matrix_stream`.
         """
-        if math.comb(n + self.dim - 1, self.dim - 1) > SYM_DIM_CAP:
-            raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
         for A, tower in zip(self.gens, self._sym_towers):
             if n not in tower:
                 below = [k for k in tower if k < n]
@@ -329,6 +328,11 @@ def sym_matrix(F: Field, A: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
+def sym_dim(d1: int, n: int) -> int:
+    """dim Sym^n in d1 variables: the Hilbert function of projective (d1-1)-space."""
+    return math.comb(n + d1 - 1, d1 - 1)
+
+
 def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
     """Yield (k, Sym^k(A)) for k = 0..n, holding one degree at a time.
 
@@ -341,7 +345,7 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
     begin at degree k0.
     """
     d1 = A.shape[0]
-    if math.comb(n + d1 - 1, d1 - 1) > SYM_DIM_CAP:
+    if sym_dim(d1, n) > SYM_DIM_CAP:
         raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     if start is None:
         k0, prev = 0, la.identity(1)
@@ -393,7 +397,7 @@ def sym_power_stream(rep: Representation, group: GroupData, n_max: int):
     streams = [sym_matrix_stream(rep.field, A, n_max) for A in rep.gens]
     if not streams:
         for k in range(n_max + 1):
-            yield k, ModuleRep(group, [], dim=math.comb(k + rep.dim - 1, rep.dim - 1))
+            yield k, ModuleRep(group, [], dim=sym_dim(rep.dim, k))
         return
     for parts in zip(*streams):
         k = parts[0][0]

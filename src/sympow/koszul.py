@@ -38,16 +38,12 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field
-from .groups import CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, monomials
+from .groups import GroupData, ModuleRep, monomials, sym_dim
 from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
                       dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
                       nonfree, quotient_module, submodule)
 
 FORM_ATTEMPTS = 64
-
-
-def _sym_dim(d1: int, n: int) -> int:
-    return math.comb(n + d1 - 1, d1 - 1)
 
 
 def mul_form_matrix(F: Field, form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
@@ -80,7 +76,7 @@ def form_product(F: Field, lin_forms: list[np.ndarray]) -> np.ndarray:
     acc = np.array([1], dtype=np.int64)
     deg = 0
     for lin in lin_forms:
-        out = np.zeros(_sym_dim(d1, deg + 1), dtype=np.int64)
+        out = np.zeros(sym_dim(d1, deg + 1), dtype=np.int64)
         mons_src = monomials(d1, deg)
         idx_dst = {m: i for i, m in enumerate(monomials(d1, deg + 1))}
         for var in range(d1):
@@ -259,8 +255,6 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         raise ValueError("need t >= 1 and 0 <= j < form degree")
     R = min(d, t)
     degs = [m * (t - r) + j for r in range(R + 1)]
-    if _sym_dim(d1, degs[0]) > SYM_DIM_CAP:
-        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     subsets = [list(itertools.combinations(range(d), r)) for r in range(R + 1)]
     terms = []
     blocks = []
@@ -268,12 +262,12 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         block = G.sym(degs[r])
         blocks.append(block)
         mats = [la.block_diag([B] * len(subsets[r])) for B in block]
-        terms.append(ModuleRep(G, mats, dim=_sym_dim(d1, degs[r]) * len(subsets[r])))
+        terms.append(ModuleRep(G, mats, dim=sym_dim(d1, degs[r]) * len(subsets[r])))
     maps = []
     mults = []  # mults[r - 1][i]: multiplication by forms[i] out of Sym^degs[r]
     for r in range(1, R + 1):
-        src_dim = _sym_dim(d1, degs[r])
-        dst_dim = _sym_dim(d1, degs[r - 1])
+        src_dim = sym_dim(d1, degs[r])
+        dst_dim = sym_dim(d1, degs[r - 1])
         tau = la.zeros(dst_dim * len(subsets[r - 1]), src_dim * len(subsets[r]))
         dst_pos = {S: i for i, S in enumerate(subsets[r - 1])}
         mults.append([mul_form_matrix(F, form, m, degs[r], d1) for form in forms])

@@ -408,26 +408,6 @@ def _orbit_stack(M: ModuleRep, V: np.ndarray) -> np.ndarray:
     return np.vstack([w.T for w in W])
 
 
-def _orbit_rref(F: Field, acts: list[np.ndarray], piv0: list[int]):
-    """la.rref of the orbit rows vstack([a[:, piv0].T for a in acts]), acts[0] = I.
-
-    The identity's translates are the unit rows at piv0, so only the other
-    translates are eliminated, on the columns outside piv0.  Their RREF rows
-    are zero at piv0 and the unit rows are zero elsewhere, so the two
-    interleave by pivot into the stack's RREF, which is unique to its row
-    space: the same R, rank and pivots.
-    """
-    D = acts[0].shape[0]
-    free = np.setdiff1d(np.arange(D), piv0)
-    R0, k, fp = la.rref(F, np.vstack([a[np.ix_(free, piv0)].T for a in acts[1:]]))
-    new = free[fp]
-    piv = sorted(piv0 + new.tolist())
-    R = la.zeros(len(acts) * len(piv0), D)
-    R[np.searchsorted(piv, piv0), piv0] = 1
-    R[np.ix_(np.searchsorted(piv, new), free)] = R0[:k]
-    return R, len(piv), piv
-
-
 def _monomial_perms(M: ModuleRep) -> np.ndarray | None:
     """Row i: the permutation of basis lines by group element i, when M is monomial.
 
@@ -475,8 +455,7 @@ def _peel_trace(M: ModuleRep):
     Pivot preimages of the trace span a maximal free summand in one round
     (the trace rank IS the free rank over a p-group).  Only the trace's
     pivot columns are needed, so it is eliminated forward only
-    (`la.pivot_columns`), and the orbit rows skip the identity's unit rows
-    (`_orbit_rref`).
+    (`la.pivot_columns`).
     """
     G, F, D = M.group, M.field, M.dim
     acts = [la.identity(D)]
@@ -488,7 +467,7 @@ def _peel_trace(M: ModuleRep):
     rkT = len(pivT)
     if rkT == 0:
         return 0, M
-    R, rk, piv = _orbit_rref(F, acts, pivT)
+    R, rk, piv = la.rref(F, np.vstack([a[:, pivT].T for a in acts]))
     assert rk == rkT * G.order, "free span must have full orbit rank"
     return rkT, _quotient_from_rowspace(M, R[:rk], piv)
 
@@ -639,49 +618,43 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save_registry(registry: Registry, path: str) -> None:
-    """One `<id>.mod` file per entry, then `index.json`, whose presence marks
-    a finished write."""
-    os.makedirs(path, exist_ok=True)
-    for mid, mod in registry.entries.items():
-        lines = [f"# class {mid}", f"# gens {len(mod.mats)} dim {mod.dim}"]
-        for A in mod.mats:
-            lines.append(la.mat_to_text(mod.field, A).rstrip("\n"))
-        write_text_atomic(os.path.join(path, f"{mid}.mod"), "\n".join(lines) + "\n")
-    write_text_atomic(os.path.join(path, "index.json"),
-                      json.dumps({"ids": sorted(registry.entries)}, indent=0) + "\n")
+def save_registry(registry: Registry, path: str, vectors: dict[int, dict[int, int]]) -> None:
+    """Write the registry and the vectors over it as one JSON document.
 
-
-def load_registry(path: str, group: GroupData) -> Registry:
-    """The registry saved under path.
-
-    The ids are every entry of every list in `index.json`, which reads both
-    `{"ids": [...]}` and the older index keyed by a hash of class
-    invariants.  A truncated or malformed file raises OSError, ValueError or
-    IndexError.
+    `classes` lists the entries in id order, each as its generators' matrix
+    text blocks and its dimension; `vectors` is keyed by degree.  One atomic
+    replace, so a reader sees a whole document from one writer or none.
     """
+    doc = {
+        "classes": [{"dim": mod.dim, "gens": [la.mat_to_text(mod.field, A) for A in mod.mats]}
+                    for _, mod in sorted(registry.entries.items())],
+        "vectors": {str(n): {str(mid): mult for mid, mult in sorted(vec.items())}
+                    for n, vec in sorted(vectors.items())},
+    }
+    write_text_atomic(path, json.dumps(doc) + "\n")
+
+
+def load_registry(path: str, group: GroupData):
+    """(registry, {n: vector}) from the document `save_registry` wrote.
+
+    A missing document raises FileNotFoundError.  One that does not parse,
+    has the wrong shape, or holds a vector naming a class it does not hold
+    raises ValueError.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
     reg = Registry(group)
-    index_path = os.path.join(path, "index.json")
-    if not os.path.exists(index_path):
-        return reg
-    with open(index_path) as fh:
-        index = json.load(fh)
-    F = group.field
-    for mid in sorted(mid for mids in index.values() for mid in mids):
-        with open(os.path.join(path, f"{mid}.mod")) as fh:
-            text = fh.read()
-        # a cut inside the last row can still parse; every saved file ends in a newline
-        if not text.endswith("\n"):
-            raise ValueError(f"registry entry {mid} is truncated")
-        lines = text.splitlines()
-        header = lines[1].split()
-        ngens, dim = int(header[2]), int(header[4])
-        mats = []
-        cursor = 2
-        for _ in range(ngens):
-            rows = int(lines[cursor].split()[0])
-            block = "\n".join(lines[cursor:cursor + rows + 1])
-            mats.append(la.mat_from_text(F, block))
-            cursor += rows + 1
-        reg.entries[mid] = ModuleRep(group, mats, dim=dim)
-    return reg
+    try:
+        for mid, entry in enumerate(doc["classes"]):
+            dim = entry["dim"]
+            mats = [la.mat_from_text(group.field, text) for text in entry["gens"]]
+            if any(A.shape != (dim, dim) for A in mats):
+                raise ValueError(f"class {mid} is not {dim}-dimensional")
+            reg.entries[mid] = ModuleRep(group, mats, dim=dim)  # checks the generator count
+        vectors = {int(n): {int(mid): int(mult) for mid, mult in vec.items()}
+                   for n, vec in doc["vectors"].items()}
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed registry document: {exc!r}") from None
+    if any(mid not in reg.entries for vec in vectors.values() for mid in vec):
+        raise ValueError("a vector names a class the document does not hold")
+    return reg, vectors

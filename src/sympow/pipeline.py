@@ -15,6 +15,13 @@ to a worker, which decomposes them against a fresh registry and ships the
 indecomposable parts home as plain integer lists; the parent matches them
 into the job registry in ascending-degree order, so ids come out identical to
 a sequential run.
+
+With a cache directory, a job keeps one JSON document, `<job_key>.json`: the
+registry's classes in id order and the vectors over them, keyed by degree
+(`modules.save_registry`).  A sweep reads it whole or not at all; a document
+that fails to load is a miss on every degree.  A sweep that computed any
+degree replaces the document with one atomic write, keeping the degrees it
+already held.
 """
 
 from __future__ import annotations
@@ -22,9 +29,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
-import shutil
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -39,9 +44,8 @@ from .chars import char_growth_check, delta_vanishing_report, sym_brauer_sequenc
 from .geometry import fixed_dims, ramification
 from .gf import make_field
 from .groups import (CapacityError, GroupData, ModuleRep, Representation,
-                     SYM_DIM_CAP, close_group, sym_power)
-from .modules import (Registry, child_seed, decompose, load_registry,
-                      save_registry, write_text_atomic)
+                     SYM_DIM_CAP, close_group, sym_dim, sym_power)
+from .modules import Registry, child_seed, decompose, load_registry, save_registry
 from .polyfit import detect_description, growth_degree
 
 CHECKS = ("decompose", "description", "delta_vanishing", "growth",
@@ -167,8 +171,8 @@ def job_key(cfg: JobConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _sym_path(base: str, n: int) -> str:
-    return os.path.join(base, "sym", f"{n}.json")
+def _cache_path(cfg: JobConfig) -> str | None:
+    return os.path.join(cfg.cache_dir, f"{job_key(cfg)}.json") if cfg.cache_dir else None
 
 
 # -- per-degree decomposition --------------------------------------------------
@@ -204,36 +208,21 @@ def _absorb(G: GroupData, registry: Registry, entries) -> dict[int, int]:
     return vec
 
 
-def _read_cache(base: str | None, G: GroupData, degrees, stats: dict):
-    """(registry, {n: cached vector}) from a job's cache directory.
+def _read_cache(path: str | None, G: GroupData, stats: dict):
+    """(registry, {n: vector}) from a job's cache document, or a miss on every degree.
 
-    Damage degrades to misses and counts in stats["corrupt"].  An unreadable
-    sym entry is a miss for its degree.  An unreadable registry file drops
-    the whole directory, since every sym entry names registry ids.
+    A document that does not parse or has the wrong shape counts once in
+    stats["corrupt"] and is ignored; the next sweep that computes a degree
+    replaces it whole.  Reads never write or delete anything.
     """
-    registry = Registry(G)
-    cached: dict[int, dict[int, int]] = {}
-    if not base or not os.path.isdir(os.path.join(base, "registry")):
-        return registry, cached
-    try:
-        registry = load_registry(os.path.join(base, "registry"), G)
-    except (OSError, ValueError, IndexError):
-        stats["corrupt"] += 1
-        shutil.rmtree(base, ignore_errors=True)
-        return registry, cached
-    for n in degrees:
+    if path:
         try:
-            with open(_sym_path(base, n)) as fh:
-                raw = json.load(fh)
-            vec = {int(k): int(v) for k, v in raw["vec"].items()}
+            return load_registry(path, G)
         except FileNotFoundError:
-            continue
-        except (OSError, ValueError, KeyError):
+            pass
+        except (OSError, ValueError):
             stats["corrupt"] += 1
-            continue
-        if all(mid in registry.entries for mid in vec):
-            cached[n] = vec
-    return registry, cached
+    return Registry(G), {}
 
 
 def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: dict):
@@ -247,9 +236,10 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
     the first one whose Sym^n raises; when a worker fails, the degrees not yet
     started are cancelled.
     """
-    base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
+    path = _cache_path(cfg)
     stats = {"hits": 0, "misses": 0, "corrupt": 0}
-    registry, cached = _read_cache(base, G, range(cfg.n_max + 1), stats)
+    registry, stored = _read_cache(path, G, stats)
+    cached = {n: stored[n] for n in range(cfg.n_max + 1) if n in stored}
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
     use_pool = cfg.jobs > 1 and bool(missing)
     vectors: dict[int, dict[int, int]] = {}
@@ -282,12 +272,10 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
                 break
             vectors[n] = vec
     fresh = [n for n in vectors if n not in cached]
-    if base and fresh:
-        os.makedirs(os.path.join(base, "sym"), exist_ok=True)
-        save_registry(registry, os.path.join(base, "registry"))
-        for n in fresh:
-            entry = {"n": n, "vec": {str(k): v for k, v in sorted(vectors[n].items())}}
-            write_text_atomic(_sym_path(base, n), json.dumps(entry, sort_keys=True) + "\n")
+    if path and fresh:
+        # degrees the document held past this job's n_max are kept
+        os.makedirs(cfg.cache_dir, exist_ok=True)
+        save_registry(registry, path, {**stored, **vectors})
     stats.update(hits=len(cached), misses=len(fresh))
     return vectors, registry, stats
 
@@ -302,7 +290,7 @@ def _divisors(n: int) -> list[int]:
 def _char_window(d1: int, stride: int, floor: int, want: int) -> int:
     """Largest window <= want (but >= floor) whose top degree fits the sym cap."""
     nw = want
-    while nw > floor and math.comb(stride * nw + stride - 1 + d1 - 1, d1 - 1) > SYM_DIM_CAP:
+    while nw > floor and sym_dim(d1, stride * nw + stride - 1) > SYM_DIM_CAP:
         nw -= 1
     return nw
 
@@ -326,7 +314,7 @@ def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
     # only p-regular class is the identity are exempt: their characters are
     # the dimensions C(n+d, d).
     top = m * nw + m - 1
-    if (math.comb(top + G.dim - 1, G.dim - 1) > SYM_DIM_CAP
+    if (sym_dim(G.dim, top) > SYM_DIM_CAP
             and len(G.p_regular_class_reps()) > 1):
         raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     chars = sym_brauer_sequence(rep, G, range(top + 1))
@@ -343,10 +331,9 @@ def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
 
 
 def _run_growth(cfg: JobConfig, G: GroupData) -> dict:
-    d = G.dim - 1
-    dims = [math.comb(n + d, d) for n in range(cfg.n_max + 1)]
+    dims = [sym_dim(G.dim, n) for n in range(cfg.n_max + 1)]
     fit = growth_degree(dims, 1)
-    fit["expected_degree"] = d
+    fit["expected_degree"] = G.dim - 1
     return fit
 
 
@@ -472,14 +459,13 @@ def run_single(cfg: JobConfig, n: int) -> dict:
 
     Only full `analyze` sweeps write the cache: they assign registry ids in
     ascending-degree first-appearance order, and a stray single-degree write
-    would bake a different id numbering into the shared registry.  (A cache
-    whose registry is unreadable is still dropped, as on any read.)
+    would bake a different id numbering into the shared registry.  An
+    unreadable cache document is a miss, as on any read.
     """
     F = make_field(cfg.p, cfg.e)
     rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
     G = close_group(rep)
-    base = os.path.join(cfg.cache_dir, job_key(cfg)) if cfg.cache_dir else None
-    registry, cached = _read_cache(base, G, [n], {"corrupt": 0})
+    registry, cached = _read_cache(_cache_path(cfg), G, {"corrupt": 0})
     vec = cached.get(n)
     if vec is None:
         vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))

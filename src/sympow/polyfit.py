@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 
-def delta(seq: list) -> list:
-    return [b - a for a, b in zip(seq, seq[1:])]
+def delta(seq: list, k: int = 1) -> list:
+    """k-fold forward difference of a sequence (any type supporting '-')."""
+    out = list(seq)
+    for _ in range(k):
+        out = [b - a for a, b in zip(out, out[1:])]
+    return out
 
 
 def _newton_poly(tail: list, n0: int, dmax: int) -> list[Fraction]:
@@ -28,7 +31,7 @@ def _newton_poly(tail: list, n0: int, dmax: int) -> list[Fraction]:
     leading = []
     for _ in range(dmax + 1):
         leading.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        diffs = delta(diffs)
     coeffs = [Fraction(0)] * (dmax + 1)
     basis = [Fraction(1)]  # (x - n0)(x - n0 - 1).../ell! built incrementally
     for ell, lead in enumerate(leading):
@@ -60,9 +63,7 @@ def fit_polynomial_tail(seq: list, dmax: int):
     """
     if len(seq) < dmax + 3:
         raise ValueError("sequence too short for the requested degree bound")
-    diffs = [Fraction(x) for x in seq]
-    for _ in range(dmax + 1):
-        diffs = delta(diffs)
+    diffs = delta([Fraction(x) for x in seq], dmax + 1)
     # diffs[i] is the (dmax+1)-th difference starting at seq index i
     n0 = len(diffs)
     while n0 > 0 and diffs[n0 - 1] == 0:
@@ -222,8 +223,3 @@ def bounded_growth_check(seq: list[int], c: int, m: int = 1) -> dict:
     monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     return {"c": c, "exact": False, "heuristic": True, "sup_ratio": sup,
             "ratio_nonincreasing": monotone}
-
-
-def binomial_dim(d: int, n: int) -> int:
-    """dim Sym^n in d+1 variables, the Hilbert function of projective d-space."""
-    return comb(n + d, d)

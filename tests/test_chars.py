@@ -14,9 +14,10 @@ import pytest
 from sympow.gf import make_field
 from sympow.groups import SYM_DIM_CAP, Representation, close_group, regular_rep, sym_power
 from sympow.chars import (BrauerChar, brauer_char, char_growth_check, char_zero,
-                          check_delta_vanishing, cyclotomic, delta_seq,
+                          check_delta_vanishing, cyclotomic,
                           reduce_root_vector, root_space_dims, sym_brauer_sequence)
 from sympow.modules import direct_sum
+from sympow.polyfit import delta
 
 
 def s3_rep():
@@ -176,8 +177,9 @@ def test_sequence_past_sym_cap(s3):
 
 
 def test_delta_seq_ints():
-    assert delta_seq([1, 4, 9, 16, 25], 2) == [2, 2, 2]
-    assert delta_seq([5], 0) == [5]
+    # the k-fold differences the delta and growth checks take
+    assert delta([1, 4, 9, 16, 25], 2) == [2, 2, 2]
+    assert delta([5], 0) == [5]
 
 
 def test_delta_vanishing_c2_line():

@@ -7,8 +7,7 @@ same answer through a completely separate code path (unipotent_jordan), so
 the two routes cross-check each other.
 """
 
-import hashlib
-import json
+import os
 
 import numpy as np
 import pytest
@@ -23,8 +22,8 @@ from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scal
                             projective_part_dim, quotient_module, save_registry,
                             split_projective, submodule)
 from sympow import modules
-from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _orbit_rref,
-                            _peel_free, _peel_orbits, _peel_trace, _quotient_from_rowspace,
+from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _peel_free,
+                            _peel_orbits, _peel_trace, _quotient_from_rowspace,
                             _span_element)
 
 
@@ -368,34 +367,22 @@ def test_quotient_module_dims(c2):
 def test_registry_roundtrip(tmp_path, s3):
     rep, G = s3
     reg = Registry(G)
-    for n in range(5):
-        decompose(sym_power(rep, G, n), reg, seed=n)
-    save_registry(reg, str(tmp_path / "reg"))
-    reg2 = load_registry(str(tmp_path / "reg"), G)
-
-    def same_entries(loaded):
-        assert list(loaded.entries) == list(reg.entries)
-        for mid, mod in reg.entries.items():
-            assert loaded.entries[mid].dim == mod.dim
-            assert all(np.array_equal(A, B) for A, B in zip(loaded.entries[mid].mats, mod.mats))
-
-    same_entries(reg2)
+    vectors = {n: decompose(sym_power(rep, G, n), reg, seed=n) for n in range(5)}
+    path = str(tmp_path / "reg.json")
+    save_registry(reg, path, vectors)
+    reg2, vectors2 = load_registry(path, G)
+    assert vectors2 == vectors
+    assert list(reg2.entries) == list(reg.entries)
+    for mid, mod in reg.entries.items():
+        assert reg2.entries[mid].dim == mod.dim
+        assert all(np.array_equal(A, B) for A, B in zip(reg2.entries[mid].mats, mod.mats))
     # matching against the reloaded registry reuses the same ids
     vec = decompose(sym_power(rep, G, 4), reg2, seed=99)
     assert vec == decompose(sym_power(rep, G, 4), reg, seed=99)
-    # the older layout: a fingerprint on line 0 of each entry file, and an
-    # index keyed by fingerprint (here one key per dimension)
-    old = tmp_path / "old"
-    old.mkdir()
-    index: dict[str, list[int]] = {}
-    for mid, mod in reg.entries.items():
-        fp = hashlib.sha256(str(mod.dim).encode()).hexdigest()
-        index.setdefault(fp, []).append(mid)
-        body = (tmp_path / "reg" / f"{mid}.mod").read_text().split("\n", 1)[1]
-        (old / f"{mid}.mod").write_text(f"# fingerprint {fp}\n{body}")
-    assert any(len(mids) > 1 for mids in index.values())
-    (old / "index.json").write_text(json.dumps(index, sort_keys=True, indent=0) + "\n")
-    same_entries(load_registry(str(old), G))
+    # the document is one file, and saving what was loaded gives the same bytes
+    assert os.listdir(tmp_path) == ["reg.json"]
+    save_registry(reg2, str(tmp_path / "again.json"), vectors2)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "reg.json").read_bytes()
 
 
 def test_registry_ids_follow_isomorphism_classes():
@@ -473,11 +460,10 @@ def _perm(n, images):
     (2, 1, [[1, 0, 3, 2], [2, 3, 0, 1]], (2, 4)),          # Klein four, regular, GF(2)
 ], ids=["C2-GF4", "C3-GF3", "C3-GF9", "Klein-GF2"])
 def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
-    """The p-group peel's orbit RREF against `la.rref` of the whole orbit stack.
+    """The p-group peel against `la.rref` of the whole orbit stack.
 
-    Permutation Sym^n modules and dense conjugates of them: the same R, rank
-    and pivots, and the quotient `_peel_free` returns is the one the full
-    stack gives.
+    Permutation Sym^n modules and dense conjugates of them: the quotient
+    `_peel_free` returns is the one the full stack gives.
     """
     F = make_field(p, e)
     rep = Representation(F, tuple(_perm(len(g), g) for g in gens))
@@ -496,8 +482,6 @@ def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
             pivT = la.pivot_columns(F, T)
             assert pivT == la.rref(F, T)[2] and pivT
             want = la.rref(F, np.vstack([a[:, pivT].T for a in acts]))
-            got = _orbit_rref(F, acts, pivT)
-            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
             assert want[1] == len(pivT) * G.order
             s, Q = _peel_free(M, rng)
             Qw = _quotient_from_rowspace(M, want[0][:want[1]], want[2])

@@ -6,8 +6,9 @@ byte-identity comparisons can afford to run it several times.
 """
 
 import json
+import multiprocessing
 import os
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -88,32 +89,68 @@ def test_analyze_deterministic_and_cache_sound(tmp_path):
     assert "volatile" not in report
 
 
-@pytest.mark.parametrize("victim,hits", [
-    ("sym/3.json", 16),           # one degree is a miss
-    ("registry/index.json", 0),   # the whole cache is dropped
-    ("registry/0.mod", 0),
-])
-def test_corrupt_cache_entry_is_a_miss(tmp_path, victim, hits):
+def _truncate(doc):
+    text = doc.read_text()
+    doc.write_text(text[: len(text) // 2])
+
+
+def _dangling_id(doc):
+    raw = json.loads(doc.read_text())
+    raw["vectors"]["3"] = {str(len(raw["classes"])): 1}
+    doc.write_text(json.dumps(raw))
+
+
+def _non_square_class(doc):
+    raw = json.loads(doc.read_text())
+    raw["classes"][0]["gens"][0] = "1 2\n1 0\n"
+    doc.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate,
+    lambda doc: doc.write_text("[]"),
+    lambda doc: doc.write_text(json.dumps({"classes": 5, "vectors": {}})),
+    _non_square_class,
+    _dangling_id,
+], ids=["truncated", "list", "wrong-shape", "non-square-class", "dangling-id"])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, damage):
     cfg_path = write_config(tmp_path, cache_dir=str(tmp_path / "cache"))
     ref, out = str(tmp_path / "ref.json"), str(tmp_path / "out.json")
     assert main(["analyze", "--config", cfg_path, "--output", ref]) == 0
     cfg = load_config(cfg_path)
-    target = tmp_path / "cache" / job_key(cfg) / victim
+    doc = tmp_path / "cache" / f"{job_key(cfg)}.json"
+    whole = doc.read_bytes()
 
-    def truncate():
-        text = target.read_text()
-        target.write_text(text[: len(text) // 2])
-
-    truncate()
+    damage(doc)
     assert main(["analyze", "--config", cfg_path, "--output", out]) == 0
     assert open(ref, "rb").read() == open(out, "rb").read()
-    truncate()
+    assert doc.read_bytes() == whole
+    damage(doc)
+    damaged = doc.read_bytes()
+    # a read alone changes nothing
+    run_single(cfg, 5)
+    assert doc.read_bytes() == damaged
     report = run(cfg)
-    assert report["volatile"]["cache"] == {"hits": hits, "misses": 17 - hits, "corrupt": 1}
+    assert report["volatile"]["cache"] == {"hits": 0, "misses": 17, "corrupt": 1}
     assert canonical_json(report) == open(ref).read()
-    # the damaged entry was rewritten whole
+    # the document was rewritten whole
+    assert doc.read_bytes() == whole
     assert run(cfg)["volatile"]["cache"] == {"hits": 17, "misses": 0, "corrupt": 0}
-    assert not [f for f in (tmp_path / "cache").rglob("*.tmp")]
+    assert os.listdir(tmp_path / "cache") == [doc.name]
+
+
+def test_smaller_job_keeps_higher_degrees(tmp_path):
+    cache = tmp_path / "cache"
+    run(config_from_dict({**BASE, "cache_dir": str(cache)}))
+    small = config_from_dict({**BASE, "n_max": 8, "cache_dir": str(cache)})
+    doc = cache / f"{job_key(small)}.json"
+    whole = doc.read_bytes()
+    raw = json.loads(whole)
+    del raw["vectors"]["4"]
+    doc.write_text(json.dumps(raw))
+    assert run(small)["volatile"]["cache"] == {"hits": 8, "misses": 1, "corrupt": 0}
+    # degree 4 is back, and degrees 9..16 survived the n_max = 8 rewrite
+    assert doc.read_bytes() == whole
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
@@ -128,19 +165,32 @@ S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
 
 
 def test_parallel_jobs_write_the_same_cache(tmp_path):
-    trees = {}
+    docs = {}
     for jobs in (1, 2):
         cache = tmp_path / f"cache{jobs}"
         cfg_path = write_config(tmp_path, name=f"job{jobs}.json", generators=S3_GENS,
                                 n_max=12, cache_dir=str(cache))
         out = str(tmp_path / f"out{jobs}.json")
         assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 0
-        trees[jobs] = {str(f.relative_to(cache)): f.read_bytes()
-                       for f in sorted(cache.rglob("*")) if f.is_file()}
-    assert any(name.endswith(".mod") for name in trees[1])
-    assert any(name.endswith("index.json") for name in trees[1])
-    assert sum(os.path.basename(os.path.dirname(name)) == "sym" for name in trees[1]) == 13
-    assert trees[1] == trees[2]
+        assert os.listdir(cache) == [f"{job_key(load_config(cfg_path))}.json"]
+        docs[jobs] = (cache / os.listdir(cache)[0]).read_bytes()
+    doc = json.loads(docs[1])
+    assert sorted(map(int, doc["vectors"])) == list(range(13)) and doc["classes"]
+    assert docs[1] == docs[2]
+
+
+def test_concurrent_writers_leave_one_whole_document(tmp_path):
+    # three processes on two cores sweep one job into one cache directory
+    cfg = config_from_dict({**BASE, "generators": S3_GENS, "n_max": 24,
+                            "cache_dir": str(tmp_path / "cache")})
+    ref = canonical_json(run(config_from_dict({**BASE, "generators": S3_GENS, "n_max": 24})))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=3, mp_context=spawn) as pool:
+        futures = [pool.submit(run, cfg) for _ in range(3)]
+        reports = [f.result(timeout=300) for f in futures]
+    assert all(canonical_json(r) == ref for r in reports)
+    assert os.listdir(tmp_path / "cache") == [f"{job_key(cfg)}.json"]
+    assert run(cfg)["volatile"]["cache"] == {"hits": 25, "misses": 0, "corrupt": 0}
 
 
 def test_sequential_sweep_decomposes_kg_once(tmp_path, monkeypatch):

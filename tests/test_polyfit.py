@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from sympow.polyfit import (PolynomialDescription, binomial_dim,
-                            bounded_growth_check, delta, detect_description,
-                            eval_poly, fit_polynomial_tail, growth_degree)
+from sympow.groups import monomials, sym_dim
+from sympow.polyfit import (PolynomialDescription, bounded_growth_check, delta,
+                            detect_description, eval_poly, fit_polynomial_tail,
+                            growth_degree)
 
 
 def cp_vector(p: int, n: int) -> dict[int, int]:
@@ -134,7 +135,7 @@ def test_multiplicity_raises_off_range():
 
 
 def test_growth_degree_projective_plane():
-    dims = [binomial_dim(2, n) for n in range(24)]
+    dims = [sym_dim(3, n) for n in range(24)]
     rep = growth_degree(dims, 1)
     assert rep["ok"] and rep["degree"] == 2
 
@@ -158,7 +159,7 @@ def test_bounded_growth_constant_case():
 
 
 def test_bounded_growth_exact_fit():
-    rep = bounded_growth_check([binomial_dim(1, n) for n in range(12)], 1)
+    rep = bounded_growth_check([sym_dim(2, n) for n in range(12)], 1)
     assert rep["exact"] and rep["degree"] == 1
 
 
@@ -171,5 +172,7 @@ def test_bounded_growth_heuristic_path():
 
 
 def test_binomial_dim_matches_monomial_count():
-    assert [binomial_dim(2, n) for n in range(5)] == [1, 3, 6, 10, 15]
-    assert binomial_dim(3, 7) == 120
+    # the Hilbert function of projective d-space, as the growth tests use it
+    assert [sym_dim(3, n) for n in range(5)] == [len(monomials(3, n)) for n in range(5)]
+    assert [sym_dim(3, n) for n in range(5)] == [1, 3, 6, 10, 15]
+    assert sym_dim(4, 7) == 120
