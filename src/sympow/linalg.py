@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FUSED_CAP, TABLE_CAP, Field
+from .gf import FUSED_CAP, TABLE_CAP, Field, _rem_into
 
 _PANEL = 128
 # from this many entries on, elimination splits panels and back-substitution
@@ -38,6 +38,8 @@ _LEAF = 16
 _KRON_MIN_STEP = 16
 # entries per row block of a packed product's temporaries
 _BLOCK_ELEMS = 1 << 16
+# from this many entries on, `_mod_p` reduces through division
+_REM_MIN = 2048
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -48,6 +50,19 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for a fresh nonnegative int64 array, reduced in place when large.
+
+    From _REM_MIN entries on, numpy's int64 remainder by a scalar costs
+    several times a division by it, so the remainder is taken through
+    `floor_divide` (`gf._rem_into`); below that the extra calls cost more.
+    """
+    if x.size < _REM_MIN:
+        return x % p
+    _rem_into(x, p, np.empty_like(x))
+    return x
+
+
 def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact A @ B mod p for int64 or float64 residue matrices or stacks of them."""
     k = A.shape[-1]
@@ -56,22 +71,23 @@ def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if (p - 1) ** 2 * k < 2**53:
-        return (A @ B).astype(np.int64) % p
+        return _mod_p((A @ B).astype(np.int64), p)
     if (p - 1) ** 2 <= 2**53:
         # split the inner dimension
         step = max(1, 2**53 // (p - 1) ** 2)
         acc = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
         for s in range(0, k, step):
-            acc += (A[..., s:s + step] @ B[..., s:s + step, :]).astype(np.int64) % p
-        return acc % p
+            acc += _mod_p((A[..., s:s + step] @ B[..., s:s + step, :]).astype(np.int64), p)
+        return _mod_p(acc, p)
     # large prime: 16-bit operand split, exact for k up to 2**21
     a1, a0 = np.divmod(A, 1 << 16)
     b1, b0 = np.divmod(B, 1 << 16)
     parts = []
     for (x, y, shift) in ((a1, b1, 32), (a1, b0, 16), (a0, b1, 16), (a0, b0, 0)):
-        C = (x @ y).astype(np.int64) % p
-        parts.append(C * pow(2, shift, p) % p)
-    return sum(parts) % p
+        C = _mod_p((x @ y).astype(np.int64), p)
+        C *= pow(2, shift, p)
+        parts.append(_mod_p(C, p))
+    return _mod_p(sum(parts), p)
 
 
 def _block(rows, cols):

@@ -373,6 +373,17 @@ class Registry:
             self._regular_vec = vec
         return dict(self._regular_vec)
 
+    def mark(self):
+        """A state `rollback` returns to: the class count and kG's vector."""
+        return len(self.entries), self._regular_vec
+
+    def rollback(self, mark) -> None:
+        """Forget the classes minted since `mark`, and a kG vector computed since."""
+        size, kg = mark
+        for mid in range(size, len(self.entries)):
+            del self.entries[mid]
+        self._regular_vec = kg
+
     def dim_of(self, vec: dict[int, int]) -> int:
         return sum(mult * self.entries[mid].dim for mid, mult in vec.items())
 

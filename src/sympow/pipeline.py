@@ -8,13 +8,20 @@ cache counters live in a `volatile` section that the canonical form drops,
 which is what makes the determinism contract byte-exact.
 
 A sequential job (jobs == 1) decomposes every degree straight into one job
-registry, in ascending degree order, so kG is decomposed once and each part
-is matched once.  With jobs > 1 the degrees fan out over a process pool: the
-parent builds each Sym^n from its own group's towers and sends the matrices
-to a worker, which decomposes them against a fresh registry and ships the
-indecomposable parts home as plain integer lists; the parent matches them
-into the job registry in ascending-degree order, so ids come out identical to
-a sequential run.
+registry, in ascending degree order, so kG is decomposed at most once and
+each part is matched once.  On P¹ the sweep first looks for an invariant
+form f of some degree m.  With one, each degree n >= m whose cokernel
+Q_n = Sym^n / f·Sym^(n−m) is projective is vec(n − m) plus the vector of the
+m-dimensional Q_n, and Sym^n is never built (`Cokernels`); the other degrees
+take the direct route.  Such a sweep runs in this process whatever `jobs`
+says, because each degree needs an earlier one.  Any other job with
+jobs > 1 fans its degrees out over a process pool: the parent builds each
+Sym^n from its own group's towers and sends the matrices to a worker, which
+decomposes them against a fresh registry and ships the indecomposable parts
+home as plain integer lists; the parent matches them into the job registry
+in ascending-degree order, so ids come out identical to a sequential run.
+The report's `volatile.sweep` gives the form's degree and how many degrees
+each route took.
 
 With a cache directory, a job keeps one JSON document, `<job_key>.json`: the
 registry's classes in id order and the vectors over them, keyed by degree
@@ -45,7 +52,8 @@ from .geometry import fixed_dims, ramification
 from .gf import make_field
 from .groups import (CapacityError, GroupData, ModuleRep, Representation,
                      SYM_DIM_CAP, close_group, sym_dim, sym_power)
-from .modules import Registry, child_seed, decompose, load_registry, save_registry
+from .modules import (Registry, child_rng, child_seed, decompose, dvec_add, load_registry,
+                      projective_part_dim, save_registry)
 from .polyfit import detect_description, growth_degree
 
 CHECKS = ("decompose", "description", "delta_vanishing", "growth",
@@ -225,8 +233,134 @@ def _read_cache(path: str | None, G: GroupData, stats: dict):
     return Registry(G), {}
 
 
+# -- the P¹ recursion -----------------------------------------------------------
+
+FORM_DRAWS = 4
+
+
+class Cokernels:
+    """Q_n = Sym^n / f·Sym^(n−m) on P¹ as m×m matrices, one degree after another.
+
+    f is an invariant form of degree m with f(1:0) ≠ 0, so f(X, 1) has
+    degree m.  For n ≥ m − 1, setting y = 1 maps Sym^n onto
+    R = k[X]/(f(X, 1)), F ↦ F(X, 1) mod f(X, 1): the monomials x^i y^(n−i),
+    i < m, go to the basis 1, X, …, X^(m−1).  Its kernel is f·Sym^(n−m):
+    when f(X, 1) divides F(X, 1), F = f·H for a form H, because y does not
+    divide f.  The map is G-equivariant for the action R inherits from
+    Sym^n, so R in the basis X^i carries Q_n.  A generator with matrix A
+    (column j the image of z_j; x = z_0, y = z_1) sends x to A₀₀x + A₁₀y
+    and y to A₀₁x + A₁₁y, which act on R as U = A₀₀C + A₁₀I and
+    V = A₀₁C + A₁₁I, C the companion matrix of the monic f(X, 1).  So:
+
+    * Q_(m−1) is R, x^i y^(m−1−i) ↦ X^i: column i of Q_(m−1)(g) is
+      U^i V^(m−1−i)·1.
+    * Q_n(g) = V·Q_(n−1)(g) for n ≥ m: F ↦ yF is the identity on R after
+      y = 1, and g(yF) = (A₀₁x + A₁₁y)·g(F).
+
+    Multiplication by f is injective (k[x, y] is a domain), so
+    0 → Sym^(n−m) → Sym^n → Q_n → 0 is exact, and it splits when Q_n is
+    projective, which `projective_part_dim` decides exactly (Benson,
+    *Representations and Cohomology I*, §3.6).
+    """
+
+    def __init__(self, G: GroupData, form: np.ndarray):
+        F, m = G.field, len(form) - 1
+        self.group, self.m, self.n = G, m, m - 1
+        I = la.identity(m)
+        C = la.zeros(m, m)
+        C[np.arange(1, m), np.arange(m - 1)] = 1
+        # X^m = −Σ c_i X^i, where c_i = form[m − i] / form[0] is the X^i
+        # coefficient of the monic f(X, 1)
+        C[:, m - 1] = F.vec_neg(F.vec_mul(form[m:0:-1], np.int64(F.inv(int(form[0])))))
+
+        def affine(a, b):  # aC + bI
+            return F.vec_add(F.vec_mul(C, np.int64(int(a))), F.vec_mul(I, np.int64(int(b))))
+
+        self._vs, self.mats = [], []
+        for A in G.gens:
+            U, V = affine(A[0, 0], A[1, 0]), affine(A[0, 1], A[1, 1])
+            powers = [I[:, :1]]  # V^j·1
+            for _ in range(m - 1):
+                powers.append(la.mat_mul(F, V, powers[-1]))
+            cols, P = [], I
+            for i in range(m):
+                cols.append(la.mat_mul(F, P, powers[m - 1 - i]))
+                P = la.mat_mul(F, U, P)
+            self._vs.append(V)
+            self.mats.append(np.hstack(cols))
+
+    def at(self, n: int) -> ModuleRep:
+        """Q_n; n is no lower than the degree of the previous call."""
+        F = self.group.field
+        while self.n < n:
+            self.mats = [la.mat_mul(F, V, Q) for V, Q in zip(self._vs, self.mats)]
+            self.n += 1
+        return ModuleRep(self.group, self.mats)
+
+
+def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
+    """The cokernel tower of an invariant form for the P¹ recursion, or None.
+
+    Degrees k = 1..min(|G|, top) are tried in turn.  At each, FORM_DRAWS
+    seeded elements of the invariants ker(Sym^k(g) − I) are drawn, and the
+    first f that is checked invariant, has f(1:0) ≠ 0 (its x^k
+    coefficient), and has a projective first cokernel Q_k is kept.
+    Dickson invariants show such forms of low degree (Dickson, *Trans. AMS*
+    12, 1911): x² + xy + y² for S3 over GF(2), of degree 6 for GL2(F3).
+    """
+    F = G.field
+    for k in range(1, min(G.order, top) + 1):
+        I = la.identity(k + 1)
+        inv = la.kernel_basis(F, np.vstack([F.vec_sub(S, I) for S in G.sym(k)]))
+        if not inv.shape[1]:
+            continue
+        rng = child_rng(seed, "recursion", k)
+        for _ in range(FORM_DRAWS):
+            c = la.rand_mat(F, rng, inv.shape[1], 1)
+            if not c.any():
+                c[0] = 1
+            f = la.mat_mul(F, inv, c)[:, 0]
+            if f[0] and kz.is_invariant_form(G, f, k):
+                tower = Cokernels(G, f)
+                if projective_part_dim(tower.at(k)) == k:
+                    return tower
+    return None
+
+
+def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
+                      seed: int) -> dict[int, int] | None:
+    """vec(n − m) + vec(Q_n), or None when degree n takes the direct route.
+
+    The direct route takes the degree when Q_n is not projective, or when
+    Q_n mints two or more classes: the direct route might number those in
+    another order.  Each class Sym^n holds that the registry lacks is a
+    class of Q_n, so with at most one of them the ids agree.  A rejected
+    trial is rolled back, kG's vector included, which the free peel of a Q_n
+    with m ≥ |G| may have computed.
+    """
+    Q = tower.at(n)
+    if projective_part_dim(Q) != tower.m:
+        return None
+    mark = registry.mark()
+    q = decompose(Q, registry, seed)
+    if len(registry.entries) - mark[0] >= 2:
+        registry.rollback(mark)
+        return None
+    return dvec_add(vectors[n - tower.m], q)
+
+
+# -- the degree sweep --------------------------------------------------------------
+
+
 def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: dict):
-    """(vectors, registry, cache stats) for n = 0..n_max, cache-aware.
+    """(vectors, registry, volatile counters) for n = 0..n_max, cache-aware.
+
+    On P¹ a found invariant form of degree m decomposes every degree n ≥ m
+    as vec(n − m) + vec(Q_n) (`_recursion_degree`); such a sweep runs in
+    this process whatever `jobs` says, because degree n needs degree n − m.
+    Every other degree takes the direct route, decomposing Sym^n, through
+    the pool when jobs > 1.  The counters are the cache's hits, misses and
+    corrupt documents, and the sweep's form degree and degrees per route.
 
     The first degree that fails (a capacity overflow, say) records its error
     and ends the sweep, keeping the prefix; later degrees can only be larger.
@@ -241,7 +375,9 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
     registry, stored = _read_cache(path, G, stats)
     cached = {n: stored[n] for n in range(cfg.n_max + 1) if n in stored}
     missing = [n for n in range(cfg.n_max + 1) if n not in cached]
-    use_pool = cfg.jobs > 1 and bool(missing)
+    tower = _find_form(G, cfg.seed, cfg.n_max) if G.dim == 2 and missing else None
+    sweep = {"form_degree": tower.m if tower else None, "recursion": 0, "direct": 0}
+    use_pool = cfg.jobs > 1 and bool(missing) and tower is None
     vectors: dict[int, dict[int, int]] = {}
     with ProcessPoolExecutor(max_workers=cfg.jobs) if use_pool else contextlib.nullcontext() as pool:
         pending: dict[int, Future] = {}
@@ -260,24 +396,31 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
             if n in cached:
                 vectors[n] = cached[n]
                 continue
+            seed = child_seed(cfg.seed, "sym", n)
             try:
-                if use_pool:
-                    vec = _absorb(G, registry, pending[n].result()[1])
-                else:
-                    vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
+                route, vec = "recursion", None
+                if tower is not None and n >= tower.m:
+                    vec = _recursion_degree(tower, n, vectors, registry, seed)
+                if vec is None:
+                    route = "direct"
+                    if use_pool:
+                        vec = _absorb(G, registry, pending[n].result()[1])
+                    else:
+                        vec = decompose(sym_power(rep, G, n), registry, seed)
             except Exception as exc:
                 errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
                 for fut in pending.values():
                     fut.cancel()
                 break
             vectors[n] = vec
+            sweep[route] += 1
     fresh = [n for n in vectors if n not in cached]
     if path and fresh:
         # degrees the document held past this job's n_max are kept
         os.makedirs(cfg.cache_dir, exist_ok=True)
         save_registry(registry, path, {**stored, **vectors})
     stats.update(hits=len(cached), misses=len(fresh))
-    return vectors, registry, stats
+    return vectors, registry, {"cache": stats, "sweep": sweep}
 
 
 # -- checks ----------------------------------------------------------------------
@@ -420,8 +563,8 @@ def run(cfg: JobConfig) -> dict:
     }
     vectors = registry = None
     if _NEED_VECTORS & set(cfg.checks):
-        vectors, registry, stats = _compute_vectors(cfg, rep, G, errors)
-        report["volatile"]["cache"] = stats
+        vectors, registry, counters = _compute_vectors(cfg, rep, G, errors)
+        report["volatile"].update(counters)
         if "decompose" in cfg.checks:
             checks["decompose"] = {
                 "vectors": {n: dict(sorted(v.items())) for n, v in vectors.items()},

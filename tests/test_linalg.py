@@ -389,6 +389,22 @@ def test_large_prime_matmul_split_path():
             assert acc == C[i, j]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 67108859, 2147483647])
+def test_prime_matmul_remainder_matches_plain_mod(p):
+    # each route of _mm_prime (one product, split inner dimension, 16-bit
+    # operand split) on both sides of the in-place remainder's size cutoff,
+    # and stacked, against exact integer products reduced with plain % p
+    rng = np.random.default_rng(p % 1000)
+    for m, k, n in ((3, 4, 5), (40, 7, 60), (64, 33, 64), (2, 1, 2048)):
+        for stack in ((), (3,)):
+            A = rng.integers(0, p, size=stack + (m, k), dtype=np.int64)
+            B = rng.integers(0, p, size=stack + (k, n), dtype=np.int64)
+            exact = np.matmul(A.astype(object), B.astype(object)) % p
+            C = la._mm_prime(p, A, B)
+            assert C.dtype == np.int64 and C.shape == exact.shape
+            assert np.array_equal(C, exact.astype(np.int64)), (m, k, n, stack)
+
+
 def test_matrix_text_roundtrip():
     rng = np.random.default_rng(17)
     for F in (F3, F4, make_field(13)):

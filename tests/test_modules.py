@@ -397,6 +397,25 @@ def test_registry_ids_follow_isomorphism_classes():
     assert len(reg.entries) == 3
 
 
+def test_registry_rollback_forgets_classes_and_kg(s3):
+    _, G = s3
+    reg = Registry(G)
+    assert reg.match_or_insert(ModuleRep(G, [la.identity(1)] * 2)) == 0
+    mark = reg.mark()
+    kg = reg.regular_vec(0)
+    classes = len(reg.entries)
+    assert classes > 1
+    reg.rollback(mark)
+    assert list(reg.entries) == [0]
+    # kG is split again, and its classes get the ids they got the first time
+    assert reg.regular_vec(0) == kg
+    assert len(reg.entries) == classes
+    mark = reg.mark()
+    reg.match_or_insert(ModuleRep(G, [la.identity(5)] * 2))
+    reg.rollback(mark)
+    assert reg.mark() == mark
+
+
 def test_dvec_helpers():
     a = {0: 2, 1: 1}
     b = {1: 1, 2: 3}

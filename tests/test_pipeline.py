@@ -162,6 +162,8 @@ def test_parallel_jobs_match_sequential(tmp_path):
 
 
 S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
+# S3 permuting the coordinates of the plane: a P^2 job, which the pool sweeps
+S3_PLANE_GENS = ["3 3\n0 1 0\n1 0 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"]
 
 
 def test_parallel_jobs_write_the_same_cache(tmp_path):
@@ -177,6 +179,51 @@ def test_parallel_jobs_write_the_same_cache(tmp_path):
     doc = json.loads(docs[1])
     assert sorted(map(int, doc["vectors"])) == list(range(13)) and doc["classes"]
     assert docs[1] == docs[2]
+
+
+class CountingPool(ProcessPoolExecutor):
+    """A real process pool that counts how often one is opened."""
+
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingPool.opened += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_parallel_jobs_on_the_plane_use_the_pool_and_match_sequential(tmp_path, monkeypatch):
+    import sympow.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
+    texts, docs = {}, {}
+    for jobs in (1, 2):
+        cache = tmp_path / f"cache{jobs}"
+        cfg = config_from_dict({**BASE, "generators": S3_PLANE_GENS, "n_max": 10,
+                                "checks": ["decompose", "growth"], "cache_dir": str(cache),
+                                "jobs": jobs})
+        report = run(cfg)
+        assert report["errors"] == {}
+        assert report["volatile"]["sweep"] == {"form_degree": None, "recursion": 0, "direct": 11}
+        texts[jobs] = canonical_json(report)
+        docs[jobs] = (cache / f"{job_key(cfg)}.json").read_bytes()
+    assert CountingPool.opened == 1
+    assert texts[1] == texts[2]
+    assert docs[1] == docs[2]
+
+
+def test_p1_sweep_with_a_form_opens_no_pool(monkeypatch):
+    # degree n needs degree n - m, so the recursion sweeps in this process
+    import sympow.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
+    report = run(config_from_dict({**BASE, "generators": S3_GENS, "checks": ["decompose"],
+                                   "jobs": 2}))
+    assert CountingPool.opened == 0
+    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 15, "direct": 2}
+    assert canonical_json(report) == canonical_json(
+        run(config_from_dict({**BASE, "generators": S3_GENS, "checks": ["decompose"]})))
 
 
 def test_concurrent_writers_leave_one_whole_document(tmp_path):
@@ -204,7 +251,15 @@ def test_sequential_sweep_decomposes_kg_once(tmp_path, monkeypatch):
         return real(G)
 
     monkeypatch.setattr(modules, "regular_rep", counting)
+    # on P^1 the recursion decomposes only m-dimensional cokernels past the
+    # form's degree, so kG may never be split at all
     report = run(config_from_dict({**BASE, "generators": S3_GENS, "n_max": 20,
+                                   "checks": ["decompose"]}))
+    assert report["errors"] == {}
+    assert report["volatile"]["sweep"]["recursion"] > 0
+    assert calls in ([], [6])
+    calls.clear()
+    report = run(config_from_dict({**BASE, "generators": S3_PLANE_GENS, "n_max": 10,
                                    "checks": ["decompose"]}))
     assert report["errors"] == {}
     assert calls == [6]
@@ -376,14 +431,16 @@ def test_worker_failure_cancels_later_degrees(monkeypatch):
     real_decompose = pipeline.decompose
 
     def failing_decompose(M, registry, seed):
-        if M.dim == 4:  # Sym^3 of the plane
+        if M.dim == 10:  # Sym^3 on P^2
             raise RuntimeError("worker failed")
         return real_decompose(M, registry, seed)
 
+    # a P^2 job: on P^1 the recursion owns the sweep and no pool runs
+    plane = {**BASE, "generators": ["3 3\n1 1 0\n0 1 0\n0 0 1\n"], "checks": ["decompose"]}
     monkeypatch.setattr(pipeline, "decompose", failing_decompose)
-    sequential = run(config_from_dict({**BASE, "checks": ["decompose"]}))
+    sequential = run(config_from_dict(plane))
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", LazyPool)
-    pooled = run(config_from_dict({**BASE, "checks": ["decompose"], "jobs": 2}))
+    pooled = run(config_from_dict({**plane, "jobs": 2}))
     assert ran == [0, 1, 2, 3]
     assert list(pooled["errors"]) == ["decompose_n3"]
     assert canonical_json(pooled) == canonical_json(sequential)
