@@ -22,7 +22,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cache-dir", help="override the config cache directory")
     sp.add_argument("--output", help="report file (json) or directory (csv)")
     sp.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    sp.add_argument("--jobs", type=int, help="worker pool size for the degree sweep")
+    sp.add_argument("--jobs", type=int,
+                    help="accepted for compatibility and ignored: every sweep runs in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,10 +54,8 @@ def _configure(args: argparse.Namespace) -> pl.JobConfig:
         cfg.output_path = args.output
     if args.fmt is not None:
         cfg.output_format = args.fmt
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise pl.ConfigError("--jobs must be at least 1")
-        cfg.jobs = args.jobs
+    if args.jobs is not None and args.jobs < 1:
+        raise pl.ConfigError("--jobs must be at least 1")
     return cfg
 
 

@@ -350,10 +350,9 @@ class Registry:
         """The id of M's class, minted when no entry is isomorphic to M.
 
         M must be indecomposable, as every caller's input is: a Fitting part
-        from `decompose` or `regular_vec`, or one shipped home from a pool
-        worker's `decompose`.  That makes `_iso_detail` exact here, and since
-        ids are minted only on a miss, no two entries are isomorphic: the
-        first match is the only one.
+        from `decompose` or `regular_vec`.  That makes `_iso_detail` exact
+        here, and since ids are minted only on a miss, no two entries are
+        isomorphic: the first match is the only one.
         """
         for mid, E in self.entries.items():
             if E.dim == M.dim and _iso_detail(E, M)[0]:

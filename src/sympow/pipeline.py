@@ -7,21 +7,15 @@ canonical JSON (sorted keys, exact fraction strings); wall-clock timing and
 cache counters live in a `volatile` section that the canonical form drops,
 which is what makes the determinism contract byte-exact.
 
-A sequential job (jobs == 1) decomposes every degree straight into one job
-registry, in ascending degree order, so kG is decomposed at most once and
-each part is matched once.  On P¹ the sweep first looks for an invariant
-form f of some degree m.  With one, each degree n >= m whose cokernel
-Q_n = Sym^n / f·Sym^(n−m) is projective is vec(n − m) plus the vector of the
-m-dimensional Q_n, and Sym^n is never built (`Cokernels`); the other degrees
-take the direct route.  Such a sweep runs in this process whatever `jobs`
-says, because each degree needs an earlier one.  Any other job with
-jobs > 1 fans its degrees out over a process pool: the parent builds each
-Sym^n from its own group's towers and sends the matrices to a worker, which
-decomposes them against a fresh registry and ships the indecomposable parts
-home as plain integer lists; the parent matches them into the job registry
-in ascending-degree order, so ids come out identical to a sequential run.
-The report's `volatile.sweep` gives the form's degree and how many degrees
-each route took.
+The degree sweep runs in this process, in ascending degree order, and
+decomposes every degree into one job registry, so kG is decomposed at most
+once and each part is matched once.  On P¹ the sweep first looks for an
+invariant form f of some degree m.  With one, each degree n >= m whose
+cokernel Q_n = Sym^n / f·Sym^(n−m) is projective is vec(n − m) plus the
+vector of the m-dimensional Q_n, and Sym^n is never built (`Cokernels`);
+every other degree decomposes Sym^n directly.  The report's
+`volatile.sweep` gives the form's degree and how many degrees each route
+took.
 
 With a cache directory, a job keeps one JSON document, `<job_key>.json`: the
 registry's classes in id order and the vectors over them, keyed by degree
@@ -33,12 +27,10 @@ already held.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -80,24 +72,23 @@ class JobConfig:
     cache_dir: str | None = None
     output_path: str | None = None
     output_format: str = "json"
-    jobs: int = 1
 
     def echo(self) -> dict:
         """Analysis-relevant fields only: anything here may change results.
 
-        Delivery knobs (output target, pool size, cache location) are echoed
-        in the volatile section instead, so runs that differ only in where
-        they write or how they parallelize stay byte-identical.
+        Delivery knobs (output target, cache location) are echoed in the
+        volatile section instead, so runs that differ only in where they
+        write stay byte-identical.
         """
         out = asdict(self)
         out["checks"] = sorted(self.checks)
-        for key in ("cache_dir", "output_path", "output_format", "jobs"):
+        for key in ("cache_dir", "output_path", "output_format"):
             del out[key]
         return out
 
     def delivery(self) -> dict:
         return {"cache_dir": self.cache_dir, "output_path": self.output_path,
-                "output_format": self.output_format, "jobs": self.jobs}
+                "output_format": self.output_format}
 
 
 def load_config(path: str) -> JobConfig:
@@ -115,13 +106,20 @@ def load_config(path: str) -> JobConfig:
     return config_from_dict(raw)
 
 
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def config_from_dict(raw: dict) -> JobConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     fld = raw.get("field")
     if not isinstance(fld, dict) or "p" not in fld:
         raise ConfigError("field {p, e} required")
-    p, e = int(fld["p"]), int(fld.get("e", 1))
+    p, e = _int(fld["p"], "field.p"), _int(fld.get("e", 1), "field.e")
     try:
         F = make_field(p, e)
     except Exception as exc:
@@ -143,27 +141,37 @@ def config_from_dict(raw: dict) -> JobConfig:
             raise ConfigError(f"generator {i} has size {A.shape[0]}, expected {size}")
     if "seed" not in raw:
         raise ConfigError("seed required")
-    n_max = int(raw.get("n_max", 0))
+    seed = _int(raw["seed"], "seed")
+    n_max = _int(raw.get("n_max", 0), "n_max")
     if n_max < 4:
         raise ConfigError("n_max must be at least 4")
     checks = raw.get("checks", list(CHECKS))
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("checks must be a list of check names")
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; valid names are {list(CHECKS)}")
     m_cands = raw.get("m_candidates")
     if m_cands is not None:
-        m_cands = [int(m) for m in m_cands]
+        if not isinstance(m_cands, list):
+            raise ConfigError("m_candidates must be a list of positive integers")
+        m_cands = [_int(m, "m_candidates entry") for m in m_cands]
         if any(m < 1 for m in m_cands):
             raise ConfigError("m_candidates must be positive")
     out = raw.get("output", {})
+    if not isinstance(out, dict):
+        raise ConfigError("output must be an object with optional format and path")
     fmt = out.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be json or csv, got {fmt!r}")
+    for key, value in (("cache_dir", raw.get("cache_dir")), ("output.path", out.get("path"))):
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
     return JobConfig(
-        p=p, e=e, generators=list(gens), n_max=n_max, seed=int(raw["seed"]),
+        p=p, e=e, generators=list(gens), n_max=n_max, seed=seed,
         checks=tuple(dict.fromkeys(checks)), m_candidates=m_cands,
         cache_dir=raw.get("cache_dir"), output_path=out.get("path"),
-        output_format=fmt, jobs=int(raw.get("jobs", 1)),
+        output_format=fmt,
     )
 
 
@@ -181,39 +189,6 @@ def job_key(cfg: JobConfig) -> str:
 
 def _cache_path(cfg: JobConfig) -> str | None:
     return os.path.join(cfg.cache_dir, f"{job_key(cfg)}.json") if cfg.cache_dir else None
-
-
-# -- per-degree decomposition --------------------------------------------------
-
-
-def _decompose_degree(p: int, e: int, gen_texts: list[str], sym_mats: list[np.ndarray],
-                      n: int, seed: int):
-    """Pool worker (jobs > 1): decompose Sym^n against a fresh registry.
-
-    sym_mats are the generators' Sym^n matrices, which the parent takes from
-    its own group's towers, so no worker builds a tower.  Parts travel home
-    as int lists, in first-appearance order (ascending fresh-registry id), so
-    the parent's `_absorb` assigns the same ids the sequential sweep does.
-    """
-    F = make_field(p, e)
-    rep = Representation(F, tuple(la.mat_from_text(F, t) for t in gen_texts))
-    G = close_group(rep)
-    reg = Registry(G)
-    vec = decompose(ModuleRep(G, sym_mats), reg, seed)
-    entries = []
-    for mid in sorted(vec):
-        mod = reg.entries[mid]
-        entries.append(([A.tolist() for A in mod.mats], mod.dim, int(vec[mid])))
-    return n, entries
-
-
-def _absorb(G: GroupData, registry: Registry, entries) -> dict[int, int]:
-    vec: dict[int, int] = {}
-    for mats, dim, mult in entries:
-        mod = ModuleRep(G, [np.array(A, dtype=np.int64) for A in mats], dim=dim)
-        mid = registry.match_or_insert(mod)
-        vec[mid] = vec.get(mid, 0) + mult
-    return vec
 
 
 def _read_cache(path: str | None, G: GroupData, stats: dict):
@@ -304,7 +279,10 @@ def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
     Degrees k = 1..min(|G|, top) are tried in turn.  At each, FORM_DRAWS
     seeded elements of the invariants ker(Sym^k(g) − I) are drawn, and the
     first f that is checked invariant, has f(1:0) ≠ 0 (its x^k
-    coefficient), and has a projective first cokernel Q_k is kept.
+    coefficient), and has a projective first cokernel Q_k is kept.  When
+    the invariants are one-dimensional, the first draw is the only one:
+    every nonzero draw is then a multiple of the same form, with the same
+    tower.
     Dickson invariants show such forms of low degree (Dickson, *Trans. AMS*
     12, 1911): x² + xy + y² for S3 over GF(2), of degree 6 for GL2(F3).
     """
@@ -324,6 +302,8 @@ def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
                 tower = Cokernels(G, f)
                 if projective_part_dim(tower.at(k)) == k:
                     return tower
+            if inv.shape[1] == 1:
+                break
     return None
 
 
@@ -355,65 +335,43 @@ def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
 def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: dict):
     """(vectors, registry, volatile counters) for n = 0..n_max, cache-aware.
 
-    On P¹ a found invariant form of degree m decomposes every degree n ≥ m
-    as vec(n − m) + vec(Q_n) (`_recursion_degree`); such a sweep runs in
-    this process whatever `jobs` says, because degree n needs degree n − m.
-    Every other degree takes the direct route, decomposing Sym^n, through
-    the pool when jobs > 1.  The counters are the cache's hits, misses and
-    corrupt documents, and the sweep's form degree and degrees per route.
+    One loop in ascending degree order.  A degree is a cache hit, a
+    recursion degree, or a direct one.  On P¹ a found invariant form of
+    degree m gives every degree n >= m as vec(n − m) + vec(Q_n)
+    (`_recursion_degree`).  Every other degree decomposes Sym^n into the job
+    registry.  The counters are the cache's hits, misses and corrupt
+    documents, and the sweep's form degree and degrees per route.
 
     The first degree that fails (a capacity overflow, say) records its error
     and ends the sweep, keeping the prefix; later degrees can only be larger.
     `sym_power` raises before `decompose` touches the registry, so an overflow
-    degree leaves no classes behind, and both paths give the same report.
-    The pool path builds each Sym^n in the parent and submits no degree past
-    the first one whose Sym^n raises; when a worker fails, the degrees not yet
-    started are cancelled.
+    degree leaves no classes behind.
     """
     path = _cache_path(cfg)
     stats = {"hits": 0, "misses": 0, "corrupt": 0}
     registry, stored = _read_cache(path, G, stats)
     cached = {n: stored[n] for n in range(cfg.n_max + 1) if n in stored}
-    missing = [n for n in range(cfg.n_max + 1) if n not in cached]
+    missing = len(cached) <= cfg.n_max
     tower = _find_form(G, cfg.seed, cfg.n_max) if G.dim == 2 and missing else None
     sweep = {"form_degree": tower.m if tower else None, "recursion": 0, "direct": 0}
-    use_pool = cfg.jobs > 1 and bool(missing) and tower is None
     vectors: dict[int, dict[int, int]] = {}
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if use_pool else contextlib.nullcontext() as pool:
-        pending: dict[int, Future] = {}
-        for n in (missing if use_pool else []):
-            try:
-                mats = G.sym(n)
-            except Exception as exc:
-                pending[n] = Future()
-                pending[n].set_exception(exc)
-                break
-            pending[n] = pool.submit(_decompose_degree, cfg.p, cfg.e, cfg.generators,
-                                     mats, n, child_seed(cfg.seed, "sym", n))
-        # results are taken inside the pool block, so a failure cancels the
-        # later degrees instead of waiting for them at the block's exit
-        for n in range(cfg.n_max + 1):
-            if n in cached:
-                vectors[n] = cached[n]
-                continue
-            seed = child_seed(cfg.seed, "sym", n)
-            try:
-                route, vec = "recursion", None
-                if tower is not None and n >= tower.m:
-                    vec = _recursion_degree(tower, n, vectors, registry, seed)
-                if vec is None:
-                    route = "direct"
-                    if use_pool:
-                        vec = _absorb(G, registry, pending[n].result()[1])
-                    else:
-                        vec = decompose(sym_power(rep, G, n), registry, seed)
-            except Exception as exc:
-                errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
-                for fut in pending.values():
-                    fut.cancel()
-                break
-            vectors[n] = vec
-            sweep[route] += 1
+    for n in range(cfg.n_max + 1):
+        if n in cached:
+            vectors[n] = cached[n]
+            continue
+        seed = child_seed(cfg.seed, "sym", n)
+        try:
+            route, vec = "recursion", None
+            if tower is not None and n >= tower.m:
+                vec = _recursion_degree(tower, n, vectors, registry, seed)
+            if vec is None:
+                route = "direct"
+                vec = decompose(sym_power(rep, G, n), registry, seed)
+        except Exception as exc:
+            errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
+            break
+        vectors[n] = vec
+        sweep[route] += 1
     fresh = [n for n in vectors if n not in cached]
     if path and fresh:
         # degrees the document held past this job's n_max are kept
@@ -539,6 +497,13 @@ def _char_table(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
     return {"modulus": chars[0].modulus, "n_max": top, "values": values}
 
 
+def _group(cfg: JobConfig) -> tuple[Representation, GroupData]:
+    """The job's representation and the group its generators generate."""
+    F = make_field(cfg.p, cfg.e)
+    rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
+    return rep, close_group(rep)
+
+
 def run(cfg: JobConfig) -> dict:
     """Execute the requested checks; failures are recorded, not raised.
 
@@ -546,9 +511,7 @@ def run(cfg: JobConfig) -> dict:
     the volatile section is dropped; `canonical_json` does exactly that.
     """
     t0 = time.monotonic()
-    F = make_field(cfg.p, cfg.e)
-    rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
-    G = close_group(rep)
+    rep, G = _group(cfg)
     checks: dict = {}
     errors: dict = {}
     echo = cfg.echo()
@@ -605,9 +568,7 @@ def run_single(cfg: JobConfig, n: int) -> dict:
     would bake a different id numbering into the shared registry.  An
     unreadable cache document is a miss, as on any read.
     """
-    F = make_field(cfg.p, cfg.e)
-    rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
-    G = close_group(rep)
+    rep, G = _group(cfg)
     registry, cached = _read_cache(_cache_path(cfg), G, {"corrupt": 0})
     vec = cached.get(n)
     if vec is None:

@@ -8,7 +8,7 @@ byte-identity comparisons can afford to run it several times.
 import json
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -40,7 +40,9 @@ def test_load_config_minimal(tmp_path):
     assert cfg.p == 2 and cfg.e == 1
     assert cfg.n_max == 16 and cfg.seed == 7
     assert cfg.checks == ("decompose", "description", "growth", "ramification")
-    assert cfg.output_format == "json" and cfg.jobs == 1
+    assert cfg.output_format == "json"
+    # a "jobs" key is ignored like any other unknown key
+    assert load_config(write_config(tmp_path, name="jobs.json", jobs=4)) == cfg
 
 
 @pytest.mark.parametrize("overrides,fragment", [
@@ -52,11 +54,23 @@ def test_load_config_minimal(tmp_path):
     ({"output": {"format": "yaml"}}, "output format"),
     ({"generators": []}, "generators"),
     ({"m_candidates": [2, 0]}, "m_candidates"),
+    ({"field": {"p": "two"}}, "field.p must be an integer"),
+    ({"field": {"p": 2, "e": "1.5"}}, "field.e must be an integer"),
+    ({"seed": "seven"}, "seed must be an integer"),
+    ({"n_max": "16x"}, "n_max must be an integer"),
+    ({"m_candidates": [2, "four"]}, "m_candidates entry must be an integer"),
+    ({"m_candidates": "24"}, "m_candidates must be a list"),
+    ({"output": "report.json"}, "output must be an object"),
+    ({"checks": "decompose"}, "checks must be a list"),
+    ({"cache_dir": 5}, "cache_dir must be a path string"),
+    ({"output": {"path": ["r.json"]}}, "output.path must be a path string"),
 ])
-def test_config_validation_errors(tmp_path, overrides, fragment):
+def test_config_validation_errors(tmp_path, capsys, overrides, fragment):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(ConfigError, match=fragment):
         load_config(path)
+    assert main(["analyze", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -153,77 +167,61 @@ def test_smaller_job_keeps_higher_degrees(tmp_path):
     assert doc.read_bytes() == whole
 
 
-def test_parallel_jobs_match_sequential(tmp_path):
-    cfg_path = write_config(tmp_path)
-    a, b = str(tmp_path / "seq.json"), str(tmp_path / "par.json")
-    assert main(["analyze", "--config", cfg_path, "--output", a]) == 0
-    assert main(["analyze", "--config", cfg_path, "--output", b, "--jobs", "2"]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-
-
 S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
-# S3 permuting the coordinates of the plane: a P^2 job, which the pool sweeps
 S3_PLANE_GENS = ["3 3\n0 1 0\n1 0 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"]
 
 
-def test_parallel_jobs_write_the_same_cache(tmp_path):
-    docs = {}
-    for jobs in (1, 2):
-        cache = tmp_path / f"cache{jobs}"
-        cfg_path = write_config(tmp_path, name=f"job{jobs}.json", generators=S3_GENS,
-                                n_max=12, cache_dir=str(cache))
-        out = str(tmp_path / f"out{jobs}.json")
-        assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 0
+def test_jobs_flag_is_accepted_and_ignored(tmp_path, monkeypatch, capsys):
+    def no_process(self):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    reports, docs = {}, {}
+    for flag in ([], ["--jobs", "2"]):
+        tag = "-".join(flag) or "none"
+        cache = tmp_path / f"cache{tag}"
+        # a P^2 job, whose degrees are all decomposed directly
+        cfg_path = write_config(tmp_path, name=f"job{tag}.json", generators=S3_PLANE_GENS,
+                                n_max=10, cache_dir=str(cache))
+        out = tmp_path / f"out{tag}.json"
+        assert main(["analyze", "--config", cfg_path, "--output", str(out), *flag]) == 0
         assert os.listdir(cache) == [f"{job_key(load_config(cfg_path))}.json"]
-        docs[jobs] = (cache / os.listdir(cache)[0]).read_bytes()
-    doc = json.loads(docs[1])
-    assert sorted(map(int, doc["vectors"])) == list(range(13)) and doc["classes"]
-    assert docs[1] == docs[2]
+        reports[tag], docs[tag] = out.read_bytes(), (cache / os.listdir(cache)[0]).read_bytes()
+    doc = json.loads(docs["none"])
+    assert sorted(map(int, doc["vectors"])) == list(range(11)) and doc["classes"]
+    assert reports["none"] == reports["--jobs-2"]
+    assert docs["none"] == docs["--jobs-2"]
+    capsys.readouterr()
+    assert main(["analyze", "--config", cfg_path, "--jobs", "0"]) == 1
+    assert "at least 1" in capsys.readouterr().err
 
 
-class CountingPool(ProcessPoolExecutor):
-    """A real process pool that counts how often one is opened."""
-
-    opened = 0
-
-    def __init__(self, *args, **kwargs):
-        CountingPool.opened += 1
-        super().__init__(*args, **kwargs)
+def test_plane_sweep_takes_the_direct_route():
+    # S3 permuting the coordinates of the plane: no recursion off P^1
+    report = run(config_from_dict({**BASE, "generators": S3_PLANE_GENS, "n_max": 10,
+                                   "checks": ["decompose", "growth"]}))
+    assert report["errors"] == {}
+    assert report["volatile"]["sweep"] == {"form_degree": None, "recursion": 0, "direct": 11}
 
 
-def test_parallel_jobs_on_the_plane_use_the_pool_and_match_sequential(tmp_path, monkeypatch):
+def test_one_dimensional_invariants_are_drawn_once(monkeypatch):
     import sympow.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(CountingPool, "opened", 0)
-    texts, docs = {}, {}
-    for jobs in (1, 2):
-        cache = tmp_path / f"cache{jobs}"
-        cfg = config_from_dict({**BASE, "generators": S3_PLANE_GENS, "n_max": 10,
-                                "checks": ["decompose", "growth"], "cache_dir": str(cache),
-                                "jobs": jobs})
-        report = run(cfg)
-        assert report["errors"] == {}
-        assert report["volatile"]["sweep"] == {"form_degree": None, "recursion": 0, "direct": 11}
-        texts[jobs] = canonical_json(report)
-        docs[jobs] = (cache / f"{job_key(cfg)}.json").read_bytes()
-    assert CountingPool.opened == 1
-    assert texts[1] == texts[2]
-    assert docs[1] == docs[2]
+    built = []
 
+    class CountingCokernels(pipeline.Cokernels):
+        def __init__(self, G, form):
+            built.append(len(form) - 1)
+            super().__init__(G, form)
 
-def test_p1_sweep_with_a_form_opens_no_pool(monkeypatch):
-    # degree n needs degree n - m, so the recursion sweeps in this process
-    import sympow.pipeline as pipeline
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(CountingPool, "opened", 0)
-    report = run(config_from_dict({**BASE, "generators": S3_GENS, "checks": ["decompose"],
-                                   "jobs": 2}))
-    assert CountingPool.opened == 0
+    reference = canonical_json(run(config_from_dict(BASE)))
+    monkeypatch.setattr(pipeline, "Cokernels", CountingCokernels)
+    report = run(config_from_dict(BASE))
+    # C2's degree-1 invariants are the line through x, whose Q_1 is not
+    # projective; degree 2 has a two-dimensional space and a form on the first draw
+    assert built == [1, 2]
     assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 15, "direct": 2}
-    assert canonical_json(report) == canonical_json(
-        run(config_from_dict({**BASE, "generators": S3_GENS, "checks": ["decompose"]})))
+    assert canonical_json(report) == reference
 
 
 def test_concurrent_writers_leave_one_whole_document(tmp_path):
@@ -334,116 +332,40 @@ def test_capacity_overflow_degrades_gracefully(tmp_path, monkeypatch):
     assert report["checks"]["ramification"]["dimB"] == "empty"
 
 
-def test_capacity_overflow_same_report_in_parallel(tmp_path, monkeypatch):
-    # the sequential sweep builds Sym^5 before it touches the registry, so the
-    # overflow degree leaves no classes behind, as the pool's fresh registries do
+@pytest.mark.parametrize("generator", ["3 3\n1 0 0\n0 1 0\n0 0 1\n",
+                                       "3 3\n1 1 0\n0 1 0\n0 0 1\n"],
+                         ids=["trivial", "unipotent"])
+def test_capacity_overflow_leaves_no_class_behind(monkeypatch, generator):
+    # the sweep builds Sym^5 (dimension 21) before it touches the registry
     monkeypatch.setattr("sympow.groups.SYM_DIM_CAP", 20)
-    cfg_path = write_config(
-        tmp_path,
-        generators=["3 3\n1 0 0\n0 1 0\n0 0 1\n"],
-        n_max=10,
-        checks=["decompose", "growth", "ramification"],
-    )
-    outs = [str(tmp_path / f"jobs{j}.json") for j in (1, 2)]
-    for jobs, out in zip((1, 2), outs):
-        assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 2
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    job = {**BASE, "generators": [generator], "checks": ["decompose"]}
+    over = run(config_from_dict({**job, "n_max": 10}))
+    fits = run(config_from_dict({**job, "n_max": 4}))
+    assert list(over["errors"]) == ["decompose_n5"] and fits["errors"] == {}
+    assert over["checks"]["decompose"] == fits["checks"]["decompose"]
 
 
-def test_pool_stops_submitting_at_first_overflow(tmp_path, monkeypatch):
+def test_failing_degree_ends_the_sweep(monkeypatch):
     import sympow.pipeline as pipeline
 
-    submitted = []
+    built, real_sym_power, real_decompose = [], pipeline.sym_power, pipeline.decompose
 
-    class SyncPool:
-        """Runs each task at submit time, in this process."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args[-2])  # the degree
-            fut = Future()
-            try:
-                fut.set_result(fn(*args))
-            except Exception as exc:
-                fut.set_exception(exc)
-            return fut
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SyncPool)
-    monkeypatch.setattr("sympow.groups.SYM_DIM_CAP", 20)
-    cfg = config_from_dict({**BASE, "generators": ["3 3\n1 0 0\n0 1 0\n0 0 1\n"],
-                            "n_max": 10, "checks": ["decompose"], "jobs": 2})
-    report = run(cfg)
-    assert submitted == [0, 1, 2, 3, 4]
-    assert list(report["errors"]) == ["decompose_n5"]
-    assert sorted(report["checks"]["decompose"]["vectors"]) == [0, 1, 2, 3, 4]
-
-
-def test_worker_failure_cancels_later_degrees(monkeypatch):
-    import sympow.pipeline as pipeline
-
-    ran = []
-
-    class LazyFuture(Future):
-        def __init__(self, fn, args):
-            super().__init__()
-            self.fn, self.args = fn, args
-
-        def run(self):
-            if self.done():  # cancelled, or already run
-                return
-            ran.append(self.args[-2])  # the degree
-            try:
-                self.set_result(self.fn(*self.args))
-            except Exception as exc:
-                self.set_exception(exc)
-
-        def result(self, timeout=None):
-            self.run()
-            return super().result(timeout)
-
-    class LazyPool:
-        """Runs a task when its result is asked for; like a real pool, the
-        block's exit runs every task that is still queued."""
-
-        def __init__(self, max_workers):
-            self.tasks = []
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            for fut in self.tasks:
-                fut.run()
-            return False
-
-        def submit(self, fn, *args):
-            self.tasks.append(LazyFuture(fn, args))
-            return self.tasks[-1]
-
-    real_decompose = pipeline.decompose
+    def recording_sym_power(rep, G, n):
+        built.append(n)
+        return real_sym_power(rep, G, n)
 
     def failing_decompose(M, registry, seed):
         if M.dim == 10:  # Sym^3 on P^2
-            raise RuntimeError("worker failed")
+            raise RuntimeError("decompose failed")
         return real_decompose(M, registry, seed)
 
-    # a P^2 job: on P^1 the recursion owns the sweep and no pool runs
-    plane = {**BASE, "generators": ["3 3\n1 1 0\n0 1 0\n0 0 1\n"], "checks": ["decompose"]}
+    monkeypatch.setattr(pipeline, "sym_power", recording_sym_power)
     monkeypatch.setattr(pipeline, "decompose", failing_decompose)
-    sequential = run(config_from_dict(plane))
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", LazyPool)
-    pooled = run(config_from_dict({**plane, "jobs": 2}))
-    assert ran == [0, 1, 2, 3]
-    assert list(pooled["errors"]) == ["decompose_n3"]
-    assert canonical_json(pooled) == canonical_json(sequential)
+    report = run(config_from_dict({**BASE, "generators": ["3 3\n1 1 0\n0 1 0\n0 0 1\n"],
+                                   "checks": ["decompose"]}))
+    assert built == [0, 1, 2, 3]
+    assert report["errors"] == {"decompose_n3": "RuntimeError: decompose failed"}
+    assert sorted(report["checks"]["decompose"]["vectors"]) == [0, 1, 2]
 
 
 def test_repeated_koszul_job_in_one_process_does_the_same_work(monkeypatch):
