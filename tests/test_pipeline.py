@@ -171,29 +171,52 @@ S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
 S3_PLANE_GENS = ["3 3\n0 1 0\n1 0 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"]
 
 
-def test_jobs_flag_is_accepted_and_ignored(tmp_path, monkeypatch, capsys):
+def forbid_processes(monkeypatch):
     def no_process(self):
         raise AssertionError("the sweep started a process")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
-    reports, docs = {}, {}
-    for flag in ([], ["--jobs", "2"]):
-        tag = "-".join(flag) or "none"
-        cache = tmp_path / f"cache{tag}"
-        # a P^2 job, whose degrees are all decomposed directly
-        cfg_path = write_config(tmp_path, name=f"job{tag}.json", generators=S3_PLANE_GENS,
-                                n_max=10, cache_dir=str(cache))
-        out = tmp_path / f"out{tag}.json"
-        assert main(["analyze", "--config", cfg_path, "--output", str(out), *flag]) == 0
-        assert os.listdir(cache) == [f"{job_key(load_config(cfg_path))}.json"]
-        reports[tag], docs[tag] = out.read_bytes(), (cache / os.listdir(cache)[0]).read_bytes()
-    doc = json.loads(docs["none"])
-    assert sorted(map(int, doc["vectors"])) == list(range(11)) and doc["classes"]
-    assert reports["none"] == reports["--jobs-2"]
-    assert docs["none"] == docs["--jobs-2"]
+
+
+def test_parallel_jobs_match_sequential(tmp_path, monkeypatch, capsys):
+    # --jobs is accepted and ignored: same report bytes, no process started
+    forbid_processes(monkeypatch)
+    cfg_path = write_config(tmp_path)
+    a, b = str(tmp_path / "seq.json"), str(tmp_path / "par.json")
+    assert main(["analyze", "--config", cfg_path, "--output", a]) == 0
+    assert main(["analyze", "--config", cfg_path, "--output", b, "--jobs", "2"]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
     capsys.readouterr()
     assert main(["analyze", "--config", cfg_path, "--jobs", "0"]) == 1
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_parallel_jobs_write_the_same_cache(tmp_path, monkeypatch):
+    forbid_processes(monkeypatch)
+    docs = {}
+    for jobs in (1, 2):
+        cache = tmp_path / f"cache{jobs}"
+        # a P^2 job, whose degrees are all decomposed directly
+        cfg_path = write_config(tmp_path, name=f"job{jobs}.json", generators=S3_PLANE_GENS,
+                                n_max=10, cache_dir=str(cache))
+        out = str(tmp_path / f"out{jobs}.json")
+        assert main(["analyze", "--config", cfg_path, "--output", out, "--jobs", str(jobs)]) == 0
+        assert os.listdir(cache) == [f"{job_key(load_config(cfg_path))}.json"]
+        docs[jobs] = (cache / os.listdir(cache)[0]).read_bytes()
+    doc = json.loads(docs[1])
+    assert sorted(map(int, doc["vectors"])) == list(range(11)) and doc["classes"]
+    assert docs[1] == docs[2]
+
+
+def test_p1_sweep_with_a_form_opens_no_pool(tmp_path, monkeypatch):
+    # degree n needs degree n - m, so the recursion sweeps in this process
+    forbid_processes(monkeypatch)
+    cfg_path = write_config(tmp_path, generators=S3_GENS, checks=["decompose"])
+    report = run(load_config(cfg_path))
+    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 15, "direct": 2}
+    out = tmp_path / "out.json"
+    assert main(["analyze", "--config", cfg_path, "--output", str(out), "--jobs", "2"]) == 0
+    assert out.read_text() == canonical_json(report)
 
 
 def test_plane_sweep_takes_the_direct_route():
