@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field, make_field, subfield_root, embed_scalar
-from .groups import GroupData, ModuleRep, Representation
+from .groups import GroupData, ModuleRep
 from .polyfit import delta
 
 # cyclotomic(N) is a pure function of one integer, shared by every field and
@@ -247,7 +247,7 @@ def _sym_exponent_counts(exps: list[int], o: int, degrees: list[int]) -> dict[in
     return out
 
 
-def sym_brauer_sequence(rep: Representation, group: GroupData, degrees) -> dict[int, BrauerChar]:
+def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, BrauerChar]:
     """Brauer characters of Sym^k for each requested degree k.
 
     Each p-regular class representative is probed once, on its own
@@ -266,7 +266,7 @@ def sym_brauer_sequence(rep: Representation, group: GroupData, degrees) -> dict[
     for r in reps:
         A = group.elements[r]
         o = group.element_order(r)
-        dims = root_space_dims(rep.field, A, o)
+        dims = root_space_dims(group.field, A, o)
         if sum(dims) != A.shape[0]:
             raise AssertionError("p-regular action must be diagonalizable over GF(q^s)")
         exps = [s for s, ds in enumerate(dims) for _ in range(ds)]
@@ -290,15 +290,14 @@ def _tail_threshold(flags: list[bool]) -> int | None:
     return t if t < len(flags) else None
 
 
-def check_delta_vanishing(rep: Representation, group: GroupData, j: int, m: int,
-                          k: int, n_max: int) -> dict:
+def check_delta_vanishing(group: GroupData, j: int, m: int, k: int, n_max: int) -> dict:
     """Does the k-th difference of n -> char(Sym^(m n + j)) vanish eventually?
 
     Returns threshold data over the window n = 0..n_max; `vanishes_from` is
     the least n with all later k-th differences zero, or None if even the last
     computed difference is nonzero.
     """
-    chars = sym_brauer_sequence(rep, group, [m * n + j for n in range(n_max + 1)])
+    chars = sym_brauer_sequence(group, [m * n + j for n in range(n_max + 1)])
     return delta_vanishing_report(chars, j, m, k, n_max)
 
 
@@ -325,16 +324,14 @@ def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
     }
 
 
-def char_growth_check(rep: Representation, group: GroupData, g_idx: int, a: int,
-                      d_fix: int, n_max: int) -> dict:
+def char_growth_check(G: GroupData, g_idx: int, a: int, d_fix: int, n_max: int) -> dict:
     """Check one class's character along Sym^(a + n*#G) for polynomial growth.
 
     The fixed-locus dimension d_fix bounds the degree: differences of order
     d_fix + 2 should vanish from some threshold on.  Reports the threshold per
     root-of-unity coordinate.
     """
-    G = group
-    if G.element_order(g_idx) % rep.field.p == 0:
+    if G.element_order(g_idx) % G.field.p == 0:
         raise ValueError("class representative must be p-regular")
     rep_idx = None
     for cls in G.conj_classes():
@@ -342,7 +339,7 @@ def char_growth_check(rep: Representation, group: GroupData, g_idx: int, a: int,
             rep_idx = cls[0]
             break
     order = G.order
-    chars = sym_brauer_sequence(rep, G, [a + n * order for n in range(n_max + 1)])
+    chars = sym_brauer_sequence(G, [a + n * order for n in range(n_max + 1)])
     seq = [chars[a + n * order].reduced()[rep_idx] for n in range(n_max + 1)]
     k = d_fix + 2
     if n_max < k:

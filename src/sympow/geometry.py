@@ -15,17 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import root_space_dims
-from .groups import GroupData, _is_p_power
+from .groups import GroupData, p_part
 
 EMPTY = -1
-
-
-def _p_prime_order(G: GroupData, g: int) -> int:
-    o = G.element_order(g)
-    p = G.field.p
-    while o % p == 0:
-        o //= p
-    return o
 
 
 def fixed_dims(G: GroupData, g: int) -> list[tuple[int, int]]:
@@ -35,7 +27,8 @@ def fixed_dims(G: GroupData, g: int) -> list[tuple[int, int]]:
     o' the p'-part of ord(g); exponent 0 is the eigenvalue 1.  Only nonempty
     eigenspaces are listed, so dims are >= 0.
     """
-    o = _p_prime_order(G, g)
+    o = G.element_order(g)
+    o //= p_part(o, G.field.p)
     dims = root_space_dims(G.field, G.elements[g], o)
     return [(k, d - 1) for k, d in enumerate(dims) if d > 0]
 
@@ -105,7 +98,7 @@ def ramification(G: GroupData) -> RamificationReport:
         local = max((d for _, d in fixed), default=EMPTY)
         dim_b = max(dim_b, local)
         o = G.element_order(g)
-        if _is_p_power(o, p):
+        if p_part(o, p) == o:
             dim_bp = max(dim_bp, local)
         elements.append({
             "index": g,

@@ -302,19 +302,6 @@ class Field:
             n >>= 1
         return result
 
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ZeroDivisionError("order of zero")
-        n = self.q - 1
-        for ell, k in factorize(n).items():
-            for _ in range(k):
-                if self.pow(a, n // ell) == 1:
-                    n //= ell
-                else:
-                    break
-        return n
-
     # -- canonical generator ---------------------------------------------
 
     def _lex_codes(self):

@@ -11,17 +11,18 @@ vector, with one product per element.
 `ModuleRep` is the carrier for all downstream work: a kG-module given by the
 action matrices of the group generators on a chosen basis.
 
-A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k of its
-generators for the group's lifetime and resumes from the highest degree
-built, and koszul's equivariance memo and `modules.extend_scalars`' extended
-groups live on it too.  Nothing outlives the group that made it.
+A closed group is the one handle for an action: `close_group(F, gens)`
+checks the generators and closes them, and every API past it takes the group
+alone.  A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k
+of its generators for the group's lifetime and resumes from the highest
+degree built, and `modules.extend_scalars`' extended groups live on it too.
+Nothing outlives the group that made it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,41 +37,18 @@ def _mat_key(A: np.ndarray) -> bytes:
     return A.astype(np.int64).tobytes()
 
 
-@dataclass(frozen=True)
-class Representation:
-    """A linear action on coordinates z_0..z_(dim-1): invertible generator mats."""
-
-    field: Field
-    gens: tuple[np.ndarray, ...]
-    names: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        names = self.names or tuple(f"g{i}" for i in range(len(self.gens)))
-        object.__setattr__(self, "names", names)
-        for A in self.gens:
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError("generators must be square matrices")
-            if A.shape != self.gens[0].shape:
-                raise ValueError("generators must share a dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.gens[0].shape[0] if self.gens else 1
-
-
 class GroupData:
     """Closed element list with words, orders, Sylow subgroup, classes.
 
     Also the owner of state derived from the group: the Sym^k towers of its
-    generators (`sym`), the (form bytes, source degree, generator index)
-    triples koszul has verified equivariant (`equivariant_forms`), and its
-    scalar extensions by extension degree (`extensions`).
+    generators (`sym`) and its scalar extensions by extension degree
+    (`extensions`).  Built by `close_group` only, which checks the generators.
     """
 
-    def __init__(self, field: Field, dim: int, gens: list[np.ndarray]):
+    def __init__(self, field: Field, gens: list[np.ndarray]):
         self.field = field
-        self.dim = dim
         self.gens = [g.astype(np.int64) for g in gens]
+        self.dim = self.gens[0].shape[0]
         self.elements: list[np.ndarray] = []
         self.index: dict[bytes, int] = {}
         self.words: list[tuple[int, int]] = []  # left words: (parent element, generator position)
@@ -79,7 +57,6 @@ class GroupData:
         self._sylow: tuple[int, ...] | None = None
         self._conj_classes: list[tuple[int, ...]] | None = None
         self._sym_towers: list[dict[int, np.ndarray]] = [{} for _ in self.gens]
-        self.equivariant_forms: set[tuple[bytes, int, int]] = set()
         self.extensions: dict[int, GroupData] = {}
 
     # -- enumeration -----------------------------------------------------
@@ -116,15 +93,6 @@ class GroupData:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def p_part(self) -> int:
-        n, p = self.order, self.field.p
-        out = 1
-        while n % p == 0:
-            out *= p
-            n //= p
-        return out
 
     # -- index arithmetic --------------------------------------------------
 
@@ -185,21 +153,24 @@ class GroupData:
 
         Greedy closure over p-power-order elements in canonical order; each
         candidate is kept only if the closure stays a p-group.  Correctness is
-        certified by the order count reaching p_part, not by conjugacy theory.
+        certified by the order count reaching the p-part of |G|, not by
+        conjugacy theory.
         """
         if self._sylow is not None:
             return self._sylow
-        p, target = self.field.p, self.p_part
+        p = self.field.p
+        target = p_part(self.order, p)
         current: tuple[int, ...] = (0,)
         grew = True
         while len(current) < target and grew:
             grew = False
             cur_set = set(current)
             for i in range(1, self.order):
-                if i in cur_set or not _is_p_power(self.element_order(i), p):
+                o = self.element_order(i)
+                if i in cur_set or p_part(o, p) != o:
                     continue
                 cand = self.subgroup_closure(set(current) | {i})
-                if _is_p_power(len(cand), p):
+                if p_part(len(cand), p) == len(cand):
                     current = cand
                     cur_set = set(current)
                     grew = True
@@ -248,18 +219,31 @@ class GroupData:
         return [tower[n] for tower in self._sym_towers]
 
 
-def _is_p_power(n: int, p: int) -> bool:
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    out = 1
     while n % p == 0:
+        out *= p
         n //= p
-    return n == 1
+    return out
 
 
-def close_group(rep: Representation, cap: int = GROUP_CAP) -> GroupData:
-    F = rep.field
-    for A in rep.gens:
+def close_group(F: Field, gens: list[np.ndarray], cap: int = GROUP_CAP) -> GroupData:
+    """The group the generator matrices generate, closed.
+
+    The generators must be at least one invertible square matrix over F, all
+    of one size.
+    """
+    if not gens:
+        raise ValueError("a group needs at least one generator")
+    for A in gens:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("generators must be square matrices")
+        if A.shape != gens[0].shape:
+            raise ValueError("generators must share a dimension")
         if la.rank(F, A) != A.shape[0]:
             raise ValueError("generator is not invertible")
-    G = GroupData(F, rep.dim, list(rep.gens))
+    G = GroupData(F, gens)
     G._close(cap)
     return G
 
@@ -272,18 +256,13 @@ class ModuleRep:
     group's BFS words and memoized.
     """
 
-    def __init__(self, group: GroupData, mats: list[np.ndarray], dim: int | None = None):
+    def __init__(self, group: GroupData, mats: list[np.ndarray]):
         if len(mats) != len(group.gens):
             raise ValueError("one action matrix per group generator required")
         self.group = group
         self.field = group.field
         self.mats = [m.astype(np.int64) for m in mats]
-        if self.mats:
-            self.dim = self.mats[0].shape[0]
-        elif dim is not None:
-            self.dim = dim
-        else:
-            raise ValueError("dim is required when there are no generators")
+        self.dim = self.mats[0].shape[0]
         for m in self.mats:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
@@ -382,26 +361,21 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
         prev, mons_prev = cur, mons_k
 
 
-def sym_power(rep: Representation, group: GroupData, n: int) -> ModuleRep:
+def sym_power(group: GroupData, n: int) -> ModuleRep:
     """The degree-n graded piece H^0(P^d, O(n)) as a module over `group`.
 
-    `group` is the group closed from `rep`; the matrices come from its towers.
+    The matrices come from the group's Sym^k towers.
     """
     if n < 0:
         raise ValueError("sym_power needs n >= 0")
     return ModuleRep(group, group.sym(n))
 
 
-def sym_power_stream(rep: Representation, group: GroupData, n_max: int):
+def sym_power_stream(group: GroupData, n_max: int):
     """Yield (k, Sym^k as ModuleRep) for k = 0..n_max without keeping a tower."""
-    streams = [sym_matrix_stream(rep.field, A, n_max) for A in rep.gens]
-    if not streams:
-        for k in range(n_max + 1):
-            yield k, ModuleRep(group, [], dim=sym_dim(rep.dim, k))
-        return
+    streams = [sym_matrix_stream(group.field, A, n_max) for A in group.gens]
     for parts in zip(*streams):
-        k = parts[0][0]
-        yield k, ModuleRep(group, [S for _, S in parts])
+        yield parts[0][0], ModuleRep(group, [S for _, S in parts])
 
 
 # -- derived modules ---------------------------------------------------------

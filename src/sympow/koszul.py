@@ -46,7 +46,7 @@ from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
 FORM_ATTEMPTS = 64
 
 
-def mul_form_matrix(F: Field, form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
+def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
     """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
     src = np.array(monomials(d1, k), dtype=np.int64).reshape(-1, d1)
     dst = np.array(monomials(d1, k + deg), dtype=np.int64).reshape(-1, d1)
@@ -262,7 +262,7 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         block = G.sym(degs[r])
         blocks.append(block)
         mats = [la.block_diag([B] * len(subsets[r])) for B in block]
-        terms.append(ModuleRep(G, mats, dim=sym_dim(d1, degs[r]) * len(subsets[r])))
+        terms.append(ModuleRep(G, mats))
     maps = []
     mults = []  # mults[r - 1][i]: multiplication by forms[i] out of Sym^degs[r]
     for r in range(1, R + 1):
@@ -270,7 +270,7 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         dst_dim = sym_dim(d1, degs[r - 1])
         tau = la.zeros(dst_dim * len(subsets[r - 1]), src_dim * len(subsets[r]))
         dst_pos = {S: i for i, S in enumerate(subsets[r - 1])}
-        mults.append([mul_form_matrix(F, form, m, degs[r], d1) for form in forms])
+        mults.append([mul_form_matrix(form, m, degs[r], d1) for form in forms])
         for si, S in enumerate(subsets[r]):
             for ell, i in enumerate(S):
                 Sminus = tuple(x for x in S if x != i)
@@ -298,22 +298,17 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]],
     every rho is block diagonal with one sym matrix repeated and every tau
     block is a signed multiplication map, so the full identity holds exactly
     when each multiplication map commutes with the sym action; that reduced
-    identity is what gets checked, once per (form, source degree, generator)
-    for the group's lifetime (`GroupData.equivariant_forms`).
+    identity is what gets checked, for every form, source degree and
+    generator.
     """
     F = K.terms[0].field
     for r in range(len(K.maps) - 1):
         if np.any(la.mat_mul(F, K.maps[r], K.maps[r + 1])):
             raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
-    G = K.terms[0].group
     for r in range(1, len(K.terms)):
-        src_deg = K.m * (K.t - r) + K.j
-        for form, M in zip(K.forms, mults[r - 1]):
-            for gi in range(len(G.gens)):
-                key = (form.tobytes(), src_deg, gi)
-                if key not in G.equivariant_forms:
-                    _block_equivariance(F, M, blocks[r][gi], blocks[r - 1][gi], gi)
-                    G.equivariant_forms.add(key)
+        for M in mults[r - 1]:
+            for gi, (S_src, S_dst) in enumerate(zip(blocks[r], blocks[r - 1])):
+                _block_equivariance(F, M, S_src, S_dst, gi)
 
 
 def check_exact(K: KoszulComplex) -> dict:
@@ -437,21 +432,9 @@ def euler_identity(registry: Registry, sym_vectors: dict[int, dict[int, int]],
     for r in range(d + 1):
         deg = m * (t - r) + j
         total = dvec_add(total, dvec_scale(sym_vectors[deg], (-1) ** r * math.comb(d, r)))
-    kg = registry.regular_vec(seed)
-    q = None
-    for mid, mult in kg.items():
-        cand, rem = divmod(total.get(mid, 0), mult)
-        if rem:
-            q = None
-            break
-        if q is None:
-            q = cand
-        elif q != cand:
-            q = None
-            break
-    if q is not None and total != dvec_scale(kg, q):
-        q = None
-    return {"class": total, "free_multiple": q}
+    q = free_rank(total, registry, seed)
+    exact = total == dvec_scale(registry.regular_vec(seed), q)
+    return {"class": total, "free_multiple": q if exact else None}
 
 
 def surface_progression_check(registry: Registry, sym_vectors: dict[int, dict[int, int]],

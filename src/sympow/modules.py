@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg as la
 from .gf import (Field, make_field, poly_coprime_split, subfield_root,
                  embed_scalar)
-from .groups import GroupData, ModuleRep, close_group, regular_rep, Representation, trace_operator
+from .groups import GroupData, ModuleRep, close_group, p_part, regular_rep, trace_operator
 
 FITTING_K = 40
 END_SCAN_SPACE = 2**16
@@ -79,13 +79,8 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[np.ndarray]:
         raise ValueError("hom_basis needs modules over the same group")
     F = M.field
     dm, dn = M.dim, N.dim
-    if not M.mats:
-        blocks = [la.zeros(0, dn * dm)]
-    else:
-        blocks = []
-        for A, B in zip(M.mats, N.mats):
-            S = F.vec_sub(np.kron(la.identity(dn), A.T), np.kron(B, la.identity(dm)))
-            blocks.append(S)
+    blocks = [F.vec_sub(np.kron(la.identity(dn), A.T), np.kron(B, la.identity(dm)))
+              for A, B in zip(M.mats, N.mats)]
     K = la.kernel_basis(F, np.vstack(blocks))
     return [K[:, j].reshape(dn, dm) for j in range(K.shape[1])]
 
@@ -94,7 +89,7 @@ def direct_sum(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     if M.group is not N.group:
         raise ValueError("direct_sum needs modules over the same group")
     mats = [la.block_diag([a, b]) for a, b in zip(M.mats, N.mats)]
-    return ModuleRep(M.group, mats, dim=M.dim + N.dim)
+    return ModuleRep(M.group, mats)
 
 
 # -- canonical sub/quotient constructions ------------------------------------
@@ -126,7 +121,7 @@ def module_on_basis(M: ModuleRep, B: np.ndarray, piv: list[int],
         if verify and not np.array_equal(la.mat_mul(F, B, X), la.mat_mul(F, A, B)):
             raise ValueError("column space is not invariant under the action")
         mats.append(X)
-    return ModuleRep(M.group, mats, dim=B.shape[1])
+    return ModuleRep(M.group, mats)
 
 
 def quotient_module(M: ModuleRep, C: np.ndarray) -> ModuleRep:
@@ -233,7 +228,7 @@ def _peel_trivial_pair(M: ModuleRep) -> tuple[ModuleRep, ModuleRep] | None:
     """
     F, d = M.field, M.dim
     I = la.identity(d)
-    diffs = [F.vec_sub(A, I) for A in M.mats] or [la.zeros(d, d)]
+    diffs = [F.vec_sub(A, I) for A in M.mats]
     fixed = la.kernel_basis(F, np.vstack(diffs))
     if fixed.shape[1] == 0:
         return None
@@ -245,7 +240,7 @@ def _peel_trivial_pair(M: ModuleRep) -> tuple[ModuleRep, ModuleRep] | None:
     if hits.size == 0:
         return None
     lam = funcs[:, hits[0][0]]
-    triv = ModuleRep(M.group, [la.identity(1) for _ in M.mats], dim=1)
+    triv = ModuleRep(M.group, [la.identity(1) for _ in M.mats])
     comp = submodule(M, la.kernel_basis(F, lam[None, :]), verify=False)
     return triv, comp
 
@@ -495,7 +490,7 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
     n = G.order
     if n == 1 or D < n:
         return 0, M
-    if G.p_part == n:
+    if p_part(n, F.p) == n:
         perms = _monomial_perms(M)
         return _peel_trace(M) if perms is None else _peel_orbits(M, perms)
     # ramp route
@@ -539,7 +534,7 @@ def _quotient_from_rowspace(M: ModuleRep, R: np.ndarray, piv: list[int]) -> Modu
     for A in M.mats:
         X = A[np.ix_(free, free)]
         mats.append(F.vec_sub(X, la.mat_mul(F, Rf, A[np.ix_(piv, free)])) if piv else X)
-    return ModuleRep(M.group, mats, dim=len(free))
+    return ModuleRep(M.group, mats)
 
 
 def decompose(M: ModuleRep, registry: Registry, seed: int) -> dict[int, int]:
@@ -613,8 +608,8 @@ def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
     table = np.array([embed_scalar(big, F, root, a) for a in range(F.q)], dtype=np.int64)
     G = M.group
     if s not in G.extensions:
-        G.extensions[s] = close_group(Representation(big, tuple(table[g] for g in G.gens)))
-    return ModuleRep(G.extensions[s], [table[m] for m in M.mats], dim=M.dim)
+        G.extensions[s] = close_group(big, [table[g] for g in G.gens])
+    return ModuleRep(G.extensions[s], [table[m] for m in M.mats])
 
 
 # -- registry persistence -----------------------------------------------------------
@@ -660,7 +655,7 @@ def load_registry(path: str, group: GroupData):
             mats = [la.mat_from_text(group.field, text) for text in entry["gens"]]
             if any(A.shape != (dim, dim) for A in mats):
                 raise ValueError(f"class {mid} is not {dim}-dimensional")
-            reg.entries[mid] = ModuleRep(group, mats, dim=dim)  # checks the generator count
+            reg.entries[mid] = ModuleRep(group, mats)  # checks the generator count
         vectors = {int(n): {int(mid): int(mult) for mid, mult in vec.items()}
                    for n, vec in doc["vectors"].items()}
     except (KeyError, TypeError, AttributeError, IndexError) as exc:

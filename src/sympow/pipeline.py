@@ -42,8 +42,8 @@ from . import linalg as la
 from .chars import char_growth_check, delta_vanishing_report, sym_brauer_sequence
 from .geometry import fixed_dims, ramification
 from .gf import make_field
-from .groups import (CapacityError, GroupData, ModuleRep, Representation,
-                     SYM_DIM_CAP, close_group, sym_dim, sym_power)
+from .groups import (CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, close_group, p_part,
+                     sym_dim, sym_power)
 from .modules import (Registry, child_rng, child_seed, decompose, dvec_add, load_registry,
                       projective_part_dim, save_registry)
 from .polyfit import detect_description, growth_degree
@@ -107,10 +107,10 @@ def load_config(path: str) -> JobConfig:
 
 
 def _int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    """A JSON integer; floats, booleans and numeric strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> JobConfig:
@@ -332,7 +332,7 @@ def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
 # -- the degree sweep --------------------------------------------------------------
 
 
-def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: dict):
+def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     """(vectors, registry, volatile counters) for n = 0..n_max, cache-aware.
 
     One loop in ascending degree order.  A degree is a cache hit, a
@@ -366,7 +366,7 @@ def _compute_vectors(cfg: JobConfig, rep: Representation, G: GroupData, errors: 
                 vec = _recursion_degree(tower, n, vectors, registry, seed)
             if vec is None:
                 route = "direct"
-                vec = decompose(sym_power(rep, G, n), registry, seed)
+                vec = decompose(sym_power(G, n), registry, seed)
         except Exception as exc:
             errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
             break
@@ -405,7 +405,7 @@ def _run_description(cfg: JobConfig, G: GroupData, vectors) -> dict:
     return {"found": True, **desc.to_json()}
 
 
-def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
+def _run_delta(G: GroupData) -> dict:
     d = G.dim - 1
     m = G.order ** 2
     hi, lo = d + 1, d
@@ -418,7 +418,7 @@ def _run_delta(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
     if (sym_dim(G.dim, top) > SYM_DIM_CAP
             and len(G.p_regular_class_reps()) > 1):
         raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
-    chars = sym_brauer_sequence(rep, G, range(top + 1))
+    chars = sym_brauer_sequence(G, range(top + 1))
     hi_reports = [delta_vanishing_report(chars, j, m, hi, nw) for j in range(m)]
     lo_reports = [delta_vanishing_report(chars, j, m, lo, nw) for j in range(m)]
     return {
@@ -480,28 +480,27 @@ def _run_surface(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> d
     return {"stride": m, "progressions": out}
 
 
-def _run_char_growth(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
+def _run_char_growth(G: GroupData) -> dict:
     reports = []
     for g in G.p_regular_class_reps():
         d_fix = max((dim for _, dim in fixed_dims(G, g)), default=-1)
         floor = d_fix + 3
         nw = _char_window(G.dim, G.order, floor, max(floor, 10))
-        reports.append(char_growth_check(rep, G, g, 0, d_fix, nw))
+        reports.append(char_growth_check(G, g, 0, d_fix, nw))
     return {"classes": reports, "ok": all(r["ok"] for r in reports)}
 
 
-def _char_table(cfg: JobConfig, rep: Representation, G: GroupData) -> dict:
+def _char_table(cfg: JobConfig, G: GroupData) -> dict:
     top = min(cfg.n_max, CHAR_TABLE_MAX_N)
-    chars = sym_brauer_sequence(rep, G, range(top + 1))
+    chars = sym_brauer_sequence(G, range(top + 1))
     values = {n: {r: list(chars[n].values[r]) for r in chars[n].reps} for n in range(top + 1)}
     return {"modulus": chars[0].modulus, "n_max": top, "values": values}
 
 
-def _group(cfg: JobConfig) -> tuple[Representation, GroupData]:
-    """The job's representation and the group its generators generate."""
+def _group(cfg: JobConfig) -> GroupData:
+    """The group the job's generators generate."""
     F = make_field(cfg.p, cfg.e)
-    rep = Representation(F, tuple(la.mat_from_text(F, g) for g in cfg.generators))
-    return rep, close_group(rep)
+    return close_group(F, [la.mat_from_text(F, g) for g in cfg.generators])
 
 
 def run(cfg: JobConfig) -> dict:
@@ -511,7 +510,7 @@ def run(cfg: JobConfig) -> dict:
     the volatile section is dropped; `canonical_json` does exactly that.
     """
     t0 = time.monotonic()
-    rep, G = _group(cfg)
+    G = _group(cfg)
     checks: dict = {}
     errors: dict = {}
     echo = cfg.echo()
@@ -519,14 +518,14 @@ def run(cfg: JobConfig) -> dict:
     report = {
         "artifact_version": VERSION,
         "echo": echo,
-        "group": {"order": G.order, "dim": G.dim, "p_part": G.p_part},
+        "group": {"order": G.order, "dim": G.dim, "p_part": p_part(G.order, G.field.p)},
         "checks": checks,
         "errors": errors,
         "volatile": {"delivery": cfg.delivery()},
     }
     vectors = registry = None
     if _NEED_VECTORS & set(cfg.checks):
-        vectors, registry, counters = _compute_vectors(cfg, rep, G, errors)
+        vectors, registry, counters = _compute_vectors(cfg, G, errors)
         report["volatile"].update(counters)
         if "decompose" in cfg.checks:
             checks["decompose"] = {
@@ -535,7 +534,7 @@ def run(cfg: JobConfig) -> dict:
                 "class_dims": {mid: registry.entries[mid].dim for mid in registry.entries},
             }
         try:
-            checks["characters"] = _char_table(cfg, rep, G)
+            checks["characters"] = _char_table(cfg, G)
         except Exception as exc:
             errors["characters"] = f"{type(exc).__name__}: {exc}"
 
@@ -548,14 +547,14 @@ def run(cfg: JobConfig) -> dict:
             errors[name] = f"{type(exc).__name__}: {exc}"
 
     guarded("description", _run_description, cfg, G, vectors)
-    guarded("delta_vanishing", _run_delta, cfg, rep, G)
+    guarded("delta_vanishing", _run_delta, G)
     guarded("growth", _run_growth, cfg, G)
     guarded("ramification", lambda: ramification(G).to_json())
     if "koszul" in cfg.checks and registry is None:
         registry = Registry(G)
     guarded("koszul", _run_koszul, cfg, G, registry, vectors)
     guarded("surface_progression", _run_surface, cfg, G, registry, vectors)
-    guarded("char_growth", _run_char_growth, cfg, rep, G)
+    guarded("char_growth", _run_char_growth, G)
     report["volatile"]["elapsed_s"] = round(time.monotonic() - t0, 3)
     return report
 
@@ -568,11 +567,11 @@ def run_single(cfg: JobConfig, n: int) -> dict:
     would bake a different id numbering into the shared registry.  An
     unreadable cache document is a miss, as on any read.
     """
-    rep, G = _group(cfg)
+    G = _group(cfg)
     registry, cached = _read_cache(_cache_path(cfg), G, {"corrupt": 0})
     vec = cached.get(n)
     if vec is None:
-        vec = decompose(sym_power(rep, G, n), registry, child_seed(cfg.seed, "sym", n))
+        vec = decompose(sym_power(G, n), registry, child_seed(cfg.seed, "sym", n))
     return {
         "artifact_version": VERSION,
         "n": n,

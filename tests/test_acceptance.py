@@ -21,8 +21,7 @@ from sympow import linalg as la
 from sympow.chars import check_delta_vanishing
 from sympow.geometry import ramification
 from sympow.gf import make_field
-from sympow.groups import (ModuleRep, Representation, close_group,
-                           sym_power_stream)
+from sympow.groups import ModuleRep, close_group, sym_power_stream
 from sympow.koszul import (build_complex, check_exact, check_split_stagewise,
                            choose_forms, euler_identity,
                            surface_progression_check)
@@ -46,25 +45,24 @@ def _mat(rows):
 def cyclic_data(p):
     """C_p as a transvection on the line: vectors and sym matrices, n <= 60."""
     F = make_field(p)
-    rep = Representation(F, (_mat([[1, 1], [0, 1]]),))
-    G = close_group(rep)
+    G = close_group(F, [_mat([[1, 1], [0, 1]])])
     reg = Registry(G)
     vecs, mats = [], []
-    for n, M in sym_power_stream(rep, G, 60):
+    for n, M in sym_power_stream(G, 60):
         vecs.append(decompose(M, reg, seed=child_seed(1, "cyc", p, n)))
         mats.append(M.mats[0])
-    return rep, G, reg, vecs, mats
+    return G, reg, vecs, mats
 
 
 def test_criterion_01_cyclic_oracle_equivalence():
     t0 = time.monotonic()
     cases = 0
     for p in (2, 3, 5):
-        rep, G, reg, vecs, mats = cyclic_data(p)
+        G, reg, vecs, mats = cyclic_data(p)
         for n in range(61):
             got = sorted(reg.entries[mid].dim
                          for mid, mult in vecs[n].items() for _ in range(mult))
-            oracle = sorted(la.unipotent_jordan(rep.field, mats[n]))
+            oracle = sorted(la.unipotent_jordan(G.field, mats[n]))
             assert got == oracle, (p, n, got, oracle)
             cases += 1
     elapsed = time.monotonic() - t0
@@ -77,7 +75,7 @@ def test_criterion_01_cyclic_oracle_equivalence():
 def test_criterion_02_polynomial_description():
     t0 = time.monotonic()
     for p in (2, 3, 5):
-        _, _, reg, vecs, _ = cyclic_data(p)
+        _, reg, vecs, _ = cyclic_data(p)
         cands = [k for k in range(1, p * p + 1) if (p * p) % k == 0]
         desc = detect_description(vecs, cands, dmax=1, holdout=3)
         assert desc is not None and desc.m == p
@@ -94,12 +92,11 @@ def test_criterion_02_polynomial_description():
           time.monotonic() - t0)
 
 
-def _seeded_registry(rep, n_top, seed):
-    G = close_group(rep)
+def _seeded_registry(G, n_top, seed):
     reg = Registry(G)
-    for n, M in sym_power_stream(rep, G, n_top):
+    for n, M in sym_power_stream(G, n_top):
         decompose(M, reg, seed=child_seed(seed, "seed", n))
-    return G, reg
+    return reg
 
 
 def _random_module(reg, rng, dim_cap):
@@ -123,21 +120,21 @@ def _random_module(reg, rng, dim_cap):
     P = la.rand_invertible(F, rng, mod.dim)
     Pi = la.inv(F, P)
     mats = [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in mod.mats]
-    return ModuleRep(mod.group, mats, dim=mod.dim)
+    return ModuleRep(mod.group, mats)
 
 
 def test_criterion_03_projective_part_identity():
     t0 = time.monotonic()
     F2, F3 = make_field(2), make_field(3)
     fixtures = [
-        (Representation(F2, (_mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
-                             _mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]]))), 6),
-        (Representation(F2, (_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]]))), 8),
-        (Representation(F3, (_mat([[1, 1], [0, 1]]),)), 8),
+        (close_group(F2, [_mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+                          _mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]), 6),
+        (close_group(F2, [_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]])]), 8),
+        (close_group(F3, [_mat([[1, 1], [0, 1]])]), 8),
     ]
     cases = 0
-    for fi, (rep, n_top) in enumerate(fixtures):
-        G, reg = _seeded_registry(rep, n_top, seed=fi)
+    for fi, (G, n_top) in enumerate(fixtures):
+        reg = _seeded_registry(G, n_top, seed=fi)
         rng = np.random.default_rng(100 + fi)
         for trial in range(35):
             M = _random_module(reg, rng, dim_cap=24)
@@ -157,19 +154,18 @@ def test_criterion_04_delta_vanishing():
     t0 = time.monotonic()
     F2, F4 = make_field(2), make_field(2, 2)
     fixtures = [
-        Representation(F2, (_mat([[1, 1], [0, 1]]),)),
-        Representation(F2, (_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]]))),
-        Representation(F4, (_mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),)),
+        close_group(F2, [_mat([[1, 1], [0, 1]])]),
+        close_group(F2, [_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]])]),
+        close_group(F4, [_mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])]),
     ]
-    for rep in fixtures:
-        G = close_group(rep)
+    for G in fixtures:
         d = G.dim - 1
         m = G.order ** 2
         nw = max(d + 3, 6)
         for j in range(m):
-            hi = check_delta_vanishing(rep, G, j, m, d + 1, nw)
+            hi = check_delta_vanishing(G, j, m, d + 1, nw)
             assert hi["vanishes_from"] is not None, (G.order, j)
-            lo = check_delta_vanishing(rep, G, j, m, d, nw)
+            lo = check_delta_vanishing(G, j, m, d, nw)
             assert lo["vanishes_from"] is None, (G.order, j)
     elapsed = time.monotonic() - t0
     assert elapsed < 120
@@ -183,12 +179,11 @@ def test_criterion_05_growth_bounds():
     t0 = time.monotonic()
     for p in (2, 3, 5):
         F = make_field(p)
-        rep = Representation(F, (_mat([[1, 1], [0, 1]]),))
-        G = close_group(rep)
+        G = close_group(F, [_mat([[1, 1], [0, 1]])])
         assert ramification(G).cp == 0
         reg = Registry(G)
         pdims = []
-        for n, M in sym_power_stream(rep, G, 200):
+        for n, M in sym_power_stream(G, 200):
             vec = decompose(M, reg, seed=child_seed(5, "cp", p, n))
             _, Pp = split_projective(vec, reg)
             ppdim = sum(reg.entries[mid].dim * mult for mid, mult in Pp.items())
@@ -197,12 +192,11 @@ def test_criterion_05_growth_bounds():
         fit = bounded_growth_check(pdims, 0)
         assert fit["bounded"] and fit["bound"] == p - 1
     F2 = make_field(2)
-    rep = Representation(F2, (_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]])))
-    G = close_group(rep)
+    G = close_group(F2, [_mat([[0, 1], [1, 0]]), _mat([[1, 1], [0, 1]])])
     assert ramification(G).c == 0
     reg = Registry(G)
     fdims = []
-    for n, M in sym_power_stream(rep, G, 200):
+    for n, M in sym_power_stream(G, 200):
         vec = decompose(M, reg, seed=child_seed(5, "s3", n))
         fdims.append(reg.dim_of(nonfree(vec, reg, 5)))
     fit = bounded_growth_check(fdims, 0)
@@ -216,12 +210,11 @@ def test_criterion_05_growth_bounds():
 def test_criterion_06_semisimple_sanity():
     t0 = time.monotonic()
     F2 = make_field(2)
-    rep = Representation(F2, (_mat([[0, 1], [1, 1]]),))
-    G = close_group(rep)
+    G = close_group(F2, [_mat([[0, 1], [1, 1]])])
     assert G.order == 3
     reg = Registry(G)
     vecs = []
-    for n, M in sym_power_stream(rep, G, 100):
+    for n, M in sym_power_stream(G, 100):
         vec = decompose(M, reg, seed=child_seed(6, "ss", n))
         _, Pp = split_projective(vec, reg)
         assert not Pp, n
@@ -239,12 +232,12 @@ KLEIN_STABLE_SIZE = 4  # golden: registry size from n = 3 on
 def test_criterion_07_klein_four_family():
     t0 = time.monotonic()
     F4 = make_field(2, 2)
-    V4 = close_group(Representation(F4, (_mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
-                                         _mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]]))))
+    V4 = close_group(F4, [_mat([[1, 0, 1], [0, 1, 0], [0, 0, 1]]),
+                          _mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])])
     assert V4.order == 4
 
     def rho(c):
-        return ModuleRep(V4, [_mat([[1, 1], [0, 1]]), _mat([[1, c], [0, 1]])], dim=2)
+        return ModuleRep(V4, [_mat([[1, 1], [0, 1]]), _mat([[1, c], [0, 1]])])
 
     units = (1, 2, 3)
     mods = {c: rho(c) for c in units}
@@ -253,12 +246,11 @@ def test_criterion_07_klein_four_family():
         for b in units:
             assert is_iso(mods[a], mods[b]) == (a == b), (a, b)
             assert is_iso(ext[a], ext[b]) == (a == b), ("GF(16)", a, b)
-    rep = Representation(F4, (_mat([[1, 1], [0, 1]]), _mat([[1, 2], [0, 1]])))
-    G = close_group(rep)
+    G = close_group(F4, [_mat([[1, 1], [0, 1]]), _mat([[1, 2], [0, 1]])])
     assert G.order == 4
     reg = Registry(G)
     sizes = []
-    for n, M in sym_power_stream(rep, G, 40):
+    for n, M in sym_power_stream(G, 40):
         decompose(M, reg, seed=child_seed(7, "klein", n))
         sizes.append(len(reg.entries))
     assert sizes[-1] == KLEIN_STABLE_SIZE
@@ -274,12 +266,11 @@ MU0_SPACE = 3
 @lru_cache(maxsize=None)
 def plane_data():
     F4 = make_field(2, 2)
-    rep = Representation(F4, (_mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),))
-    G = close_group(rep)
+    G = close_group(F4, [_mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
     forms, m = choose_forms(G, 2, seed=11)
     reg = Registry(G)
     sv = {}
-    for n, M in sym_power_stream(rep, G, 21):
+    for n, M in sym_power_stream(G, 21):
         sv[n] = decompose(M, reg, seed=child_seed(8, "p2", n))
     return G, forms, m, reg, sv
 
@@ -313,14 +304,13 @@ def test_criterion_08_koszul_splitting_and_euler():
     mu0 = _koszul_sweep(G2, forms2, m2, reg2, sv2, d=2, t_first=2, expect_q=2)
     assert mu0 == MU0_PLANE
     F9 = make_field(3, 2)
-    rep = Representation(F9, (_mat([[0, 0, 1, 0], [1, 0, 0, 0],
-                                    [0, 1, 0, 0], [0, 0, 0, 1]]),))
-    G3 = close_group(rep)
+    G3 = close_group(F9, [_mat([[0, 0, 1, 0], [1, 0, 0, 0],
+                                [0, 1, 0, 0], [0, 0, 0, 1]])])
     forms3, m3 = choose_forms(G3, 3, seed=11)
     assert m3 == 3
     reg3 = Registry(G3)
     sv3 = {}
-    for n, M in sym_power_stream(rep, G3, m3 * (MU0_SPACE + 4) + m3 - 1):
+    for n, M in sym_power_stream(G3, m3 * (MU0_SPACE + 4) + m3 - 1):
         sv3[n] = decompose(M, reg3, seed=child_seed(8, "p3", n))
     mu0 = _koszul_sweep(G3, forms3, m3, reg3, sv3, d=3, t_first=3, expect_q=9)
     assert mu0 == MU0_SPACE

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sympow.gf import make_field
-from sympow.groups import SYM_DIM_CAP, Representation, close_group, regular_rep, sym_power
+from sympow.groups import SYM_DIM_CAP, close_group, regular_rep, sym_power
 from sympow.chars import (BrauerChar, brauer_char, char_growth_check, char_zero,
                           check_delta_vanishing, cyclotomic,
                           reduce_root_vector, root_space_dims, sym_brauer_sequence)
@@ -20,16 +20,10 @@ from sympow.modules import direct_sum
 from sympow.polyfit import delta
 
 
-def s3_rep():
-    F = make_field(2)
-    return Representation(F, (np.array([[0, 1], [1, 0]], dtype=np.int64),
-                              np.array([[1, 1], [0, 1]], dtype=np.int64)))
-
-
 @pytest.fixture(scope="module")
 def s3():
-    rep = s3_rep()
-    return rep, close_group(rep)
+    return close_group(make_field(2), [np.array([[0, 1], [1, 0]], dtype=np.int64),
+                                       np.array([[1, 1], [0, 1]], dtype=np.int64)])
 
 
 def test_cyclotomic_small():
@@ -63,19 +57,19 @@ def test_root_space_dims_split_case():
 
 
 def test_trivial_and_natural_char(s3):
-    rep, G = s3
-    triv = brauer_char(sym_power(rep, G, 0))
+    G = s3
+    triv = brauer_char(sym_power(G, 0))
     assert triv.modulus == 3 and triv.degree() == 1
     red = triv.reduced()
     assert all(v == (1, 0) for v in red.values())
-    nat = brauer_char(sym_power(rep, G, 1))
+    nat = brauer_char(sym_power(G, 1))
     three_cycle = [r for r in nat.reps if G.element_order(r) == 3][0]
     assert nat.values[three_cycle] == (0, 1, 1)
     assert nat.reduced()[three_cycle] == (-1, 0)
 
 
 def test_regular_char_vanishes_off_identity(s3):
-    rep, G = s3
+    G = s3
     ch = brauer_char(regular_rep(G))
     red = ch.reduced()
     for r in ch.reps:
@@ -86,8 +80,8 @@ def test_regular_char_vanishes_off_identity(s3):
 
 
 def test_char_additive(s3):
-    rep, G = s3
-    mods = [sym_power(rep, G, n) for n in range(5)]
+    G = s3
+    mods = [sym_power(G, n) for n in range(5)]
     rng = np.random.default_rng(1)
     for _ in range(30):
         i, j = rng.integers(5), rng.integers(5)
@@ -95,12 +89,12 @@ def test_char_additive(s3):
 
 
 def test_char_matches_decomposition(s3):
-    rep, G = s3
+    G = s3
     from sympow.modules import Registry, decompose
 
     reg = Registry(G)
     for n in range(8):
-        M = sym_power(rep, G, n)
+        M = sym_power(G, n)
         vec = decompose(M, reg, seed=n)
         acc = char_zero(G)
         for mid, mult in vec.items():
@@ -109,12 +103,12 @@ def test_char_matches_decomposition(s3):
 
 
 def test_char_arithmetic_and_frame_mismatch(s3):
-    rep, G = s3
-    a = brauer_char(sym_power(rep, G, 1))
+    G = s3
+    a = brauer_char(sym_power(G, 1))
     assert (a - a).is_zero()
     assert a.scale(3).degree() == 6
-    rep2 = Representation(make_field(2), (np.array([[1, 1], [0, 1]], dtype=np.int64),))
-    b = brauer_char(sym_power(rep2, close_group(rep2), 1))
+    c2 = close_group(make_field(2), [np.array([[1, 1], [0, 1]], dtype=np.int64)])
+    b = brauer_char(sym_power(c2, 1))
     with pytest.raises(ValueError):
         _ = a + b
 
@@ -141,32 +135,31 @@ def test_stream_matches_module_chars():
     character table reports the raw values.
     """
     for name, (F, gens, top) in ORACLE_FIXTURES.items():
-        rep = Representation(F, tuple(_mat(A) for A in gens))
-        G = close_group(rep)
-        seq = sym_brauer_sequence(rep, G, range(top + 1))
+        G = close_group(F, [_mat(A) for A in gens])
+        seq = sym_brauer_sequence(G, range(top + 1))
         assert sorted(seq) == list(range(top + 1))
         for n in range(top + 1):
-            oracle = brauer_char(sym_power(rep, G, n))
+            oracle = brauer_char(sym_power(G, n))
             assert seq[n].modulus == oracle.modulus and seq[n].reps == oracle.reps
             assert seq[n].values == oracle.values, (name, n)
 
 
 def test_sequence_keeps_only_requested_degrees(s3):
-    rep, G = s3
-    seq = sym_brauer_sequence(rep, G, [7, 3, 7, 12])
+    G = s3
+    seq = sym_brauer_sequence(G, [7, 3, 7, 12])
     assert sorted(seq) == [3, 7, 12]
-    full = sym_brauer_sequence(rep, G, range(13))
+    full = sym_brauer_sequence(G, range(13))
     assert all(seq[n].values == full[n].values for n in (3, 7, 12))
-    assert sym_brauer_sequence(rep, G, []) == {}
+    assert sym_brauer_sequence(G, []) == {}
     with pytest.raises(ValueError):
-        sym_brauer_sequence(rep, G, [-1])
+        sym_brauer_sequence(G, [-1])
 
 
 def test_sequence_past_sym_cap(s3):
-    rep, G = s3
+    G = s3
     n = 60_000
     assert math.comb(n + 1, 1) > SYM_DIM_CAP
-    seq = sym_brauer_sequence(rep, G, [n])
+    seq = sym_brauer_sequence(G, [n])
     assert seq[n].degree() == math.comb(n + G.dim - 1, G.dim - 1)
     # a 3-cycle's eigenvalues w, w^2 give the monomials x^a y^b exponent a + 2b
     three_cycle = [r for r in G.p_regular_class_reps() if G.element_order(r) == 3][0]
@@ -183,33 +176,32 @@ def test_delta_seq_ints():
 
 
 def test_delta_vanishing_c2_line():
-    rep = Representation(make_field(2), (np.array([[1, 1], [0, 1]], dtype=np.int64),))
-    G = close_group(rep)
-    r1 = check_delta_vanishing(rep, G, j=1, m=4, k=1, n_max=12)
+    G = close_group(make_field(2), [np.array([[1, 1], [0, 1]], dtype=np.int64)])
+    r1 = check_delta_vanishing(G, j=1, m=4, k=1, n_max=12)
     assert r1["vanishes_from"] is None
-    r2 = check_delta_vanishing(rep, G, j=1, m=4, k=2, n_max=12)
+    r2 = check_delta_vanishing(G, j=1, m=4, k=2, n_max=12)
     assert r2["vanishes_from"] == 0 and r2["zero_tail"] == 11
 
 
 def test_delta_vanishing_s3_line(s3):
-    rep, G = s3
-    r1 = check_delta_vanishing(rep, G, j=1, m=36, k=1, n_max=6)
+    G = s3
+    r1 = check_delta_vanishing(G, j=1, m=36, k=1, n_max=6)
     assert r1["vanishes_from"] is None
-    r2 = check_delta_vanishing(rep, G, j=1, m=36, k=2, n_max=6)
+    r2 = check_delta_vanishing(G, j=1, m=36, k=2, n_max=6)
     assert r2["vanishes_from"] == 0
 
 
 def test_char_growth_three_cycle(s3):
-    rep, G = s3
+    G = s3
     g = [r for r in G.p_regular_class_reps() if G.element_order(r) == 3][0]
     # a 3-cycle acts on P^1 with two fixed points, so the fixed locus is 0-dim
-    report = char_growth_check(rep, G, g, a=1, d_fix=0, n_max=8)
+    report = char_growth_check(G, g, a=1, d_fix=0, n_max=8)
     assert report["ok"]
     assert report["difference_order"] == 2
 
 
 def test_non_p_regular_rejected(s3):
-    rep, G = s3
+    G = s3
     swap = [r for r in range(G.order) if G.element_order(r) == 2][0]
     with pytest.raises(ValueError):
-        char_growth_check(rep, G, swap, a=0, d_fix=0, n_max=6)
+        char_growth_check(G, swap, a=0, d_fix=0, n_max=6)

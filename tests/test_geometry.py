@@ -10,14 +10,13 @@ import pytest
 
 from sympow.gf import make_field
 from sympow.geometry import EMPTY, fixed_dims, ramification
-from sympow.groups import Representation, close_group, sym_power
+from sympow.groups import close_group, sym_power
 from sympow.modules import Registry, decompose, nonfree
 from sympow.polyfit import growth_degree
 
 
 def close(p, e, *gens):
-    rep = Representation(make_field(p, e), tuple(np.array(g, dtype=np.int64) for g in gens))
-    return rep, close_group(rep)
+    return close_group(make_field(p, e), [np.array(g, dtype=np.int64) for g in gens])
 
 
 def _inv(G, h):
@@ -29,18 +28,18 @@ def _inv(G, h):
 
 
 def test_identity_fixes_all_of_projective_space():
-    _, G = close(3, 1, [[1, 1], [0, 1]])
+    G = close(3, 1, [[1, 1], [0, 1]])
     assert fixed_dims(G, 0) == [(0, 1)]
 
 
 def test_transvection_fixes_one_point():
     # ker(J2 - I) is a line, so the fixed locus on P^1 is a single point
-    _, G = close(2, 1, [[1, 1], [0, 1]])
+    G = close(2, 1, [[1, 1], [0, 1]])
     assert fixed_dims(G, 1) == [(0, 0)]
 
 
 def test_diagonal_fixes_line_and_point():
-    _, G = close(2, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    G = close(2, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     g = next(i for i in range(1, G.order) if G.elements[i][2, 2] == 2)
     assert fixed_dims(G, g) == [(0, 1), (1, 0)]
 
@@ -48,13 +47,13 @@ def test_diagonal_fixes_line_and_point():
 def test_mixed_order_element_uses_p_prime_part():
     # [[w,1],[0,w]] over GF(4) has order 6; its eigenvalues are those of the
     # order-3 semisimple part, a single w with geometric multiplicity 1
-    _, G = close(2, 2, [[2, 1], [0, 2]])
+    G = close(2, 2, [[2, 1], [0, 2]])
     g = next(i for i in range(G.order) if G.element_order(i) == 6)
     assert fixed_dims(G, g) == [(1, 0)]
 
 
 def test_cp_on_line_ramifies_at_one_point():
-    _, G = close(2, 1, [[1, 1], [0, 1]])
+    G = close(2, 1, [[1, 1], [0, 1]])
     rep = ramification(G)
     assert rep.dim_b == 0 and rep.dim_bp == 0
     assert rep.c == 0 and rep.cp == 0
@@ -63,7 +62,7 @@ def test_cp_on_line_ramifies_at_one_point():
 
 
 def test_gl2f2_on_line_has_finite_ramification():
-    _, G = close(2, 1, [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    G = close(2, 1, [[0, 1], [1, 0]], [[1, 1], [0, 1]])
     assert G.order == 6
     rep = ramification(G)
     assert rep.c == 0 and rep.cp == 0
@@ -74,7 +73,7 @@ def test_gl2f2_on_line_has_finite_ramification():
 
 
 def test_fixed_line_on_plane_gives_cp_one():
-    _, G = close(2, 1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    G = close(2, 1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     rep = ramification(G)
     assert rep.cp == 1 and rep.c == 1
     assert rep.to_json()["dimBp"] == 1
@@ -82,7 +81,7 @@ def test_fixed_line_on_plane_gives_cp_one():
 
 def test_no_p_elements_means_empty_bp():
     # diag(2,1) over GF(7) generates a 7'-group, so B_7 is the empty locus
-    _, G = close(7, 1, [[2, 0], [0, 1]])
+    G = close(7, 1, [[2, 0], [0, 1]])
     rep = ramification(G)
     assert rep.dim_bp == EMPTY and rep.cp == EMPTY
     assert rep.to_json()["dimBp"] == "empty"
@@ -96,7 +95,7 @@ def test_dim_bp_never_exceeds_dim_b():
         close(2, 1, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
         close(7, 1, [[2, 0], [0, 1]]),
     ]
-    for _, G in fixtures:
+    for G in fixtures:
         rep = ramification(G)
         b = rep.dim_b if rep.dim_b != EMPTY else -1
         bp = rep.dim_bp if rep.dim_bp != EMPTY else -1
@@ -104,13 +103,13 @@ def test_dim_bp_never_exceeds_dim_b():
 
 
 def test_scalar_element_is_a_hard_error():
-    _, G = close(2, 2, [[2, 0], [0, 2]])
+    G = close(2, 2, [[2, 0], [0, 2]])
     with pytest.raises(ValueError, match="scalar"):
         ramification(G)
 
 
 def test_conjugation_invariance_of_fixed_dims():
-    _, G = close(2, 1, [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    G = close(2, 1, [[0, 1], [1, 0]], [[1, 1], [0, 1]])
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = int(rng.integers(1, G.order))
@@ -121,13 +120,13 @@ def test_conjugation_invariance_of_fixed_dims():
 
 
 def test_nonfree_growth_degree_within_cp():
-    rep, G = close(3, 1, [[1, 1], [0, 1]])
+    G = close(3, 1, [[1, 1], [0, 1]])
     ram = ramification(G)
     assert ram.cp == 0
     reg = Registry(G)
     dims = []
     for n in range(15):
-        vec = decompose(sym_power(rep, G, n), reg, seed=3)
+        vec = decompose(sym_power(G, n), reg, seed=3)
         dims.append(reg.dim_of(nonfree(vec, reg, seed=3)))
     assert dims[:6] == [1, 2, 0, 1, 2, 0]
     fit = growth_degree(dims, 3)

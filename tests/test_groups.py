@@ -8,11 +8,10 @@ import pytest
 from sympow.gf import CapacityError, make_field
 from sympow import linalg as la
 from sympow.groups import (
-    GroupData,
     ModuleRep,
-    Representation,
     close_group,
     monomials,
+    p_part,
     regular_rep,
     sym_matrix,
     sym_power,
@@ -29,77 +28,107 @@ def mk(F, rows):
     return np.array(rows, dtype=np.int64)
 
 
-def c2_rep():
-    return Representation(F2, (mk(F2, [[1, 1], [0, 1]]),))
+def c2_gens():
+    return [mk(F2, [[1, 1], [0, 1]])]
 
 
-def c3_rep():
-    return Representation(F3, (mk(F3, [[1, 1], [0, 1]]),))
+def c3_gens():
+    return [mk(F3, [[1, 1], [0, 1]])]
 
 
-def s3_rep():
-    return Representation(F2, (mk(F2, [[0, 1], [1, 0]]), mk(F2, [[1, 1], [0, 1]])))
+def s3_gens():
+    return [mk(F2, [[0, 1], [1, 0]]), mk(F2, [[1, 1], [0, 1]])]
 
 
-def klein_rep(c=2):
+def klein_gens(c=2):
     """Klein four group on P^1 over GF(4): two unipotent translations."""
-    return Representation(F4, (mk(F4, [[1, 1], [0, 1]]), mk(F4, [[1, c], [0, 1]])))
+    return [mk(F4, [[1, 1], [0, 1]]), mk(F4, [[1, c], [0, 1]])]
 
 
-def gl2_f3_rep():
-    return Representation(F3, (mk(F3, [[1, 1], [0, 1]]), mk(F3, [[0, 1], [1, 0]]),
-                               mk(F3, [[2, 0], [0, 1]])))
+def gl2_f3_gens():
+    return [mk(F3, [[1, 1], [0, 1]]), mk(F3, [[0, 1], [1, 0]]), mk(F3, [[2, 0], [0, 1]])]
+
+
+def c2_group():
+    return close_group(F2, c2_gens())
+
+
+def c3_group():
+    return close_group(F3, c3_gens())
+
+
+def s3_group():
+    return close_group(F2, s3_gens())
+
+
+def klein_group():
+    return close_group(F4, klein_gens())
 
 
 def test_close_group_orders():
-    assert close_group(c3_rep()).order == 3
-    assert close_group(s3_rep()).order == 6
-    assert close_group(klein_rep()).order == 4
+    assert c3_group().order == 3
+    assert s3_group().order == 6
+    assert klein_group().order == 4
+    c3_plane = close_group(F2, [mk(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])])
+    assert (c3_plane.order, c3_plane.dim) == (3, 3)
 
 
 def test_close_group_determinism_and_identity():
-    G1, G2 = close_group(s3_rep()), close_group(s3_rep())
+    G1, G2 = s3_group(), s3_group()
     assert [m.tobytes() for m in G1.elements] == [m.tobytes() for m in G2.elements]
     assert np.array_equal(G1.elements[0], la.identity(2))
 
 
+@pytest.mark.parametrize("gens,fragment", [
+    ([], "at least one generator"),
+    ([mk(F2, [[1, 1, 0], [0, 1, 1]])], "square"),
+    ([mk(F2, [1, 1])], "square"),
+    ([mk(F2, [[0, 1], [1, 0]]), la.identity(3)], "share a dimension"),
+], ids=["empty", "non-square", "vector", "two-sizes"])
+def test_close_group_rejects_malformed_generators(gens, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        close_group(F2, gens)
+
+
 def test_close_group_rejects_singular_generator():
-    with pytest.raises(ValueError):
-        close_group(Representation(F2, (mk(F2, [[1, 1], [1, 1]]),)))
+    for gens in ([mk(F2, [[1, 1], [1, 1]])], [mk(F2, [[0, 1], [1, 0]]), mk(F2, [[1, 1], [1, 1]])]):
+        with pytest.raises(ValueError, match="not invertible"):
+            close_group(F2, gens)
 
 
 def test_group_cap():
-    big = Representation(make_field(5), (mk(F3, [[2, 0], [0, 1]]), mk(F3, [[1, 1], [0, 1]])))
-    assert close_group(big).order == 20
+    F5 = make_field(5)
+    big = [mk(F5, [[2, 0], [0, 1]]), mk(F5, [[1, 1], [0, 1]])]
+    assert close_group(F5, big).order == 20
     with pytest.raises(CapacityError):
-        close_group(big, cap=10)
+        close_group(F5, big, cap=10)
 
 
 def test_element_orders_and_inverse():
-    G = close_group(s3_rep())
+    G = s3_group()
     assert sorted(G.element_orders) == [1, 2, 2, 2, 3, 3]
     for i in range(G.order):
         assert G.mult(i, G.inv(i)) == 0
 
 
 def test_sylow_examples():
-    G3 = close_group(c3_rep())
-    assert len(G3.sylow()) == 3 == G3.p_part
-    GS3 = close_group(s3_rep())
+    G3 = c3_group()
+    assert len(G3.sylow()) == 3 == p_part(G3.order, 3)
+    GS3 = s3_group()
     syl = GS3.sylow()
-    assert len(syl) == 2 == GS3.p_part
+    assert len(syl) == 2 == p_part(GS3.order, 2)
     assert set(GS3.subgroup_closure(syl)) == set(syl)
-    G3over2 = close_group(Representation(F2, (mk(F2, [[0, 1], [1, 1]]),)))  # order 3 in GL2(F2)
+    G3over2 = close_group(F2, [mk(F2, [[0, 1], [1, 1]])])  # order 3 in GL2(F2)
     assert G3over2.order == 3
     assert G3over2.sylow() == (0,)
 
 
 def test_p_regular_class_reps():
-    GS3 = close_group(s3_rep())  # char 2: regular classes are {e} and the 3-cycles
+    GS3 = s3_group()  # char 2: regular classes are {e} and the 3-cycles
     reps = GS3.p_regular_class_reps()
     assert len(reps) == 2 and reps[0] == 0
     assert GS3.element_order(reps[1]) == 3
-    G3 = close_group(c3_rep())  # char 3: only the identity class
+    G3 = c3_group()  # char 3: only the identity class
     assert G3.p_regular_class_reps() == [0]
 
 
@@ -110,21 +139,19 @@ def test_monomial_order():
 
 
 def test_sym_power_dims():
-    rep = Representation(F2, (la.identity(4),))
-    G = close_group(rep)
-    assert sym_power(rep, G, 20).dim == math.comb(23, 3) == 1771
-    assert sym_power(rep, G, 0).dim == 1
+    G = close_group(F2, [la.identity(4)])
+    assert sym_power(G, 20).dim == math.comb(23, 3) == 1771
+    assert sym_power(G, 0).dim == 1
     with pytest.raises(CapacityError):
-        sym_power(rep, G, 200)
+        sym_power(G, 200)
 
 
 def test_group_sym_towers_resume_and_stay_per_group():
-    rep = s3_rep()
-    G1, G2 = close_group(rep), close_group(rep)
+    G1, G2 = s3_group(), s3_group()
     for n in (5, 2, 9, 9):  # resume above, read below, resume again, reread
         got = G1.sym(n)
-        assert len(got) == len(rep.gens)
-        for S, A in zip(got, rep.gens):
+        assert len(got) == len(s3_gens())
+        for S, A in zip(got, s3_gens()):
             assert np.array_equal(S, sym_matrix(F2, A, n))
     assert G1.sym(9)[0] is G1.sym(9)[0]
     assert G2.sym(9)[0] is not G1.sym(9)[0]
@@ -137,7 +164,7 @@ def test_sym_square_hand_expansion():
 
 
 def test_sym_functoriality_random_pairs():
-    G = close_group(s3_rep())
+    G = s3_group()
     rng = np.random.default_rng(2026)
     for _ in range(20):
         gi, hi = rng.integers(0, G.order, size=2)
@@ -149,7 +176,7 @@ def test_sym_functoriality_random_pairs():
 
 
 def test_sym_functoriality_extension_field():
-    G = close_group(klein_rep())
+    G = klein_group()
     rng = np.random.default_rng(7)
     for _ in range(10):
         gi, hi = rng.integers(0, G.order, size=2)
@@ -160,9 +187,8 @@ def test_sym_functoriality_extension_field():
 
 
 def test_trace_operator_examples():
-    rep = c2_rep()
-    G = close_group(rep)
-    M = sym_power(rep, G, 1)
+    G = c2_group()
+    M = sym_power(G, 1)
     assert np.array_equal(trace_operator(M, [0]), la.identity(2))
     T = trace_operator(M, range(G.order))
     assert np.array_equal(T, mk(F2, [[0, 1], [0, 0]]))
@@ -171,9 +197,8 @@ def test_trace_operator_examples():
 
 
 def test_trace_operator_invariance():
-    rep = s3_rep()
-    G = close_group(rep)
-    M = sym_power(rep, G, 3)
+    G = s3_group()
+    M = sym_power(G, 3)
     H = G.sylow()
     T = trace_operator(M, H)
     for h in H:
@@ -183,7 +208,7 @@ def test_trace_operator_invariance():
 
 
 def test_trace_operator_rejects_non_subgroup():
-    G = close_group(s3_rep())
+    G = s3_group()
     M = regular_rep(G)
     bad = [0, next(i for i in range(G.order) if G.element_order(i) == 3)]
     with pytest.raises(ValueError):
@@ -191,32 +216,33 @@ def test_trace_operator_rejects_non_subgroup():
 
 
 def test_regular_rep():
-    G = close_group(c2_rep())
+    G = c2_group()
     R = regular_rep(G)
     assert R.dim == 2
     assert np.array_equal(R.mats[0], mk(F2, [[0, 1], [1, 0]]))
-    GS3 = close_group(s3_rep())
+    GS3 = s3_group()
     RR = regular_rep(GS3)
     for m in RR.mats:
         assert np.array_equal(m.sum(axis=0), np.ones(6, dtype=np.int64))
 
 
 def test_word_evaluation_matches_elements():
-    G = close_group(s3_rep())
+    G = s3_group()
     M = ModuleRep(G, list(G.gens))
     for i in range(G.order):
         assert np.array_equal(M.act(i), G.elements[i])
 
 
-@pytest.mark.parametrize("rep", [s3_rep(), klein_rep(), gl2_f3_rep()], ids=["S3", "Klein", "GL2(F3)"])
-def test_left_words_rebuild_elements_and_orbits(rep):
-    G = close_group(rep)
+@pytest.mark.parametrize("F,gens", [(F2, s3_gens()), (F4, klein_gens()), (F3, gl2_f3_gens())],
+                         ids=["S3", "Klein", "GL2(F3)"])
+def test_left_words_rebuild_elements_and_orbits(F, gens):
+    G = close_group(F, gens)
     F = G.field
     assert G.words[0] == (-1, -1)
     for i, (parent, gi) in enumerate(G.words[1:], start=1):
         assert parent < i
         assert np.array_equal(G.elements[i], la.mat_mul(F, G.gens[gi], G.elements[parent]))
-    M = sym_power(rep, G, 3)
+    M = sym_power(G, 3)
     for i in range(G.order):
         assert np.array_equal(M.act(i), sym_matrix(F, G.elements[i], 3))
     V = la.rand_mat(F, np.random.default_rng(4), M.dim, 2)

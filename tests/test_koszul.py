@@ -18,25 +18,24 @@ import pytest
 
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import (ModuleRep, Representation, close_group, monomials,
-                           sym_power)
+from sympow.groups import ModuleRep, close_group, monomials, sym_power
 from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
                            check_exact, check_split_stagewise, choose_forms,
                            euler_identity, form_product, is_invariant_form,
                            mul_form_matrix, ses_split_check,
                            surface_progression_check)
 from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose,
-                            direct_sum, free_rank, module_on_basis, quotient_module)
+                            direct_sum, dvec_add, dvec_scale, free_rank, module_on_basis,
+                            quotient_module)
 
 SEED = 11
 
 
 def plane_fixture():
     F = make_field(2, 2)
-    rep = Representation(F, (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64),))
-    G = close_group(rep)
+    G = close_group(F, [np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)])
     forms, m = choose_forms(G, 2, SEED)
-    return rep, G, forms, m
+    return G, forms, m
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ def p3():
     F = make_field(3, 2)
     P = np.zeros((4, 4), dtype=np.int64)
     P[[0, 1, 2, 3], [2, 0, 1, 3]] = 1
-    G = close_group(Representation(F, (P,)))
+    G = close_group(F, [P])
     forms, m = choose_forms(G, 3, SEED)
     return G, forms, m
 
@@ -58,7 +57,7 @@ def p3():
 @pytest.fixture(scope="module")
 def complexes(plane, p3):
     """Exact and inexact complexes over GF(4) and GF(9)."""
-    _, G2, f2, _ = plane
+    G2, f2, _ = plane
     G3, f3, _ = p3
     return [build_complex(G2, f2, t=3, j=0), build_complex(G2, f2, t=2, j=1),
             build_complex(G2, [f2[0], f2[0]], t=2, j=0),
@@ -68,7 +67,7 @@ def complexes(plane, p3):
 
 def test_trivial_group_line_complex():
     F = make_field(3)
-    G = close_group(Representation(F, (np.eye(2, dtype=np.int64),)))
+    G = close_group(F, [np.eye(2, dtype=np.int64)])
     forms, m = choose_forms(G, 1, seed=4)
     assert m == 1 and len(forms) == 1 and forms[0].shape == (2,)
     for t in (1, 2, 5):
@@ -79,14 +78,14 @@ def test_trivial_group_line_complex():
 
 
 def test_term_dims_follow_binomials(plane):
-    _, G, forms, m = plane
+    G, forms, m = plane
     K = build_complex(G, forms, t=3, j=1)
     expect = [math.comb(m * (3 - r) + 1 + 2, 2) * math.comb(2, r) for r in range(3)]
     assert [T.dim for T in K.terms] == expect
 
 
 def test_build_rejects_bad_levels(plane):
-    _, G, forms, m = plane
+    G, forms, m = plane
     with pytest.raises(ValueError):
         build_complex(G, forms, t=0, j=0)
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_build_rejects_bad_levels(plane):
 
 
 def test_norm_forms_are_invariant_and_generic_forms_are_not(plane):
-    _, G, forms, m = plane
+    G, forms, m = plane
     for N in forms:
         assert is_invariant_form(G, N, m)
     y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
@@ -124,7 +123,7 @@ def test_mul_form_matrix_matches_dict_oracle():
     rng = np.random.default_rng(9)
     form = rng.integers(0, 4, size=len(monomials(3, 2)), dtype=np.int64)
     form[0] = 1
-    M = mul_form_matrix(F, form, 2, 2, 3)
+    M = mul_form_matrix(form, 2, 2, 3)
     fdict = {m: int(c) for m, c in zip(monomials(3, 2), form) if c}
     dst_index = {m: i for i, m in enumerate(monomials(3, 4))}
     for col, mono in enumerate(monomials(3, 2)):
@@ -136,7 +135,7 @@ def test_mul_form_matrix_matches_dict_oracle():
 
 
 def test_complex_identities_hold_densely(plane):
-    _, G, forms, _ = plane
+    G, forms, _ = plane
     K = build_complex(G, forms, t=3, j=1)
     F = G.field
     for r in range(len(K.maps) - 1):
@@ -151,7 +150,7 @@ def test_complex_identities_hold_densely(plane):
 
 
 def test_exactness_across_levels(plane):
-    _, G, forms, m = plane
+    G, forms, m = plane
     for t in (2, 3, 4):
         for j in (0, 1):
             rep = check_exact(build_complex(G, forms, t=t, j=j))
@@ -160,14 +159,14 @@ def test_exactness_across_levels(plane):
 
 
 def test_repeated_form_breaks_exactness(plane):
-    _, G, forms, _ = plane
+    G, forms, _ = plane
     K = build_complex(G, [forms[0], forms[0]], t=2, j=0)
     rep = check_exact(K)
     assert not rep["exact"] and 1 in rep["inexact_at"]
 
 
 def test_stagewise_matches_direct_ses_route(plane):
-    _, G, forms, _ = plane
+    G, forms, _ = plane
     reg = Registry(G)
     K = build_complex(G, forms, t=3, j=0)
     out = check_split_stagewise(K, reg, seed=SEED)
@@ -328,7 +327,7 @@ def test_verify_complex_rejects_a_flipped_block(p3):
     K = build_complex(G, forms, t=3, j=0)
     degs = [m * (K.t - r) + K.j for r in range(len(K.terms))]
     blocks = [G.sym(deg) for deg in degs]
-    mults = [[mul_form_matrix(G.field, f, m, deg, G.dim) for f in forms] for deg in degs[1:]]
+    mults = [[mul_form_matrix(f, m, deg, G.dim) for f in forms] for deg in degs[1:]]
     _verify_complex(K, blocks, mults)
     rows, cols = K.terms[1].dim // 3, K.terms[2].dim // 3
     bad = K.maps[1].copy()
@@ -339,14 +338,14 @@ def test_verify_complex_rejects_a_flipped_block(p3):
 
 
 def test_block_equivariance_rejects_a_non_invariant_form(plane):
-    _, G, forms, m = plane
+    G, forms, m = plane
     y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
     y_sq[monomials(3, m).index((0, 2, 0))] = 1
     S_src, S_dst = G.sym(3)[0], G.sym(3 + m)[0]
     F = G.field
-    _block_equivariance(F, mul_form_matrix(F, forms[0], m, 3, 3), S_src, S_dst, 0)
+    _block_equivariance(F, mul_form_matrix(forms[0], m, 3, 3), S_src, S_dst, 0)
     with pytest.raises(AssertionError, match="not equivariant"):
-        _block_equivariance(F, mul_form_matrix(F, y_sq, m, 3, 3), S_src, S_dst, 0)
+        _block_equivariance(F, mul_form_matrix(y_sq, m, 3, 3), S_src, S_dst, 0)
 
 
 def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkeypatch):
@@ -362,7 +361,7 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     A2[1, 3] = 1
     B[:2] = rng.integers(1, F.q, (2, 5))  # two nonzeros in every column of B
     P = G.sym(4)[0]
-    M = mul_form_matrix(F, forms[0], m, 4, G.dim)
+    M = mul_form_matrix(forms[0], m, 4, G.dim)
     F3 = make_field(3)
     B3 = la.rand_mat(F3, rng, P.shape[0], 6)
 
@@ -386,10 +385,10 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
 
 
 def test_stagewise_accepts_precomputed_sym_vectors(plane):
-    rep, G, forms, m = plane
+    G, forms, m = plane
     reg = Registry(G)
     degs = {m * (3 - r) + 1 for r in range(3)}
-    sv = {k: decompose(sym_power(rep, G, k), reg, SEED) for k in degs}
+    sv = {k: decompose(sym_power(G, k), reg, SEED) for k in degs}
     K = build_complex(G, forms, t=3, j=1)
     out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
     assert out["all_split"] and out["coker_free"]
@@ -398,13 +397,13 @@ def test_stagewise_accepts_precomputed_sym_vectors(plane):
 def jordan_module(G, size):
     J = np.eye(size, dtype=np.int64)
     J[np.arange(size - 1), np.arange(1, size)] = 1
-    return ModuleRep(G, [J], dim=size)
+    return ModuleRep(G, [J])
 
 
 def test_ses_split_check_soundness():
     """Direct-sum embeddings split; Jordan-block filtrations never do."""
     F = make_field(5)
-    G = close_group(Representation(F, (np.array([[1, 1], [0, 1]], dtype=np.int64),)))
+    G = close_group(F, [np.array([[1, 1], [0, 1]], dtype=np.int64)])
     reg = Registry(G)
     rng = np.random.default_rng(13)
     cases = 0
@@ -424,7 +423,7 @@ def test_ses_split_check_soundness():
             D = direct_sum(jordan_module(G, a), Mb)
             U = la.rand_invertible(F, rng, a + b)
             mats = [la.mat_mul(F, la.mat_mul(F, U, D.mats[0]), la.inv(F, U))]
-            C = ModuleRep(G, mats, dim=a + b)
+            C = ModuleRep(G, mats)
             sub_cols = la.mat_mul(F, U, np.eye(a + b, a, dtype=np.int64))
             assert ses_split_check(C, sub_cols, reg, seed=1)
             cases += 1
@@ -432,27 +431,37 @@ def test_ses_split_check_soundness():
 
 
 def test_euler_identity_on_plane(plane):
-    rep, G, forms, m = plane
+    G, forms, m = plane
     reg = Registry(G)
     degs = {m * (2 - r) + j for r in range(3) for j in (0, 1)}
-    sv = {k: decompose(sym_power(rep, G, k), reg, SEED) for k in degs}
+    sv = {k: decompose(sym_power(G, k), reg, SEED) for k in degs}
     for j in (0, 1):
         out = euler_identity(reg, sv, d=2, m=m, j=j, t=2, seed=SEED)
         assert out["free_multiple"] is not None
         assert out["free_multiple"] * G.order == m ** 2
     with pytest.raises(ValueError):
         euler_identity(reg, sv, d=2, m=m, j=0, t=1, seed=SEED)
+    # signed classes, with d = m = t = 1 and j = 0: [Sym^1] - [Sym^0].  A
+    # negative multiple of [kG] is found; a class that is none is refused
+    kg, triv = reg.regular_vec(SEED), sv[0]
+    assert not set(triv) & set(kg)
+    out = euler_identity(reg, {1: {}, 0: dvec_scale(kg, 2)}, d=1, m=1, j=0, t=1, seed=SEED)
+    assert out["class"] == dvec_scale(kg, -2) and out["free_multiple"] == -2
+    for sv0 in (kg, dvec_add(dvec_scale(kg, 2), triv), triv):
+        out = euler_identity(reg, {1: kg, 0: sv0}, d=1, m=1, j=0, t=1, seed=SEED)
+        assert out["free_multiple"] == (0 if sv0 is kg else None)
+        assert sv0 is kg or min(out["class"].values()) < 0
 
 
 def test_surface_progression_stabilizes(plane):
-    rep, G, forms, m = plane
+    G, forms, m = plane
     reg = Registry(G)
     sv = {}
     for t in range(1, 7):
         for j in (0, 1):
             k = m * t + j
             if k not in sv:
-                sv[k] = decompose(sym_power(rep, G, k), reg, SEED)
+                sv[k] = decompose(sym_power(G, k), reg, SEED)
     for j in (0, 1):
         out = surface_progression_check(reg, sv, m=m, j=j, t_range=range(1, 7), seed=SEED)
         assert out["ok"] and out["stable_from"] is not None

@@ -14,8 +14,8 @@ import pytest
 
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import (ModuleRep, Representation, close_group, regular_rep,
-                           sym_matrix, sym_power, sym_power_stream)
+from sympow.groups import (ModuleRep, close_group, p_part, regular_rep, sym_matrix,
+                           sym_power, sym_power_stream)
 from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scale,
                             extend_scalars, fitting_decompose, free_rank, hom_basis,
                             is_iso, is_projective_id, load_registry, nonfree,
@@ -27,21 +27,21 @@ from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _
                             _span_element)
 
 
-def cyclic_rep(p: int):
+def cyclic_group(p: int):
     F = make_field(p)
-    return Representation(F, (np.array([[1, 1], [0, 1]], dtype=np.int64),))
+    return close_group(F, [np.array([[1, 1], [0, 1]], dtype=np.int64)])
 
 
-def s3_rep():
+def s3_group():
     F = make_field(2)
-    return Representation(F, (np.array([[0, 1], [1, 0]], dtype=np.int64),
-                              np.array([[1, 1], [0, 1]], dtype=np.int64)))
+    return close_group(F, [np.array([[0, 1], [1, 0]], dtype=np.int64),
+                           np.array([[1, 1], [0, 1]], dtype=np.int64)])
 
 
-def klein_rep():
+def klein_group():
     F4 = make_field(2, 2)
-    return Representation(F4, (np.array([[1, 1], [0, 1]], dtype=np.int64),
-                               np.array([[1, 2], [0, 1]], dtype=np.int64)))
+    return close_group(F4, [np.array([[1, 1], [0, 1]], dtype=np.int64),
+                            np.array([[1, 2], [0, 1]], dtype=np.int64)])
 
 
 def _conjugate(M: ModuleRep, rng) -> ModuleRep:
@@ -59,32 +59,30 @@ def _klein_rho(G, c):
 
 @pytest.fixture(scope="module")
 def c2():
-    rep = cyclic_rep(2)
-    return rep, close_group(rep)
+    return cyclic_group(2)
 
 
 @pytest.fixture(scope="module")
 def s3():
-    rep = s3_rep()
-    return rep, close_group(rep)
+    return s3_group()
 
 
 def test_end_of_regular_c2(c2):
-    rep, G = c2
-    V2 = sym_power(rep, G, 1)
+    G = c2
+    V2 = sym_power(G, 1)
     assert len(hom_basis(V2, V2)) == 2
 
 
 def test_hom_trivial_into_regular_c2(c2):
-    rep, G = c2
-    assert len(hom_basis(sym_power(rep, G, 0), sym_power(rep, G, 1))) == 1
+    G = c2
+    assert len(hom_basis(sym_power(G, 0), sym_power(G, 1))) == 1
 
 
 def test_hom_intertwines(s3):
-    rep, G = s3
-    M = sym_power(rep, G, 2)
-    N = sym_power(rep, G, 4)
-    F = rep.field
+    G = s3
+    M = sym_power(G, 2)
+    N = sym_power(G, 4)
+    F = G.field
     for phi in hom_basis(M, N):
         for g in range(G.order):
             left = la.mat_mul(F, phi, M.act(g))
@@ -93,44 +91,42 @@ def test_hom_intertwines(s3):
 
 
 def test_sym5_c2_three_free_copies(c2):
-    rep, G = c2
+    G = c2
     reg = Registry(G)
-    vec = decompose(sym_power(rep, G, 5), reg, seed=11)
+    vec = decompose(sym_power(G, 5), reg, seed=11)
     assert len(vec) == 1
     ((mid, mult),) = vec.items()
     assert mult == 3 and reg.entries[mid].dim == 2
 
 
 def test_regular_c3_indecomposable():
-    rep = cyclic_rep(3)
-    G = close_group(rep)
+    G = cyclic_group(3)
     parts = fitting_decompose(regular_rep(G), seed=5)
     assert [p.dim for p in parts] == [3]
 
 
 def test_cp_closed_form_vs_jordan_type():
     for p in (2, 3, 5):
-        rep = cyclic_rep(p)
-        G = close_group(rep)
+        G = cyclic_group(p)
         reg = Registry(G)
         for n in range(26):
             t, a = divmod(n, p)
             expected = sorted([p] * t + [a + 1])
-            vec = decompose(sym_power(rep, G, n), reg, seed=n)
+            vec = decompose(sym_power(G, n), reg, seed=n)
             got = sorted(
                 d for mid, mult in vec.items() for d in [reg.entries[mid].dim] * mult
             )
             assert got == expected, (p, n)
             # second route: Jordan type of the Sym matrix directly
-            S = sym_matrix(rep.field, rep.gens[0], n)
-            part = la.unipotent_jordan(rep.field, S)
+            S = sym_matrix(G.field, G.gens[0], n)
+            part = la.unipotent_jordan(G.field, S)
             assert sorted(part) == expected, (p, n)
 
 
 def test_decompose_seed_invariant(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
-    M = sym_power(rep, G, 7)
+    M = sym_power(G, 7)
     base = decompose(M, reg, seed=0)
     for seed in range(1, 50):
         assert decompose(M, reg, seed=seed) == base
@@ -150,14 +146,14 @@ def _random_known_sum(reg, rng, count):
     expected: dict[int, int] = {}
     for mid in picks:
         expected[mid] = expected.get(mid, 0) + 1
-    return ModuleRep(mod.group, mats, dim=mod.dim), expected
+    return ModuleRep(mod.group, mats), expected
 
 
 def test_decompose_recovers_known_sums(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
     for n in range(6):
-        decompose(sym_power(rep, G, n), reg, seed=n)
+        decompose(sym_power(G, n), reg, seed=n)
     rng = np.random.default_rng(42)
     for trial in range(30):
         M, expected = _random_known_sum(reg, rng, int(rng.integers(2, 5)))
@@ -165,10 +161,10 @@ def test_decompose_recovers_known_sums(s3):
 
 
 def test_decompose_additive(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
     rng = np.random.default_rng(7)
-    mods = [sym_power(rep, G, n) for n in range(6)]
+    mods = [sym_power(G, n) for n in range(6)]
     for trial in range(30):
         i, j = rng.integers(len(mods)), rng.integers(len(mods))
         va = decompose(mods[i], reg, seed=trial)
@@ -178,10 +174,10 @@ def test_decompose_additive(s3):
 
 
 def test_projective_part_matches_trace_rank(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
     for n in range(6):
-        decompose(sym_power(rep, G, n), reg, seed=n)
+        decompose(sym_power(G, n), reg, seed=n)
     rng = np.random.default_rng(3)
     for trial in range(100):
         M, _ = _random_known_sum(reg, rng, int(rng.integers(1, 4)))
@@ -192,30 +188,29 @@ def test_projective_part_matches_trace_rank(s3):
 
 
 def test_split_projective_classes(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
     kg = reg.regular_vec()
     for mid in kg:
         assert is_projective_id(reg, mid)
-    triv_vec = decompose(sym_power(rep, G, 0), reg, seed=1)
+    triv_vec = decompose(sym_power(G, 0), reg, seed=1)
     ((triv_id, _),) = triv_vec.items()
     assert not is_projective_id(reg, triv_id)
 
 
 def test_free_rank_s3(s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
-    vec = decompose(sym_power(rep, G, 30), reg, seed=2)
+    vec = decompose(sym_power(G, 30), reg, seed=2)
     assert free_rank(vec, reg) == 5
     leftover = nonfree(vec, reg)
     assert reg.dim_of(leftover) == 31 - 5 * 6
 
 
 def test_klein_family_non_isomorphic():
-    rep = klein_rep()
-    G = close_group(rep)
+    G = klein_group()
     assert G.order == 4
-    M2 = sym_power(rep, G, 1)
+    M2 = sym_power(G, 1)
     M3 = _klein_rho(G, 3)
     assert len(hom_basis(M2, M3)) == 1
     assert not is_iso(M2, M3)
@@ -223,10 +218,10 @@ def test_klein_family_non_isomorphic():
 
 
 def test_iso_conjugation_invariant(s3):
-    rep, G = s3
-    M = sym_power(rep, G, 3)
+    G = s3
+    M = sym_power(G, 3)
     assert is_iso(M, _conjugate(M, np.random.default_rng(9)))
-    assert not is_iso(M, sym_power(rep, G, 2))
+    assert not is_iso(M, sym_power(G, 2))
 
 
 def _iso_by_enumeration(M: ModuleRep, N: ModuleRep) -> bool:
@@ -243,18 +238,17 @@ def _iso_by_enumeration(M: ModuleRep, N: ModuleRep) -> bool:
 
 def test_iso_detail_matches_enumeration():
     F9 = make_field(3, 2)
-    klein = klein_rep()
-    c3_on_p3 = Representation(F9, (np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0],
-                                             [0, 0, 0, 1]], dtype=np.int64),))
+    klein = klein_group()
+    c3_on_p3 = close_group(F9, [np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 0, 1]], dtype=np.int64)])
     rng = np.random.default_rng(21)
     seen = {True: 0, False: 0}
-    for rep, n_max in ((s3_rep(), 14), (klein, 8), (c3_on_p3, 5)):
-        G = close_group(rep)
+    for G, n_max in ((s3_group(), 14), (klein, 8), (c3_on_p3, 5)):
         reg = Registry(G)
-        for n, M in sym_power_stream(rep, G, n_max):
+        for n, M in sym_power_stream(G, n_max):
             decompose(M, reg, seed=n)
         classes = list(reg.entries.values())
-        if rep is klein:
+        if G is klein:
             classes += [_klein_rho(G, c) for c in (1, 2, 3)]
         for M in classes:
             for N in classes + [_conjugate(M, rng)]:
@@ -272,23 +266,22 @@ def test_iso_detail_matches_enumeration():
 
 
 def test_is_iso_on_decomposable_modules(s3):
-    rep, G = s3
+    G = s3
     rng = np.random.default_rng(13)
     for n in range(2, 9):
-        M = sym_power(rep, G, n)
+        M = sym_power(G, n)
         assert is_iso(M, _conjugate(M, rng)), n
-    K = close_group(klein_rep())
+    K = klein_group()
     r1, r2, r3 = (_klein_rho(K, c) for c in (1, 2, 3))
     assert is_iso(direct_sum(r1, r2), _conjugate(direct_sum(r2, r1), rng))
     assert not is_iso(direct_sum(r1, r2), direct_sum(r1, r3))
     with pytest.raises(ValueError):
-        is_iso(r1, sym_power(rep, G, 1))
+        is_iso(r1, sym_power(G, 1))
 
 
 def test_extend_scalars_preserves_structure():
-    rep = cyclic_rep(2)
-    G = close_group(rep)
-    V2 = sym_power(rep, G, 1)
+    G = cyclic_group(2)
+    V2 = sym_power(G, 1)
     E = extend_scalars(V2, 2)
     assert (E.field.p, E.field.e) == (2, 2)
     assert E.group.order == 2
@@ -298,9 +291,8 @@ def test_extend_scalars_preserves_structure():
 
 
 def test_extend_scalars_keeps_klein_family_apart():
-    rep = klein_rep()
-    G = close_group(rep)
-    M2 = sym_power(rep, G, 1)
+    G = klein_group()
+    M2 = sym_power(G, 1)
     M3 = _klein_rho(G, 3)
     E2, E3 = extend_scalars(M2, 2), extend_scalars(M3, 2)
     assert E2.field.q == 16 and E2.group is E3.group
@@ -308,19 +300,18 @@ def test_extend_scalars_keeps_klein_family_apart():
 
 
 def test_extend_scalars_group_belongs_to_the_source_group():
-    rep = s3_rep()
-    G = close_group(rep)
-    M, N = sym_power(rep, G, 1), sym_power(rep, G, 3)
+    G = s3_group()
+    M, N = sym_power(G, 1), sym_power(G, 3)
     E = extend_scalars(M, 2)
     assert E.group is extend_scalars(N, 2).group
     assert E.group is G.extensions[2] and E.group.order == 6
-    other = close_group(rep)
-    assert extend_scalars(sym_power(rep, other, 1), 2).group is not E.group
+    other = s3_group()
+    assert extend_scalars(sym_power(other, 1), 2).group is not E.group
 
 
 def test_submodule_rejects_non_invariant(s3):
-    rep, G = s3
-    M = sym_power(rep, G, 2)
+    G = s3
+    M = sym_power(G, 2)
     C = np.zeros((3, 1), dtype=np.int64)
     C[0, 0] = 1
     with pytest.raises(ValueError):
@@ -330,10 +321,10 @@ def test_submodule_rejects_non_invariant(s3):
 def test_sub_and_quotient_rows_match_full_products(s3):
     """Both constructions compute only the rows they keep; the full products
     cut down to those rows afterwards must agree with them exactly."""
-    rep, G = s3
+    G = s3
     rng = np.random.default_rng(3)
     ranks = set()
-    for M in (sym_power(rep, G, 5), extend_scalars(sym_power(rep, G, 6), 2)):
+    for M in (sym_power(G, 5), extend_scalars(sym_power(G, 6), 2)):
         F = M.field
         H = hom_basis(M, M)
         for _ in range(4):
@@ -354,20 +345,20 @@ def test_sub_and_quotient_rows_match_full_products(s3):
 
 
 def test_quotient_module_dims(c2):
-    rep, G = c2
-    M = sym_power(rep, G, 3)
+    G = c2
+    M = sym_power(G, 3)
     # the trace image spans an invariant line inside the free part
     from sympow.groups import trace_operator
 
     T = trace_operator(M, range(G.order))
     Q = quotient_module(M, T)
-    assert Q.dim == M.dim - la.rank(rep.field, T)
+    assert Q.dim == M.dim - la.rank(G.field, T)
 
 
 def test_registry_roundtrip(tmp_path, s3):
-    rep, G = s3
+    G = s3
     reg = Registry(G)
-    vectors = {n: decompose(sym_power(rep, G, n), reg, seed=n) for n in range(5)}
+    vectors = {n: decompose(sym_power(G, n), reg, seed=n) for n in range(5)}
     path = str(tmp_path / "reg.json")
     save_registry(reg, path, vectors)
     reg2, vectors2 = load_registry(path, G)
@@ -377,8 +368,8 @@ def test_registry_roundtrip(tmp_path, s3):
         assert reg2.entries[mid].dim == mod.dim
         assert all(np.array_equal(A, B) for A, B in zip(reg2.entries[mid].mats, mod.mats))
     # matching against the reloaded registry reuses the same ids
-    vec = decompose(sym_power(rep, G, 4), reg2, seed=99)
-    assert vec == decompose(sym_power(rep, G, 4), reg, seed=99)
+    vec = decompose(sym_power(G, 4), reg2, seed=99)
+    assert vec == decompose(sym_power(G, 4), reg, seed=99)
     # the document is one file, and saving what was loaded gives the same bytes
     assert os.listdir(tmp_path) == ["reg.json"]
     save_registry(reg2, str(tmp_path / "again.json"), vectors2)
@@ -388,7 +379,7 @@ def test_registry_roundtrip(tmp_path, s3):
 def test_registry_ids_follow_isomorphism_classes():
     """Non-isomorphic classes of one dimension get their own ids, and a
     conjugate of each matches its own id without minting a new one."""
-    G = close_group(klein_rep())
+    G = klein_group()
     reg = Registry(G)
     classes = [_klein_rho(G, c) for c in (1, 2, 3)]
     assert [reg.match_or_insert(M) for M in classes] == [0, 1, 2]
@@ -398,7 +389,7 @@ def test_registry_ids_follow_isomorphism_classes():
 
 
 def test_registry_rollback_forgets_classes_and_kg(s3):
-    _, G = s3
+    G = s3
     reg = Registry(G)
     assert reg.match_or_insert(ModuleRep(G, [la.identity(1)] * 2)) == 0
     mark = reg.mark()
@@ -429,12 +420,12 @@ def test_trivial_isotypic_blocks_split_deterministically():
     # even conjugated away from the obvious basis
     F9 = make_field(3, 2)
     g = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
-    G = close_group(Representation(F9, (g,)))
+    G = close_group(F9, [g])
     rng = np.random.default_rng(14)
     for s in range(2, 9):
         P = la.rand_invertible(F9, rng, s)
         mats = [la.mat_mul(F9, la.mat_mul(F9, la.inv(F9, P), la.identity(s)), P)]
-        M = ModuleRep(G, mats, dim=s)
+        M = ModuleRep(G, mats)
         reg = Registry(G)
         vec = decompose(M, reg, seed=s)
         assert len(vec) == 1
@@ -448,12 +439,9 @@ def test_permutation_cycle_plus_fixed_line_sym_powers():
     # line per monomial of shape (i, i, i, n-3i)
     F9 = make_field(3, 2)
     g = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
-    rep = Representation(F9, (g,))
-    G = close_group(rep)
+    G = close_group(F9, [g])
     reg = Registry(G)
-    from sympow.groups import sym_power_stream
-
-    for n, M in sym_power_stream(rep, G, 12):
+    for n, M in sym_power_stream(G, 12):
         vec = decompose(M, reg, seed=n)
         by_dim = {}
         for mid, mult in vec.items():
@@ -485,12 +473,11 @@ def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
     `_peel_free` returns is the one the full stack gives.
     """
     F = make_field(p, e)
-    rep = Representation(F, tuple(_perm(len(g), g) for g in gens))
-    G = close_group(rep)
-    assert G.p_part == G.order > 1
+    G = close_group(F, [_perm(len(g), g) for g in gens])
+    assert p_part(G.order, p) == G.order > 1
     rng = np.random.default_rng(2024 + F.q)
     for n in degrees:
-        S = sym_power(rep, G, n)
+        S = sym_power(G, n)
         for M in (S, _conjugate(S, rng)):
             acts = [la.identity(M.dim)]
             for parent, gi in G.words[1:]:
@@ -525,7 +512,7 @@ def _monomial_2group_gf4():
     g = np.array([[0, w], [w2, 0]], dtype=np.int64)
     swap = np.zeros((4, 4), dtype=np.int64)
     swap[[0, 1, 2, 3], [2, 3, 0, 1]] = 1
-    return [Representation(F, (g,)), Representation(F, (la.block_diag([g, g]), swap))]
+    return [close_group(F, [g]), close_group(F, [la.block_diag([g, g]), swap])]
 
 
 @pytest.mark.parametrize("case", ["C3-GF9", "C3-on-P3-GF9", "C2-GF4-scalars", "Klein-GF4-scalars"])
@@ -539,15 +526,14 @@ def test_orbit_route_matches_the_trace_route(case):
     `_peel_free` takes the orbit route.
     """
     F9 = make_field(3, 2)
-    reps = {"C3-GF9": Representation(F9, (_perm(3, [1, 2, 0]),)),
-            "C3-on-P3-GF9": Representation(F9, (_perm(4, [1, 2, 0, 3]),))}
-    reps["C2-GF4-scalars"], reps["Klein-GF4-scalars"] = _monomial_2group_gf4()
-    rep = reps[case]
-    G = close_group(rep)
-    assert G.p_part == G.order > 1
+    groups = {"C3-GF9": close_group(F9, [_perm(3, [1, 2, 0])]),
+              "C3-on-P3-GF9": close_group(F9, [_perm(4, [1, 2, 0, 3])])}
+    groups["C2-GF4-scalars"], groups["Klein-GF4-scalars"] = _monomial_2group_gf4()
+    G = groups[case]
+    assert p_part(G.order, G.field.p) == G.order > 1
     free_seen = partial_seen = False
-    for n in range(13 if rep.field.e == 2 and rep.field.p == 3 else 9):
-        M = sym_power(rep, G, n)
+    for n in range(13 if G.field.q == 9 else 9):
+        M = sym_power(G, n)
         if M.dim < G.order:
             continue
         perms = _monomial_perms(M)
@@ -565,9 +551,8 @@ def test_dense_conjugate_takes_the_trace_route(monkeypatch):
     """A conjugated Sym^n is not monomial: `_peel_free` gives it to the trace
     route, with the free rank of the monomial module it came from."""
     F = make_field(3, 2)
-    rep = Representation(F, (_perm(4, [1, 2, 0, 3]),))
-    G = close_group(rep)
-    M = sym_power(rep, G, 7)
+    G = close_group(F, [_perm(4, [1, 2, 0, 3])])
+    M = sym_power(G, 7)
     C = _conjugate(M, np.random.default_rng(31))
     assert _monomial_perms(C) is None
     routes = []

@@ -64,6 +64,17 @@ def test_load_config_minimal(tmp_path):
     ({"checks": "decompose"}, "checks must be a list"),
     ({"cache_dir": 5}, "cache_dir must be a path string"),
     ({"output": {"path": ["r.json"]}}, "output.path must be a path string"),
+    # only JSON integers count: floats, booleans and numeric strings are refused
+    ({"field": {"p": 2.9}}, "field.p must be an integer"),
+    ({"field": {"p": 2.0}}, "field.p must be an integer"),
+    ({"field": {"p": 2, "e": True}}, "field.e must be an integer"),
+    ({"n_max": 16.7}, "n_max must be an integer"),
+    ({"n_max": "16"}, "n_max must be an integer"),
+    ({"seed": 7.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"m_candidates": [2.5, 4]}, "m_candidates entry must be an integer"),
+    ({"m_candidates": [2, "4"]}, "m_candidates entry must be an integer"),
+    ({"m_candidates": [False]}, "m_candidates entry must be an integer"),
 ])
 def test_config_validation_errors(tmp_path, capsys, overrides, fragment):
     path = write_config(tmp_path, **overrides)
@@ -294,7 +305,7 @@ def test_delta_job_computes_one_character_sequence(monkeypatch):
     real = chars.sym_brauer_sequence
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(chars, "sym_brauer_sequence", counting)
@@ -373,9 +384,9 @@ def test_failing_degree_ends_the_sweep(monkeypatch):
 
     built, real_sym_power, real_decompose = [], pipeline.sym_power, pipeline.decompose
 
-    def recording_sym_power(rep, G, n):
+    def recording_sym_power(G, n):
         built.append(n)
-        return real_sym_power(rep, G, n)
+        return real_sym_power(G, n)
 
     def failing_decompose(M, registry, seed):
         if M.dim == 10:  # Sym^3 on P^2

@@ -14,7 +14,7 @@ import sympow.pipeline as pipeline
 from sympow import koszul as kz
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import ModuleRep, Representation, close_group
+from sympow.groups import ModuleRep, close_group
 from sympow.pipeline import canonical_json, config_from_dict, job_key, run
 
 S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
@@ -73,7 +73,7 @@ def test_cokernel_tower_is_the_quotient_by_the_form(name):
     # onto, kill exactly f*Sym^(n-m), and intertwine Sym^n(g) with Q_n(g)
     field, gens, _, m = GROUPS[name]
     F = make_field(field["p"], field["e"])
-    G = close_group(Representation(F, tuple(la.mat_from_text(F, g) for g in gens)))
+    G = close_group(F, [la.mat_from_text(F, g) for g in gens])
     inv = la.kernel_basis(F, np.vstack([F.vec_sub(S, la.identity(m + 1)) for S in G.sym(m)]))
     rng = np.random.default_rng(5)
     f = np.zeros(m + 1, dtype=np.int64)
@@ -89,7 +89,7 @@ def test_cokernel_tower_is_the_quotient_by_the_form(name):
                        dtype=np.int64).T
         assert la.rank(F, psi) == m
         if n >= m:
-            mul_f = kz.mul_form_matrix(F, f, m, n - m, 2)
+            mul_f = kz.mul_form_matrix(f, m, n - m, 2)
             assert not la.mat_mul(F, psi, mul_f).any()
             assert la.rank(F, mul_f) == n - m + 1
         for S, A in zip(G.sym(n), Q.mats):
