@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from . import linalg as la
-from .gf import Field, make_field, subfield_root, embed_scalar
+from .gf import Field, extension
 from .groups import GroupData, ModuleRep
-from .polyfit import delta
+from .polyfit import delta, tail_threshold
 
 # cyclotomic(N) is a pure function of one integer, shared by every field and
 # group, so its memo is global like the field interning in `gf`
@@ -94,14 +94,7 @@ def _splitting_data(F: Field, o: int) -> tuple[Field, np.ndarray | None, int]:
             if o % F.p == 0:
                 raise ValueError("element order divisible by the characteristic")
             s = _mult_order(F.q, o)
-            if s == 1:
-                K, table = F, None
-            else:
-                K = make_field(F.p, F.e * s)
-                root = subfield_root(K, F)
-                table = np.array(
-                    [embed_scalar(K, F, root, a) for a in range(F.q)], dtype=np.int64
-                )
+            K, table = (F, None) if s == 1 else extension(F, s)
             w = K.pow(K.root, (K.q - 1) // o)
             F.splitting[o] = (K, table, w)
     return F.splitting[o]
@@ -176,7 +169,7 @@ class BrauerChar:
         return all(not any(v) for v in self.reduced().values())
 
     def degree(self) -> int:
-        return sum(self.values[self.reps[0]]) if self.reps else 0
+        return sum(self.values[self.reps[0]])
 
     def serialize(self) -> str:
         parts = [f"N={self.modulus}"]
@@ -190,7 +183,7 @@ class BrauerChar:
 
 def _class_frame(G: GroupData) -> tuple[tuple[int, ...], int]:
     reps = tuple(G.p_regular_class_reps())
-    N = math.lcm(*(G.element_order(r) for r in reps)) if reps else 1
+    N = math.lcm(*(G.element_order(r) for r in reps))
     return reps, N
 
 
@@ -279,17 +272,6 @@ def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, BrauerChar]:
     return {k: BrauerChar(N, reps, values[k]) for k in degrees}
 
 
-def _tail_threshold(flags: list[bool]) -> int | None:
-    """Least index from which every flag is True; None if the last one isn't."""
-    t = len(flags)
-    for i in range(len(flags) - 1, -1, -1):
-        if flags[i]:
-            t = i
-        else:
-            break
-    return t if t < len(flags) else None
-
-
 def check_delta_vanishing(group: GroupData, j: int, m: int, k: int, n_max: int) -> dict:
     """Does the k-th difference of n -> char(Sym^(m n + j)) vanish eventually?
 
@@ -313,7 +295,7 @@ def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
     seq = [chars[m * n + j] for n in range(n_max + 1)]
     deltas = delta(seq, k)
     flags = [d.is_zero() for d in deltas]
-    thr = _tail_threshold(flags)
+    thr = tail_threshold(flags)
     return {
         "stride": m,
         "offset": j,
@@ -349,7 +331,7 @@ def char_growth_check(G: GroupData, g_idx: int, a: int, d_fix: int, n_max: int) 
     for coord in range(N):
         vals = [v[coord] for v in seq]
         deltas = delta(vals, k)
-        thresholds.append(_tail_threshold([d == 0 for d in deltas]))
+        thresholds.append(tail_threshold([d == 0 for d in deltas]))
     return {
         "class_rep": rep_idx,
         "offset": a,

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chars import root_space_dims
 from .groups import GroupData, p_part
 
@@ -67,8 +69,6 @@ class RamificationReport:
 
 
 def _is_scalar(A) -> bool:
-    import numpy as np
-
     expected = np.zeros_like(A)
     np.fill_diagonal(expected, A[0, 0])
     return np.array_equal(A, expected)

@@ -522,33 +522,6 @@ def make_field(p: int, e: int = 1) -> Field:
     return _FIELDS[key]
 
 
-def subfield_root(big: Field, small: Field) -> int:
-    """Image in `big` of `small`'s defining root, canonical choice.
-
-    Scans big's codes in coefficient-lex order for the first root of small's
-    modulus; all roots are Galois-conjugate, the scan just pins one.  Raises
-    if small does not embed (big.e not a multiple of small.e or p mismatch).
-    """
-    if big.p != small.p or big.e % small.e != 0:
-        raise ValueError(f"{small} does not embed in {big}")
-    f = small.modulus
-    for a in big._lex_codes():
-        acc = 0
-        for c in reversed(f):
-            acc = big.add(big.mul(acc, a), c % big.p)
-        if acc == 0:
-            return a
-    raise AssertionError("embedding root not found")
-
-
-def embed_scalar(big: Field, small: Field, root_img: int, a: int) -> int:
-    """Map a small-field code into big via the chosen image of the root."""
-    acc = 0
-    for c in reversed(small.coeffs(a)):
-        acc = big.add(big.mul(acc, root_img), c)
-    return acc
-
-
 # -- univariate polynomials over a Field ----------------------------------------
 #
 # Coefficient vectors are little-endian int64 arrays of codes with no trailing
@@ -647,6 +620,21 @@ def poly_eval(F: Field, a: np.ndarray, c: int) -> int:
     for coeff in reversed(poly_trim(a)):
         acc = F.add(F.mul(acc, c), int(coeff))
     return acc
+
+
+def extension(small: Field, s: int) -> tuple[Field, np.ndarray]:
+    """GF(q^s) and the canonical embedding of `small` in it, as a code table.
+
+    small's defining root goes to the first root of small's modulus among the
+    big field's codes in coefficient-lex order; all roots are Galois-conjugate,
+    the scan just pins one.  table[a] is then small's code a, as a
+    polynomial in that root, evaluated in the big field.
+    """
+    big = make_field(small.p, small.e * s)
+    f = np.array(small.modulus)
+    root = next(a for a in big._lex_codes() if poly_eval(big, f, a) == 0)
+    table = [poly_eval(big, np.array(small.coeffs(a)), root) for a in range(small.q)]
+    return big, np.array(table, dtype=np.int64)
 
 
 def _poly_saturate(F: Field, f: np.ndarray, g: np.ndarray) -> np.ndarray:

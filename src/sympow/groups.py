@@ -11,6 +11,11 @@ vector, with one product per element.
 `ModuleRep` is the carrier for all downstream work: a kG-module given by the
 action matrices of the group generators on a chosen basis.
 
+The graded pieces Sym^n = H^0(P^d, O(n)) live on the graded-lex monomial
+basis.  The order has one home: `monomials` lists a degree's exponent
+vectors and `monomial_index` maps exponent rows back to their positions;
+Sym^n towers and the form multiplication maps read positions from it.
+
 A closed group is the one handle for an action: `close_group(F, gens)`
 checks the generators and closes them, and every API past it takes the group
 alone.  A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k
@@ -22,6 +27,7 @@ Nothing outlives the group that made it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -289,14 +295,42 @@ class ModuleRep:
 # -- symmetric powers -------------------------------------------------------
 
 
-def monomials(nvars: int, n: int) -> list[tuple[int, ...]]:
-    """Degree-n exponent tuples in graded-lex order with z_0 > z_1 > ..."""
-    if nvars == 1:
-        return [(n,)]
-    out = []
-    for a0 in range(n, -1, -1):
-        for rest in monomials(nvars - 1, n - a0):
-            out.append((a0,) + rest)
+def monomials(nvars: int, n: int) -> np.ndarray:
+    """Degree-n exponent vectors in graded-lex order with z_0 > z_1 > ...
+
+    A (sym_dim, nvars) int64 array, row i the i-th basis monomial; the rows
+    descend lexicographically.  Built by stars and bars: n stars and nvars - 1
+    bars in n + nvars - 1 slots, the exponents being the gaps between bars.
+    The partial sums a_0 + ... + a_i + i are the bar positions, so bar
+    positions in reverse lexicographic order list the exponents in it too.
+    """
+    slots = n + nvars - 1
+    bars = np.array(list(itertools.combinations(range(slots), nvars - 1)),
+                    dtype=np.int64).reshape(sym_dim(nvars, n), nvars - 1)[::-1]
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
+
+
+def monomial_index(E: np.ndarray) -> np.ndarray:
+    """Position of each exponent row of E in its degree's `monomials` list.
+
+    The one map from exponent vectors to basis positions, in closed form: the
+    combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3).  The monomials
+    before (a_0, ..., a_d) agree with it on z_0..z_(i-1) and put more than a_i
+    on z_i for some i < d, so its rank is sum_(i<d) sym_dim(d+1-i, r_i-a_i-1)
+    with r_i = n - a_0 - ... - a_(i-1), n the row's degree.
+    """
+    E = np.asarray(E, dtype=np.int64)
+    d = E.shape[1] - 1
+    r = E.sum(axis=1)
+    out = np.zeros(len(E), dtype=np.int64)
+    for i in range(d):
+        # sym_dim(d+1-i, r-a_i-1) = C(top, d-i), zero when r == a_i
+        top = r - E[:, i] - 1 + d - i
+        c = np.ones_like(top)
+        for j in range(1, d - i + 1):
+            c = c * (top - j + 1) // j
+        out += c
+        r = r - E[:, i]
     return out
 
 
@@ -331,31 +365,23 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
     else:
         k0, prev = start[0], start[1].astype(np.int64)
     yield k0, prev
+    unit = np.eye(d1, dtype=np.int64)
     mons_prev = monomials(d1, k0)
     for k in range(k0 + 1, n + 1):
         mons_k = monomials(d1, k)
-        idx_k = {m: i for i, m in enumerate(mons_k)}
-        Dk, Dp = len(mons_k), len(mons_prev)
         # row maps: where multiplication by z_i sends each degree-(k-1) monomial
-        shift = [np.array([idx_k[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in mons_prev]) for i in range(d1)]
-        cur = la.zeros(Dk, Dk)
-        # group target monomials by first variable with positive exponent
-        by_peel: dict[int, list[int]] = {}
-        for ci, mon in enumerate(mons_k):
-            j = next(i for i in range(d1) if mon[i] > 0)
-            by_peel.setdefault(j, []).append(ci)
-        idx_prev = {m: i for i, m in enumerate(mons_prev)}
-        for j, cols in by_peel.items():
-            beta_idx = [
-                idx_prev[mons_k[ci][:j] + (mons_k[ci][j] - 1,) + mons_k[ci][j + 1:]] for ci in cols
-            ]
-            block = prev[:, beta_idx]
-            cols_arr = np.array(cols)
+        shift = monomial_index((mons_prev[None] + unit[:, None]).reshape(-1, d1)).reshape(d1, -1)
+        peel = np.argmax(mons_k > 0, axis=1)
+        beta = monomial_index(mons_k - unit[peel])
+        cur = la.zeros(len(mons_k), len(mons_k))
+        for j in range(d1):
+            cols = np.flatnonzero(peel == j)
+            block = prev[:, beta[cols]]
             for i in range(d1):
                 a = int(A[i, j])
                 if a == 0:
                     continue
-                tgt = np.ix_(shift[i], cols_arr)
+                tgt = np.ix_(shift[i], cols)
                 cur[tgt] = F.vec_addmul(cur[tgt], np.int64(a), block)
         yield k, cur
         prev, mons_prev = cur, mons_k

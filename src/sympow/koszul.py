@@ -38,57 +38,45 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field
-from .groups import GroupData, ModuleRep, monomials, sym_dim
+from .groups import GroupData, ModuleRep, monomial_index, monomials, sym_dim
 from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
                       dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
                       nonfree, quotient_module, submodule)
+from .polyfit import tail_threshold
 
 FORM_ATTEMPTS = 64
 
 
 def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
-    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
-    src = np.array(monomials(d1, k), dtype=np.int64).reshape(-1, d1)
-    dst = np.array(monomials(d1, k + deg), dtype=np.int64).reshape(-1, d1)
-    # exponent vectors as base-(k+deg+1) numbers, z_0 most significant: the
-    # graded-lex list of one degree is then in descending key order
-    weights = (k + deg + 1) ** np.arange(d1 - 1, -1, -1, dtype=np.int64)
-    asc_keys = (dst @ weights)[::-1]
-    src_keys = src @ weights
-    out = la.zeros(len(dst), len(src))
-    cols = np.arange(len(src))
-    for fi, fm in enumerate(monomials(d1, deg)):
-        c = int(form[fi])
-        if not c:
-            continue
-        fm = np.array(fm, dtype=np.int64)
-        rows = len(dst) - 1 - np.searchsorted(asc_keys, src_keys + fm @ weights)
-        if not np.array_equal(dst[rows], src + fm):
-            raise AssertionError("monomial index lookup failed")
-        # (row, col) pairs are distinct across form monomials, plain assignment
-        out[rows, cols] = c
+    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg).
+
+    `form` holds the coefficients on the degree-`deg` monomial basis.  The
+    column of a source monomial z^a has the coefficient of z^b at the
+    position of z^(a+b), which `monomial_index` reads off for every (b, a)
+    pair at once.
+    """
+    src = monomials(d1, k)
+    nz = np.flatnonzero(form)
+    prods = (monomials(d1, deg)[nz, None, :] + src[None, :, :]).reshape(-1, d1)
+    rows = monomial_index(prods)
+    if not np.array_equal(monomials(d1, k + deg)[rows], prods):
+        raise AssertionError("monomial index lookup failed")
+    out = la.zeros(sym_dim(d1, k + deg), len(src))
+    # (row, col) pairs are distinct across form monomials, plain assignment
+    out[rows, np.tile(np.arange(len(src)), len(nz))] = np.repeat(form[nz], len(src))
     return out
 
 
 def form_product(F: Field, lin_forms: list[np.ndarray]) -> np.ndarray:
-    """Coefficient vector of the product of linear forms, graded-lex basis."""
-    d1 = lin_forms[0].shape[0]
+    """Coefficient vector of the product of linear forms, graded-lex basis.
+
+    A fold: each step applies multiplication by the product so far,
+    Sym^1 -> Sym^(deg+1), to the next linear form.
+    """
     acc = np.array([1], dtype=np.int64)
-    deg = 0
-    for lin in lin_forms:
-        out = np.zeros(sym_dim(d1, deg + 1), dtype=np.int64)
-        mons_src = monomials(d1, deg)
-        idx_dst = {m: i for i, m in enumerate(monomials(d1, deg + 1))}
-        for var in range(d1):
-            c = np.int64(int(lin[var]))
-            if not c:
-                continue
-            rows = np.array([
-                idx_dst[sm[:var] + (sm[var] + 1,) + sm[var + 1:]] for sm in mons_src
-            ])
-            out[rows] = F.vec_add(out[rows], F.vec_mul(acc, c))
-        acc = out
-        deg += 1
+    for deg, lin in enumerate(lin_forms):
+        M = mul_form_matrix(acc, deg, 1, lin.shape[0])
+        acc = la.mat_mul(F, M, lin[:, None])[:, 0]
     return acc
 
 
@@ -173,8 +161,9 @@ class KoszulComplex:
         """
         if r not in self.echelons:
             A = self.maps[r].T
-            below = self._echelon(r + 1)[1] if r + 1 < len(self.maps) else []
-            rows = np.setdiff1d(np.arange(A.shape[0]), below)
+            rows = np.ones(A.shape[0], dtype=bool)
+            if r + 1 < len(self.maps):
+                rows[self._echelon(r + 1)[1]] = False
             self.echelons[r] = la.forward_echelon(
                 self.terms[0].field, np.ascontiguousarray(A[rows]))
         return self.echelons[r]
@@ -443,16 +432,13 @@ def surface_progression_check(registry: Registry, sym_vectors: dict[int, dict[in
     ts = sorted(t_range)
     vecs = [nonfree(sym_vectors[m * t + j], registry, seed) for t in ts]
     diffs = [dvec_sub(b, a) for a, b in zip(vecs, vecs[1:])]
-    threshold = None
-    for i in range(len(diffs)):
-        if all(d == diffs[i] for d in diffs[i:]):
-            threshold = ts[i + 1]
-            break
+    # all of diffs[i:] equal diffs[i] exactly when they all equal diffs[-1]
+    i = tail_threshold([d == diffs[-1] for d in diffs])
     return {
         "offset": j,
         "stride": m,
         "t_range": ts,
-        "stable_from": threshold,
-        "constant": diffs[-1] if diffs and threshold is not None else None,
-        "ok": threshold is not None,
+        "stable_from": None if i is None else ts[i + 1],
+        "constant": None if i is None else diffs[-1],
+        "ok": i is not None,
     }

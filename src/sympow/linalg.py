@@ -500,7 +500,9 @@ def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray,
     old = R[:len(pivots)]
     S = S.copy()
     mat_submul_into(F, S, S[:, pivots], old)
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     T0, k, fp = rref(F, S[:, free])
     if k < need:
         return None

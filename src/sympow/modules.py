@@ -44,8 +44,7 @@ import os
 import numpy as np
 
 from . import linalg as la
-from .gf import (Field, make_field, poly_coprime_split, subfield_root,
-                 embed_scalar)
+from .gf import Field, extension, poly_coprime_split
 from .groups import GroupData, ModuleRep, close_group, p_part, regular_rep, trace_operator
 
 FITTING_K = 40
@@ -602,10 +601,7 @@ def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
         raise ValueError("extension degree must be >= 1")
     if s == 1:
         return M
-    F = M.field
-    big = make_field(F.p, F.e * s)
-    root = subfield_root(big, F)
-    table = np.array([embed_scalar(big, F, root, a) for a in range(F.q)], dtype=np.int64)
+    big, table = extension(M.field, s)
     G = M.group
     if s not in G.extensions:
         G.extensions[s] = close_group(big, [table[g] for g in G.gens])

@@ -25,6 +25,14 @@ def delta(seq: list, k: int = 1) -> list:
     return out
 
 
+def tail_threshold(flags: list[bool]) -> int | None:
+    """Least index from which every flag holds; None if the last one doesn't."""
+    t = len(flags)
+    while t > 0 and flags[t - 1]:
+        t -= 1
+    return t if t < len(flags) else None
+
+
 def _newton_poly(tail: list, n0: int, dmax: int) -> list[Fraction]:
     """Coefficients (ascending) of the Newton form through tail[0..dmax] at n0."""
     diffs = [Fraction(x) for x in tail]
@@ -63,12 +71,9 @@ def fit_polynomial_tail(seq: list, dmax: int):
     """
     if len(seq) < dmax + 3:
         raise ValueError("sequence too short for the requested degree bound")
-    diffs = delta([Fraction(x) for x in seq], dmax + 1)
-    # diffs[i] is the (dmax+1)-th difference starting at seq index i
-    n0 = len(diffs)
-    while n0 > 0 and diffs[n0 - 1] == 0:
-        n0 -= 1
-    if n0 > len(seq) - (dmax + 2):
+    # entry i is the (dmax+1)-th difference starting at seq index i
+    n0 = tail_threshold([d == 0 for d in delta([Fraction(x) for x in seq], dmax + 1)])
+    if n0 is None:
         return None
     coeffs = _newton_poly(seq[n0:], n0, dmax)
     for i in range(n0, len(seq)):

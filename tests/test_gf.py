@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sympow.gf import CapacityError, make_field, subfield_root, embed_scalar
+from sympow.gf import CapacityError, extension, make_field
 
 
 def brute_force_least_irreducible(p, e):
@@ -164,16 +164,17 @@ def test_inv_matches_fermat_power(p, e):
 
 
 def test_subfield_embedding():
-    F4, F16 = make_field(2, 2), make_field(2, 4)
-    r = subfield_root(F16, F4)
+    F4 = make_field(2, 2)
+    F16, table = extension(F4, 2)
+    assert F16 is make_field(2, 4)
     # image of F4's root satisfies F4's modulus and generates a copy of F4
-    imgs = {embed_scalar(F16, F4, r, a) for a in range(4)}
+    imgs = set(table.tolist())
     assert len(imgs) == 4
     for a in range(4):
         for b in range(4):
-            ia, ib = embed_scalar(F16, F4, r, a), embed_scalar(F16, F4, r, b)
-            assert embed_scalar(F16, F4, r, F4.mul(a, b)) == F16.mul(ia, ib)
-            assert embed_scalar(F16, F4, r, F4.add(a, b)) == F16.add(ia, ib)
+            ia, ib = int(table[a]), int(table[b])
+            assert table[F4.mul(a, b)] == F16.mul(ia, ib)
+            assert table[F4.add(a, b)] == F16.add(ia, ib)
 
 
 # -- polynomials over F ----------------------------------------------------------

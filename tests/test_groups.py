@@ -1,5 +1,6 @@
 """Group closure, Sylow subgroups, symmetric powers, derived modules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from sympow import linalg as la
 from sympow.groups import (
     ModuleRep,
     close_group,
+    monomial_index,
     monomials,
     p_part,
     regular_rep,
@@ -133,9 +135,61 @@ def test_p_regular_class_reps():
 
 
 def test_monomial_order():
-    assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert monomials(3, 2)[0] == (2, 0, 0)
-    assert monomials(3, 2) == sorted(monomials(3, 2), reverse=True)
+    assert monomials(2, 2).tolist() == [[2, 0], [1, 1], [0, 2]]
+    assert monomials(3, 2)[0].tolist() == [2, 0, 0]
+    assert monomials(3, 2).tolist() == sorted(monomials(3, 2).tolist(), reverse=True)
+
+
+def test_monomial_index_inverts_the_enumeration():
+    rng = np.random.default_rng(19)
+    for nvars in range(1, 5):
+        descending = sorted(itertools.product(range(13), repeat=nvars), reverse=True)
+        for n in range(13):
+            E = monomials(nvars, n)
+            assert E.dtype == np.int64
+            assert E.tolist() == [list(a) for a in descending if sum(a) == n]
+            assert np.array_equal(monomial_index(E), np.arange(len(E)))
+            perm = rng.permutation(len(E))
+            assert np.array_equal(monomial_index(E[perm]), perm)
+
+
+def _expand_images(F, A, a):
+    """Prod_j (A z_j)^(a_j) as {exponent tuple: coefficient}, A z_j = sum_i A[i, j] z_i."""
+    d1 = A.shape[0]
+    poly = {(0,) * d1: 1}
+    for j, power in enumerate(a):
+        image = {tuple(int(i == v) for v in range(d1)): int(A[i, j]) for i in range(d1) if A[i, j]}
+        for _ in range(power):
+            out: dict = {}
+            for mp, cp in poly.items():
+                for mi, ci in image.items():
+                    key = tuple(x + y for x, y in zip(mp, mi))
+                    out[key] = F.add(out.get(key, 0), F.mul(cp, ci))
+            poly = out
+    return poly
+
+
+@pytest.mark.parametrize("p,e,d1,n", [(3, 1, 3, 4), (3, 2, 3, 3), (3, 1, 4, 3), (3, 2, 4, 2)])
+def test_sym_matrix_columns_expand_products_of_images(p, e, d1, n):
+    """Column z^a of Sym^n(A) is the expansion of prod_j (A z_j)^(a_j).
+
+    The basis order is spelled out here independently of `monomials`: all
+    degree-n exponent tuples, lexicographically descending.  A basis order
+    bug that the homomorphism tests cannot see fails here.
+    """
+    F = make_field(p, e)
+    rng = np.random.default_rng(100 * p + 10 * e + d1)
+    A = rng.integers(0, F.q, size=(d1, d1)).astype(np.int64)
+    A[:, 0] = np.arange(1, d1 + 1) % F.q  # not monomial: column 0 has several entries
+    basis = sorted((a for a in itertools.product(range(n + 1), repeat=d1) if sum(a) == n),
+                   reverse=True)
+    S = sym_matrix(F, A, n)
+    assert S.shape == (len(basis), len(basis))
+    for col, a in enumerate(basis):
+        expect = np.zeros(len(basis), dtype=np.int64)
+        for mono, c in _expand_images(F, A, a).items():
+            expect[basis.index(mono)] = c
+        assert np.array_equal(S[:, col], expect), a
 
 
 def test_sym_power_dims():

@@ -11,7 +11,12 @@ fallback routes meet the same oracle.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +102,7 @@ def test_norm_forms_are_invariant_and_generic_forms_are_not(plane):
     for N in forms:
         assert is_invariant_form(G, N, m)
     y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
-    y_sq[monomials(3, m).index((0, 2, 0))] = 1
+    y_sq[monomials(3, m).tolist().index([0, 2, 0])] = 1
     assert not is_invariant_form(G, y_sq, m)
 
 
@@ -124,9 +129,10 @@ def test_mul_form_matrix_matches_dict_oracle():
     form = rng.integers(0, 4, size=len(monomials(3, 2)), dtype=np.int64)
     form[0] = 1
     M = mul_form_matrix(form, 2, 2, 3)
-    fdict = {m: int(c) for m, c in zip(monomials(3, 2), form) if c}
-    dst_index = {m: i for i, m in enumerate(monomials(3, 4))}
-    for col, mono in enumerate(monomials(3, 2)):
+    src = [tuple(m) for m in monomials(3, 2).tolist()]
+    fdict = {m: int(c) for m, c in zip(src, form) if c}
+    dst_index = {tuple(m): i for i, m in enumerate(monomials(3, 4).tolist())}
+    for col, mono in enumerate(src):
         prod = _poly_mul(F, fdict, {mono: 1})
         expect = np.zeros(M.shape[0], dtype=np.int64)
         for m, c in prod.items():
@@ -340,7 +346,7 @@ def test_verify_complex_rejects_a_flipped_block(p3):
 def test_block_equivariance_rejects_a_non_invariant_form(plane):
     G, forms, m = plane
     y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
-    y_sq[monomials(3, m).index((0, 2, 0))] = 1
+    y_sq[monomials(3, m).tolist().index([0, 2, 0])] = 1
     S_src, S_dst = G.sym(3)[0], G.sym(3 + m)[0]
     F = G.field
     _block_equivariance(F, mul_form_matrix(forms[0], m, 3, 3), S_src, S_dst, 0)
@@ -465,3 +471,24 @@ def test_surface_progression_stabilizes(plane):
     for j in (0, 1):
         out = surface_progression_check(reg, sv, m=m, j=j, t_range=range(1, 7), seed=SEED)
         assert out["ok"] and out["stable_from"] is not None
+
+
+def test_koszul_job_does_not_import_numpy_ma(tmp_path):
+    """A Koszul job leaves `numpy.ma` unimported: no `np.setdiff1d`, whose
+    first call imports it (12-17 ms in a fresh interpreter)."""
+    cfg = {"field": {"p": 2, "e": 2}, "generators": ["3 3\n10 10 00\n00 10 00\n00 00 10\n"],
+           "n_max": 21, "checks": ["decompose", "koszul"], "seed": 7}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "from sympow.cli import main\n"
+        "code = main(['analyze', '--config', 'config.json', '--output', 'report.json',"
+        " '--cache-dir', 'cache'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["checks"]["koszul"]
