@@ -140,12 +140,22 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Least monic irreducible of degree e, little-endian coefficient lex."""
+    """Least monic irreducible of degree e, little-endian coefficient lex.
+
+    The constant term is the most significant coefficient, so candidates
+    with it zero (divisible by x) come first and are skipped wholesale.  For
+    e >= 2 a candidate with a root in GF(p) has a linear factor, so only
+    root-free ones reach the Rabin test; the least irreducible is the same.
+    """
     if e == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
+    points = np.arange(1, p, dtype=np.int64)
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         f = list(tail) + [1]
-        if _is_irreducible(f, p):
+        vals = np.zeros_like(points)
+        for c in reversed(f):
+            vals = (vals * points + c) % p
+        if vals.all() and _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 

@@ -259,7 +259,9 @@ class ModuleRep:
 
     Convention is column-image: mats[g][i, j] is the z_i coefficient of the
     image of basis vector z_j.  Element actions are evaluated through the
-    group's BFS words and memoized.
+    group's BFS words and memoized.  int64 matrices are kept as given, not
+    copied (a Sym^n module shares its group's Sym matrices), so no caller
+    writes into a module's matrices.
     """
 
     def __init__(self, group: GroupData, mats: list[np.ndarray]):
@@ -267,7 +269,7 @@ class ModuleRep:
             raise ValueError("one action matrix per group generator required")
         self.group = group
         self.field = group.field
-        self.mats = [m.astype(np.int64) for m in mats]
+        self.mats = [np.asarray(m, dtype=np.int64) for m in mats]
         self.dim = self.mats[0].shape[0]
         for m in self.mats:
             if m.shape != (self.dim, self.dim):

@@ -26,6 +26,13 @@ the canonical kernel bases (`kernel`) are read.  So at an all-exact d = 3
 complex the middle map is only ever reduced forward.  The identity checks
 are products of stored matrices.  Only a kernel at an inexact spot costs a
 second elimination.
+
+A complex holds its terms as the group's Sym blocks and builds a term's
+module only when a check reads it (`KoszulComplex.term`): the identity
+checks, ranks and dimensions need none, and with precomputed Sym vectors an
+all-exact complex with a free cokernel never builds C_1 or C_top.  The
+largest terms are direct sums of several copies of a high Sym^n, so these
+are the bulk of a complex's memory.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .gf import Field
 from .groups import GroupData, ModuleRep, monomial_index, monomials, sym_dim
 from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
                       dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
-                      nonfree, quotient_module, submodule)
+                      nonfree)
 from .polyfit import tail_threshold
 
 FORM_ATTEMPTS = 64
@@ -126,6 +133,13 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
 class KoszulComplex:
     """Terms C_0..C_top and maps[r] = tau_(r+1) : C_(r+1) -> C_r.
 
+    C_r is `copies(r)` = C(d, r) copies of Sym^(m(t-r)+j).  The complex
+    keeps each term's Sym blocks (the group's own Sym matrices, one per
+    generator) and builds the term as a `ModuleRep` only when a check reads
+    it (`term`), caching it.  A one-copy term shares the group's Sym
+    matrices; only a term of two or more copies is a block-diagonal copy.
+    Dimensions (`dim`) need no module.
+
     `echelons` caches one forward echelon form per map, of the map
     transposed, with its pivots; ranks and exactness (`is_exact`) read the
     pivot count.  Maps are eliminated top-down, each on the rows the pivots
@@ -136,20 +150,37 @@ class KoszulComplex:
     (`kernel`) are read off these.  No map is eliminated forward twice.
     """
 
+    group: GroupData
     d: int
     m: int
     j: int
     t: int
     forms: list[np.ndarray]
-    terms: list[ModuleRep]      # C_0 .. C_R
+    blocks: list[list[np.ndarray]]  # blocks[r]: Sym^(m(t-r)+j) of each generator
     maps: list[np.ndarray]      # maps[r] : C_(r+1) -> C_r, r = 0..R-1
     subsets: list[list[tuple[int, ...]]]
     echelons: dict = field(default_factory=dict)
     reduced: set = field(default_factory=set)
+    built: dict = field(default_factory=dict)  # r -> C_r, once read
 
     @property
     def top(self) -> int:
-        return len(self.terms) - 1
+        return len(self.blocks) - 1
+
+    def copies(self, r: int) -> int:
+        """Number of Sym blocks in C_r: one per r-subset of the forms."""
+        return len(self.subsets[r])
+
+    def dim(self, r: int) -> int:
+        return self.blocks[r][0].shape[0] * self.copies(r)
+
+    def term(self, r: int) -> ModuleRep:
+        """C_r as a module, built on first use and cached."""
+        if r not in self.built:
+            n = self.copies(r)
+            mats = self.blocks[r] if n == 1 else [la.block_diag([B] * n) for B in self.blocks[r]]
+            self.built[r] = ModuleRep(self.group, mats)
+        return self.built[r]
 
     def _echelon(self, r: int):
         """Cached forward echelon form of maps[r] transposed: (W, pivots).
@@ -165,7 +196,7 @@ class KoszulComplex:
             if r + 1 < len(self.maps):
                 rows[self._echelon(r + 1)[1]] = False
             self.echelons[r] = la.forward_echelon(
-                self.terms[0].field, np.ascontiguousarray(A[rows]))
+                self.group.field, np.ascontiguousarray(A[rows]))
         return self.echelons[r]
 
     def image_rref(self, r: int):
@@ -179,7 +210,7 @@ class KoszulComplex:
         """
         W, piv = self._echelon(r)
         if r not in self.reduced:
-            la.back_substitute(self.terms[0].field, W, piv)
+            la.back_substitute(self.group.field, W, piv)
             self.reduced.add(r)
         return W, len(piv), piv
 
@@ -190,7 +221,7 @@ class KoszulComplex:
     def is_exact(self, r: int) -> bool:
         """ker maps[r-1] == im maps[r], 1 <= r <= top: both lie in C_r and
         im <= ker (tau o tau = 0), so equal dimensions decide it."""
-        return self.terms[r].dim - self.rank(r - 1) == self.rank(r)
+        return self.dim(r) - self.rank(r - 1) == self.rank(r)
 
     def quotient(self, s: int) -> ModuleRep:
         """Q_s = C_s / im maps[s] on the free coordinates of `image_rref(s)`.
@@ -199,9 +230,9 @@ class KoszulComplex:
         eliminates the same transposed map.  Q_top = C_top.
         """
         if s == self.top:
-            return self.terms[s]
+            return self.term(s)
         R, rk, piv = self.image_rref(s)
-        return _quotient_from_rowspace(self.terms[s], R[:rk], piv)
+        return _quotient_from_rowspace(self.term(s), R[:rk], piv)
 
     def cokernel(self) -> ModuleRep:
         """The cokernel of the complex, Q_0."""
@@ -218,7 +249,7 @@ class KoszulComplex:
         0 at the other free columns and nonzero only before it, so flipped
         back the vectors lead with that 1 in ascending order.
         """
-        F, n = self.terms[0].field, self.maps[r].shape[1]
+        F, n = self.group.field, self.maps[r].shape[1]
         if self.is_exact(r + 1):
             if r + 1 == self.top:
                 return la.zeros(n, 0), []
@@ -231,10 +262,10 @@ class KoszulComplex:
 
 
 def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> KoszulComplex:
-    """Assemble C_r terms and signed multiplication differentials.
+    """Assemble the signed multiplication differentials over the Sym blocks.
 
     Verifies tau o tau = 0 and equivariance against every generator; both are
-    exact matrix identities, not spot checks.
+    exact matrix identities, not spot checks.  No term module is built here.
     """
     F = G.field
     d = len(forms)
@@ -245,13 +276,7 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
     R = min(d, t)
     degs = [m * (t - r) + j for r in range(R + 1)]
     subsets = [list(itertools.combinations(range(d), r)) for r in range(R + 1)]
-    terms = []
-    blocks = []
-    for r in range(R + 1):
-        block = G.sym(degs[r])
-        blocks.append(block)
-        mats = [la.block_diag([B] * len(subsets[r])) for B in block]
-        terms.append(ModuleRep(G, mats))
+    blocks = [G.sym(deg) for deg in degs]
     maps = []
     mults = []  # mults[r - 1][i]: multiplication by forms[i] out of Sym^degs[r]
     for r in range(1, R + 1):
@@ -267,8 +292,9 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
                 di = dst_pos[Sminus]
                 tau[di * dst_dim:(di + 1) * dst_dim, si * src_dim:(si + 1) * src_dim] = block
         maps.append(tau)
-    K = KoszulComplex(d=d, m=m, j=j, t=t, forms=forms, terms=terms, maps=maps, subsets=subsets)
-    _verify_complex(K, blocks, mults)
+    K = KoszulComplex(group=G, d=d, m=m, j=j, t=t, forms=forms, blocks=blocks, maps=maps,
+                      subsets=subsets)
+    _verify_complex(K, mults)
     return K
 
 
@@ -279,8 +305,7 @@ def _block_equivariance(F: Field, M: np.ndarray, S_src: np.ndarray, S_dst: np.nd
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
-def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]],
-                    mults: list[list[np.ndarray]]):
+def _verify_complex(K: KoszulComplex, mults: list[list[np.ndarray]]):
     """Exact identity checks on the assembled complex, both as products.
 
     tau o tau = 0 is one product of the stored maps.  For equivariance,
@@ -288,15 +313,15 @@ def _verify_complex(K: KoszulComplex, blocks: list[list[np.ndarray]],
     block is a signed multiplication map, so the full identity holds exactly
     when each multiplication map commutes with the sym action; that reduced
     identity is what gets checked, for every form, source degree and
-    generator.
+    generator, on the Sym blocks alone: no term module is built.
     """
-    F = K.terms[0].field
+    F = K.group.field
     for r in range(len(K.maps) - 1):
         if np.any(la.mat_mul(F, K.maps[r], K.maps[r + 1])):
             raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
-    for r in range(1, len(K.terms)):
+    for r in range(1, K.top + 1):
         for M in mults[r - 1]:
-            for gi, (S_src, S_dst) in enumerate(zip(blocks[r], blocks[r - 1])):
+            for gi, (S_src, S_dst) in enumerate(zip(K.blocks[r], K.blocks[r - 1])):
                 _block_equivariance(F, M, S_src, S_dst, gi)
 
 
@@ -306,7 +331,7 @@ def check_exact(K: KoszulComplex) -> dict:
     exact_at, inexact_at = [], []
     for r in range(1, R + 1):
         (exact_at if K.is_exact(r) else inexact_at).append(r)
-    coker = K.terms[0].dim - K.rank(0)
+    coker = K.dim(0) - K.rank(0)
     expected = K.m ** K.d if R == K.d else None
     return {
         "exact_at": exact_at,
@@ -316,22 +341,6 @@ def check_exact(K: KoszulComplex) -> dict:
         "coker_expected": expected,
         "coker_matches": (expected is None) or (coker == expected),
     }
-
-
-def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
-                    seed: int, vec_c: dict[int, int] | None = None) -> bool:
-    """Krull-Schmidt splitting test for 0 -> <sub_cols> -> C -> quotient -> 0.
-
-    This is the oracle `test_koszul` uses to check `check_split_stagewise`:
-    it decomposes the submodule and the quotient directly, with none of the
-    stagewise shortcuts.
-    """
-    sub = submodule(C, sub_cols, verify=False)
-    quo = quotient_module(C, sub_cols)
-    vc = decompose(C, registry, seed) if vec_c is None else vec_c
-    vs = decompose(sub, registry, seed)
-    vq = decompose(quo, registry, seed)
-    return vc == dvec_add(vs, vq)
 
 
 def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
@@ -361,6 +370,12 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     Absent a certificate the kernel or quotient module is decomposed
     directly.  At a fully exact complex with a free cokernel the only
     modules decomposed are then Q_0 and Q_2, ..., Q_(top-1).
+
+    Terms are built only where a path reads one (`KoszulComplex.term`): the
+    cokernel reads C_0, a kernel taken as Q_(r+1) reads C_(r+1), a kernel
+    or quotient decomposed directly reads C_r, and a term's class reads C_r
+    only when sym_vectors lacks its degree.  So with sym vectors at a fully
+    exact complex with a free cokernel, C_1 and C_top are never built.
     """
     R = K.top
     exact_spots = set(check_exact(K)["exact_at"])
@@ -372,8 +387,8 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     def term_vec(r: int) -> dict[int, int]:
         deg = K.m * (K.t - r) + K.j
         if sym_vectors is not None and deg in sym_vectors:
-            return dvec_scale(sym_vectors[deg], len(K.subsets[r]))
-        return decompose(K.terms[r], registry, seed)
+            return dvec_scale(sym_vectors[deg], K.copies(r))
+        return decompose(K.term(r), registry, seed)
 
     stages = []
     kernel_vecs: dict[int, dict[int, int]] = {}
@@ -386,7 +401,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
             kdim = K.rank(r)
         else:
             Kb, lead = K.kernel(r - 1)
-            ker = module_on_basis(K.terms[r], Kb, lead, verify=False)
+            ker = module_on_basis(K.term(r), Kb, lead, verify=False)
             vker = decompose(ker, registry, seed)
             kdim = Kb.shape[1]
         kernel_vecs[r] = vker
@@ -400,7 +415,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
         if vquo is None:
             if Kb is None:
                 Kb, lead = K.kernel(r - 1)
-            vquo = decompose(_quotient_from_rowspace(K.terms[r], Kb.T, lead), registry, seed)
+            vquo = decompose(_quotient_from_rowspace(K.term(r), Kb.T, lead), registry, seed)
         split = term_vec(r) == dvec_add(vker, vquo)
         stages.append({"r": r, "split": bool(split), "kernel_dim": kdim})
     return {

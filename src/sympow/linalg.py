@@ -575,33 +575,6 @@ def inv(F: Field, A: np.ndarray) -> np.ndarray:
     return R[:, n:].copy()
 
 
-def unipotent_jordan(F: Field, A: np.ndarray) -> tuple[int, ...]:
-    """Jordan block sizes of a unipotent matrix, descending.
-
-    Sizes come from ranks of powers of N = A - I: the number of blocks of
-    size >= k is rank(N^(k-1)) - rank(N^k).
-    """
-    n = A.shape[0]
-    N = F.vec_sub(A, identity(n))
-    ranks = [n]
-    P = N
-    while np.any(P):
-        ranks.append(rank(F, P))
-        if len(ranks) > n + 1:
-            raise ValueError("matrix is not unipotent")
-        P = mat_mul(F, P, N)
-    ranks.append(0)
-    blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    partition: list[int] = []
-    for k in range(len(blocks_ge), 0, -1):
-        count = blocks_ge[k - 1] - (blocks_ge[k] if k < len(blocks_ge) else 0)
-        partition.extend([k] * count)
-    out = tuple(sorted(partition, reverse=True))
-    if sum(out) != n:
-        raise ValueError("matrix is not unipotent")
-    return out
-
-
 def min_poly(F: Field, A: np.ndarray) -> np.ndarray:
     """Minimal polynomial of a square matrix, monic little-endian coefficients.
 
@@ -652,13 +625,6 @@ def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
 
 def rand_mat(F: Field, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.integers(0, F.q, size=(m, n), dtype=np.int64)
-
-
-def rand_invertible(F: Field, rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        A = rand_mat(F, rng, n, n)
-        if rank(F, A) == n:
-            return A
 
 
 def mat_to_text(F: Field, A: np.ndarray) -> str:

@@ -439,32 +439,42 @@ def _run_growth(cfg: JobConfig, G: GroupData) -> dict:
 
 
 def _run_koszul(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> dict:
+    """One report entry per (t, j) complex, t = d..d+2.
+
+    Each complex is built, checked and dropped inside `_koszul_entry`, so
+    at most one complex is alive at a time: the next one is built only
+    after the last is garbage.
+    """
     d = G.dim - 1
     forms, m = kz.choose_forms(G, d, child_seed(cfg.seed, "forms"))
     js = range(m) if m <= 4 else range(2)
     seed = child_seed(cfg.seed, "koszul")
-    entries = []
-    for t in range(d, d + 3):
-        for j in js:
-            K = kz.build_complex(G, forms, t=t, j=j)
-            ex = kz.check_exact(K)
-            sp = kz.check_split_stagewise(K, registry, seed, sym_vectors=vectors)
-            entry = {
-                "t": t,
-                "j": j,
-                "exact": ex["exact"],
-                "coker_dim": ex["coker_dim"],
-                "stages": [{"r": s["r"], "split": s["split"]} for s in sp["stages"]],
-                "all_split": sp["all_split"],
-                "coker_free": sp["coker_free"],
-                "euler_free_multiple": None,
-            }
-            need = {m * (t - r) + j for r in range(d + 1)}
-            if vectors is not None and need <= set(vectors):
-                entry["euler_free_multiple"] = kz.euler_identity(
-                    registry, vectors, d, m, j, t, seed)["free_multiple"]
-            entries.append(entry)
+    entries = [_koszul_entry(G, registry, vectors, forms, seed, t, j)
+               for t in range(d, d + 3) for j in js]
     return {"form_degree": m, "complexes": entries}
+
+
+def _koszul_entry(G: GroupData, registry: Registry, vectors, forms, seed: int,
+                  t: int, j: int) -> dict:
+    K = kz.build_complex(G, forms, t=t, j=j)
+    d, m = K.d, K.m
+    ex = kz.check_exact(K)
+    sp = kz.check_split_stagewise(K, registry, seed, sym_vectors=vectors)
+    entry = {
+        "t": t,
+        "j": j,
+        "exact": ex["exact"],
+        "coker_dim": ex["coker_dim"],
+        "stages": [{"r": s["r"], "split": s["split"]} for s in sp["stages"]],
+        "all_split": sp["all_split"],
+        "coker_free": sp["coker_free"],
+        "euler_free_multiple": None,
+    }
+    need = {m * (t - r) + j for r in range(d + 1)}
+    if vectors is not None and need <= set(vectors):
+        entry["euler_free_multiple"] = kz.euler_identity(
+            registry, vectors, d, m, j, t, seed)["free_multiple"]
+    return entry
 
 
 def _run_surface(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> dict:

@@ -31,6 +31,8 @@ from sympow.modules import (Registry, child_seed, decompose, direct_sum,
 from sympow.pipeline import canonical_json, config_from_dict, run
 from sympow.polyfit import bounded_growth_check, detect_description
 
+from oracles import rand_invertible, unipotent_jordan
+
 
 def _pass(num, label, elapsed, budget=None):
     bound = f" < {budget:.0f}s" if budget is not None else ""
@@ -62,7 +64,7 @@ def test_criterion_01_cyclic_oracle_equivalence():
         for n in range(61):
             got = sorted(reg.entries[mid].dim
                          for mid, mult in vecs[n].items() for _ in range(mult))
-            oracle = sorted(la.unipotent_jordan(G.field, mats[n]))
+            oracle = sorted(unipotent_jordan(G.field, mats[n]))
             assert got == oracle, (p, n, got, oracle)
             cases += 1
     elapsed = time.monotonic() - t0
@@ -117,7 +119,7 @@ def _random_module(reg, rng, dim_cap):
     for mid in picks[1:]:
         mod = direct_sum(mod, reg.entries[mid])
     F = mod.field
-    P = la.rand_invertible(F, rng, mod.dim)
+    P = rand_invertible(F, rng, mod.dim)
     Pi = la.inv(F, P)
     mats = [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in mod.mats]
     return ModuleRep(mod.group, mats)

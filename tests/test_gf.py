@@ -5,13 +5,15 @@ import random
 
 import pytest
 
+from sympow import gf
 from sympow.gf import CapacityError, extension, make_field
 
 
-def brute_force_least_irreducible(p, e):
+def brute_force_least_irreducible(p, e, max_deg=None):
     """Independent oracle: trial-divide every monic degree-e poly, in
     coefficient-lex order (constant coefficient most significant), by every
-    monic poly of degree 1..e-1.  Only viable for tiny p^e."""
+    monic poly of degree 1..max_deg (default e-1).  Only viable for tiny
+    p^e."""
 
     def poly_mod(a, b):
         a = list(a)
@@ -28,7 +30,7 @@ def brute_force_least_irreducible(p, e):
         return a
 
     divisors = []
-    for deg in range(1, e):
+    for deg in range(1, e if max_deg is None else max_deg + 1):
         for tail in itertools.product(range(p), repeat=deg):
             divisors.append(list(tail) + [1])
     for tail in itertools.product(range(p), repeat=e):
@@ -54,6 +56,23 @@ def test_canonical_modulus_examples(p, e, expected):
 def test_canonical_modulus_matches_brute_force(p, e):
     F = make_field(p, e)
     assert F.modulus == brute_force_least_irreducible(p, e), f"modulus scan disagrees for GF({p}^{e})"
+
+
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(2, 9)] + [(3, e) for e in range(2, 6)]
+                         + [(5, e) for e in range(2, 5)])
+def test_canonical_modulus_is_the_first_candidate_without_a_small_factor(p, e):
+    # a reducible degree-e polynomial has a factor of degree <= e/2
+    assert gf._canonical_modulus(p, e) == brute_force_least_irreducible(p, e, e // 2)
+
+
+def test_canonical_modulus_runs_few_rabin_tests(monkeypatch):
+    """Candidates divisible by x or with a root in GF(p) never reach the
+    Rabin test: for GF(2^12) the plain scan ran it 2,053 times."""
+    calls = []
+    real = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda f, p: calls.append(f) or real(f, p))
+    assert gf._canonical_modulus(2, 12) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert len(calls) <= 5
 
 
 def test_make_field_rejects_bad_input():

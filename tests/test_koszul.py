@@ -11,27 +11,32 @@ fallback routes meet the same oracle.
 """
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sympow import koszul as kz
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import ModuleRep, close_group, monomials, sym_power
+from sympow.groups import ModuleRep, close_group, monomials, sym_dim, sym_power
 from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
                            check_exact, check_split_stagewise, choose_forms,
                            euler_identity, form_product, is_invariant_form,
-                           mul_form_matrix, ses_split_check,
-                           surface_progression_check)
+                           mul_form_matrix, surface_progression_check)
 from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose,
                             direct_sum, dvec_add, dvec_scale, free_rank, module_on_basis,
                             quotient_module)
+from sympow.pipeline import JobConfig, _run_koszul
+
+from oracles import rand_invertible, ses_split_check
 
 SEED = 11
 
@@ -77,7 +82,7 @@ def test_trivial_group_line_complex():
     assert m == 1 and len(forms) == 1 and forms[0].shape == (2,)
     for t in (1, 2, 5):
         K = build_complex(G, forms, t=t, j=0)
-        assert [T.dim for T in K.terms] == [t + 1, t]
+        assert [K.dim(r) for r in range(K.top + 1)] == [t + 1, t]
         rep = check_exact(K)
         assert rep["exact"] and rep["coker_dim"] == 1 and rep["coker_matches"]
 
@@ -86,7 +91,7 @@ def test_term_dims_follow_binomials(plane):
     G, forms, m = plane
     K = build_complex(G, forms, t=3, j=1)
     expect = [math.comb(m * (3 - r) + 1 + 2, 2) * math.comb(2, r) for r in range(3)]
-    assert [T.dim for T in K.terms] == expect
+    assert [K.dim(r) for r in range(K.top + 1)] == expect
 
 
 def test_build_rejects_bad_levels(plane):
@@ -148,7 +153,7 @@ def test_complex_identities_hold_densely(plane):
         comp = la.mat_mul(F, K.maps[r], K.maps[r + 1])
         assert not np.any(comp)
     for r in range(len(K.maps)):
-        src, dst = K.terms[r + 1], K.terms[r]
+        src, dst = K.term(r + 1), K.term(r)
         for gi in range(len(G.gens)):
             left = la.mat_mul(F, K.maps[r], src.mats[gi])
             right = la.mat_mul(F, dst.mats[gi], K.maps[r])
@@ -181,13 +186,13 @@ def test_stagewise_matches_direct_ses_route(plane):
     for stage in out["stages"]:
         r = stage["r"]
         Kb, _ = K.kernel(r - 1)
-        assert ses_split_check(K.terms[r], Kb, reg, seed=SEED) == stage["split"]
+        assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"]
 
 
 def test_kernel_is_the_canonical_rref_basis(complexes):
     assert any(not check_exact(K)["exact"] for K in complexes)
     for K in complexes:
-        F = K.terms[0].field
+        F = K.group.field
         for r, A in enumerate(K.maps):
             B, lead = _colspace_canonical(F, la.kernel_from_rref(F, *la.rref(F, A), A.shape[1]))
             Kb, klead = K.kernel(r)
@@ -197,7 +202,7 @@ def test_kernel_is_the_canonical_rref_basis(complexes):
 
 def test_cokernel_from_pivot_columns_matches_full_quotient(complexes):
     for K in complexes:
-        full = quotient_module(K.terms[0], K.maps[0])
+        full = quotient_module(K.term(0), K.maps[0])
         coker = K.cokernel()
         assert coker.dim == full.dim
         assert all(np.array_equal(a, b) for a, b in zip(coker.mats, full.mats))
@@ -227,14 +232,14 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
     cases = {"a": complexes[3], "b": p3_noncoker, "c": complexes[4]}
     verdicts = {}
     for name, K in cases.items():
-        F = K.terms[0].field
-        reg = Registry(K.terms[0].group)
+        F = K.group.field
+        reg = Registry(K.group)
         out = check_split_stagewise(K, reg, seed=SEED)
         for stage in out["stages"]:
             r = stage["r"]
             Kb = la.kernel_basis(F, K.maps[r - 1])
             assert stage["kernel_dim"] == Kb.shape[1], (name, r)
-            assert ses_split_check(K.terms[r], Kb, reg, seed=SEED) == stage["split"], (name, r)
+            assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"], (name, r)
         verdicts[name] = (check_exact(K)["exact"], out["coker_free"],
                           [s["split"] for s in out["stages"]])
         if name == "b":
@@ -310,13 +315,13 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
     inexact_seen = 0
     for K in cases:
         K = dataclasses.replace(K, echelons={}, reduced=set())
-        F = K.terms[0].field
+        F = K.group.field
         full = [la.rref(F, A.T) for A in K.maps]
         ranks = [rk for _, rk, _ in full] + [0]
         forward.clear()
         assert [K.rank(r) for r in range(len(K.maps))] == ranks[:-1]
         for r in range(1, K.top + 1):
-            exact = K.terms[r].dim - ranks[r - 1] == ranks[r]
+            exact = K.dim(r) - ranks[r - 1] == ranks[r]
             assert K.is_exact(r) == exact
             inexact_seen += not exact
         assert forward == [(A.shape[1] - ranks[r + 1], A.shape[0])
@@ -331,16 +336,15 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
 def test_verify_complex_rejects_a_flipped_block(p3):
     G, forms, m = p3
     K = build_complex(G, forms, t=3, j=0)
-    degs = [m * (K.t - r) + K.j for r in range(len(K.terms))]
-    blocks = [G.sym(deg) for deg in degs]
+    degs = [m * (K.t - r) + K.j for r in range(K.top + 1)]
     mults = [[mul_form_matrix(f, m, deg, G.dim) for f in forms] for deg in degs[1:]]
-    _verify_complex(K, blocks, mults)
-    rows, cols = K.terms[1].dim // 3, K.terms[2].dim // 3
+    _verify_complex(K, mults)
+    rows, cols = K.dim(1) // 3, K.dim(2) // 3
     bad = K.maps[1].copy()
     bad[:rows, :cols] = G.field.vec_neg(bad[:rows, :cols])
     assert np.any(bad[:rows, :cols])
     with pytest.raises(AssertionError, match="tau_1 o tau_2"):
-        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), blocks, mults)
+        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), mults)
 
 
 def test_block_equivariance_rejects_a_non_invariant_form(plane):
@@ -361,7 +365,7 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     F = G.field
     K = complexes[3]
     Kb, lead = K.kernel(0)
-    expect = [la._mm_xpow(F, A[lead], Kb) for A in K.terms[1].mats]
+    expect = [la._mm_xpow(F, A[lead], Kb) for A in K.term(1).mats]
     rng = np.random.default_rng(SEED)
     A2, B = la.identity(4), la.rand_mat(F, rng, 4, 5)
     A2[1, 3] = 1
@@ -376,7 +380,7 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
 
     monkeypatch.setattr(la, "_mm_kron", dense)
     monkeypatch.setattr(la, "_mm_xpow", dense)
-    ker = module_on_basis(K.terms[1], Kb, lead, verify=False)
+    ker = module_on_basis(K.term(1), Kb, lead, verify=False)
     assert all(np.array_equal(X, Y) for X, Y in zip(ker.mats, expect))
     _block_equivariance(F, M, P, G.sym(4 + m)[0], 0)
     with pytest.raises(AssertionError, match="dense product"):
@@ -398,6 +402,53 @@ def test_stagewise_accepts_precomputed_sym_vectors(plane):
     K = build_complex(G, forms, t=3, j=1)
     out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
     assert out["all_split"] and out["coker_free"]
+
+
+def test_koszul_stage_holds_one_complex_at_a_time(plane, monkeypatch):
+    """`pipeline._run_koszul` drops each complex before it builds the next:
+    when a complex is built, every earlier one is garbage."""
+    G, _, _ = plane
+    built = []
+    real = kz.build_complex
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive = [i for i, ref in enumerate(built) if ref() is not None]
+        assert not alive, f"complexes {alive} are still alive at build {len(built)}"
+        K = real(*args, **kwargs)
+        built.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(kz, "build_complex", tracked)
+    cfg = JobConfig(p=2, e=2, generators=[], n_max=0, seed=SEED, checks=("koszul",))
+    out = _run_koszul(cfg, G, Registry(G), None)
+    # choose_forms builds at least one complex, then one per (t, j)
+    assert len(out["complexes"]) == 6 and len(built) >= 7
+
+
+def test_terms_are_built_only_when_read(p3, monkeypatch):
+    """On an all-exact complex with a free cokernel, the rank checks and the
+    stages with Sym vectors read C_0 (the cokernel) and C_2 (Q_2) alone.
+    C_1 and C_top are never built, and the one-copy C_0 shares the group's
+    Sym matrices: the only block-diagonal copy is C_2's."""
+    G, forms, m = p3
+    t, j = 4, 0
+    reg = Registry(G)
+    sv = {m * (t - r) + j: decompose(sym_power(G, m * (t - r) + j), reg, SEED)
+          for r in range(4)}
+    copies = []
+    real_block_diag = la.block_diag
+    monkeypatch.setattr(la, "block_diag",
+                        lambda blocks: copies.append([B.shape for B in blocks])
+                        or real_block_diag(blocks))
+    K = build_complex(G, forms, t=t, j=j)
+    assert check_exact(K)["exact"] and K.top == 3
+    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
+    assert out["coker_free"] and out["all_split"]
+    d2 = sym_dim(4, m * (t - 2) + j)
+    assert copies == [[(d2, d2)] * 3] * len(G.gens)
+    assert sorted(K.built) == [0, 2]
+    assert all(A is S for A, S in zip(K.term(0).mats, G.sym(m * t + j)))
 
 
 def jordan_module(G, size):
@@ -427,7 +478,7 @@ def test_ses_split_check_soundness():
                 assert not ses_split_check(Mb, cols, reg, seed=1)
                 cases += 1
             D = direct_sum(jordan_module(G, a), Mb)
-            U = la.rand_invertible(F, rng, a + b)
+            U = rand_invertible(F, rng, a + b)
             mats = [la.mat_mul(F, la.mat_mul(F, U, D.mats[0]), la.inv(F, U))]
             C = ModuleRep(G, mats)
             sub_cols = la.mat_mul(F, U, np.eye(a + b, a, dtype=np.int64))

@@ -26,6 +26,8 @@ from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _
                             _peel_orbits, _peel_trace, _quotient_from_rowspace,
                             _span_element)
 
+from oracles import rand_invertible, unipotent_jordan
+
 
 def cyclic_group(p: int):
     F = make_field(p)
@@ -46,7 +48,7 @@ def klein_group():
 
 def _conjugate(M: ModuleRep, rng) -> ModuleRep:
     F = M.field
-    P = la.rand_invertible(F, rng, M.dim)
+    P = rand_invertible(F, rng, M.dim)
     Pi = la.inv(F, P)
     return ModuleRep(M.group, [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in M.mats])
 
@@ -119,7 +121,7 @@ def test_cp_closed_form_vs_jordan_type():
             assert got == expected, (p, n)
             # second route: Jordan type of the Sym matrix directly
             S = sym_matrix(G.field, G.gens[0], n)
-            part = la.unipotent_jordan(G.field, S)
+            part = unipotent_jordan(G.field, S)
             assert sorted(part) == expected, (p, n)
 
 
@@ -140,7 +142,7 @@ def _random_known_sum(reg, rng, count):
     for mid in picks[1:]:
         mod = direct_sum(mod, reg.entries[mid])
     F = mod.field
-    P = la.rand_invertible(F, rng, mod.dim)
+    P = rand_invertible(F, rng, mod.dim)
     Pi = la.inv(F, P)
     mats = [la.mat_mul(F, la.mat_mul(F, Pi, A), P) for A in mod.mats]
     expected: dict[int, int] = {}
@@ -423,7 +425,7 @@ def test_trivial_isotypic_blocks_split_deterministically():
     G = close_group(F9, [g])
     rng = np.random.default_rng(14)
     for s in range(2, 9):
-        P = la.rand_invertible(F9, rng, s)
+        P = rand_invertible(F9, rng, s)
         mats = [la.mat_mul(F9, la.mat_mul(F9, la.inv(F9, P), la.identity(s)), P)]
         M = ModuleRep(G, mats)
         reg = Registry(G)
