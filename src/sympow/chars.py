@@ -212,11 +212,6 @@ def brauer_char(M: ModuleRep) -> BrauerChar:
     return BrauerChar(N, reps, values)
 
 
-def char_zero(G: GroupData) -> BrauerChar:
-    reps, N = _class_frame(G)
-    return BrauerChar(N, reps, {r: tuple([0] * N) for r in reps})
-
-
 def _sym_exponent_counts(exps: list[int], o: int, degrees: list[int]) -> dict[int, list[int]]:
     """Row k counts the degree-k monomials in eigenvalues w^e by exponent sum mod o.
 

@@ -20,8 +20,7 @@ A closed group is the one handle for an action: `close_group(F, gens)`
 checks the generators and closes them, and every API past it takes the group
 alone.  A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k
 of its generators for the group's lifetime and resumes from the highest
-degree built, and `modules.extend_scalars`' extended groups live on it too.
-Nothing outlives the group that made it.
+degree built.  Nothing outlives the group that made it.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class GroupData:
     """Closed element list with words, orders, Sylow subgroup, classes.
 
     Also the owner of state derived from the group: the Sym^k towers of its
-    generators (`sym`) and its scalar extensions by extension degree
-    (`extensions`).  Built by `close_group` only, which checks the generators.
+    generators (`sym`).  Built by `close_group` only, which checks the
+    generators.
     """
 
     def __init__(self, field: Field, gens: list[np.ndarray]):
@@ -63,7 +62,6 @@ class GroupData:
         self._sylow: tuple[int, ...] | None = None
         self._conj_classes: list[tuple[int, ...]] | None = None
         self._sym_towers: list[dict[int, np.ndarray]] = [{} for _ in self.gens]
-        self.extensions: dict[int, GroupData] = {}
 
     # -- enumeration -----------------------------------------------------
 

@@ -226,8 +226,10 @@ class KoszulComplex:
     def quotient(self, s: int) -> ModuleRep:
         """Q_s = C_s / im maps[s] on the free coordinates of `image_rref(s)`.
 
-        It is the module `quotient_module(C_s, maps[s])` gives, which
-        eliminates the same transposed map.  Q_top = C_top.
+        The rows of `image_rref(s)` are the RREF of the transposed map, so
+        this is C_s modulo the column space of maps[s] in the same basis a
+        quotient by that column space from scratch would give.
+        Q_top = C_top.
         """
         if s == self.top:
             return self.term(s)

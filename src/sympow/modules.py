@@ -27,8 +27,8 @@ The engine has three layers:
 * the registry: canonical representatives of indecomposable classes, matched
   by the exact `_iso_detail` (some Hom basis element is invertible) among the
   entries of equal dimension.  DecompVectors are plain {id: multiplicity}
-  dicts over registry ids, and `is_iso` compares two modules' vectors over
-  one fresh registry (Krull-Schmidt).
+  dicts over registry ids; two modules decomposed over one registry are
+  isomorphic exactly when their vectors agree (Krull-Schmidt).
 
 Randomness is seed-threaded: every random choice derives from the caller's
 seed and the module's content hash, so runs are bit-reproducible.
@@ -44,8 +44,8 @@ import os
 import numpy as np
 
 from . import linalg as la
-from .gf import Field, extension, poly_coprime_split
-from .groups import GroupData, ModuleRep, close_group, p_part, regular_rep, trace_operator
+from .gf import Field, poly_coprime_split
+from .groups import GroupData, ModuleRep, p_part, regular_rep, trace_operator
 
 FITTING_K = 40
 END_SCAN_SPACE = 2**16
@@ -84,13 +84,6 @@ def hom_basis(M: ModuleRep, N: ModuleRep) -> list[np.ndarray]:
     return [K[:, j].reshape(dn, dm) for j in range(K.shape[1])]
 
 
-def direct_sum(M: ModuleRep, N: ModuleRep) -> ModuleRep:
-    if M.group is not N.group:
-        raise ValueError("direct_sum needs modules over the same group")
-    mats = [la.block_diag([a, b]) for a, b in zip(M.mats, N.mats)]
-    return ModuleRep(M.group, mats)
-
-
 # -- canonical sub/quotient constructions ------------------------------------
 
 
@@ -121,12 +114,6 @@ def module_on_basis(M: ModuleRep, B: np.ndarray, piv: list[int],
             raise ValueError("column space is not invariant under the action")
         mats.append(X)
     return ModuleRep(M.group, mats)
-
-
-def quotient_module(M: ModuleRep, C: np.ndarray) -> ModuleRep:
-    """M modulo the G-invariant column space of C, on the free coordinates."""
-    R, rk, piv = la.rref(M.field, C.T)
-    return _quotient_from_rowspace(M, R[:rk], piv)
 
 
 # -- Fitting decomposition ----------------------------------------------------
@@ -304,7 +291,7 @@ def _iso_detail(M: ModuleRep, N: ModuleRep) -> tuple[bool, np.ndarray | None]:
     so some psi phi_j is a unit and phi_j is injective.
     """
     if M.group is not N.group:
-        raise ValueError("is_iso needs modules over the same group")
+        raise ValueError("_iso_detail needs modules over the same group")
     if M.dim != N.dim:
         return False, None
     if all(np.array_equal(A, B) for A, B in zip(M.mats, N.mats)):
@@ -313,20 +300,6 @@ def _iso_detail(M: ModuleRep, N: ModuleRep) -> tuple[bool, np.ndarray | None]:
         if la.rank(M.field, phi) == M.dim:
             return True, phi
     return False, None
-
-
-def is_iso(M: ModuleRep, N: ModuleRep) -> bool:
-    """Krull-Schmidt isomorphism test for any two modules over one group.
-
-    Both are decomposed against one fresh registry, where each indecomposable
-    class gets one id, and the decomposition vectors are compared.
-    """
-    if M.group is not N.group:
-        raise ValueError("is_iso needs modules over the same group")
-    if M.dim != N.dim:
-        return False
-    reg = Registry(M.group)
-    return decompose(M, reg, 0) == decompose(N, reg, 0)
 
 
 # -- registry -------------------------------------------------------------------
@@ -586,26 +559,6 @@ def free_rank(vec: dict[int, int], registry: Registry, seed: int = 0) -> int:
 def nonfree(vec: dict[int, int], registry: Registry, seed: int = 0) -> dict[int, int]:
     r = free_rank(vec, registry, seed)
     return dvec_sub(vec, dvec_scale(registry.regular_vec(seed), r))
-
-
-# -- scalar extension --------------------------------------------------------------
-
-
-def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
-    """The same module viewed over GF(q^s) via the canonical embedding.
-
-    Extensions of modules over one group share one extended group, which the
-    source group keeps (`GroupData.extensions`).
-    """
-    if s < 1:
-        raise ValueError("extension degree must be >= 1")
-    if s == 1:
-        return M
-    big, table = extension(M.field, s)
-    G = M.group
-    if s not in G.extensions:
-        G.extensions[s] = close_group(big, [table[g] for g in G.gens])
-    return ModuleRep(G.extensions[s], [table[m] for m in M.mats])
 
 
 # -- registry persistence -----------------------------------------------------------

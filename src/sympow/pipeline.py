@@ -232,6 +232,12 @@ class Cokernels:
     * Q_n(g) = V·Q_(n−1)(g) for n ≥ m: F ↦ yF is the identity on R after
       y = 1, and g(yF) = (A₀₁x + A₁₁y)·g(F).
 
+    So Q_n(g) = V^(n−m+1)·Q_(m−1)(g).  Each V is invertible (g·y vanishes
+    nowhere on V(f), since f is invariant and f(1:0) ≠ 0), so the tuple of
+    matrices repeats with the lcm of the orders of the V's: on S3 over
+    GF(2) the Q_n for n ≥ 2 fall into three classes by n mod 3.  The sweep
+    decomposes each distinct tuple once (`_recursion_degree`).
+
     Multiplication by f is injective (k[x, y] is a domain), so
     0 → Sym^(n−m) → Sym^n → Q_n → 0 is exact, and it splits when Q_n is
     projective, which `projective_part_dim` decides exactly (Benson,
@@ -265,7 +271,13 @@ class Cokernels:
             self.mats.append(np.hstack(cols))
 
     def at(self, n: int) -> ModuleRep:
-        """Q_n; n is no lower than the degree of the previous call."""
+        """Q_n; n must be no lower than the degree of the previous call.
+
+        The tower only steps forward, so a lower n raises ValueError rather
+        than return the current degree's matrices under the wrong degree.
+        """
+        if n < self.n:
+            raise ValueError(f"cokernel tower is at degree {self.n}, cannot return to {n}")
         F = self.group.field
         while self.n < n:
             self.mats = [la.mat_mul(F, V, Q) for V, Q in zip(self._vs, self.mats)]
@@ -308,7 +320,7 @@ def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
 
 
 def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
-                      seed: int) -> dict[int, int] | None:
+                      seed: int, memo: dict) -> dict[int, int] | None:
     """vec(n − m) + vec(Q_n), or None when degree n takes the direct route.
 
     The direct route takes the degree when Q_n is not projective, or when
@@ -317,16 +329,29 @@ def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
     class of Q_n, so with at most one of them the ids agree.  A rejected
     trial is rolled back, kG's vector included, which the free peel of a Q_n
     with m ≥ |G| may have computed.
+
+    `memo` maps `Q_n.key()` to vec(Q_n), or to None for a Q_n that is not
+    projective, and is read before any check.  An equal key means equal
+    matrices, so the same module: the projectivity check gives the same
+    answer, and every class of the first occurrence is already in the
+    registry, so decomposing again would only match them and return the
+    same vector.  A rolled-back trial is not stored: its classes left the
+    registry with the rollback, and the direct route may have minted them
+    under other ids, so the next degree with that key tries again.
     """
     Q = tower.at(n)
-    if projective_part_dim(Q) != tower.m:
-        return None
-    mark = registry.mark()
-    q = decompose(Q, registry, seed)
-    if len(registry.entries) - mark[0] >= 2:
-        registry.rollback(mark)
-        return None
-    return dvec_add(vectors[n - tower.m], q)
+    key = Q.key()
+    if key not in memo:
+        q = None
+        if projective_part_dim(Q) == tower.m:
+            mark = registry.mark()
+            q = decompose(Q, registry, seed)
+            if len(registry.entries) - mark[0] >= 2:
+                registry.rollback(mark)
+                return None
+        memo[key] = q
+    q = memo[key]
+    return None if q is None else dvec_add(vectors[n - tower.m], q)
 
 
 # -- the degree sweep --------------------------------------------------------------
@@ -354,6 +379,7 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     missing = len(cached) <= cfg.n_max
     tower = _find_form(G, cfg.seed, cfg.n_max) if G.dim == 2 and missing else None
     sweep = {"form_degree": tower.m if tower else None, "recursion": 0, "direct": 0}
+    memo: dict[bytes, dict[int, int] | None] = {}
     vectors: dict[int, dict[int, int]] = {}
     for n in range(cfg.n_max + 1):
         if n in cached:
@@ -363,7 +389,7 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
         try:
             route, vec = "recursion", None
             if tower is not None and n >= tower.m:
-                vec = _recursion_degree(tower, n, vectors, registry, seed)
+                vec = _recursion_degree(tower, n, vectors, registry, seed, memo)
             if vec is None:
                 route = "direct"
                 vec = decompose(sym_power(G, n), registry, seed)

@@ -34,8 +34,12 @@ def tail_threshold(flags: list[bool]) -> int | None:
 
 
 def _newton_poly(tail: list, n0: int, dmax: int) -> list[Fraction]:
-    """Coefficients (ascending) of the Newton form through tail[0..dmax] at n0."""
-    diffs = [Fraction(x) for x in tail]
+    """Coefficients (ascending) of the Newton form through tail[0..dmax] at n0.
+
+    The forward differences of integers stay integers; only the Newton
+    basis, which divides by ell!, needs `Fraction`.
+    """
+    diffs = tail
     leading = []
     for _ in range(dmax + 1):
         leading.append(diffs[0])
@@ -65,14 +69,15 @@ def eval_poly(coeffs: list[Fraction], x: int) -> Fraction:
 def fit_polynomial_tail(seq: list, dmax: int):
     """Least n0 with (dmax+1)-th differences zero from n0 on, plus the polynomial.
 
-    Returns (n0, coeffs ascending) or None when no tail of the required length
-    is polynomial of degree <= dmax.  The returned polynomial is validated on
-    every element from n0 to the end, not just the fitted window.
+    seq holds integers.  Returns (n0, coeffs ascending) or None when no tail
+    of the required length is polynomial of degree <= dmax.  The returned
+    polynomial is validated on every element from n0 to the end, not just
+    the fitted window.
     """
     if len(seq) < dmax + 3:
         raise ValueError("sequence too short for the requested degree bound")
     # entry i is the (dmax+1)-th difference starting at seq index i
-    n0 = tail_threshold([d == 0 for d in delta([Fraction(x) for x in seq], dmax + 1)])
+    n0 = tail_threshold([d == 0 for d in delta(seq, dmax + 1)])
     if n0 is None:
         return None
     coeffs = _newton_poly(seq[n0:], n0, dmax)

@@ -1,17 +1,23 @@
-"""Reference routines that only the tests call.
+"""Reference routines and constructions that only the tests call.
 
-Each one answers a question the library answers faster, by a separate and
-plainer route, so the tests can check the fast path against it.
+The reference routines answer a question the library answers faster, by a
+separate and plainer route, so the tests can check the fast path against
+it.  The constructions (direct sums, quotients, scalar extension, the zero
+character) build test inputs that no library code needs.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from sympow import linalg as la
-from sympow.gf import Field
-from sympow.groups import ModuleRep
-from sympow.modules import Registry, decompose, dvec_add, quotient_module, submodule
+from sympow.chars import BrauerChar, _class_frame
+from sympow.gf import Field, extension
+from sympow.groups import GroupData, ModuleRep, close_group
+from sympow.modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
+                            submodule)
 
 
 def rand_invertible(F: Field, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -63,3 +69,65 @@ def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
     vs = decompose(sub, registry, seed)
     vq = decompose(quo, registry, seed)
     return vc == dvec_add(vs, vq)
+
+
+def char_zero(G: GroupData) -> BrauerChar:
+    """The zero Brauer character on G's p-regular classes."""
+    reps, N = _class_frame(G)
+    return BrauerChar(N, reps, {r: tuple([0] * N) for r in reps})
+
+
+def direct_sum(M: ModuleRep, N: ModuleRep) -> ModuleRep:
+    """M + N, with block-diagonal generator matrices."""
+    if M.group is not N.group:
+        raise ValueError("direct_sum needs modules over the same group")
+    mats = [la.block_diag([a, b]) for a, b in zip(M.mats, N.mats)]
+    return ModuleRep(M.group, mats)
+
+
+def quotient_module(M: ModuleRep, C: np.ndarray) -> ModuleRep:
+    """M modulo the G-invariant column space of C, on the free coordinates."""
+    R, rk, piv = la.rref(M.field, C.T)
+    return _quotient_from_rowspace(M, R[:rk], piv)
+
+
+def is_iso(M: ModuleRep, N: ModuleRep) -> bool:
+    """Krull-Schmidt isomorphism test for any two modules over one group.
+
+    Both are decomposed against one fresh registry, where each indecomposable
+    class gets one id, and the decomposition vectors are compared.
+    """
+    if M.group is not N.group:
+        raise ValueError("is_iso needs modules over the same group")
+    if M.dim != N.dim:
+        return False
+    reg = Registry(M.group)
+    return decompose(M, reg, 0) == decompose(N, reg, 0)
+
+
+# extended groups by source group and extension degree; an entry lives as
+# long as its source group
+_EXTENSIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def extended_group(G: GroupData, s: int) -> GroupData:
+    """G over GF(q^s) via the canonical embedding, one per (G, s)."""
+    groups = _EXTENSIONS.setdefault(G, {})
+    if s not in groups:
+        big, table = extension(G.field, s)
+        groups[s] = close_group(big, [table[g] for g in G.gens])
+    return groups[s]
+
+
+def extend_scalars(M: ModuleRep, s: int) -> ModuleRep:
+    """The same module viewed over GF(q^s) via the canonical embedding.
+
+    Extensions of modules over one group share one extended group
+    (`extended_group`).
+    """
+    if s < 1:
+        raise ValueError("extension degree must be >= 1")
+    if s == 1:
+        return M
+    _, table = extension(M.field, s)
+    return ModuleRep(extended_group(M.group, s), [table[m] for m in M.mats])

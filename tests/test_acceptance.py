@@ -25,13 +25,13 @@ from sympow.groups import ModuleRep, close_group, sym_power_stream
 from sympow.koszul import (build_complex, check_exact, check_split_stagewise,
                            choose_forms, euler_identity,
                            surface_progression_check)
-from sympow.modules import (Registry, child_seed, decompose, direct_sum,
-                            extend_scalars, is_iso, is_projective_id, nonfree,
+from sympow.modules import (Registry, child_seed, decompose, is_projective_id, nonfree,
                             projective_part_dim, split_projective)
 from sympow.pipeline import canonical_json, config_from_dict, run
 from sympow.polyfit import bounded_growth_check, detect_description
 
-from oracles import rand_invertible, unipotent_jordan
+from oracles import (direct_sum, extend_scalars, is_iso, rand_invertible,
+                     unipotent_jordan)
 
 
 def _pass(num, label, elapsed, budget=None):

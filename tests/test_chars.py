@@ -13,11 +13,12 @@ import pytest
 
 from sympow.gf import make_field
 from sympow.groups import SYM_DIM_CAP, close_group, regular_rep, sym_power
-from sympow.chars import (BrauerChar, brauer_char, char_growth_check, char_zero,
-                          check_delta_vanishing, cyclotomic,
-                          reduce_root_vector, root_space_dims, sym_brauer_sequence)
-from sympow.modules import direct_sum
+from sympow.chars import (BrauerChar, brauer_char, char_growth_check, check_delta_vanishing,
+                          cyclotomic, reduce_root_vector, root_space_dims,
+                          sym_brauer_sequence)
 from sympow.polyfit import delta
+
+from oracles import char_zero, direct_sum
 
 
 @pytest.fixture(scope="module")

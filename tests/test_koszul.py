@@ -31,12 +31,11 @@ from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
                            check_exact, check_split_stagewise, choose_forms,
                            euler_identity, form_product, is_invariant_form,
                            mul_form_matrix, surface_progression_check)
-from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose,
-                            direct_sum, dvec_add, dvec_scale, free_rank, module_on_basis,
-                            quotient_module)
+from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose, dvec_add,
+                            dvec_scale, free_rank, module_on_basis)
 from sympow.pipeline import JobConfig, _run_koszul
 
-from oracles import rand_invertible, ses_split_check
+from oracles import direct_sum, quotient_module, rand_invertible, ses_split_check
 
 SEED = 11
 

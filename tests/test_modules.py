@@ -16,17 +16,17 @@ from sympow import linalg as la
 from sympow.gf import make_field
 from sympow.groups import (ModuleRep, close_group, p_part, regular_rep, sym_matrix,
                            sym_power, sym_power_stream)
-from sympow.modules import (Registry, decompose, direct_sum, dvec_add, dvec_scale,
-                            extend_scalars, fitting_decompose, free_rank, hom_basis,
-                            is_iso, is_projective_id, load_registry, nonfree,
-                            projective_part_dim, quotient_module, save_registry,
-                            split_projective, submodule)
+from sympow.modules import (Registry, decompose, dvec_add, dvec_scale, fitting_decompose,
+                            free_rank, hom_basis, is_projective_id, load_registry, nonfree,
+                            projective_part_dim, save_registry, split_projective,
+                            submodule)
 from sympow import modules
 from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _peel_free,
                             _peel_orbits, _peel_trace, _quotient_from_rowspace,
                             _span_element)
 
-from oracles import rand_invertible, unipotent_jordan
+from oracles import (direct_sum, extend_scalars, extended_group, is_iso, quotient_module,
+                     rand_invertible, unipotent_jordan)
 
 
 def cyclic_group(p: int):
@@ -306,7 +306,7 @@ def test_extend_scalars_group_belongs_to_the_source_group():
     M, N = sym_power(G, 1), sym_power(G, 3)
     E = extend_scalars(M, 2)
     assert E.group is extend_scalars(N, 2).group
-    assert E.group is G.extensions[2] and E.group.order == 6
+    assert E.group is extended_group(G, 2) and E.group.order == 6
     other = s3_group()
     assert extend_scalars(sym_power(other, 1), 2).group is not E.group
 

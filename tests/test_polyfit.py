@@ -57,6 +57,17 @@ def test_fit_eventually_polynomial():
     assert eval_poly(coeffs, 5) == 26
 
 
+def test_fit_of_integers_has_fraction_coefficients():
+    # differences stay integers, but the Newton basis divides by ell!, so
+    # n(n+1)/2 needs halves and every coefficient is a Fraction
+    n0, coeffs = fit_polynomial_tail([n * (n + 1) // 2 for n in range(8)], 2)
+    assert n0 == 0
+    assert coeffs == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in coeffs)
+    n0, coeffs = fit_polynomial_tail([5, 5, 5, 5, 5], 0)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
 def test_fit_rejects_exponential():
     assert fit_polynomial_tail([2**n for n in range(10)], 3) is None
 

@@ -115,15 +115,19 @@ def _is_trial(seen, M, n):
 
 
 def test_two_new_classes_in_one_trial_take_the_direct_route(monkeypatch):
-    # the trial at degree 5 computes kG's vector and mints two extra classes;
-    # the rollback must forget all of it before Sym^5 is decomposed
+    # the trial at degree 2, the first cokernel with its matrices, computes
+    # kG's vector and mints two extra classes; the rollback must forget all
+    # of it before Sym^2 is decomposed, and must not store the result, so
+    # Q_5 (the same matrices) reaches decompose again
     cfg = job({"p": 2}, S3_GENS, 30, checks=("decompose", "surface_progression"))
     ref = direct_report(cfg, monkeypatch)
     seen = _record_cokernels(monkeypatch)
     real_decompose = pipeline.decompose
+    decomposed = []
 
     def minting_decompose(M, registry, seed):
-        if _is_trial(seen, M, 5):
+        decomposed.append(M)
+        if _is_trial(seen, M, 2):
             registry.regular_vec(seed)
             for dim in (97, 98):
                 registry.match_or_insert(ModuleRep(M.group, [la.identity(dim)] * 2))
@@ -132,22 +136,59 @@ def test_two_new_classes_in_one_trial_take_the_direct_route(monkeypatch):
     monkeypatch.setattr(pipeline, "decompose", minting_decompose)
     report = run(cfg)
     assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 28, "direct": 3}
+    assert any(_is_trial(seen, M, 5) for M in decomposed)
     assert canonical_json(report) == canonical_json(ref)
 
 
 def test_a_degree_whose_cokernel_fails_its_check_takes_the_direct_route(monkeypatch):
+    # every cokernel with Q_7's matrices fails the check: on S3 those are
+    # the degrees n = 1 mod 3 from 4 on, so 4, 7, ..., 19 all go direct
     cfg = job({"p": 2}, S3_GENS, 20, checks=("decompose", "description"))
     ref = direct_report(cfg, monkeypatch)
-    seen = _record_cokernels(monkeypatch)
+    key7 = pipeline._find_form(pipeline._group(cfg), cfg.seed, cfg.n_max).at(7).key()
     real = pipeline.projective_part_dim
 
-    def failing_at_seven(M):
-        return 0 if _is_trial(seen, M, 7) else real(M)
+    def failing_like_seven(M):
+        return 0 if M.key() == key7 else real(M)
 
-    monkeypatch.setattr(pipeline, "projective_part_dim", failing_at_seven)
+    monkeypatch.setattr(pipeline, "projective_part_dim", failing_like_seven)
     report = run(cfg)
-    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 18, "direct": 3}
+    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 13, "direct": 8}
     assert canonical_json(report) == canonical_json(ref)
+
+
+def test_each_distinct_cokernel_is_decomposed_once(monkeypatch):
+    # on S3 the Q_n repeat with period 3, so only degrees 0 and 1 (direct)
+    # and Q_2, Q_3, Q_4 reach decompose
+    cfg = job({"p": 2}, S3_GENS, 150)
+    real_decompose = pipeline.decompose
+    calls = []
+
+    def counting_decompose(M, registry, seed):
+        calls.append(M.dim)
+        return real_decompose(M, registry, seed)
+
+    monkeypatch.setattr(pipeline, "decompose", counting_decompose)
+    report = run(cfg)
+    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 149, "direct": 2}
+    assert calls == [1, 2, 2, 2, 2]
+
+
+def test_two_runs_in_one_process_give_equal_bytes():
+    cfg = job({"p": 2}, S3_GENS, 60, checks=("decompose", "description"))
+    first, second = run(cfg), run(cfg)
+    assert first["volatile"]["sweep"] == second["volatile"]["sweep"]
+    assert canonical_json(first) == canonical_json(second)
+
+
+def test_cokernel_tower_refuses_a_lower_degree():
+    cfg = job({"p": 2}, S3_GENS, 40)
+    tower = pipeline._find_form(pipeline._group(cfg), cfg.seed, cfg.n_max)
+    Q5 = tower.at(5)
+    with pytest.raises(ValueError, match="degree 5"):
+        tower.at(4)
+    assert all(np.array_equal(A, B) for A, B in zip(tower.at(5).mats, Q5.mats))
+    assert tower.at(8).key() == Q5.key()
 
 
 def test_no_form_found_sweeps_directly(monkeypatch):
