@@ -1,10 +1,12 @@
 """Brauer characters with exact integer values.
 
-A Brauer character is recorded per p-regular conjugacy class as a vector of
-root-of-unity multiplicities: entry j of the class vector counts eigenvalues
-lifting to exp(2*pi*i*j/N), where N is the lcm of the p-regular class orders.
-That integer encoding avoids complex arithmetic entirely; equality, addition
-and the difference operator are exact.
+A Brauer character is an int64 array of root-of-unity multiplicities, one
+row per p-regular conjugacy class (in `GroupData.p_regular_class_reps`
+order) and one column per N-th root of unity, N the lcm of the p-regular
+class orders: entry (c, j) counts the eigenvalues at class c that lift to
+exp(2*pi*i*j/N).  The raw counts are finer than the character (the all-ones
+row sums to zero in C), so zero tests go through `reduced`, one integer
+product into the power basis of Z[zeta_N].  No complex arithmetic is needed.
 
 Eigenvalue multiplicities come from kernel ranks over a splitting field
 GF(q^s), s the multiplicative order of q modulo the element order, with the
@@ -15,23 +17,19 @@ diagonalizable over the splitting field, so once the exponents e of its
 eigenvalues w^e on the (d+1)-dimensional space are known, the character of
 Sym^n at it is the degree-n coefficient of prod_e 1/(1 - x^e t) in Z[Z/o][[t]]
 (a Molien-type series; Benson, Polynomial Invariants of Finite Groups, ch. 2).
-`brauer_char` keeps the matrix route for arbitrary modules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import linalg as la
 from .gf import Field, extension
-from .groups import GroupData, ModuleRep
-from .polyfit import delta, tail_threshold
-
-# cyclotomic(N) is a pure function of one integer, shared by every field and
-# group, so its memo is global like the field interning in `gf`
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {1: (-1, 1)}
+from .groups import GroupData
+from .polyfit import tail_threshold
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -50,15 +48,17 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
+# cyclotomic(N) and _reduction_matrix(N) are pure functions of one integer,
+# shared by every field and group, so their memos are global like the field
+# interning in `gf`
+@functools.cache
 def cyclotomic(N: int) -> tuple[int, ...]:
     """Coefficients of the N-th cyclotomic polynomial, little-endian."""
-    if N not in _CYCLO_CACHE:
-        num = [-1] + [0] * (N - 1) + [1]
-        for d in range(1, N):
-            if N % d == 0:
-                num = _poly_div_exact(num, cyclotomic(d))
-        _CYCLO_CACHE[N] = tuple(num)
-    return _CYCLO_CACHE[N]
+    num = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            num = _poly_div_exact(num, cyclotomic(d))
+    return tuple(num)
 
 
 def reduce_root_vector(vals, N: int) -> tuple[int, ...]:
@@ -72,6 +72,21 @@ def reduce_root_vector(vals, N: int) -> tuple[int, ...]:
             for j in range(deg + 1):
                 work[i - deg + j] -= c * phi[j]
     return tuple(work[:deg])
+
+
+@functools.cache
+def _reduction_matrix(N: int) -> np.ndarray:
+    """Row j is `reduce_root_vector` of the j-th unit vector of length N."""
+    return np.array([reduce_root_vector(e, N) for e in np.eye(N, dtype=np.int64).tolist()],
+                    dtype=np.int64)
+
+
+def reduced(values: np.ndarray) -> np.ndarray:
+    """Raw multiplicities (last axis N) in the power basis of Z[zeta_N].
+
+    One integer product reduces every class and degree at once.
+    """
+    return values @ _reduction_matrix(values.shape[-1])
 
 
 def _mult_order(q: int, o: int) -> int:
@@ -89,7 +104,7 @@ def _splitting_data(F: Field, o: int) -> tuple[Field, np.ndarray | None, int]:
     """
     if o not in F.splitting:
         if o == 1:
-            F.splitting[o] = (F, None, 1 % F.q if F.q > 1 else 0)
+            F.splitting[o] = (F, None, 1)
         else:
             if o % F.p == 0:
                 raise ValueError("element order divisible by the characteristic")
@@ -110,7 +125,7 @@ def root_space_dims(F: Field, A: np.ndarray, o: int) -> list[int]:
     AK = table[A] if table is not None else A
     n = A.shape[0]
     out = []
-    zeta = 1 if o >= 1 else 0
+    zeta = 1
     for _ in range(o):
         B = AK.copy()
         d = np.arange(n)
@@ -120,96 +135,10 @@ def root_space_dims(F: Field, A: np.ndarray, o: int) -> list[int]:
     return out
 
 
-class BrauerChar:
-    """Integer multiplicity vectors of N-th root lifts, one per p-regular class."""
-
-    __slots__ = ("modulus", "reps", "values")
-
-    def __init__(self, modulus: int, reps: tuple[int, ...], values: dict[int, tuple[int, ...]]):
-        self.modulus = modulus
-        self.reps = reps
-        self.values = values
-
-    def _check(self, other: "BrauerChar"):
-        if self.modulus != other.modulus or self.reps != other.reps:
-            raise ValueError("characters live on different class data")
-
-    def __add__(self, other: "BrauerChar") -> "BrauerChar":
-        self._check(other)
-        vals = {r: tuple(a + b for a, b in zip(self.values[r], other.values[r])) for r in self.reps}
-        return BrauerChar(self.modulus, self.reps, vals)
-
-    def __sub__(self, other: "BrauerChar") -> "BrauerChar":
-        self._check(other)
-        vals = {r: tuple(a - b for a, b in zip(self.values[r], other.values[r])) for r in self.reps}
-        return BrauerChar(self.modulus, self.reps, vals)
-
-    def scale(self, c: int) -> "BrauerChar":
-        vals = {r: tuple(c * a for a in self.values[r]) for r in self.reps}
-        return BrauerChar(self.modulus, self.reps, vals)
-
-    def reduced(self) -> dict[int, tuple[int, ...]]:
-        """Class-function values in the power basis of Z[zeta_N].
-
-        The raw multiplicity tuples are finer than the character (the all-ones
-        vector sums to zero in C); equality and zero tests go through this
-        canonical reduction modulo the N-th cyclotomic polynomial.
-        """
-        return {r: reduce_root_vector(v, self.modulus) for r, v in self.values.items()}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BrauerChar)
-            and self.modulus == other.modulus
-            and self.reps == other.reps
-            and self.reduced() == other.reduced()
-        )
-
-    def is_zero(self) -> bool:
-        return all(not any(v) for v in self.reduced().values())
-
-    def degree(self) -> int:
-        return sum(self.values[self.reps[0]])
-
-    def serialize(self) -> str:
-        parts = [f"N={self.modulus}"]
-        for r in self.reps:
-            parts.append(f"{r}:" + ",".join(str(c) for c in self.values[r]))
-        return ";".join(parts)
-
-    def __repr__(self) -> str:
-        return f"BrauerChar({self.serialize()})"
-
-
 def _class_frame(G: GroupData) -> tuple[tuple[int, ...], int]:
     reps = tuple(G.p_regular_class_reps())
     N = math.lcm(*(G.element_order(r) for r in reps))
     return reps, N
-
-
-def _value_vector(F: Field, A: np.ndarray, o: int, N: int) -> tuple[int, ...]:
-    dims = root_space_dims(F, A, o)
-    if sum(dims) != A.shape[0]:
-        raise AssertionError("p-regular action must be diagonalizable over GF(q^s)")
-    vals = [0] * N
-    step = N // o
-    for k, dk in enumerate(dims):
-        vals[(k * step) % N] += dk
-    return tuple(vals)
-
-
-def brauer_char(M: ModuleRep) -> BrauerChar:
-    """The Brauer character of a module, probed on each p-regular class rep."""
-    G = M.group
-    reps, N = _class_frame(G)
-    values: dict[int, tuple[int, ...]] = {}
-    for r in reps:
-        o = G.element_order(r)
-        if o == 1:
-            values[r] = tuple([M.dim] + [0] * (N - 1))
-        else:
-            values[r] = _value_vector(M.field, M.act(r), o, N)
-    return BrauerChar(N, reps, values)
 
 
 def _sym_exponent_counts(exps: list[int], o: int, degrees: list[int]) -> dict[int, list[int]]:
@@ -235,8 +164,8 @@ def _sym_exponent_counts(exps: list[int], o: int, degrees: list[int]) -> dict[in
     return out
 
 
-def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, BrauerChar]:
-    """Brauer characters of Sym^k for each requested degree k.
+def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, np.ndarray]:
+    """Brauer characters of Sym^k for each requested degree k, as raw arrays.
 
     Each p-regular class representative is probed once, on its own
     (d+1)-dimensional matrix, for the exponents of its eigenvalues; the
@@ -250,21 +179,16 @@ def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, BrauerChar]:
     if min(degrees) < 0:
         raise ValueError("degrees must be nonnegative")
     reps, N = _class_frame(group)
-    values: dict[int, dict[int, tuple[int, ...]]] = {k: {} for k in degrees}
-    for r in reps:
-        A = group.elements[r]
+    out = {k: np.zeros((len(reps), N), dtype=np.int64) for k in degrees}
+    for i, r in enumerate(reps):
         o = group.element_order(r)
-        dims = root_space_dims(group.field, A, o)
-        if sum(dims) != A.shape[0]:
+        dims = root_space_dims(group.field, group.elements[r], o)
+        if sum(dims) != group.dim:
             raise AssertionError("p-regular action must be diagonalizable over GF(q^s)")
         exps = [s for s, ds in enumerate(dims) for _ in range(ds)]
-        step = N // o
         for k, counts in _sym_exponent_counts(exps, o, degrees).items():
-            vals = [0] * N
-            for s, c in enumerate(counts):
-                vals[s * step] = c
-            values[k][r] = tuple(vals)
-    return {k: BrauerChar(N, reps, values[k]) for k in degrees}
+            out[k][i, ::N // o] = counts
+    return out
 
 
 def check_delta_vanishing(group: GroupData, j: int, m: int, k: int, n_max: int) -> dict:
@@ -278,7 +202,7 @@ def check_delta_vanishing(group: GroupData, j: int, m: int, k: int, n_max: int) 
     return delta_vanishing_report(chars, j, m, k, n_max)
 
 
-def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
+def delta_vanishing_report(chars: dict[int, np.ndarray], j: int, m: int, k: int,
                            n_max: int) -> dict:
     """The `check_delta_vanishing` report from characters already computed.
 
@@ -287,9 +211,8 @@ def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
     """
     if n_max < k:
         raise ValueError("window too short for the requested difference order")
-    seq = [chars[m * n + j] for n in range(n_max + 1)]
-    deltas = delta(seq, k)
-    flags = [d.is_zero() for d in deltas]
+    seq = reduced(np.stack([chars[m * n + j] for n in range(n_max + 1)]))
+    flags = [not d.any() for d in np.diff(seq, n=k, axis=0)]
     thr = tail_threshold(flags)
     return {
         "stride": m,
@@ -301,34 +224,27 @@ def delta_vanishing_report(chars: dict[int, BrauerChar], j: int, m: int, k: int,
     }
 
 
-def char_growth_check(G: GroupData, g_idx: int, a: int, d_fix: int, n_max: int) -> dict:
+def char_growth_check(G: GroupData, chars: dict[int, np.ndarray], rep: int, a: int,
+                      d_fix: int, n_max: int) -> dict:
     """Check one class's character along Sym^(a + n*#G) for polynomial growth.
 
-    The fixed-locus dimension d_fix bounds the degree: differences of order
-    d_fix + 2 should vanish from some threshold on.  Reports the threshold per
-    root-of-unity coordinate.
+    `chars` holds the Brauer characters of those degrees, n = 0..n_max, and
+    `rep` is one of `G.p_regular_class_reps()`.  The fixed-locus dimension
+    d_fix bounds the degree: differences of order d_fix + 2 should vanish
+    from some threshold on.  Reports the threshold per coordinate of the
+    reduced value.
     """
-    if G.element_order(g_idx) % G.field.p == 0:
-        raise ValueError("class representative must be p-regular")
-    rep_idx = None
-    for cls in G.conj_classes():
-        if g_idx in cls:
-            rep_idx = cls[0]
-            break
-    order = G.order
-    chars = sym_brauer_sequence(G, [a + n * order for n in range(n_max + 1)])
-    seq = [chars[a + n * order].reduced()[rep_idx] for n in range(n_max + 1)]
+    reps = G.p_regular_class_reps()
+    if rep not in reps:
+        raise ValueError("rep must be a p-regular class representative")
     k = d_fix + 2
     if n_max < k:
         raise ValueError("window too short for the requested difference order")
-    N = len(seq[0])
-    thresholds = []
-    for coord in range(N):
-        vals = [v[coord] for v in seq]
-        deltas = delta(vals, k)
-        thresholds.append(tail_threshold([d == 0 for d in deltas]))
+    row = reps.index(rep)
+    seq = reduced(np.stack([chars[a + n * G.order][row] for n in range(n_max + 1)]))
+    thresholds = [tail_threshold((col == 0).tolist()) for col in np.diff(seq, n=k, axis=0).T]
     return {
-        "class_rep": rep_idx,
+        "class_rep": rep,
         "offset": a,
         "difference_order": k,
         "thresholds": thresholds,

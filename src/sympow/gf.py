@@ -102,10 +102,7 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         inv_lead = pow(b[-1], p - 2, p)
         # a mod b
-        a = list(a)
         while len(a) >= len(b) and _poly_trim(a):
-            if not a or len(a) < len(b):
-                break
             c = (a[-1] * inv_lead) % p
             shift = len(a) - len(b)
             for i in range(len(b)):
@@ -115,28 +112,23 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _frobenius_minus_x(f: list[int], k: int, p: int) -> list[int]:
+    """x^(p^k) - x mod f over GF(p), trimmed."""
+    t = [0, 1]
+    for _ in range(k):
+        t = _poly_pow_mod(t, p, f, p)
+    t = t + [0] * (2 - len(t))
+    t[1] -= 1
+    return _poly_trim([c % p for c in t])
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
     """Rabin test: f (monic, degree e) is irreducible over GF(p)."""
     e = len(f) - 1
-    x = [0, 1]
-    # x^(p^e) == x mod f
-    t = x
-    for _ in range(e):
-        t = _poly_pow_mod(t, p, f, p)
-    lhs = _poly_trim([(t[i] if i < len(t) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(t), 2))])
-    lhs = [c % p for c in lhs]
-    if _poly_trim(lhs):
+    if _frobenius_minus_x(f, e, p):
         return False
-    for ell in factorize(e):
-        t = x
-        for _ in range(e // ell):
-            t = _poly_pow_mod(t, p, f, p)
-        diff = [(t[i] if i < len(t) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(t), 2))]
-        diff = _poly_trim([c % p for c in diff])
-        g = _poly_gcd(f, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return all(len(_poly_gcd(f, _frobenius_minus_x(f, e // ell, p), p)) == 1
+               for ell in factorize(e))
 
 
 def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:

@@ -13,9 +13,9 @@ Elimination uses first-nonzero pivoting (row order, then column order), which
 makes every echelon form, kernel basis and solve deterministic.  The blocked
 right-looking elimination, `forward_echelon` then `back_substitute` (which
 `rref` runs back to back), gives the same result as the one-pivot-at-a-time
-reference `_echelon_naive`: it reassociates the work into matrix products,
-and with the pivots fixed the echelon form, reduced or not, is unique.
-Differential tests keep the two in lockstep.  A caller that may need only
+reference `_echelon_naive` in `tests/oracles.py`: it reassociates the work
+into matrix products, and with the pivots fixed the echelon form, reduced or
+not, is unique.  Differential tests keep the two in lockstep.  A caller that may need only
 the pivots keeps the forward form and back-substitutes it later, if at all.
 
 Matrix text format: a `rows cols` header line, then one row per line of
@@ -225,39 +225,6 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _mm_xpow(F, A, B)
 
 
-def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):
-    """Reference one-pivot-at-a-time (reduced) row echelon; returns (R, pivots)."""
-    W = A.astype(np.int64, copy=True)
-    m, n = W.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        rows = np.nonzero(W[r:, c])[0]
-        if rows.size == 0:
-            continue
-        i = r + int(rows[0])
-        if i != r:
-            W[[r, i]] = W[[i, r]]
-        W[r] = F.vec_mul(W[r], F.vec_inv(W[r, c:c + 1]))
-        below = W[r + 1:, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            rows_idx = r + 1 + nz
-            W[rows_idx] = F.vec_sub(W[rows_idx], F.vec_mul(below[nz][:, None], W[r][None, :]))
-        pivots.append(c)
-        r += 1
-    if reduce:
-        for j in range(len(pivots) - 1, 0, -1):
-            c = pivots[j]
-            above = W[:j, c]
-            nz = np.nonzero(above)[0]
-            if nz.size:
-                W[nz] = F.vec_sub(W[nz], F.vec_mul(above[nz][:, None], W[j][None, :]))
-    return W, pivots
-
-
 def _scalar_ops(F: Field):
     """(muladd, finish) on codes: a + m*t, and -a*s, for `_invert_lower`.
 
@@ -433,7 +400,7 @@ def _leaf(W: np.ndarray, panel: int) -> int:
 def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL):
     """Blocked forward elimination of a copy of A; returns (W, pivots).
 
-    W is the row echelon form `_echelon_naive(F, A, reduce=False)` gives:
+    W is the row echelon form `oracles._echelon_naive(F, A, reduce=False)` gives:
     leading entries 1, zeros below them, nothing cleared above.  Columns go
     in panels of `panel`; each panel's pivots reach the columns right of it
     through two products (`_apply_pivots`).  From _SPLIT_CELLS entries on,
@@ -465,7 +432,7 @@ def back_substitute(F: Field, W: np.ndarray, pivots: list[int], panel: int = _PA
     """Turn a `forward_echelon` form W into the RREF of the same rows, in place.
 
     With the pivots fixed the reduced form is unique, so this is the RREF
-    `_echelon_naive` gives.  From _SPLIT_CELLS entries on, rows halve
+    `oracles._echelon_naive` gives.  From _SPLIT_CELLS entries on, rows halve
     recursively down to _LEAF, as in the forward pass.
     """
     if pivots:

@@ -517,20 +517,24 @@ def _run_surface(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> d
 
 
 def _run_char_growth(G: GroupData) -> dict:
-    reports = []
+    windows = []
     for g in G.p_regular_class_reps():
         d_fix = max((dim for _, dim in fixed_dims(G, g)), default=-1)
         floor = d_fix + 3
-        nw = _char_window(G.dim, G.order, floor, max(floor, 10))
-        reports.append(char_growth_check(G, g, 0, d_fix, nw))
+        windows.append((g, d_fix, _char_window(G.dim, G.order, floor, max(floor, 10))))
+    # one sequence covers every class's window n = 0..nw
+    top = max(nw for _, _, nw in windows)
+    chars = sym_brauer_sequence(G, [n * G.order for n in range(top + 1)])
+    reports = [char_growth_check(G, chars, g, 0, d_fix, nw) for g, d_fix, nw in windows]
     return {"classes": reports, "ok": all(r["ok"] for r in reports)}
 
 
 def _char_table(cfg: JobConfig, G: GroupData) -> dict:
     top = min(cfg.n_max, CHAR_TABLE_MAX_N)
     chars = sym_brauer_sequence(G, range(top + 1))
-    values = {n: {r: list(chars[n].values[r]) for r in chars[n].reps} for n in range(top + 1)}
-    return {"modulus": chars[0].modulus, "n_max": top, "values": values}
+    reps = G.p_regular_class_reps()
+    values = {n: dict(zip(reps, chars[n].tolist())) for n in range(top + 1)}
+    return {"modulus": chars[0].shape[1], "n_max": top, "values": values}
 
 
 def _group(cfg: JobConfig) -> GroupData:

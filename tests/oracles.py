@@ -2,8 +2,11 @@
 
 The reference routines answer a question the library answers faster, by a
 separate and plainer route, so the tests can check the fast path against
-it.  The constructions (direct sums, quotients, scalar extension, the zero
-character) build test inputs that no library code needs.
+it: one-pivot-at-a-time elimination for the blocked `linalg` elimination,
+and Brauer characters from a module's own matrices for the eigenvalue
+counting of `chars.sym_brauer_sequence`.  The constructions (direct sums,
+quotients, scalar extension, the zero character) build test inputs that no
+library code needs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import weakref
 import numpy as np
 
 from sympow import linalg as la
-from sympow.chars import BrauerChar, _class_frame
+from sympow.chars import _class_frame, root_space_dims
 from sympow.gf import Field, extension
 from sympow.groups import GroupData, ModuleRep, close_group
 from sympow.modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
@@ -26,6 +29,39 @@ def rand_invertible(F: Field, rng: np.random.Generator, n: int) -> np.ndarray:
         A = la.rand_mat(F, rng, n, n)
         if la.rank(F, A) == n:
             return A
+
+
+def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):
+    """Reference one-pivot-at-a-time (reduced) row echelon; returns (R, pivots)."""
+    W = A.astype(np.int64, copy=True)
+    m, n = W.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        rows = np.nonzero(W[r:, c])[0]
+        if rows.size == 0:
+            continue
+        i = r + int(rows[0])
+        if i != r:
+            W[[r, i]] = W[[i, r]]
+        W[r] = F.vec_mul(W[r], F.vec_inv(W[r, c:c + 1]))
+        below = W[r + 1:, c]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            rows_idx = r + 1 + nz
+            W[rows_idx] = F.vec_sub(W[rows_idx], F.vec_mul(below[nz][:, None], W[r][None, :]))
+        pivots.append(c)
+        r += 1
+    if reduce:
+        for j in range(len(pivots) - 1, 0, -1):
+            c = pivots[j]
+            above = W[:j, c]
+            nz = np.nonzero(above)[0]
+            if nz.size:
+                W[nz] = F.vec_sub(W[nz], F.vec_mul(above[nz][:, None], W[j][None, :]))
+    return W, pivots
 
 
 def unipotent_jordan(F: Field, A: np.ndarray) -> tuple[int, ...]:
@@ -71,10 +107,31 @@ def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
     return vc == dvec_add(vs, vq)
 
 
-def char_zero(G: GroupData) -> BrauerChar:
+def _value_vector(F: Field, A: np.ndarray, o: int, N: int) -> list[int]:
+    dims = root_space_dims(F, A, o)
+    if sum(dims) != A.shape[0]:
+        raise AssertionError("p-regular action must be diagonalizable over GF(q^s)")
+    vals = [0] * N
+    vals[::N // o] = dims
+    return vals
+
+
+def brauer_char(M: ModuleRep) -> np.ndarray:
+    """The Brauer character of a module, from ranks on its own matrices.
+
+    One row per p-regular class rep, one column per N-th root of unity, as
+    `chars.sym_brauer_sequence` gives for Sym^n.
+    """
+    G = M.group
+    reps, N = _class_frame(G)
+    rows = [_value_vector(M.field, M.act(r), G.element_order(r), N) for r in reps]
+    return np.array(rows, dtype=np.int64)
+
+
+def char_zero(G: GroupData) -> np.ndarray:
     """The zero Brauer character on G's p-regular classes."""
     reps, N = _class_frame(G)
-    return BrauerChar(N, reps, {r: tuple([0] * N) for r in reps})
+    return np.zeros((len(reps), N), dtype=np.int64)
 
 
 def direct_sum(M: ModuleRep, N: ModuleRep) -> ModuleRep:

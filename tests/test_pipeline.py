@@ -318,6 +318,26 @@ def test_delta_job_computes_one_character_sequence(monkeypatch):
     assert len(calls) == 1
 
 
+def test_char_growth_job_computes_one_character_sequence(monkeypatch):
+    import sympow.chars as chars
+    import sympow.pipeline as pipeline
+
+    calls = []
+    real = chars.sym_brauer_sequence
+
+    def counting(*args):
+        calls.append(list(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(chars, "sym_brauer_sequence", counting)
+    monkeypatch.setattr(pipeline, "sym_brauer_sequence", counting)
+    report = run(config_from_dict({**BASE, "generators": S3_GENS, "checks": ["char_growth"]}))
+    growth = report["checks"]["char_growth"]
+    assert report["errors"] == {} and growth["ok"]
+    assert len(growth["classes"]) == 2
+    assert len(calls) == 1
+
+
 def test_seed_override_changes_echo_not_content(tmp_path):
     cfg_path = write_config(tmp_path)
     a, b = str(tmp_path / "s7.json"), str(tmp_path / "s8.json")

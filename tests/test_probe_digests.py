@@ -1,9 +1,13 @@
-"""Four P¹ probe sweeps keep the report bytes they had before the cokernel memo.
+"""Probe jobs keep their report bytes.
 
-Each probe is a long P¹ sweep whose degrees nearly all take the recursion,
-so most of its cokernels repeat an earlier one's matrices.  The expected
-values are the first 16 hex digits of the sha256 of `canonical_json`,
-recorded on the code that decomposed every cokernel from scratch.
+Each P¹ probe is a long sweep whose degrees nearly all take the recursion,
+so most of its cokernels repeat an earlier one's matrices; its digest was
+recorded on the code that decomposed every cokernel from scratch.  The
+character probes run the Brauer-character checks on groups whose modulus N
+(the lcm of the p-regular element orders) is composite, which no benchmark
+config reaches; their digests were recorded on the code that kept each
+character as a per-class dict of tuples.  Every expected value is the first
+16 hex digits of the sha256 of `canonical_json`.
 """
 
 import hashlib
@@ -32,5 +36,31 @@ def test_p1_probe_keeps_its_digest(name):
     assert report["errors"] == {}
     assert report["volatile"]["sweep"] == {"form_degree": m, "recursion": n_max + 1 - m,
                                            "direct": m}
+    text = canonical_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+GL3_GENS = ["3 3\n1 1 0\n0 1 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"]
+S3_PLANE_GENS = ["3 3\n0 1 0\n1 0 0\n0 0 1\n", "3 3\n0 0 1\n1 0 0\n0 1 0\n"]
+CHAR_CHECKS = ["delta_vanishing", "char_growth", "description"]
+
+# name: (field, generators, checks, digest); N = 8, 15, 2 and 21
+CHAR_PROBES = {
+    "GL2F3-GF3": (GROUPS["GL2F3-GF3"][0], GROUPS["GL2F3-GF3"][1], CHAR_CHECKS,
+                  "acbdb57081971e7d"),
+    "SL2F4-GF4": (GROUPS["SL2F4-GF4"][0], GROUPS["SL2F4-GF4"][1], CHAR_CHECKS,
+                  "9ef3ea5cdb3d30c1"),
+    "S3-P2-GF3": ({"p": 3, "e": 1}, S3_PLANE_GENS, CHAR_CHECKS, "1a0da202476e15c0"),
+    "GL3F2-P2": ({"p": 2, "e": 1}, GL3_GENS, ["char_growth", "delta_vanishing"],
+                 "020045f24cd0c186"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_PROBES))
+def test_character_probe_keeps_its_digest(name):
+    field, gens, checks, digest = CHAR_PROBES[name]
+    cfg = config_from_dict({"field": field, "generators": gens, "n_max": 12, "seed": 7,
+                            "checks": checks})
+    report = run(cfg)
     text = canonical_json(report)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
