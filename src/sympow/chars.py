@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import linalg as la
-from .gf import Field, extension
+from .gf import Field
 from .groups import GroupData
 from .polyfit import tail_threshold
 
@@ -89,39 +89,13 @@ def reduced(values: np.ndarray) -> np.ndarray:
     return values @ _reduction_matrix(values.shape[-1])
 
 
-def _mult_order(q: int, o: int) -> int:
-    s, acc = 1, q % o
-    while acc != 1:
-        acc = (acc * q) % o
-        s += 1
-    return s
-
-
-def _splitting_data(F: Field, o: int) -> tuple[Field, np.ndarray | None, int]:
-    """(splitting field K of x^o - 1, embedding table or None, o-th root).
-
-    Kept on F (`Field.splitting`), next to its op tables.
-    """
-    if o not in F.splitting:
-        if o == 1:
-            F.splitting[o] = (F, None, 1)
-        else:
-            if o % F.p == 0:
-                raise ValueError("element order divisible by the characteristic")
-            s = _mult_order(F.q, o)
-            K, table = (F, None) if s == 1 else extension(F, s)
-            w = K.pow(K.root, (K.q - 1) // o)
-            F.splitting[o] = (K, table, w)
-    return F.splitting[o]
-
-
 def root_space_dims(F: Field, A: np.ndarray, o: int) -> list[int]:
     """dim ker(A - w^k I) for k = 0..o-1, w the canonical o-th root over GF(q^s).
 
     A need not have order o; this probes which o-th roots of unity occur as
     eigenvalues of A and with what geometric multiplicity.
     """
-    K, table, w = _splitting_data(F, o)
+    K, table, w = F.splitting(o)
     AK = table[A] if table is not None else A
     n = A.shape[0]
     out = []

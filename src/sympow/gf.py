@@ -9,7 +9,13 @@ constant coefficient is most significant.  The distinguished generator is the
 least primitive element in the same coefficient order.  Registries and caches
 depend on both scans being reproducible, so do not reorder them.
 
-Scalar arithmetic is polynomial arithmetic mod f (no log tables).
+Univariate polynomials have one family of helpers, `poly_*`, on
+little-endian int64 code arrays over any Field.  Over GF(p) they find the
+canonical modulus (Ben-Or's irreducibility test) and carry scalar
+multiplication in extension fields: the product of two coefficient vectors
+mod f, with no log tables.  Over any field they split the minimal
+polynomials the module decomposer reads.  The modulus test and that split
+share one distinct-degree loop, `_frobenius_gcds`.
 
 Vectorized variants (vec_add and friends) act elementwise on numpy int64
 arrays of codes and are the substrate for the linalg layer.  Past TABLE_CAP
@@ -35,17 +41,6 @@ class CapacityError(RuntimeError):
     """A configured size cap (field size, group order, module dim) was hit."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, n <= 2**31 or so."""
     out: dict[int, int] = {}
@@ -58,98 +53,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-# --- polynomial helpers over GF(p), coefficient lists little-endian ---------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce mod monic f
-    e = len(f) - 1
-    for k in range(len(prod) - 1, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(e):
-                prod[k - e + i] = (prod[k - e + i] - c * f[i]) % p
-    return _poly_trim(prod[:e])
-
-
-def _poly_pow_mod(a: list[int], n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while n:
-        if n & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        # a mod b
-        while len(a) >= len(b) and _poly_trim(a):
-            c = (a[-1] * inv_lead) % p
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] = (a[shift + i] - c * b[i]) % p
-            _poly_trim(a)
-        a, b = b, _poly_trim(a)
-    return a
-
-
-def _frobenius_minus_x(f: list[int], k: int, p: int) -> list[int]:
-    """x^(p^k) - x mod f over GF(p), trimmed."""
-    t = [0, 1]
-    for _ in range(k):
-        t = _poly_pow_mod(t, p, f, p)
-    t = t + [0] * (2 - len(t))
-    t[1] -= 1
-    return _poly_trim([c % p for c in t])
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f (monic, degree e) is irreducible over GF(p)."""
-    e = len(f) - 1
-    if _frobenius_minus_x(f, e, p):
-        return False
-    return all(len(_poly_gcd(f, _frobenius_minus_x(f, e // ell, p), p)) == 1
-               for ell in factorize(e))
-
-
-def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Least monic irreducible of degree e, little-endian coefficient lex.
-
-    The constant term is the most significant coefficient, so candidates
-    with it zero (divisible by x) come first and are skipped wholesale.  For
-    e >= 2 a candidate with a root in GF(p) has a linear factor, so only
-    root-free ones reach the Rabin test; the least irreducible is the same.
-    """
-    if e == 1:
-        return (0, 1)
-    points = np.arange(1, p, dtype=np.int64)
-    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
-        f = list(tail) + [1]
-        vals = np.zeros_like(points)
-        for c in reversed(f):
-            vals = (vals * points + c) % p
-        if vals.all() and _is_irreducible(f, p):
-            return tuple(f)
-    raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
 def _rem_into(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
@@ -200,7 +103,7 @@ class Field:
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if factorize(p) != {p: 1}:
             raise ValueError(f"p = {p} is not prime")
         if not 1 <= e <= DEGREE_CAP:
             raise CapacityError(f"extension degree {e} outside [1, {DEGREE_CAP}]")
@@ -216,9 +119,7 @@ class Field:
         self._op_tables: tuple[np.ndarray, ...] | None = None
         self._fused_tables: tuple[np.ndarray, np.ndarray] | None = None
         self._kron_table: np.ndarray | None = None
-        # chars._splitting_data per root-of-unity order o: (splitting field of
-        # x^o - 1, embedding table or None, canonical o-th root)
-        self.splitting: dict[int, tuple] = {}
+        self._splittings: dict[int, tuple[Field, np.ndarray | None, int]] = {}
 
     # -- scalar codecs --------------------------------------------------
 
@@ -254,25 +155,12 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        out, mul = 0, 1
-        for _ in range(self.e):
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mul
-            mul *= p
-        return out
+        return self.from_coeffs(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        p = self.p
-        out, mul = 0, 1
-        for _ in range(self.e):
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * mul
-            mul *= p
-        return out
+        return self.from_coeffs(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -280,9 +168,9 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        f = list(self.modulus)
-        prod = _poly_mul_mod(list(self.coeffs(a)), list(self.coeffs(b)), f, self.p)
-        return self.from_coeffs(prod + [0] * (self.e - len(prod)))
+        Fp = make_field(self.p)
+        return self.from_coeffs(
+            poly_mod(Fp, poly_mul(Fp, self.coeffs(a), self.coeffs(b)), self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -325,6 +213,21 @@ class Field:
                     break
         assert self._root is not None
         return self._root
+
+    def splitting(self, o: int) -> tuple[Field, np.ndarray | None, int]:
+        """(K, table, w): K = GF(q^s) splits x^o - 1, s the order of q mod o.
+
+        table embeds this field in K (`extension`), or is None when K is this
+        field; w = r^((|K| - 1)/o) is K's canonical o-th root of unity, r
+        K's canonical primitive root.  Cached per o, next to the op tables.
+        """
+        if o not in self._splittings:
+            if o % self.p == 0:
+                raise ValueError("element order divisible by the characteristic")
+            s = next(s for s in itertools.count(1) if (self.q**s - 1) % o == 0)
+            K, table = (self, None) if s == 1 else extension(self, s)
+            self._splittings[o] = (K, table, K.pow(K.root, (K.q - 1) // o))
+        return self._splittings[o]
 
     # -- vectorized arithmetic on int64 code arrays ----------------------
 
@@ -526,10 +429,12 @@ def make_field(p: int, e: int = 1) -> Field:
 
 # -- univariate polynomials over a Field ----------------------------------------
 #
-# Coefficient vectors are little-endian int64 arrays of codes with no trailing
-# zeros; the zero polynomial is the empty array.  These back the minimal
-# polynomial splitting used by the module decomposer, so everything here is
-# exact and seed-threaded where randomized.
+# The one polynomial family.  Coefficient vectors are little-endian int64
+# arrays of codes with no trailing zeros; the zero polynomial is the empty
+# array (inputs may be any integer sequence).  Over GF(p) these pick the
+# canonical modulus and multiply extension-field scalars; over any field they
+# split the minimal polynomials the module decomposer reads.  Everything here
+# is exact and seed-threaded where randomized.
 
 
 def poly_trim(a: np.ndarray) -> np.ndarray:
@@ -624,6 +529,51 @@ def poly_eval(F: Field, a: np.ndarray, c: int) -> int:
     return acc
 
 
+def _frobenius_gcds(F: Field, f: np.ndarray):
+    """Yield gcd(f, x^(q^i) - x) for i = 1, ..., deg f, for monic f over F.
+
+    The i-th gcd is the product of f's distinct irreducible factors whose
+    degree divides i: the distinct-degree loop of Ben-Or (FOCS 1981) and
+    Cantor-Zassenhaus (Math. Comp. 36, 1981).
+    """
+    x = np.array([0, 1], dtype=np.int64)
+    r = x
+    for _ in range(poly_deg(f)):
+        r = poly_powmod(F, r, F.q, f)
+        yield poly_gcd(F, f, poly_sub(F, r, x))
+
+
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Ben-Or test: monic f of degree e is irreducible over GF(p).
+
+    f is reducible exactly when it has an irreducible factor of degree at
+    most e/2, that is when one of the first e/2 Frobenius gcds is not 1.
+    """
+    gcds = _frobenius_gcds(make_field(p), np.array(f, dtype=np.int64))
+    return all(poly_deg(g) == 0 for g in itertools.islice(gcds, (len(f) - 1) // 2))
+
+
+def _canonical_modulus(p: int, e: int) -> tuple[int, ...]:
+    """Least monic irreducible of degree e, little-endian coefficient lex.
+
+    The constant term is the most significant coefficient, so candidates
+    with it zero (divisible by x) come first and are skipped wholesale.  For
+    e >= 2 a candidate with a root in GF(p) has a linear factor, so only
+    root-free ones reach the Ben-Or test; the least irreducible is the same.
+    """
+    if e == 1:
+        return (0, 1)
+    points = np.arange(1, p, dtype=np.int64)
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        f = list(tail) + [1]
+        vals = np.zeros_like(points)
+        for c in reversed(f):
+            vals = (vals * points + c) % p
+        if vals.all() and _is_irreducible(f, p):
+            return tuple(f)
+    raise AssertionError(f"no irreducible of degree {e} over GF({p})")
+
+
 def extension(small: Field, s: int) -> tuple[Field, np.ndarray]:
     """GF(q^s) and the canonical embedding of `small` in it, as a code table.
 
@@ -698,10 +648,7 @@ def poly_coprime_split(F: Field, f: np.ndarray, rng, tries: int = 40):
             if poly_deg(u) == n:
                 return None  # f = (x - c)^n
             return u, poly_divmod(F, f, u)[0]
-    r = np.array([0, 1], dtype=np.int64)
-    for i in range(1, n + 1):
-        r = poly_powmod(F, r, F.q, f)
-        g = poly_gcd(F, f, poly_sub(F, r, np.array([0, 1], dtype=np.int64)))
+    for i, g in enumerate(_frobenius_gcds(F, f), 1):
         if poly_deg(g) < 1:
             continue
         u = _poly_saturate(F, f, g)

@@ -57,6 +57,17 @@ def test_root_space_dims_split_case():
     assert root_space_dims(F, A, 6) == [1, 0, 2, 0, 1, 0]
 
 
+def test_splitting_field_and_root_of_unity():
+    F2 = make_field(2)
+    assert F2.splitting(1) == (F2, None, 1)
+    K, table, w = F2.splitting(7)
+    assert K is make_field(2, 3) and table.tolist() == [0, 1]
+    assert K.pow(w, 7) == 1 and w != 1
+    assert F2.splitting(7)[0] is K  # cached per order
+    with pytest.raises(ValueError):
+        F2.splitting(6)
+
+
 def test_reduced_is_reduce_root_vector_on_every_row():
     rng = np.random.default_rng(3)
     for N in (1, 2, 3, 4, 6, 8, 12, 15, 21):

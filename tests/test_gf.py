@@ -9,33 +9,36 @@ from sympow import gf
 from sympow.gf import CapacityError, extension, make_field
 
 
+def poly_mod(a, b, p):
+    """Remainder of a by b over GF(p), coefficient lists little-endian, trimmed."""
+    a = list(a)
+    while len(a) >= len(b):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        c = a[-1] * pow(b[-1], p - 2, p) % p
+        off = len(a) - len(b)
+        for i in range(len(b)):
+            a[off + i] = (a[off + i] - c * b[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def monic_polys(p, deg):
+    """Every monic degree-deg polynomial over GF(p), coefficient-lex order."""
+    return [list(tail) + [1] for tail in itertools.product(range(p), repeat=deg)]
+
+
 def brute_force_least_irreducible(p, e, max_deg=None):
     """Independent oracle: trial-divide every monic degree-e poly, in
     coefficient-lex order (constant coefficient most significant), by every
     monic poly of degree 1..max_deg (default e-1).  Only viable for tiny
     p^e."""
-
-    def poly_mod(a, b):
-        a = list(a)
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            c = a[-1] * pow(b[-1], p - 2, p) % p
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - c * b[i]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    divisors = []
-    for deg in range(1, e if max_deg is None else max_deg + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            divisors.append(list(tail) + [1])
-    for tail in itertools.product(range(p), repeat=e):
-        f = list(tail) + [1]
-        if all(poly_mod(f, g) for g in divisors):
+    divisors = [g for deg in range(1, e if max_deg is None else max_deg + 1)
+                for g in monic_polys(p, deg)]
+    for f in monic_polys(p, e):
+        if all(poly_mod(f, g, p) for g in divisors):
             return tuple(f)
     raise AssertionError("no irreducible found")
 
@@ -46,6 +49,15 @@ def brute_force_least_irreducible(p, e, max_deg=None):
         (2, 1, (0, 1)),
         (2, 2, (1, 1, 1)),  # x^2+x+1, the unique irreducible quadratic
         (3, 2, (1, 0, 1)),  # x^2+1
+        # past the brute-force oracle's reach; recorded on the Rabin-test scan
+        (2, 12, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+        (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+        (3, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+        (3, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)),
+        (5, 7, (1, 0, 0, 0, 0, 0, 1, 1)),
+        (7, 5, (1, 0, 0, 0, 3, 1)),
+        (13, 4, (1, 0, 0, 1, 1)),
+        (46337, 2, (1, 1, 1)),
     ],
 )
 def test_canonical_modulus_examples(p, e, expected):
@@ -67,7 +79,7 @@ def test_canonical_modulus_is_the_first_candidate_without_a_small_factor(p, e):
 
 def test_canonical_modulus_runs_few_rabin_tests(monkeypatch):
     """Candidates divisible by x or with a root in GF(p) never reach the
-    Rabin test: for GF(2^12) the plain scan ran it 2,053 times."""
+    irreducibility test: for GF(2^12) the plain scan ran it 2,053 times."""
     calls = []
     real = gf._is_irreducible
     monkeypatch.setattr(gf, "_is_irreducible", lambda f, p: calls.append(f) or real(f, p))
@@ -75,9 +87,20 @@ def test_canonical_modulus_runs_few_rabin_tests(monkeypatch):
     assert len(calls) <= 5
 
 
+@pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, max_deg):
+    """Ben-Or's verdict on every monic polynomial of degree 1..max_deg."""
+    for deg in range(1, max_deg + 1):
+        divisors = [g for d in range(1, deg // 2 + 1) for g in monic_polys(p, d)]
+        for f in monic_polys(p, deg):
+            want = all(poly_mod(f, g, p) for g in divisors)
+            assert gf._is_irreducible(f, p) == want, f"verdict on {f} over GF({p})"
+
+
 def test_make_field_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_field(6, 1)
+    for n in (0, 1, 6, 9):
+        with pytest.raises(ValueError):
+            make_field(n, 1)
     with pytest.raises(CapacityError):
         make_field(2, 17)
     with pytest.raises(CapacityError):

@@ -6,8 +6,11 @@ recorded on the code that decomposed every cokernel from scratch.  The
 character probes run the Brauer-character checks on groups whose modulus N
 (the lcm of the p-regular element orders) is composite, which no benchmark
 config reaches; their digests were recorded on the code that kept each
-character as a per-class dict of tuples.  Every expected value is the first
-16 hex digits of the sha256 of `canonical_json`.
+character as a per-class dict of tuples.  The P² probes run the plane's
+sweep, whose splits go through the Fitting primary split
+(`gf.poly_coprime_split`); their digests were recorded on the code whose
+field layer had a second, list-based polynomial engine.  Every expected value
+is the first 16 hex digits of the sha256 of `canonical_json`.
 """
 
 import hashlib
@@ -62,5 +65,24 @@ def test_character_probe_keeps_its_digest(name):
     cfg = config_from_dict({"field": field, "generators": gens, "n_max": 12, "seed": 7,
                             "checks": checks})
     report = run(cfg)
+    text = canonical_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# name: (p, generators, n_max, checks, digest); seed 7, prime fields
+P2_PROBES = {
+    "S3-P2-GF2": (2, S3_PLANE_GENS, 16, ["decompose", "description"], "aed90e9c5f1c9595"),
+    "S3-P2-GF3": (3, S3_PLANE_GENS, 12, ["decompose", "description"], "7b7ef09520197898"),
+    "GL3F2-P2": (2, GL3_GENS, 8, ["decompose"], "12ead18b6f1ec571"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(P2_PROBES))
+def test_p2_probe_keeps_its_digest(name):
+    p, gens, n_max, checks, digest = P2_PROBES[name]
+    cfg = config_from_dict({"field": {"p": p, "e": 1}, "generators": gens, "n_max": n_max,
+                            "seed": 7, "checks": checks})
+    report = run(cfg)
+    assert report["errors"] == {}
     text = canonical_json(report)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
