@@ -165,23 +165,16 @@ def sym_brauer_sequence(group: GroupData, degrees) -> dict[int, np.ndarray]:
     return out
 
 
-def check_delta_vanishing(group: GroupData, j: int, m: int, k: int, n_max: int) -> dict:
-    """Does the k-th difference of n -> char(Sym^(m n + j)) vanish eventually?
-
-    Returns threshold data over the window n = 0..n_max; `vanishes_from` is
-    the least n with all later k-th differences zero, or None if even the last
-    computed difference is nonzero.
-    """
-    chars = sym_brauer_sequence(group, [m * n + j for n in range(n_max + 1)])
-    return delta_vanishing_report(chars, j, m, k, n_max)
-
-
 def delta_vanishing_report(chars: dict[int, np.ndarray], j: int, m: int, k: int,
                            n_max: int) -> dict:
-    """The `check_delta_vanishing` report from characters already computed.
+    """Does the k-th difference of n -> char(Sym^(m n + j)) vanish eventually?
 
-    `chars` maps each degree m n + j, n = 0..n_max, to its Brauer character,
-    so one sequence can serve every offset and order of a job.
+    `chars` maps each degree m n + j, n = 0..n_max, to its Brauer character
+    (`sym_brauer_sequence`), so one sequence serves every offset and order
+    of a job.  The report gives threshold data over that window:
+    `vanishes_from` is the least n from which every k-th difference is zero,
+    or None if even the last one is nonzero, and `zero_tail` counts the
+    zero differences from there on.
     """
     if n_max < k:
         raise ValueError("window too short for the requested difference order")

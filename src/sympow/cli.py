@@ -6,6 +6,9 @@ symmetric power.  Reports go to stdout as canonical JSON unless --output is
 given; a one-line status summary goes to stderr either way.
 
 Exit codes: 0 all checks completed, 2 some checks recorded errors, 1 fatal.
+A fatal error (a bad config, generators that do not close to a group, a size
+cap hit before any report exists, a file that cannot be read or written)
+prints one `error: ...` line to stderr and no report.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import sys
 
 from . import pipeline as pl
+from .gf import CapacityError
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -75,13 +79,10 @@ def main(argv=None) -> int:
         else:
             report = pl.run(cfg)
             errors = report["errors"]
-    except pl.ConfigError as exc:
+        written = pl.emit(report, cfg.output_format, cfg.output_path)
+    except (pl.ConfigError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    written = pl.emit(report, cfg.output_format, cfg.output_path)
     elapsed = report.get("volatile", {}).get("elapsed_s", 0.0)
     lines = [f"{args.command}: {len(errors)} error(s), {elapsed}s"]
     for name, msg in errors.items():

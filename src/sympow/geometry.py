@@ -12,8 +12,6 @@ a (q-1)-dimensional linear subvariety, and an empty locus is -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chars import root_space_dims
@@ -35,56 +33,25 @@ def fixed_dims(G: GroupData, g: int) -> list[tuple[int, int]]:
     return [(k, d - 1) for k, d in enumerate(dims) if d > 0]
 
 
-@dataclass
-class RamificationReport:
-    dim_b: int
-    dim_bp: int
-    generically_free: bool
-    faithful_on_p: bool
-    elements: list[dict]
-
-    @property
-    def c(self) -> int:
-        """c = dim B, with the structure sheaf as the coefficient sheaf."""
-        return self.dim_b
-
-    @property
-    def cp(self) -> int:
-        """c_p = dim B_p, likewise."""
-        return self.dim_bp
-
-    def to_json(self) -> dict:
-        def enc(v: int):
-            return "empty" if v == EMPTY else v
-
-        return {
-            "dimB": enc(self.dim_b),
-            "dimBp": enc(self.dim_bp),
-            "c": enc(self.c),
-            "cp": enc(self.cp),
-            "generically_free": self.generically_free,
-            "faithful_on_P": self.faithful_on_p,
-            "elements": self.elements,
-        }
-
-
 def _is_scalar(A) -> bool:
     expected = np.zeros_like(A)
     np.fill_diagonal(expected, A[0, 0])
     return np.array_equal(A, expected)
 
 
-def ramification(G: GroupData) -> RamificationReport:
-    """Ramification data of the projective action: dim B, dim B_p, c, c_p.
+def ramification(G: GroupData) -> dict:
+    """The ramification report of the projective action: dim B, dim B_p, c, c_p.
 
     B is the union of fixed loci of nonidentity elements, B_p the same over
     p-elements.  With the structure sheaf as the coefficient sheaf, c = dim B
-    and c_p = dim B_p.  A nonidentity scalar element acts trivially on P^d
-    and makes the whole notion collapse, so it is a hard error.
+    and c_p = dim B_p.  An empty locus reads "empty".  A nonidentity scalar
+    element acts trivially on P^d and makes the whole notion collapse, so it
+    is a hard error.
 
-    That raise is why `generically_free` and `faithful_on_p` always hold:
-    only scalars act trivially on P^d, and a non-scalar g fixes just its
-    eigenspaces, proper linear subspaces, so B is a proper closed subset.
+    That raise is why `generically_free` and `faithful_on_P` are always
+    true: only scalars act trivially on P^d, and a non-scalar g fixes just
+    its eigenspaces, proper linear subspaces, so B is a proper closed subset.
+    `elements` lists each nonidentity element's order and fixed components.
     """
     p = G.field.p
     dim_b, dim_bp = EMPTY, EMPTY
@@ -105,10 +72,6 @@ def ramification(G: GroupData) -> RamificationReport:
             "order": o,
             "fixed": [[k, d] for k, d in fixed],
         })
-    return RamificationReport(
-        dim_b=dim_b,
-        dim_bp=dim_bp,
-        generically_free=True,
-        faithful_on_p=True,
-        elements=elements,
-    )
+    dim_b, dim_bp = ("empty" if v == EMPTY else v for v in (dim_b, dim_bp))
+    return {"dimB": dim_b, "dimBp": dim_bp, "c": dim_b, "cp": dim_bp,
+            "generically_free": True, "faithful_on_P": True, "elements": elements}

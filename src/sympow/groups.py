@@ -5,8 +5,9 @@ list is canonical (identity first, each BFS level sorted by serialized matrix
 bytes), so element indices are stable across runs and safe to persist.  Every
 element carries a left word (parent index, generator index): element i is
 generator gi times element parent, with parent < i.  Walking the words in
-index order evaluates a module action on every element, or the G-orbit of a
-vector, with one product per element.
+index order (`GroupData.walk`) evaluates a module action on every element,
+or the G-orbit of a vector, with one product per element.  Only this module
+reads the words.
 
 `ModuleRep` is the carrier for all downstream work: a kG-module given by the
 action matrices of the group generators on a chosen basis.
@@ -97,6 +98,18 @@ class GroupData:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def walk(self, start, step) -> list:
+        """x_0 = start and x_i = step(gi, x_parent) along the left words.
+
+        With step(gi, X) the action of generator gi applied to X, x_i is the
+        action of element i applied to start: one step per element, in
+        element order.
+        """
+        out = [start]
+        for parent, gi in self.words[1:]:
+            out.append(step(gi, out[parent]))
+        return out
 
     # -- index arithmetic --------------------------------------------------
 
@@ -240,13 +253,13 @@ def close_group(F: Field, gens: list[np.ndarray], cap: int = GROUP_CAP) -> Group
     """
     if not gens:
         raise ValueError("a group needs at least one generator")
-    for A in gens:
+    for i, A in enumerate(gens):
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("generators must be square matrices")
         if A.shape != gens[0].shape:
             raise ValueError("generators must share a dimension")
         if la.rank(F, A) != A.shape[0]:
-            raise ValueError("generator is not invertible")
+            raise ValueError(f"generator {i} is not invertible")
     G = GroupData(F, gens)
     G._close(cap)
     return G
@@ -256,10 +269,10 @@ class ModuleRep:
     """A kG-module: action matrices of the group generators on a basis.
 
     Convention is column-image: mats[g][i, j] is the z_i coefficient of the
-    image of basis vector z_j.  Element actions are evaluated through the
-    group's BFS words and memoized.  int64 matrices are kept as given, not
-    copied (a Sym^n module shares its group's Sym matrices), so no caller
-    writes into a module's matrices.
+    image of basis vector z_j.  Element actions come from `orbit`, one walk
+    over the group's words per call; nothing is memoized.  int64 matrices
+    are kept as given, not copied (a Sym^n module shares its group's Sym
+    matrices), so no caller writes into a module's matrices.
     """
 
     def __init__(self, group: GroupData, mats: list[np.ndarray]):
@@ -272,17 +285,13 @@ class ModuleRep:
         for m in self.mats:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
-        self._acts: dict[int, np.ndarray] = {}
 
-    def act(self, i: int) -> np.ndarray:
-        """Action matrix of group element i."""
-        if i not in self._acts:
-            if i == 0:
-                self._acts[0] = la.identity(self.dim)
-            else:
-                parent, gi = self.group.words[i]
-                self._acts[i] = la.mat_mul(self.field, self.mats[gi], self.act(parent))
-        return self._acts[i]
+    def orbit(self, V: np.ndarray) -> list[np.ndarray]:
+        """rho(g_i) @ V for every element i, in element order.
+
+        The orbit of the identity is the list of element actions.
+        """
+        return self.group.walk(V, lambda gi, X: la.mat_mul(self.field, self.mats[gi], X))
 
     def key(self) -> bytes:
         h = hashlib.sha256()
@@ -332,13 +341,6 @@ def monomial_index(E: np.ndarray) -> np.ndarray:
         out += c
         r = r - E[:, i]
     return out
-
-
-def sym_matrix(F: Field, A: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of Sym^n(A) on the graded-lex monomial basis; keeps no state."""
-    for _, S in sym_matrix_stream(F, A, n):
-        pass
-    return S
 
 
 def sym_dim(d1: int, n: int) -> int:
@@ -397,28 +399,7 @@ def sym_power(group: GroupData, n: int) -> ModuleRep:
     return ModuleRep(group, group.sym(n))
 
 
-def sym_power_stream(group: GroupData, n_max: int):
-    """Yield (k, Sym^k as ModuleRep) for k = 0..n_max without keeping a tower."""
-    streams = [sym_matrix_stream(group.field, A, n_max) for A in group.gens]
-    for parts in zip(*streams):
-        yield parts[0][0], ModuleRep(group, [S for _, S in parts])
-
-
 # -- derived modules ---------------------------------------------------------
-
-
-def trace_operator(M: ModuleRep, H) -> np.ndarray:
-    """Sum of the action matrices over a subgroup's index set."""
-    H = tuple(sorted(set(H)))
-    Hset = set(H)
-    for a in H:
-        for b in H:
-            if M.group.mult(a, b) not in Hset:
-                raise ValueError("trace_operator: index set is not closed under product")
-    out = la.zeros(M.dim, M.dim)
-    for h in H:
-        out = M.field.vec_add(out, M.act(h))
-    return out
 
 
 def regular_rep(G: GroupData) -> ModuleRep:

@@ -116,8 +116,8 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
             r = la.rand_mat(F, rng, d1, 1)[:, 0]
             if not np.any(r):
                 r[0] = 1
-            orbit = [la.mat_mul(F, G.elements[g], r[:, None])[:, 0] for g in range(G.order)]
-            forms.append(form_product(F, orbit))
+            orbit = ModuleRep(G, G.gens).orbit(r[:, None])
+            forms.append(form_product(F, [x[:, 0] for x in orbit]))
         if not all(is_invariant_form(G, N, m) for N in forms):
             last = "norm form failed the invariance identity"
             continue

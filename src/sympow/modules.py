@@ -36,6 +36,7 @@ seed and the module's content hash, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field, poly_coprime_split
-from .groups import GroupData, ModuleRep, p_part, regular_rep, trace_operator
+from .groups import GroupData, ModuleRep, p_part, regular_rep, sym_dim
 
 FITTING_K = 40
 END_SCAN_SPACE = 2**16
@@ -379,10 +380,12 @@ def dvec_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _orbit_stack(M: ModuleRep, V: np.ndarray) -> np.ndarray:
     """Rows of all G-translates of the columns of V (|G|*t rows, dim cols)."""
-    W = [V]
-    for parent, gi in M.group.words[1:]:
-        W.append(la.mat_mul(M.field, M.mats[gi], W[parent]))
-    return np.vstack([w.T for w in W])
+    return np.vstack([w.T for w in M.orbit(V)])
+
+
+def _trace(F: Field, acts: list[np.ndarray]) -> np.ndarray:
+    """The trace operator: the sum of the element actions `acts`."""
+    return functools.reduce(F.vec_add, acts)
 
 
 def _monomial_perms(M: ModuleRep) -> np.ndarray | None:
@@ -390,7 +393,8 @@ def _monomial_perms(M: ModuleRep) -> np.ndarray | None:
 
     M is monomial when every generator has one nonzero per column; element i
     then sends the line of basis vector j to that of perms[i, j].  The rows
-    follow the group's words, as the element actions do.  None otherwise.
+    are a walk of the group (`GroupData.walk`) with the generators'
+    permutations as the step.  None otherwise.
     """
     gens = []
     for A in M.mats:
@@ -398,12 +402,8 @@ def _monomial_perms(M: ModuleRep) -> np.ndarray | None:
         if picks is None:
             return None
         gens.append(picks[0])
-    G = M.group
-    perms = np.empty((G.order, M.dim), dtype=np.int64)
-    perms[0] = np.arange(M.dim)
-    for i, (parent, gi) in enumerate(G.words[1:], 1):
-        perms[i] = gens[gi][perms[parent]]
-    return perms
+    return np.stack(M.group.walk(np.arange(M.dim, dtype=np.int64),
+                                 lambda gi, perm: gens[gi][perm]))
 
 
 def _peel_orbits(M: ModuleRep, perms: np.ndarray):
@@ -434,13 +434,9 @@ def _peel_trace(M: ModuleRep):
     pivot columns are needed, so it is eliminated forward only
     (`la.pivot_columns`).
     """
-    G, F, D = M.group, M.field, M.dim
-    acts = [la.identity(D)]
-    T = acts[0]
-    for parent, gi in G.words[1:]:
-        acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
-        T = F.vec_add(T, acts[-1])
-    pivT = la.pivot_columns(F, T)
+    G, F = M.group, M.field
+    acts = M.orbit(la.identity(M.dim))
+    pivT = la.pivot_columns(F, _trace(F, acts))
     rkT = len(pivT)
     if rkT == 0:
         return 0, M
@@ -533,21 +529,8 @@ def decompose(M: ModuleRep, registry: Registry, seed: int) -> dict[int, int]:
 def projective_part_dim(M: ModuleRep) -> int:
     """#G_p times the rank of the Sylow trace operator on M."""
     syl = M.group.sylow()
-    return len(syl) * la.rank(M.field, trace_operator(M, syl))
-
-
-def is_projective_id(registry: Registry, mid: int) -> bool:
-    entry = registry.entries[mid]
-    return projective_part_dim(entry) == entry.dim
-
-
-def split_projective(vec: dict[int, int], registry: Registry):
-    """(projective part, the rest) of a DecompVector, classified per id."""
-    P: dict[int, int] = {}
-    Pp: dict[int, int] = {}
-    for mid, mult in vec.items():
-        (P if is_projective_id(registry, mid) else Pp)[mid] = mult
-    return P, Pp
+    acts = M.orbit(la.identity(M.dim))
+    return len(syl) * la.rank(M.field, _trace(M.field, [acts[h] for h in syl]))
 
 
 def free_rank(vec: dict[int, int], registry: Registry, seed: int = 0) -> int:
@@ -592,8 +575,10 @@ def load_registry(path: str, group: GroupData):
     """(registry, {n: vector}) from the document `save_registry` wrote.
 
     A missing document raises FileNotFoundError.  One that does not parse,
-    has the wrong shape, or holds a vector naming a class it does not hold
-    raises ValueError.
+    has the wrong shape, or holds a vector that cannot be degree n's raises
+    ValueError: one naming a class the document does not hold, with a
+    multiplicity below 1, or whose class dimensions do not add up to
+    dim Sym^n = C(n + d, d).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -609,6 +594,10 @@ def load_registry(path: str, group: GroupData):
                    for n, vec in doc["vectors"].items()}
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"malformed registry document: {exc!r}") from None
-    if any(mid not in reg.entries for vec in vectors.values() for mid in vec):
-        raise ValueError("a vector names a class the document does not hold")
+    for n, vec in vectors.items():
+        if any(mid not in reg.entries for mid in vec):
+            raise ValueError(f"degree {n} names a class the document does not hold")
+        dim = sym_dim(group.dim, n)
+        if any(mult < 1 for mult in vec.values()) or reg.dim_of(vec) != dim:
+            raise ValueError(f"degree {n} is not a vector of a {dim}-dimensional module")
     return reg, vectors

@@ -538,9 +538,15 @@ def _char_table(cfg: JobConfig, G: GroupData) -> dict:
 
 
 def _group(cfg: JobConfig) -> GroupData:
-    """The group the job's generators generate."""
+    """The group the job's generators generate.
+
+    Generators `close_group` refuses (a singular one, say) raise ConfigError.
+    """
     F = make_field(cfg.p, cfg.e)
-    return close_group(F, [la.mat_from_text(F, g) for g in cfg.generators])
+    try:
+        return close_group(F, [la.mat_from_text(F, g) for g in cfg.generators])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run(cfg: JobConfig) -> dict:
@@ -589,7 +595,7 @@ def run(cfg: JobConfig) -> dict:
     guarded("description", _run_description, cfg, G, vectors)
     guarded("delta_vanishing", _run_delta, G)
     guarded("growth", _run_growth, cfg, G)
-    guarded("ramification", lambda: ramification(G).to_json())
+    guarded("ramification", ramification, G)
     if "koszul" in cfg.checks and registry is None:
         registry = Registry(G)
     guarded("koszul", _run_koszul, cfg, G, registry, vectors)

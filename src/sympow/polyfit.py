@@ -116,9 +116,6 @@ class PolynomialDescription:
                 out[mid] = mult
         return out
 
-    def degree(self) -> int:
-        return max((len(c) - 1 for c in self.polys.values()), default=0)
-
     def to_json(self) -> dict:
         residues = []
         for a in range(self.m):
@@ -215,21 +212,3 @@ def growth_degree(dims: list[int], m: int, dmax: int | None = None) -> dict:
             "coeffs": [f"{c.numerator}/{c.denominator}" for c in coeffs],
         })
     return {"ok": True, "degree": max(degrees) if degrees else "empty", "residues": residues}
-
-
-def bounded_growth_check(seq: list[int], c: int, m: int = 1) -> dict:
-    """Growth bound report: exact for c = 0, exact-fit-or-heuristic for c > 0."""
-    if c < 0:
-        raise ValueError("exponent must be nonnegative")
-    if c == 0:
-        bound = max(seq, default=0)
-        attained = max((i for i, v in enumerate(seq) if v == bound), default=0)
-        return {"c": 0, "bounded": True, "bound": bound, "last_attained": attained}
-    fits = growth_degree(seq, m, dmax=c)
-    if fits["ok"]:
-        return {"c": c, "exact": True, "degree": fits["degree"], "residues": fits["residues"]}
-    tail = [(v / (n**c)) for n, v in enumerate(seq) if n >= max(1, len(seq) // 2)]
-    sup = max(tail, default=0.0)
-    monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-    return {"c": c, "exact": False, "heuristic": True, "sup_ratio": sup,
-            "ratio_nonincreasing": monotone}

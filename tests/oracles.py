@@ -20,7 +20,7 @@ from sympow.chars import _class_frame, root_space_dims
 from sympow.gf import Field, extension
 from sympow.groups import GroupData, ModuleRep, close_group
 from sympow.modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
-                            submodule)
+                            projective_part_dim, submodule)
 
 
 def rand_invertible(F: Field, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -122,10 +122,15 @@ def brauer_char(M: ModuleRep) -> np.ndarray:
     One row per p-regular class rep, one column per N-th root of unity, as
     `chars.sym_brauer_sequence` gives for Sym^n.
     """
-    G = M.group
-    reps, N = _class_frame(G)
-    rows = [_value_vector(M.field, M.act(r), G.element_order(r), N) for r in reps]
+    reps, N = _class_frame(M.group)
+    acts = M.orbit(la.identity(M.dim))
+    rows = [_value_vector(M.field, acts[r], M.group.element_order(r), N) for r in reps]
     return np.array(rows, dtype=np.int64)
+
+
+def is_projective(M: ModuleRep) -> bool:
+    """Is M projective: does its Sylow trace rank fill its dimension?"""
+    return projective_part_dim(M) == M.dim
 
 
 def char_zero(G: GroupData) -> np.ndarray:

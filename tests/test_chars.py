@@ -14,8 +14,8 @@ import pytest
 
 from sympow.gf import make_field
 from sympow.groups import SYM_DIM_CAP, close_group, regular_rep, sym_power
-from sympow.chars import (char_growth_check, check_delta_vanishing, cyclotomic, reduce_root_vector,
-                          reduced, root_space_dims, sym_brauer_sequence)
+from sympow.chars import (char_growth_check, cyclotomic, delta_vanishing_report,
+                          reduce_root_vector, reduced, root_space_dims, sym_brauer_sequence)
 from sympow.polyfit import delta
 
 from oracles import brauer_char, char_zero, direct_sum
@@ -191,17 +191,19 @@ def test_delta_seq_ints():
 
 def test_delta_vanishing_c2_line():
     G = close_group(make_field(2), [np.array([[1, 1], [0, 1]], dtype=np.int64)])
-    r1 = check_delta_vanishing(G, j=1, m=4, k=1, n_max=12)
+    chars = sym_brauer_sequence(G, [4 * n + 1 for n in range(13)])
+    r1 = delta_vanishing_report(chars, j=1, m=4, k=1, n_max=12)
     assert r1["vanishes_from"] is None
-    r2 = check_delta_vanishing(G, j=1, m=4, k=2, n_max=12)
+    r2 = delta_vanishing_report(chars, j=1, m=4, k=2, n_max=12)
     assert r2["vanishes_from"] == 0 and r2["zero_tail"] == 11
 
 
 def test_delta_vanishing_s3_line(s3):
     G = s3
-    r1 = check_delta_vanishing(G, j=1, m=36, k=1, n_max=6)
+    chars = sym_brauer_sequence(G, [36 * n + 1 for n in range(7)])
+    r1 = delta_vanishing_report(chars, j=1, m=36, k=1, n_max=6)
     assert r1["vanishes_from"] is None
-    r2 = check_delta_vanishing(G, j=1, m=36, k=2, n_max=6)
+    r2 = delta_vanishing_report(chars, j=1, m=36, k=2, n_max=6)
     assert r2["vanishes_from"] == 0
 
 

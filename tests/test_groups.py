@@ -15,11 +15,10 @@ from sympow.groups import (
     monomials,
     p_part,
     regular_rep,
-    sym_matrix,
+    sym_matrix_stream,
     sym_power,
-    trace_operator,
 )
-from sympow.modules import _orbit_stack
+from sympow.modules import _orbit_stack, _trace, projective_part_dim
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -28,6 +27,11 @@ F4 = make_field(2, 2)
 
 def mk(F, rows):
     return np.array(rows, dtype=np.int64)
+
+
+def sym_of(F, A, n):
+    """Sym^n(A) for any square A: the last degree `sym_matrix_stream` yields."""
+    return list(sym_matrix_stream(F, A, n))[-1][1]
 
 
 def c2_gens():
@@ -183,7 +187,7 @@ def test_sym_matrix_columns_expand_products_of_images(p, e, d1, n):
     A[:, 0] = np.arange(1, d1 + 1) % F.q  # not monomial: column 0 has several entries
     basis = sorted((a for a in itertools.product(range(n + 1), repeat=d1) if sum(a) == n),
                    reverse=True)
-    S = sym_matrix(F, A, n)
+    S = sym_of(F, A, n)
     assert S.shape == (len(basis), len(basis))
     for col, a in enumerate(basis):
         expect = np.zeros(len(basis), dtype=np.int64)
@@ -206,14 +210,14 @@ def test_group_sym_towers_resume_and_stay_per_group():
         got = G1.sym(n)
         assert len(got) == len(s3_gens())
         for S, A in zip(got, s3_gens()):
-            assert np.array_equal(S, sym_matrix(F2, A, n))
+            assert np.array_equal(S, sym_of(F2, A, n))
     assert G1.sym(9)[0] is G1.sym(9)[0]
     assert G2.sym(9)[0] is not G1.sym(9)[0]
 
 
 def test_sym_square_hand_expansion():
     """sigma z0 = z0, sigma z1 = z0+z1 forces the stated 3x3 matrix in char 2."""
-    S = sym_matrix(F2, mk(F2, [[1, 1], [0, 1]]), 2)
+    S = sym_of(F2, mk(F2, [[1, 1], [0, 1]]), 2)
     assert np.array_equal(S, mk(F2, [[1, 1, 1], [0, 1, 0], [0, 0, 1]]))
 
 
@@ -225,8 +229,8 @@ def test_sym_functoriality_random_pairs():
         n = int(rng.integers(1, 9))
         g, h = G.elements[int(gi)], G.elements[int(hi)]
         gh = la.mat_mul(F2, g, h)
-        lhs = la.mat_mul(F2, sym_matrix(F2, g, n), sym_matrix(F2, h, n))
-        assert np.array_equal(lhs, sym_matrix(F2, gh, n))
+        lhs = la.mat_mul(F2, sym_of(F2, g, n), sym_of(F2, h, n))
+        assert np.array_equal(lhs, sym_of(F2, gh, n))
 
 
 def test_sym_functoriality_extension_field():
@@ -236,37 +240,32 @@ def test_sym_functoriality_extension_field():
         gi, hi = rng.integers(0, G.order, size=2)
         n = int(rng.integers(1, 7))
         g, h = G.elements[int(gi)], G.elements[int(hi)]
-        lhs = la.mat_mul(F4, sym_matrix(F4, g, n), sym_matrix(F4, h, n))
-        assert np.array_equal(lhs, sym_matrix(F4, la.mat_mul(F4, g, h), n))
+        lhs = la.mat_mul(F4, sym_of(F4, g, n), sym_of(F4, h, n))
+        assert np.array_equal(lhs, sym_of(F4, la.mat_mul(F4, g, h), n))
 
 
 def test_trace_operator_examples():
     G = c2_group()
     M = sym_power(G, 1)
-    assert np.array_equal(trace_operator(M, [0]), la.identity(2))
-    T = trace_operator(M, range(G.order))
-    assert np.array_equal(T, mk(F2, [[0, 1], [0, 0]]))
+    acts = M.orbit(la.identity(2))
+    assert np.array_equal(_trace(F2, acts[:1]), la.identity(2))
+    assert np.array_equal(_trace(F2, acts), mk(F2, [[0, 1], [0, 0]]))
+    assert projective_part_dim(M) == 2
     triv = ModuleRep(G, [la.identity(1)])
-    assert trace_operator(triv, range(G.order))[0, 0] == 0
+    assert _trace(F2, triv.orbit(la.identity(1)))[0, 0] == 0
+    assert projective_part_dim(triv) == 0
 
 
 def test_trace_operator_invariance():
     G = s3_group()
     M = sym_power(G, 3)
     H = G.sylow()
-    T = trace_operator(M, H)
+    acts = M.orbit(la.identity(M.dim))
+    T = _trace(F2, [acts[h] for h in H])
     for h in H:
-        A = M.act(h)
-        assert np.array_equal(la.mat_mul(F2, A, T), T)
-        assert np.array_equal(la.mat_mul(F2, T, A), T)
-
-
-def test_trace_operator_rejects_non_subgroup():
-    G = s3_group()
-    M = regular_rep(G)
-    bad = [0, next(i for i in range(G.order) if G.element_order(i) == 3)]
-    with pytest.raises(ValueError):
-        trace_operator(M, bad)
+        assert np.array_equal(la.mat_mul(F2, acts[h], T), T)
+        assert np.array_equal(la.mat_mul(F2, T, acts[h]), T)
+    assert projective_part_dim(M) == len(H) * la.rank(F2, T) > 0
 
 
 def test_regular_rep():
@@ -282,9 +281,10 @@ def test_regular_rep():
 
 def test_word_evaluation_matches_elements():
     G = s3_group()
-    M = ModuleRep(G, list(G.gens))
+    acts = ModuleRep(G, list(G.gens)).orbit(la.identity(G.dim))
+    assert len(acts) == G.order
     for i in range(G.order):
-        assert np.array_equal(M.act(i), G.elements[i])
+        assert np.array_equal(acts[i], G.elements[i])
 
 
 @pytest.mark.parametrize("F,gens", [(F2, s3_gens()), (F4, klein_gens()), (F3, gl2_f3_gens())],
@@ -296,9 +296,16 @@ def test_left_words_rebuild_elements_and_orbits(F, gens):
     for i, (parent, gi) in enumerate(G.words[1:], start=1):
         assert parent < i
         assert np.array_equal(G.elements[i], la.mat_mul(F, G.gens[gi], G.elements[parent]))
+    # the walk spells each element as a word in the generators, leftmost first
+    for i, word in enumerate(G.walk((), lambda gi, w: (gi,) + w)):
+        X = la.identity(G.dim)
+        for gi in reversed(word):
+            X = la.mat_mul(F, G.gens[gi], X)
+        assert np.array_equal(X, G.elements[i])
     M = sym_power(G, 3)
+    acts = M.orbit(la.identity(M.dim))
     for i in range(G.order):
-        assert np.array_equal(M.act(i), sym_matrix(F, G.elements[i], 3))
+        assert np.array_equal(acts[i], sym_of(F, G.elements[i], 3))
     V = la.rand_mat(F, np.random.default_rng(4), M.dim, 2)
-    want = np.vstack([la.mat_mul(F, M.act(i), V).T for i in range(G.order)])
+    want = np.vstack([la.mat_mul(F, acts[i], V).T for i in range(G.order)])
     assert np.array_equal(_orbit_stack(M, V), want)

@@ -14,19 +14,17 @@ import pytest
 
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import (ModuleRep, close_group, p_part, regular_rep, sym_matrix,
-                           sym_power, sym_power_stream)
+from sympow.groups import ModuleRep, close_group, p_part, regular_rep, sym_power
 from sympow.modules import (Registry, decompose, dvec_add, dvec_scale, fitting_decompose,
-                            free_rank, hom_basis, is_projective_id, load_registry, nonfree,
-                            projective_part_dim, save_registry, split_projective,
-                            submodule)
+                            free_rank, hom_basis, load_registry, nonfree,
+                            projective_part_dim, save_registry, submodule)
 from sympow import modules
 from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _peel_free,
                             _peel_orbits, _peel_trace, _quotient_from_rowspace,
-                            _span_element)
+                            _span_element, _trace)
 
-from oracles import (direct_sum, extend_scalars, extended_group, is_iso, quotient_module,
-                     rand_invertible, unipotent_jordan)
+from oracles import (direct_sum, extend_scalars, extended_group, is_iso, is_projective,
+                     quotient_module, rand_invertible, unipotent_jordan)
 
 
 def cyclic_group(p: int):
@@ -85,10 +83,11 @@ def test_hom_intertwines(s3):
     M = sym_power(G, 2)
     N = sym_power(G, 4)
     F = G.field
+    acts_m, acts_n = M.orbit(la.identity(M.dim)), N.orbit(la.identity(N.dim))
     for phi in hom_basis(M, N):
         for g in range(G.order):
-            left = la.mat_mul(F, phi, M.act(g))
-            right = la.mat_mul(F, N.act(g), phi)
+            left = la.mat_mul(F, phi, acts_m[g])
+            right = la.mat_mul(F, acts_n[g], phi)
             assert np.array_equal(left, right)
 
 
@@ -120,7 +119,7 @@ def test_cp_closed_form_vs_jordan_type():
             )
             assert got == expected, (p, n)
             # second route: Jordan type of the Sym matrix directly
-            S = sym_matrix(G.field, G.gens[0], n)
+            S = G.sym(n)[0]
             part = unipotent_jordan(G.field, S)
             assert sorted(part) == expected, (p, n)
 
@@ -184,9 +183,8 @@ def test_projective_part_matches_trace_rank(s3):
     for trial in range(100):
         M, _ = _random_known_sum(reg, rng, int(rng.integers(1, 4)))
         vec = decompose(M, reg, seed=trial)
-        proj, rest = split_projective(vec, reg)
-        assert projective_part_dim(M) == reg.dim_of(proj)
-        assert reg.dim_of(proj) + reg.dim_of(rest) == M.dim
+        proj = {mid: mult for mid, mult in vec.items() if is_projective(reg.entries[mid])}
+        assert projective_part_dim(M) == reg.dim_of(proj) <= M.dim
 
 
 def test_split_projective_classes(s3):
@@ -194,10 +192,10 @@ def test_split_projective_classes(s3):
     reg = Registry(G)
     kg = reg.regular_vec()
     for mid in kg:
-        assert is_projective_id(reg, mid)
+        assert is_projective(reg.entries[mid])
     triv_vec = decompose(sym_power(G, 0), reg, seed=1)
     ((triv_id, _),) = triv_vec.items()
-    assert not is_projective_id(reg, triv_id)
+    assert not is_projective(reg.entries[triv_id])
 
 
 def test_free_rank_s3(s3):
@@ -247,8 +245,8 @@ def test_iso_detail_matches_enumeration():
     seen = {True: 0, False: 0}
     for G, n_max in ((s3_group(), 14), (klein, 8), (c3_on_p3, 5)):
         reg = Registry(G)
-        for n, M in sym_power_stream(G, n_max):
-            decompose(M, reg, seed=n)
+        for n in range(n_max + 1):
+            decompose(sym_power(G, n), reg, seed=n)
         classes = list(reg.entries.values())
         if G is klein:
             classes += [_klein_rho(G, c) for c in (1, 2, 3)]
@@ -350,9 +348,7 @@ def test_quotient_module_dims(c2):
     G = c2
     M = sym_power(G, 3)
     # the trace image spans an invariant line inside the free part
-    from sympow.groups import trace_operator
-
-    T = trace_operator(M, range(G.order))
+    T = _trace(G.field, M.orbit(la.identity(M.dim)))
     Q = quotient_module(M, T)
     assert Q.dim == M.dim - la.rank(G.field, T)
 
@@ -443,8 +439,8 @@ def test_permutation_cycle_plus_fixed_line_sym_powers():
     g = np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64)
     G = close_group(F9, [g])
     reg = Registry(G)
-    for n, M in sym_power_stream(G, 12):
-        vec = decompose(M, reg, seed=n)
+    for n in range(13):
+        vec = decompose(sym_power(G, n), reg, seed=n)
         by_dim = {}
         for mid, mult in vec.items():
             d = reg.entries[mid].dim
@@ -481,9 +477,7 @@ def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
     for n in degrees:
         S = sym_power(G, n)
         for M in (S, _conjugate(S, rng)):
-            acts = [la.identity(M.dim)]
-            for parent, gi in G.words[1:]:
-                acts.append(la.mat_mul(F, M.mats[gi], acts[parent]))
+            acts = M.orbit(la.identity(M.dim))
             T = acts[0]
             for a in acts[1:]:
                 T = F.vec_add(T, a)

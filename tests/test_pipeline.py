@@ -164,6 +164,23 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, damage):
     assert os.listdir(tmp_path / "cache") == [doc.name]
 
 
+@pytest.mark.parametrize("mult", [4, 0, -3])
+def test_damaged_multiplicity_is_a_miss(tmp_path, mult):
+    """A vector that cannot be degree n's (a multiplicity below 1, or class
+    dimensions that do not add up to n + 1 on P^1) is a corrupt document."""
+    cfg = config_from_dict({**BASE, "generators": S3_GENS, "n_max": 12,
+                            "cache_dir": str(tmp_path / "cache")})
+    cold = canonical_json(run(cfg))
+    doc = tmp_path / "cache" / f"{job_key(cfg)}.json"
+    raw = json.loads(doc.read_text())
+    assert raw["vectors"]["9"]["1"] == 3
+    raw["vectors"]["9"]["1"] = mult
+    doc.write_text(json.dumps(raw))
+    warm = run(cfg)
+    assert warm["volatile"]["cache"]["corrupt"] == 1
+    assert canonical_json(warm) == cold
+
+
 def test_smaller_job_keeps_higher_degrees(tmp_path):
     cache = tmp_path / "cache"
     run(config_from_dict({**BASE, "cache_dir": str(cache)}))
@@ -483,6 +500,39 @@ def test_check_subcommand_surfaces_errors(tmp_path):
     assert rc == 2
     report = json.load(open(out))
     assert "scalar" in report["errors"]["ramification"]
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "--name", "growth"],
+                                     ["decompose", "--n", "3"]],
+                         ids=["analyze", "check", "decompose"])
+def test_singular_generator_is_one_error_line(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, generators=["2 2\n1 1\n0 1\n", "2 2\n1 1\n1 1\n"])
+    assert main([command[0], "--config", cfg_path, *command[1:]]) == 1
+    assert _one_error_line(capsys) == "error: generator 1 is not invertible"
+
+
+def test_degree_past_the_sym_cap_is_one_error_line(tmp_path, capsys):
+    # C3 permuting three coordinates of P^3 over GF(9): dim Sym^100 = C(103, 3)
+    cfg_path = write_config(tmp_path, field={"p": 3, "e": 2}, generators=[
+        "4 4\n00 00 10 00\n10 00 00 00\n00 10 00 00\n00 00 00 10\n"])
+    assert main(["decompose", "--config", cfg_path, "--n", "100"]) == 1
+    assert _one_error_line(capsys) == "error: sym dimension exceeds cap 50000"
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["analyze", "--config", cfg_path, "--output", str(out)]) == 1
+    assert _one_error_line(capsys).startswith("error: [Errno 2] No such file or directory")
+    assert not out.parent.exists()
 
 
 def test_decompose_subcommand_prints_vector(tmp_path, capsys):

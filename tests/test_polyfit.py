@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from sympow.groups import monomials, sym_dim
-from sympow.polyfit import (PolynomialDescription, bounded_growth_check, delta,
+from sympow.polyfit import (PolynomialDescription, delta,
                             detect_description, eval_poly, fit_polynomial_tail,
                             growth_degree)
 
@@ -95,7 +95,7 @@ def test_detect_cp_closed_form(p):
     desc = detect_description(seq, m_candidates=[1, p, p * p], dmax=3)
     assert desc is not None
     assert desc.m == p
-    assert desc.degree() == 1
+    assert max(len(c) - 1 for c in desc.polys.values()) == 1
     # replay every degree past the threshold, and spot-read the shape:
     # at n = t*p + a the free multiplicity is t + (a+1)//p ... check directly
     for n in range(desc.t_min * p, 14 * p):
@@ -110,7 +110,7 @@ def test_detect_prefers_least_period():
     desc = detect_description(seq, m_candidates=[1, 2, 4], dmax=2)
     assert desc is not None
     assert desc.m == 1
-    assert desc.degree() == 1
+    assert max(len(c) - 1 for c in desc.polys.values()) == 1
 
 
 def test_detect_gives_up_on_exponential():
@@ -163,23 +163,12 @@ def test_growth_degree_all_zero():
     assert rep["ok"] and rep["degree"] == "empty"
 
 
-def test_bounded_growth_constant_case():
-    rep = bounded_growth_check([1, 3, 2, 3, 3, 1], 0)
-    assert rep["bounded"] and rep["bound"] == 3
-    assert rep["last_attained"] == 4
-
-
 def test_bounded_growth_exact_fit():
-    rep = bounded_growth_check([sym_dim(2, n) for n in range(12)], 1)
-    assert rep["exact"] and rep["degree"] == 1
-
-
-def test_bounded_growth_heuristic_path():
-    # n^1.5-ish growth: no exact degree-1 fit, heuristic kicks in
-    seq = [int(n**1.5) for n in range(24)]
-    rep = bounded_growth_check(seq, 2)
-    if not rep.get("exact"):
-        assert rep["heuristic"] and rep["sup_ratio"] <= 1.0
+    # a degree bound that admits the exact fit, and one that does not
+    dims = [sym_dim(2, n) for n in range(12)]
+    rep = growth_degree(dims, 1, dmax=1)
+    assert rep["ok"] and rep["degree"] == 1
+    assert not growth_degree([sym_dim(3, n) for n in range(12)], 1, dmax=1)["ok"]
 
 
 def test_binomial_dim_matches_monomial_count():
