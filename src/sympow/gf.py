@@ -35,6 +35,8 @@ DEGREE_CAP = 16
 TABLE_CAP = 512
 # fused a +- m*b tables take q**3 entries, so they get a tighter cap
 FUSED_CAP = 64
+# from this many entries on, `_mod_p` reduces through division
+_REM_MIN = 2048
 
 
 class CapacityError(RuntimeError):
@@ -56,14 +58,27 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _rem_into(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
-    """x %= p in place for nonnegative int64 x; scratch is overwritten.
+    """x %= p in place for int64 x; scratch is overwritten.
 
     numpy divides int64 arrays by a scalar several times faster than it
-    takes their remainder, so this beats np.remainder on large arrays.
+    takes their remainder, so this beats np.remainder on large arrays.  The
+    division floors, so a negative x lands in [0, p) too.
     """
     np.floor_divide(x, p, out=scratch)
     scratch *= p
     x -= scratch
+
+
+def _mod_p(x, p: int):
+    """x mod p for a fresh int64 array (or a scalar), reduced in place when large.
+
+    From _REM_MIN entries on, the remainder is taken through `floor_divide`
+    (`_rem_into`); below that the extra calls cost more than they save.
+    """
+    if not isinstance(x, np.ndarray) or x.size < _REM_MIN:
+        return x % p
+    _rem_into(x, p, np.empty_like(x))
+    return x
 
 
 def _lookup(table: np.ndarray, q: int, a, b, c=None) -> np.ndarray:
@@ -240,8 +255,9 @@ class Field:
         return out
 
     def join_layers(self, layers: np.ndarray) -> np.ndarray:
-        """Codes from digit layers (layer axis first), each digit taken mod p."""
-        return np.tensordot(self.p ** np.arange(self.e), layers % self.p, axes=1)
+        """Codes from fresh digit layers (layer axis first), each digit taken
+        mod p in place."""
+        return np.tensordot(self.p ** np.arange(self.e), _mod_p(layers, self.p), axes=1)
 
     def _tables(self) -> tuple[np.ndarray, ...]:
         """(add, sub, mul, neg, inv) tables; binary ones flat, index a*q + b."""
@@ -261,7 +277,7 @@ class Field:
 
     def vec_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
-            return (a + b) % self.p
+            return _mod_p(a + b, self.p)
         if self.q <= TABLE_CAP:
             return _lookup(self._tables()[0], self.q, a, b)
         return self.join_layers(self.split_layers(a) + self.split_layers(b))
@@ -280,14 +296,14 @@ class Field:
 
     def vec_neg(self, a: np.ndarray) -> np.ndarray:
         if self.e == 1:
-            return (-a) % self.p
+            return _mod_p(-a, self.p)
         if self.q <= TABLE_CAP:
             return self._tables()[3][np.asarray(a, dtype=np.int64)]
-        return self.join_layers(-self.split_layers(a) % self.p)
+        return self.join_layers(-self.split_layers(a))
 
     def vec_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
-            return (a - b) % self.p
+            return _mod_p(a - b, self.p)
         if self.q <= TABLE_CAP:
             return _lookup(self._tables()[1], self.q, a, b)
         return self.join_layers(self.split_layers(a) - self.split_layers(b) + self.p)
@@ -295,7 +311,7 @@ class Field:
     def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of code arrays (broadcasting allowed)."""
         if self.e == 1:
-            return (a * b) % self.p
+            return _mod_p(a * b, self.p)
         if self.q <= TABLE_CAP:
             return _lookup(self._tables()[2], self.q, a, b)
         return self._mul_xpow(a, b)
@@ -382,7 +398,7 @@ class Field:
     def vec_submul(self, a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise a - m*b with broadcasting, the elimination kernel."""
         if self.e == 1:
-            return (a - m * b) % self.p
+            return _mod_p(a - m * b, self.p)
         if self.q <= FUSED_CAP:
             return _lookup(self._fused()[0], self.q, a, m, b)
         return self.vec_sub(a, self.vec_mul(m, b))
@@ -390,7 +406,7 @@ class Field:
     def vec_addmul(self, a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise a + m*b with broadcasting."""
         if self.e == 1:
-            return (a + m * b) % self.p
+            return _mod_p(a + m * b, self.p)
         if self.q <= FUSED_CAP:
             return _lookup(self._fused()[1], self.q, a, m, b)
         return self.vec_add(a, self.vec_mul(m, b))

@@ -13,32 +13,41 @@ stage splitting is the Krull-Schmidt criterion: a short exact sequence of
 modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
 
+A complex is held as its multiplication blocks, never as dense maps.  For
+each map tau_(r+1) and each form f_i it keeps the nonzero entries of M_i,
+multiplication by f_i from the Sym degree of C_(r+1) to that of C_r
+(`mul_form_entries`): at most #supp(f_i) per column, computed once per
+complex.  The subset rule (`KoszulComplex.faces`) places them, with their
+signs, as the blocks of tau_(r+1); every other block is zero.  Three readers
+assemble what they need: `_verify_complex` multiplies single blocks,
+`KoszulComplex._echelon` scatters only the rows it eliminates, and
+`KoszulComplex.map` assembles a dense tau, which only a kernel at an inexact
+spot reads.
+
 Each map is eliminated forward once, transposed, top-down, and that
 echelon form is kept: ranks and exactness read its pivot count alone.  Of
-maps[r] transposed only the rows outside the pivots of the map above are
+tau_(r+1) transposed only the rows outside the pivots of the map above are
 eliminated: C_(r+1) is the span of those coordinates plus im tau_(r+2),
 which tau_(r+1) kills (tau o tau = 0, checked exactly by `_verify_complex`),
 so they span its row space.  The form is back-substituted in place the first
 time a map's RREF is read (`image_rref`); its first rank rows are the
 canonical basis of the map's image, off which the quotients
-Q_s = C_s / im tau_s (`quotient`; Q_0 is the cokernel) and, at exact spots,
-the canonical kernel bases (`kernel`) are read.  So at an all-exact d = 3
-complex the middle map is only ever reduced forward.  The identity checks
-are products of stored matrices.  Only a kernel at an inexact spot costs a
-second elimination.
+Q_s = C_s / im tau_(s+1) (`quotient`; Q_0 is the cokernel) and, at exact
+spots, the canonical kernel bases (`kernel`) are read.  So at an all-exact
+d = 3 complex the middle map is only ever reduced forward.  Only a kernel at
+an inexact spot costs a second elimination.
 
-A complex holds its terms as the group's Sym blocks and builds a term's
+A complex holds its terms as the group's Sym matrices and builds a term's
 module only when a check reads it (`KoszulComplex.term`): the identity
 checks, ranks and dimensions need none, and with precomputed Sym vectors an
-all-exact complex with a free cokernel never builds C_1 or C_top.  The
-largest terms are direct sums of several copies of a high Sym^n, so these
-are the bulk of a complex's memory.
+all-exact complex with a free cokernel never builds C_1 or C_top.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +63,14 @@ from .polyfit import tail_threshold
 FORM_ATTEMPTS = 64
 
 
-def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
-    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg).
+def mul_form_entries(form: np.ndarray, deg: int, k: int, d1: int):
+    """Nonzero entries (rows, cols, vals) of multiplication by a degree-`deg`
+    form, Sym^k -> Sym^(k+deg).
 
     `form` holds the coefficients on the degree-`deg` monomial basis.  The
     column of a source monomial z^a has the coefficient of z^b at the
     position of z^(a+b), which `monomial_index` reads off for every (b, a)
-    pair at once.
+    pair at once.  The (row, col) pairs are distinct, #supp(form) per column.
     """
     src = monomials(d1, k)
     nz = np.flatnonzero(form)
@@ -68,9 +78,14 @@ def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
     rows = monomial_index(prods)
     if not np.array_equal(monomials(d1, k + deg)[rows], prods):
         raise AssertionError("monomial index lookup failed")
-    out = la.zeros(sym_dim(d1, k + deg), len(src))
-    # (row, col) pairs are distinct across form monomials, plain assignment
-    out[rows, np.tile(np.arange(len(src)), len(nz))] = np.repeat(form[nz], len(src))
+    return rows, np.tile(np.arange(len(src)), len(nz)), np.repeat(form[nz], len(src))
+
+
+def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
+    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
+    rows, cols, vals = mul_form_entries(form, deg, k, d1)
+    out = la.zeros(sym_dim(d1, k + deg), sym_dim(d1, k))
+    out[rows, cols] = vals
     return out
 
 
@@ -131,14 +146,22 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
 
 @dataclass
 class KoszulComplex:
-    """Terms C_0..C_top and maps[r] = tau_(r+1) : C_(r+1) -> C_r.
+    """Terms C_0..C_top and the blocks of tau_(r+1) : C_(r+1) -> C_r, r < top.
 
     C_r is `copies(r)` = C(d, r) copies of Sym^(m(t-r)+j).  The complex
-    keeps each term's Sym blocks (the group's own Sym matrices, one per
-    generator) and builds the term as a `ModuleRep` only when a check reads
-    it (`term`), caching it.  A one-copy term shares the group's Sym
-    matrices; only a term of two or more copies is a block-diagonal copy.
-    Dimensions (`dim`) need no module.
+    keeps each term's Sym matrices (the group's own, one per generator) and
+    builds the term as a `ModuleRep` only when a check reads it (`term`),
+    caching it.  A one-copy term shares the group's Sym matrices; only a
+    term of two or more copies is a block-diagonal copy.  Dimensions (`dim`)
+    need no module.
+
+    No dense tau is stored.  `mults[r][i]` holds the nonzero entries
+    (rows, cols, vals) of M_i, multiplication by forms[i] from the Sym degree
+    of C_(r+1) to that of C_r (`mult` gives it dense).  `faces[r]` lists the
+    nonzero blocks of tau_(r+1) as (T, S, sign, i), T and S positions in
+    `subsets`: for i = S[l], the block in row block S - {i} and column block
+    S is (-1)^l M_i.  From these two, `_echelon` scatters the rows it
+    eliminates and `map` assembles the dense tau_(r+1).
 
     `echelons` caches one forward echelon form per map, of the map
     transposed, with its pivots; ranks and exactness (`is_exact`) read the
@@ -146,7 +169,7 @@ class KoszulComplex:
     of the map above leave free (`_echelon`).  The indices in `reduced` mark
     forms back-substituted in place into the RREF (`image_rref`), whose
     first rank rows are the canonical basis of the image: the quotients
-    Q_s = C_s / im tau_s (`quotient`) and, at exact spots, the kernels
+    Q_s = C_s / im tau_(s+1) (`quotient`) and, at exact spots, the kernels
     (`kernel`) are read off these.  No map is eliminated forward twice.
     """
 
@@ -156,8 +179,9 @@ class KoszulComplex:
     j: int
     t: int
     forms: list[np.ndarray]
-    blocks: list[list[np.ndarray]]  # blocks[r]: Sym^(m(t-r)+j) of each generator
-    maps: list[np.ndarray]      # maps[r] : C_(r+1) -> C_r, r = 0..R-1
+    syms: list[list[np.ndarray]]  # syms[r]: Sym^(m(t-r)+j) of each generator
+    mults: list[list[tuple]]      # mults[r][i]: entries of M_i out of C_(r+1)'s degree
+    faces: list[list[tuple[int, int, int, int]]]  # faces[r]: blocks of tau_(r+1)
     subsets: list[list[tuple[int, ...]]]
     echelons: dict = field(default_factory=dict)
     reduced: set = field(default_factory=set)
@@ -165,48 +189,77 @@ class KoszulComplex:
 
     @property
     def top(self) -> int:
-        return len(self.blocks) - 1
+        return len(self.syms) - 1
 
     def copies(self, r: int) -> int:
         """Number of Sym blocks in C_r: one per r-subset of the forms."""
         return len(self.subsets[r])
 
+    def block_dim(self, r: int) -> int:
+        """Dimension of one Sym block of C_r."""
+        return self.syms[r][0].shape[0]
+
     def dim(self, r: int) -> int:
-        return self.blocks[r][0].shape[0] * self.copies(r)
+        return self.block_dim(r) * self.copies(r)
 
     def term(self, r: int) -> ModuleRep:
         """C_r as a module, built on first use and cached."""
         if r not in self.built:
             n = self.copies(r)
-            mats = self.blocks[r] if n == 1 else [la.block_diag([B] * n) for B in self.blocks[r]]
+            mats = self.syms[r] if n == 1 else [la.block_diag([B] * n) for B in self.syms[r]]
             self.built[r] = ModuleRep(self.group, mats)
         return self.built[r]
 
-    def _echelon(self, r: int):
-        """Cached forward echelon form of maps[r] transposed: (W, pivots).
+    def mult(self, r: int, i: int) -> np.ndarray:
+        """M_i of tau_(r+1) as a dense matrix: multiplication by forms[i]."""
+        rows, cols, vals = self.mults[r][i]
+        out = la.zeros(self.block_dim(r), self.block_dim(r + 1))
+        out[rows, cols] = vals
+        return out
 
-        Only the rows outside the pivots of maps[r+1] (all rows for the top
-        map) are eliminated; they span the row space since tau o tau = 0
-        (`_verify_complex`).  So the pivots are the whole map's, but W may
-        have fewer than dim C_(r+1) rows; only its first rank rows are read.
+    def _transposed_rows(self, r: int, keep: np.ndarray) -> np.ndarray:
+        """The rows of tau_(r+1) transposed that the mask `keep` (over the
+        coordinates of C_(r+1)) selects, scattered from the blocks."""
+        F = self.group.field
+        src, dst = self.block_dim(r + 1), self.block_dim(r)
+        at = np.cumsum(keep) - 1  # output row of each kept coordinate
+        out = la.zeros(int(at[-1]) + 1, self.dim(r))
+        for T, S, sign, i in self.faces[r]:
+            rows, cols, vals = self.mults[r][i]
+            c = S * src + cols
+            sel = keep[c]
+            out[at[c[sel]], T * dst + rows[sel]] = vals[sel] if sign > 0 else F.vec_neg(vals[sel])
+        return out
+
+    def map(self, r: int) -> np.ndarray:
+        """tau_(r+1) : C_(r+1) -> C_r as a dense matrix, assembled on each call."""
+        return self._transposed_rows(r, np.ones(self.dim(r + 1), dtype=bool)).T
+
+    def _echelon(self, r: int):
+        """Cached forward echelon form of tau_(r+1) transposed: (W, pivots).
+
+        Only the rows outside the pivots of tau_(r+2) (all rows for the top
+        map) are scattered, into the array that is then eliminated in place;
+        they span the row space since tau o tau = 0 (`_verify_complex`).  So
+        the pivots are the whole map's, but W may have fewer than
+        dim C_(r+1) rows; only its first rank rows are read.
         """
         if r not in self.echelons:
-            A = self.maps[r].T
-            rows = np.ones(A.shape[0], dtype=bool)
-            if r + 1 < len(self.maps):
-                rows[self._echelon(r + 1)[1]] = False
+            keep = np.ones(self.dim(r + 1), dtype=bool)
+            if r + 1 < self.top:
+                keep[self._echelon(r + 1)[1]] = False
             self.echelons[r] = la.forward_echelon(
-                self.group.field, np.ascontiguousarray(A[rows]))
+                self.group.field, self._transposed_rows(r, keep), overwrite=True)
         return self.echelons[r]
 
     def image_rref(self, r: int):
-        """RREF of maps[r] transposed: its first rank rows are the canonical
-        basis of im maps[r].
+        """RREF of tau_(r+1) transposed: its first rank rows are the
+        canonical basis of im tau_(r+1).
 
         The cached forward form is back-substituted in place on first use.
         An RREF is unique to its row space, so its first rank rows and
-        pivots are those of `la.rref(maps[r].T)`: the basis
-        `_colspace_canonical(maps[r])` returns, transposed.
+        pivots are those of `la.rref(map(r).T)`: the basis
+        `_colspace_canonical(map(r))` returns, transposed.
         """
         W, piv = self._echelon(r)
         if r not in self.reduced:
@@ -215,19 +268,19 @@ class KoszulComplex:
         return W, len(piv), piv
 
     def rank(self, r: int) -> int:
-        """rank maps[r]; 0 at the top, where no map leaves C_top."""
-        return len(self._echelon(r)[1]) if r < len(self.maps) else 0
+        """rank tau_(r+1); 0 at the top, where no map leaves C_top."""
+        return len(self._echelon(r)[1]) if r < self.top else 0
 
     def is_exact(self, r: int) -> bool:
-        """ker maps[r-1] == im maps[r], 1 <= r <= top: both lie in C_r and
+        """ker tau_r == im tau_(r+1), 1 <= r <= top: both lie in C_r and
         im <= ker (tau o tau = 0), so equal dimensions decide it."""
         return self.dim(r) - self.rank(r - 1) == self.rank(r)
 
     def quotient(self, s: int) -> ModuleRep:
-        """Q_s = C_s / im maps[s] on the free coordinates of `image_rref(s)`.
+        """Q_s = C_s / im tau_(s+1) on the free coordinates of `image_rref(s)`.
 
         The rows of `image_rref(s)` are the RREF of the transposed map, so
-        this is C_s modulo the column space of maps[s] in the same basis a
+        this is C_s modulo the column space of tau_(s+1) in the same basis a
         quotient by that column space from scratch would give.
         Q_top = C_top.
         """
@@ -241,62 +294,56 @@ class KoszulComplex:
         return self.quotient(0)
 
     def kernel(self, r: int) -> tuple[np.ndarray, list[int]]:
-        """Canonical basis of ker maps[r] and its leading coordinates.
+        """Canonical basis of ker tau_(r+1) and its leading coordinates.
 
         The basis is the RREF of the kernel, transposed: exactly what
         `_colspace_canonical` returns.  At an exact spot r + 1 the kernel is
-        im maps[r+1], whose basis `image_rref(r + 1)` holds already (at the
-        top it is 0).  Elsewhere maps[r] is eliminated with its columns
-        reversed: a kernel vector read off that RREF is 1 at its free column,
-        0 at the other free columns and nonzero only before it, so flipped
-        back the vectors lead with that 1 in ascending order.
+        im tau_(r+2), whose basis `image_rref(r + 1)` holds already (at the
+        top it is 0).  Elsewhere the dense tau_(r+1) (`map`) is eliminated
+        with its columns reversed: a kernel vector read off that RREF is 1
+        at its free column, 0 at the other free columns and nonzero only
+        before it, so flipped back the vectors lead with that 1 in ascending
+        order.
         """
-        F, n = self.group.field, self.maps[r].shape[1]
+        F, n = self.group.field, self.dim(r + 1)
         if self.is_exact(r + 1):
             if r + 1 == self.top:
                 return la.zeros(n, 0), []
             R, rk, piv = self.image_rref(r + 1)
             return R[:rk].T.copy(), list(piv)
-        R, rk, piv = la.rref(F, np.ascontiguousarray(self.maps[r][:, ::-1]))
+        R, rk, piv = la.rref(F, np.ascontiguousarray(self.map(r)[:, ::-1]))
         Kb = la.kernel_from_rref(F, R, rk, piv, n)[::-1, ::-1]
         pivset = set(piv)
         return np.ascontiguousarray(Kb), [c for c in range(n) if n - 1 - c not in pivset]
 
 
 def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> KoszulComplex:
-    """Assemble the signed multiplication differentials over the Sym blocks.
+    """The complex's multiplication blocks over the group's Sym matrices.
 
-    Verifies tau o tau = 0 and equivariance against every generator; both are
-    exact matrix identities, not spot checks.  No term module is built here.
+    Each form's multiplication entries are computed once per map
+    (`mul_form_entries`) and placed by the subset rule (`faces`); no dense
+    map is assembled.  Verifies tau o tau = 0 and equivariance against every
+    generator (`_verify_complex`); both are exact matrix identities, not
+    spot checks.  No term module is built here.
     """
-    F = G.field
     d = len(forms)
-    d1 = G.dim
     m = G.order
     if t < 1 or not (0 <= j < m):
         raise ValueError("need t >= 1 and 0 <= j < form degree")
     R = min(d, t)
     degs = [m * (t - r) + j for r in range(R + 1)]
     subsets = [list(itertools.combinations(range(d), r)) for r in range(R + 1)]
-    blocks = [G.sym(deg) for deg in degs]
-    maps = []
-    mults = []  # mults[r - 1][i]: multiplication by forms[i] out of Sym^degs[r]
-    for r in range(1, R + 1):
-        src_dim = sym_dim(d1, degs[r])
-        dst_dim = sym_dim(d1, degs[r - 1])
-        tau = la.zeros(dst_dim * len(subsets[r - 1]), src_dim * len(subsets[r]))
-        dst_pos = {S: i for i, S in enumerate(subsets[r - 1])}
-        mults.append([mul_form_matrix(form, m, degs[r], d1) for form in forms])
-        for si, S in enumerate(subsets[r]):
-            for ell, i in enumerate(S):
-                Sminus = tuple(x for x in S if x != i)
-                block = F.vec_neg(mults[-1][i]) if ell % 2 else mults[-1][i]
-                di = dst_pos[Sminus]
-                tau[di * dst_dim:(di + 1) * dst_dim, si * src_dim:(si + 1) * src_dim] = block
-        maps.append(tau)
-    K = KoszulComplex(group=G, d=d, m=m, j=j, t=t, forms=forms, blocks=blocks, maps=maps,
+    faces = []
+    for r in range(R):
+        pos = {T: i for i, T in enumerate(subsets[r])}
+        faces.append([(pos[S[:l] + S[l + 1:]], si, (-1) ** l, i)
+                      for si, S in enumerate(subsets[r + 1]) for l, i in enumerate(S)])
+    mults = [[mul_form_entries(form, m, degs[r + 1], G.dim) for form in forms]
+             for r in range(R)]
+    K = KoszulComplex(group=G, d=d, m=m, j=j, t=t, forms=forms,
+                      syms=[G.sym(deg) for deg in degs], mults=mults, faces=faces,
                       subsets=subsets)
-    _verify_complex(K, mults)
+    _verify_complex(K)
     return K
 
 
@@ -307,23 +354,70 @@ def _block_equivariance(F: Field, M: np.ndarray, S_src: np.ndarray, S_dst: np.nd
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
-def _verify_complex(K: KoszulComplex, mults: list[list[np.ndarray]]):
-    """Exact identity checks on the assembled complex, both as products.
+def _paths_vanish(K: KoszulComplex, r: int, terms: tuple) -> bool:
+    """Whether sum c * M_i M_i' over `terms`, ((i, i'), c) pairs with M_i of
+    tau_(r+1) and M_i' of tau_(r+2), is zero."""
+    F = K.group.field
 
-    tau o tau = 0 is one product of the stored maps.  For equivariance,
-    every rho is block diagonal with one sym matrix repeated and every tau
-    block is a signed multiplication map, so the full identity holds exactly
-    when each multiplication map commutes with the sym action; that reduced
-    identity is what gets checked, for every form, source degree and
-    generator, on the Sym blocks alone: no term module is built.
+    def product(i: int, i2: int) -> np.ndarray:
+        return la.mat_mul(F, K.mult(r, i), K.mult(r + 1, i2))
+
+    if len(terms) == 2 and (terms[0][1] + terms[1][1]) % F.p == 0:
+        return np.array_equal(product(*terms[0][0]), product(*terms[1][0]))
+    acc = None
+    for pair, c in terms:
+        P = F.vec_mul(product(*pair), np.int64(c))
+        acc = P if acc is None else F.vec_add(acc, P)
+    return acc is None or not np.any(acc)
+
+
+def _verify_complex(K: KoszulComplex):
+    """Exact identity checks on the blocks of the complex; no dense map.
+
+    tau o tau = 0, block by block.  Block (T, S) of tau_(r+1) o tau_(r+2) is
+    the sum over the paths S -> S' -> T of the two maps' faces:
+    sign' * sign * M_i M_i' for a face (S', S, sign', i') of tau_(r+2) and a
+    face (T, S', sign, i) of tau_(r+1).  By the subset rule T = S - {a, b}
+    with a < b at positions k < l of S, and its two paths remove a then b,
+    with signs (-1)^k (-1)^(l-1), or b then a, with (-1)^l (-1)^k: opposite.
+    So the block is +-(M_a M_b - M_b M_a), zero exactly when
+    M_a(hi) M_b(lo) == M_b(hi) M_a(lo), hi the block of tau_(r+1) and lo
+    that of tau_(r+2).  Each such equation is checked once per (r, {a, b}),
+    and no zero block of either map is multiplied.  The signs are read off
+    the faces, not assumed: each block sums its path coefficients in the
+    field (`_paths_vanish`), so its verdict is the dense product's whatever
+    the faces hold.
+
+    Equivariance: every rho is block diagonal with one Sym matrix repeated
+    and every tau block is a signed multiplication map, so the full identity
+    holds exactly when each M_i commutes with the Sym action; that is
+    checked for every map, form and generator, on the Sym matrices alone:
+    no term module is built.
     """
     F = K.group.field
-    for r in range(len(K.maps) - 1):
-        if np.any(la.mat_mul(F, K.maps[r], K.maps[r + 1])):
-            raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
-    for r in range(1, K.top + 1):
-        for M in mults[r - 1]:
-            for gi, (S_src, S_dst) in enumerate(zip(K.blocks[r], K.blocks[r - 1])):
+    for r in range(K.top - 1):
+        out_of = defaultdict(list)  # faces of tau_(r+1) by column block
+        for T, S, sign, i in K.faces[r]:
+            out_of[S].append((T, sign, i))
+        paths = defaultdict(Counter)  # (T, S) -> {(i, i'): summed sign}
+        for S1, S, sign1, i1 in K.faces[r + 1]:
+            for T, sign, i in out_of[S1]:
+                paths[T, S][i, i1] += sign * sign1
+        checked = set()
+        for coeffs in paths.values():
+            live = [(pair, c % F.p) for pair, c in sorted(coeffs.items()) if c % F.p]
+            # a unit multiple vanishes with the block: scale the first to 1,
+            # so the blocks of T and of S that differ by a sign share one check
+            unit = pow(live[0][1], -1, F.p) if live else 1
+            terms = tuple((pair, c * unit % F.p) for pair, c in live)
+            if terms not in checked:
+                checked.add(terms)
+                if not _paths_vanish(K, r, terms):
+                    raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
+    for r in range(K.top):
+        for i in range(len(K.forms)):
+            M = K.mult(r, i)
+            for gi, (S_src, S_dst) in enumerate(zip(K.syms[r + 1], K.syms[r])):
                 _block_equivariance(F, M, S_src, S_dst, gi)
 
 
@@ -349,24 +443,25 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
                           sym_vectors: dict[int, dict[int, int]] | None = None) -> dict:
     """Per-stage splitting verdicts plus freeness of the cokernel class.
 
-    Stage r is 0 -> ker tau_(r-1) -> C_r -> C_r / ker tau_(r-1) -> 0.
-    sym_vectors may carry precomputed decompositions of the symmetric powers
-    (keyed by degree); C_r vectors are then their block multiples, which is
-    the same Krull-Schmidt class without redoing the big modules.
+    Stage r is 0 -> ker tau_r -> C_r -> C_r / ker tau_r -> 0, with
+    tau_r : C_r -> C_(r-1).  sym_vectors may carry precomputed
+    decompositions of the symmetric powers (keyed by degree); C_r vectors
+    are then their block multiples, which is the same Krull-Schmidt class
+    without redoing the big modules.
 
     Both outer classes lean on verified identities instead of fresh
     decompositions where possible, through the quotients
-    Q_s = C_s / im tau_s (`KoszulComplex.quotient`; Q_0 is the cokernel,
+    Q_s = C_s / im tau_(s+1) (`KoszulComplex.quotient`; Q_0 is the cokernel,
     Q_top = C_top):
 
-    * kernel: at a rank-verified exact spot r, ker tau_(r-1) = im tau_r,
-      which is isomorphic to C_(r+1) / ker tau_r.  If r + 1 is exact as
+    * kernel: at a rank-verified exact spot r, ker tau_r = im tau_(r+1),
+      which is isomorphic to C_(r+1) / ker tau_(r+1).  If r + 1 is exact as
       well, that is Q_(r+1); at an exact top the kernel is 0.
-    * quotient: C_1 / ker tau_0 is isomorphic to im tau_0, which complements
+    * quotient: C_1 / ker tau_1 is isomorphic to im tau_1, which complements
       the cokernel in C_0 whenever that cokernel verified as free (free
       modules are injective over a group algebra, so the sequence
-      0 -> im -> C_0 -> coker -> 0 splits).  For r > 1, C_r / ker tau_(r-1)
-      is isomorphic to im tau_(r-1), which is the previous stage's kernel
+      0 -> im -> C_0 -> coker -> 0 splits).  For r > 1, C_r / ker tau_r
+      is isomorphic to im tau_r, which is the previous stage's kernel
       when r - 1 is exact.
 
     Absent a certificate the kernel or quotient module is decomposed

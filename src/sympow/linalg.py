@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FUSED_CAP, TABLE_CAP, Field, _rem_into
+from .gf import FUSED_CAP, TABLE_CAP, Field, _mod_p
 
 _PANEL = 128
 # from this many entries on, elimination splits panels and back-substitution
@@ -38,8 +38,6 @@ _LEAF = 16
 _KRON_MIN_STEP = 16
 # entries per row block of a packed product's temporaries
 _BLOCK_ELEMS = 1 << 16
-# from this many entries on, `_mod_p` reduces through division
-_REM_MIN = 2048
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -48,19 +46,6 @@ def zeros(m: int, n: int) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for a fresh nonnegative int64 array, reduced in place when large.
-
-    From _REM_MIN entries on, numpy's int64 remainder by a scalar costs
-    several times a division by it, so the remainder is taken through
-    `floor_divide` (`gf._rem_into`); below that the extra calls cost more.
-    """
-    if x.size < _REM_MIN:
-        return x % p
-    _rem_into(x, p, np.empty_like(x))
-    return x
 
 
 def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -316,6 +301,13 @@ def _apply_pivots(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
     _submul_rows(F, W, r1, M[t1:, t0:t1], slice(r0, r1), cols)
 
 
+def _swap_rows(X: np.ndarray, a: int, b: int, cols: slice) -> None:
+    """Swap X[a, cols] and X[b, cols] by basic slicing, cheaper than a gather."""
+    t = X[a, cols].copy()
+    X[a, cols] = X[b, cols]
+    X[b, cols] = t
+
+
 def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
                pivots: list[int], base: int, r: int, c0: int, c1: int,
                leaf: int, invert: bool) -> int:
@@ -324,9 +316,10 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
     Columns wider than `leaf` are halved: the left half's pivots reach the
     right half through `_apply_pivots`, so the pivot-at-a-time loop only
     ever sweeps `leaf` columns.  Each pivot's multipliers go to M and its
-    inverse leading entry to T's diagonal; row swaps move M's rows along
-    with W's.  With `invert`, T holds the inverse for the pivots found here
-    on return.
+    inverse leading entry to T's diagonal.  A pivot's row swap moves only
+    the leaf's columns of W and the leaf's own multipliers; the rest of the
+    rows of W and M follow in one permutation when the leaf ends.  With
+    `invert`, T holds the inverse for the pivots found here on return.
     """
     if c1 - c0 > leaf:
         h = c0 + (c1 - c0) // 2
@@ -339,6 +332,8 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
         return r2
     r0 = r
     m = W.shape[0]
+    # came[k]: the row, as it stood on entry, now at row k (moved rows only)
+    came: dict[int, int] = {}
     for c in range(c0, c1):
         if r == m:
             break
@@ -347,8 +342,12 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
             continue
         i = r + int(rows[0])
         if i != r:
-            W[[r, i]] = W[[i, r]]
-            M[[r - base, i - base]] = M[[i - base, r - base]]
+            # rows r and i are zero left of c, and the leaf has not touched
+            # them right of c1 or M left of r0: swap what it has touched
+            _swap_rows(W, r, i, slice(c, c1))
+            if r > r0:
+                _swap_rows(M, r - base, i - base, slice(r0 - base, r - base))
+            came[r], came[i] = came.get(i, i), came.get(r, r)
         s = F.inv(int(W[r, c]))
         # columns c0..c-1 are zero at and below row r, so skip them
         W[r, c:c1] = F.vec_mul(W[r, c:c1], np.int64(s))
@@ -363,6 +362,12 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
         T[r - base, r - base] = s
         pivots.append(c)
         r += 1
+    # one row permutation for the rest of W and of M
+    moved = [k for k, v in came.items() if k != v]
+    if moved:
+        dst, src = np.array(moved), np.array([came[k] for k in moved])
+        W[dst, c1:] = W[src, c1:]
+        M[dst - base, :r0 - base] = M[src - base, :r0 - base]
     if invert:
         _invert_lower(F, M, T, r0 - base, r - base)
     return r
@@ -397,7 +402,7 @@ def _leaf(W: np.ndarray, panel: int) -> int:
     return _LEAF if W.size >= _SPLIT_CELLS else panel
 
 
-def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL):
+def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL, overwrite: bool = False):
     """Blocked forward elimination of a copy of A; returns (W, pivots).
 
     W is the row echelon form `oracles._echelon_naive(F, A, reduce=False)` gives:
@@ -406,8 +411,10 @@ def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL):
     through two products (`_apply_pivots`).  From _SPLIT_CELLS entries on,
     panels split recursively down to _LEAF columns, so nearly all the work
     runs as matrix products.  `back_substitute` finishes W into the RREF.
+    With `overwrite`, an int64 A is itself eliminated and returned as W, so
+    a caller that gives A up never holds it and W at once.
     """
-    W = A.astype(np.int64, copy=True)
+    W = A.astype(np.int64, copy=not overwrite)
     m, n = W.shape
     leaf = _leaf(W, panel)
     pivots: list[int] = []

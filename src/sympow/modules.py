@@ -555,19 +555,26 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _content_digest(content: dict) -> str:
+    """sha256 of the JSON text of a registry document's content."""
+    return hashlib.sha256(json.dumps(content).encode()).hexdigest()
+
+
 def save_registry(registry: Registry, path: str, vectors: dict[int, dict[int, int]]) -> None:
     """Write the registry and the vectors over it as one JSON document.
 
     `classes` lists the entries in id order, each as its generators' matrix
-    text blocks and its dimension; `vectors` is keyed by degree.  One atomic
-    replace, so a reader sees a whole document from one writer or none.
+    text blocks and its dimension; `vectors` is keyed by degree; `sha256`
+    is the digest of those two (`_content_digest`).  One atomic replace, so
+    a reader sees a whole document from one writer or none.
     """
-    doc = {
+    content = {
         "classes": [{"dim": mod.dim, "gens": [la.mat_to_text(mod.field, A) for A in mod.mats]}
                     for _, mod in sorted(registry.entries.items())],
         "vectors": {str(n): {str(mid): mult for mid, mult in sorted(vec.items())}
                     for n, vec in sorted(vectors.items())},
     }
+    doc = {"sha256": _content_digest(content), **content}
     write_text_atomic(path, json.dumps(doc) + "\n")
 
 
@@ -575,13 +582,20 @@ def load_registry(path: str, group: GroupData):
     """(registry, {n: vector}) from the document `save_registry` wrote.
 
     A missing document raises FileNotFoundError.  One that does not parse,
-    has the wrong shape, or holds a vector that cannot be degree n's raises
-    ValueError: one naming a class the document does not hold, with a
-    multiplicity below 1, or whose class dimensions do not add up to
-    dim Sym^n = C(n + d, d).
+    lacks its digest or fails it, has the wrong shape, or holds a vector
+    that cannot be degree n's raises ValueError: one naming a class the
+    document does not hold, with a multiplicity below 1, or whose class
+    dimensions do not add up to dim Sym^n = C(n + d, d).  The digest catches
+    damage those checks cannot see, such as two multiplicities swapped
+    between classes of one dimension.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "sha256" not in doc:
+        raise ValueError("registry document has no digest")
+    content = {k: v for k, v in doc.items() if k != "sha256"}
+    if doc["sha256"] != _content_digest(content):
+        raise ValueError("registry document fails its digest")
     reg = Registry(group)
     try:
         for mid, entry in enumerate(doc["classes"]):

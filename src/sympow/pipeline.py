@@ -18,9 +18,10 @@ every other degree decomposes Sym^n directly.  The report's
 took.
 
 With a cache directory, a job keeps one JSON document, `<job_key>.json`: the
-registry's classes in id order and the vectors over them, keyed by degree
-(`modules.save_registry`).  A sweep reads it whole or not at all; a document
-that fails to load is a miss on every degree.  A sweep that computed any
+registry's classes in id order and the vectors over them, keyed by degree,
+under a digest of both (`modules.save_registry`).  A sweep reads it whole or
+not at all; a document that fails to load or fails its digest is a miss on
+every degree.  A sweep that computed any
 degree replaces the document with one atomic write, keeping the degrees it
 already held.
 """
@@ -194,8 +195,8 @@ def _cache_path(cfg: JobConfig) -> str | None:
 def _read_cache(path: str | None, G: GroupData, stats: dict):
     """(registry, {n: vector}) from a job's cache document, or a miss on every degree.
 
-    A document that does not parse or has the wrong shape counts once in
-    stats["corrupt"] and is ignored; the next sweep that computes a degree
+    A document that does not parse, fails its digest or has the wrong shape
+    counts once in stats["corrupt"] and is ignored; the next sweep that computes a degree
     replaces it whole.  Reads never write or delete anything.
     """
     if path:

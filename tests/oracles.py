@@ -3,8 +3,9 @@
 The reference routines answer a question the library answers faster, by a
 separate and plainer route, so the tests can check the fast path against
 it: one-pivot-at-a-time elimination for the blocked `linalg` elimination,
-and Brauer characters from a module's own matrices for the eigenvalue
-counting of `chars.sym_brauer_sequence`.  The constructions (direct sums,
+Brauer characters from a module's own matrices for the eigenvalue
+counting of `chars.sym_brauer_sequence`, and the dense assembly of a Koszul
+differential for the blocks `koszul.KoszulComplex` holds.  The constructions (direct sums,
 quotients, scalar extension, the zero character) build test inputs that no
 library code needs.
 """
@@ -18,7 +19,8 @@ import numpy as np
 from sympow import linalg as la
 from sympow.chars import _class_frame, root_space_dims
 from sympow.gf import Field, extension
-from sympow.groups import GroupData, ModuleRep, close_group
+from sympow.groups import GroupData, ModuleRep, close_group, sym_dim
+from sympow.koszul import KoszulComplex, mul_form_matrix
 from sympow.modules import (Registry, _quotient_from_rowspace, decompose, dvec_add,
                             projective_part_dim, submodule)
 
@@ -105,6 +107,26 @@ def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
     vs = decompose(sub, registry, seed)
     vq = decompose(quo, registry, seed)
     return vc == dvec_add(vs, vq)
+
+
+def koszul_map(K: KoszulComplex, r: int) -> np.ndarray:
+    """tau_(r+1) : C_(r+1) -> C_r of K, assembled densely from its forms.
+
+    Block (S - {i}, S) is (-1)^l times multiplication by forms[i], i = S[l],
+    for each (r+1)-subset S of the forms; every other block is zero.
+    """
+    F, d1 = K.group.field, K.group.dim
+    src_deg = K.m * (K.t - r - 1) + K.j
+    src, dst = sym_dim(d1, src_deg), sym_dim(d1, src_deg + K.m)
+    tau = la.zeros(dst * K.copies(r), src * K.copies(r + 1))
+    dst_pos = {T: i for i, T in enumerate(K.subsets[r])}
+    mults = [mul_form_matrix(form, K.m, src_deg, d1) for form in K.forms]
+    for si, S in enumerate(K.subsets[r + 1]):
+        for ell, i in enumerate(S):
+            block = F.vec_neg(mults[i]) if ell % 2 else mults[i]
+            di = dst_pos[tuple(x for x in S if x != i)]
+            tau[di * dst:(di + 1) * dst, si * src:(si + 1) * src] = block
+    return tau
 
 
 def _value_vector(F: Field, A: np.ndarray, o: int, N: int) -> list[int]:

@@ -5,7 +5,9 @@ builds in milliseconds, yet its cokernel and stage behavior are the real
 thing.  The fast paths (kernels and the cokernel read off each map's image
 RREF, stage classes from the quotients C_s / im tau_s) are differentially
 tested against direct eliminations and against the direct
-short-exact-sequence route so they cannot drift.  The P^3 fixture over GF(9)
+short-exact-sequence route so they cannot drift, and the multiplication
+blocks a complex holds against the dense assembly of its maps
+(`oracles.koszul_map`).  The P^3 fixture over GF(9)
 adds complexes where the cokernel is not free or exactness fails, so the
 fallback routes meet the same oracle.
 """
@@ -17,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose
                             dvec_scale, free_rank, module_on_basis)
 from sympow.pipeline import JobConfig, _run_koszul
 
-from oracles import direct_sum, quotient_module, rand_invertible, ses_split_check
+from oracles import direct_sum, koszul_map, quotient_module, rand_invertible, ses_split_check
 
 SEED = 11
 
@@ -148,15 +151,24 @@ def test_complex_identities_hold_densely(plane):
     G, forms, _ = plane
     K = build_complex(G, forms, t=3, j=1)
     F = G.field
-    for r in range(len(K.maps) - 1):
-        comp = la.mat_mul(F, K.maps[r], K.maps[r + 1])
+    maps = [K.map(r) for r in range(K.top)]
+    for r in range(K.top - 1):
+        comp = la.mat_mul(F, maps[r], maps[r + 1])
         assert not np.any(comp)
-    for r in range(len(K.maps)):
+    for r in range(K.top):
         src, dst = K.term(r + 1), K.term(r)
         for gi in range(len(G.gens)):
-            left = la.mat_mul(F, K.maps[r], src.mats[gi])
-            right = la.mat_mul(F, dst.mats[gi], K.maps[r])
+            left = la.mat_mul(F, maps[r], src.mats[gi])
+            right = la.mat_mul(F, dst.mats[gi], maps[r])
             assert np.array_equal(left, right)
+
+
+def test_blocks_assemble_the_dense_maps(complexes, p3_noncoker):
+    """`map(r)`, assembled from the stored multiplication blocks, is the
+    dense signed-multiplication differential, on every fixture complex."""
+    for K in complexes + [p3_noncoker]:
+        for r in range(K.top):
+            assert np.array_equal(K.map(r), koszul_map(K, r)), (K.t, K.j, r)
 
 
 def test_exactness_across_levels(plane):
@@ -192,7 +204,8 @@ def test_kernel_is_the_canonical_rref_basis(complexes):
     assert any(not check_exact(K)["exact"] for K in complexes)
     for K in complexes:
         F = K.group.field
-        for r, A in enumerate(K.maps):
+        for r in range(K.top):
+            A = K.map(r)
             B, lead = _colspace_canonical(F, la.kernel_from_rref(F, *la.rref(F, A), A.shape[1]))
             Kb, klead = K.kernel(r)
             assert np.array_equal(Kb, B) and klead == lead
@@ -201,7 +214,7 @@ def test_kernel_is_the_canonical_rref_basis(complexes):
 
 def test_cokernel_from_pivot_columns_matches_full_quotient(complexes):
     for K in complexes:
-        full = quotient_module(K.term(0), K.maps[0])
+        full = quotient_module(K.term(0), K.map(0))
         coker = K.cokernel()
         assert coker.dim == full.dim
         assert all(np.array_equal(a, b) for a, b in zip(coker.mats, full.mats))
@@ -236,7 +249,7 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
         out = check_split_stagewise(K, reg, seed=SEED)
         for stage in out["stages"]:
             r = stage["r"]
-            Kb = la.kernel_basis(F, K.maps[r - 1])
+            Kb = la.kernel_basis(F, K.map(r - 1))
             assert stage["kernel_dim"] == Kb.shape[1], (name, r)
             assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"], (name, r)
         verdicts[name] = (check_exact(K)["exact"], out["coker_free"],
@@ -247,8 +260,8 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
             rest = {mid: v for mid, v in out["coker_vector"].items() if v != kg.get(mid, 0) * q}
             assert q == 7 and sorted((reg.entries[mid].dim, v) for mid, v in rest.items()) \
                 == [(1, 2), (2, 2)]
-        for r in range(len(K.maps)):
-            R, rk, piv = la.rref(F, K.maps[r].T)
+        for r in range(K.top):
+            R, rk, piv = la.rref(F, K.map(r).T)
             got, got_rk, got_piv = K.image_rref(r)
             assert got_rk == rk and got_piv == piv, (name, r)
             assert np.array_equal(got[:rk], R[:rk]) and not np.any(got[rk:]), (name, r)
@@ -262,21 +275,22 @@ def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     above leaves free; only RREFs that are read get reduced.
 
     On the all-exact t = 3 complex the stages read Q_0, Q_2 and the ranks,
-    so maps[1] is never back-substituted; its kernel role is taken by
-    `image_rref(2)`.  Reading maps[1]'s RREF later (`kernel(0)`) finishes the
+    so tau_2 is never back-substituted; its kernel role is taken by
+    `image_rref(2)`.  Reading tau_2's RREF later (`kernel(0)`) finishes the
     cached form and eliminates nothing forward again.
     """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
-    ranks = [la.rank(G.field, A) for A in K.maps] + [0]
-    shapes = [(A.shape[1] - ranks[r + 1], A.shape[0]) for r, A in enumerate(K.maps)]
-    assert all(shapes[r][0] < K.maps[r].shape[1] for r in (0, 1))
+    maps = [K.map(r) for r in range(K.top)]
+    ranks = [la.rank(G.field, A) for A in maps] + [0]
+    shapes = [(A.shape[1] - ranks[r + 1], A.shape[0]) for r, A in enumerate(maps)]
+    assert all(shapes[r][0] < maps[r].shape[1] for r in (0, 1))
     forward, back = [], []
     real_forward, real_back = la.forward_echelon, la.back_substitute
 
-    def counted_forward(F, A):
+    def counted_forward(F, A, **kwargs):
         forward.append(A.shape)
-        return real_forward(F, A)
+        return real_forward(F, A, **kwargs)
 
     def counted_back(F, W, pivots):
         back.append(W.shape)
@@ -287,7 +301,7 @@ def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     assert check_exact(K)["exact"] and K.top == 3
     K.cokernel()
     K.quotient(2)
-    for r in range(1, len(K.maps)):
+    for r in range(1, K.top):
         K.kernel(r)
     assert forward == shapes[::-1]
     assert back == [shapes[0], shapes[2]]
@@ -310,21 +324,22 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
     forward = []
     real_forward = la.forward_echelon
     monkeypatch.setattr(la, "forward_echelon",
-                        lambda F, A: forward.append(A.shape) or real_forward(F, A))
+                        lambda F, A, **kw: forward.append(A.shape) or real_forward(F, A, **kw))
     inexact_seen = 0
     for K in cases:
         K = dataclasses.replace(K, echelons={}, reduced=set())
         F = K.group.field
-        full = [la.rref(F, A.T) for A in K.maps]
+        maps = [K.map(r) for r in range(K.top)]
+        full = [la.rref(F, A.T) for A in maps]
         ranks = [rk for _, rk, _ in full] + [0]
         forward.clear()
-        assert [K.rank(r) for r in range(len(K.maps))] == ranks[:-1]
+        assert [K.rank(r) for r in range(K.top)] == ranks[:-1]
         for r in range(1, K.top + 1):
             exact = K.dim(r) - ranks[r - 1] == ranks[r]
             assert K.is_exact(r) == exact
             inexact_seen += not exact
         assert forward == [(A.shape[1] - ranks[r + 1], A.shape[0])
-                           for r, A in reversed(list(enumerate(K.maps)))]
+                           for r, A in reversed(list(enumerate(maps)))]
         for r, (R, rk, piv) in enumerate(full):
             got, got_rk, got_piv = K.image_rref(r)
             assert got_rk == rk and got_piv == piv
@@ -332,18 +347,68 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
     assert inexact_seen == 3
 
 
-def test_verify_complex_rejects_a_flipped_block(p3):
-    G, forms, m = p3
+def _dense_verdict(K):
+    """The first tau_(r+1) o tau_(r+2) whose dense product is nonzero, or None."""
+    F = K.group.field
+    for r in range(K.top - 1):
+        if np.any(la.mat_mul(F, K.map(r), K.map(r + 1))):
+            return f"tau_{r + 1} o tau_{r + 2}"
+    return None
+
+
+def _block_verdict(K):
+    """The composite `_verify_complex` rejects, or None when it passes."""
+    try:
+        _verify_complex(K)
+    except AssertionError as exc:
+        return str(exc).removesuffix(" != 0")
+    return None
+
+
+def _flip_sign(face):
+    T, S, sign, i = face
+    return T, S, -sign, i
+
+
+def _other_form(face):
+    T, S, sign, i = face
+    return T, S, sign, (i + 1) % 3  # the P^3 fixture has three forms
+
+
+@pytest.mark.parametrize("fixture, damage, verdict", [
+    ("p3", _flip_sign, "tau_1 o tau_2"),
+    ("p3", _other_form, "tau_1 o tau_2"),
+    ("plane", _flip_sign, None),
+], ids=["sign", "form", "sign-char-2"])
+def test_verify_complex_rejects_a_damaged_block(request, fixture, damage, verdict):
+    """One block of tau_2 with its sign flipped, or taken from the next
+    form: the block checks give the dense product's verdict.  Over GF(9)
+    both reject it; over GF(4) a flipped sign changes nothing."""
+    G, forms, _ = request.getfixturevalue(fixture)
     K = build_complex(G, forms, t=3, j=0)
-    degs = [m * (K.t - r) + K.j for r in range(K.top + 1)]
-    mults = [[mul_form_matrix(f, m, deg, G.dim) for f in forms] for deg in degs[1:]]
-    _verify_complex(K, mults)
-    rows, cols = K.dim(1) // 3, K.dim(2) // 3
-    bad = K.maps[1].copy()
-    bad[:rows, :cols] = G.field.vec_neg(bad[:rows, :cols])
-    assert np.any(bad[:rows, :cols])
-    with pytest.raises(AssertionError, match="tau_1 o tau_2"):
-        _verify_complex(dataclasses.replace(K, maps=[K.maps[0], bad, K.maps[2]]), mults)
+    assert _block_verdict(K) is None and _dense_verdict(K) is None
+    faces = [list(f) for f in K.faces]
+    faces[1][0] = damage(faces[1][0])
+    bad = dataclasses.replace(K, faces=faces)
+    assert np.array_equal(bad.map(1), K.map(1)) == (verdict is None)
+    assert _block_verdict(bad) == _dense_verdict(bad) == verdict
+
+
+def test_block_checks_run_once_per_map_and_pair(monkeypatch):
+    """With four linear forms on P^4 the pair {a, b} meets several blocks of
+    each composite, with both signs; each (r, {a, b}) is multiplied once."""
+    F = make_field(5)
+    G = close_group(F, [la.identity(5)])
+    forms, _ = choose_forms(G, 4, seed=3)
+    calls = []
+    real = kz._paths_vanish
+    monkeypatch.setattr(kz, "_paths_vanish",
+                        lambda K, r, terms: calls.append((r, terms)) or real(K, r, terms))
+    K = build_complex(G, forms, t=4, j=0)
+    pairs = [(r, frozenset(i for pair, _ in terms for i in pair)) for r, terms in calls]
+    assert len(pairs) == len(set(pairs)) == (K.top - 1) * math.comb(4, 2)
+    for r in range(K.top - 1):
+        assert not np.any(la.mat_mul(F, K.map(r), K.map(r + 1)))
 
 
 def test_block_equivariance_rejects_a_non_invariant_form(plane):
@@ -448,6 +513,36 @@ def test_terms_are_built_only_when_read(p3, monkeypatch):
     assert copies == [[(d2, d2)] * 3] * len(G.gens)
     assert sorted(K.built) == [0, 2]
     assert all(A is S for A, S in zip(K.term(0).mats, G.sym(m * t + j)))
+
+
+def test_complex_holds_blocks_not_dense_maps(p3, monkeypatch):
+    """Traced memory of one P^3 complex against the bytes of its dense maps.
+
+    Building it keeps the multiplication entries alone, a small fraction of
+    the dense maps, and no step of the build, the block checks included,
+    comes near holding them.  The exact and split checks assemble no map;
+    their peaks are set by the echelon forms and the quotient modules.
+    """
+    G, forms, m = p3
+    t, j = 4, 2
+    reg = Registry(G)
+    sv = {m * (t - r) + j: decompose(sym_power(G, m * (t - r) + j), reg, SEED)
+          for r in range(4)}
+    assembled = []
+    real_map = kz.KoszulComplex.map
+    monkeypatch.setattr(kz.KoszulComplex, "map",
+                        lambda self, r: assembled.append(r) or real_map(self, r))
+    tracemalloc.start()
+    try:
+        K = build_complex(G, forms, t=t, j=j)
+        held, build_peak = tracemalloc.get_traced_memory()
+        assert check_exact(K)["exact"]
+        assert check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)["all_split"]
+    finally:
+        tracemalloc.stop()
+    assert assembled == []
+    dense = sum(real_map(K, r).nbytes for r in range(K.top))
+    assert held < dense / 8 and build_peak < dense
 
 
 def jordan_module(G, size):

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from sympow.cli import main
+from sympow.modules import _content_digest
 from sympow.pipeline import (CHECKS, ConfigError, canonical_json,
                              config_from_dict, job_key, load_config, run,
                              run_single)
@@ -181,6 +182,41 @@ def test_damaged_multiplicity_is_a_miss(tmp_path, mult):
     assert canonical_json(warm) == cold
 
 
+def test_swapped_multiplicities_are_a_miss(tmp_path):
+    """Degree 9 of the S3 job holds two 2-dimensional classes; swapping
+    their multiplicities keeps every count positive and the dimensions
+    adding up, and only the digest sees the damage."""
+    cfg = config_from_dict({**BASE, "generators": S3_GENS, "n_max": 12,
+                            "cache_dir": str(tmp_path / "cache")})
+    cold = canonical_json(run(cfg))
+    doc = tmp_path / "cache" / f"{job_key(cfg)}.json"
+    whole = doc.read_bytes()
+    raw = json.loads(whole)
+    assert raw["vectors"]["9"] == {"1": 3, "2": 2}
+    assert [raw["classes"][i]["dim"] for i in (1, 2)] == [2, 2]
+    raw["vectors"]["9"] = {"1": 2, "2": 3}
+    doc.write_text(json.dumps(raw))
+    warm = run(cfg)
+    assert warm["volatile"]["cache"] == {"hits": 0, "misses": 13, "corrupt": 1}
+    assert canonical_json(warm) == cold
+    assert doc.read_bytes() == whole
+
+
+def test_document_without_digest_is_rewritten(tmp_path):
+    """A document written before documents carried a digest reads as
+    corrupt once; the sweep then rewrites it whole, digest included."""
+    cfg = config_from_dict({**BASE, "cache_dir": str(tmp_path / "cache")})
+    run(cfg)
+    doc = tmp_path / "cache" / f"{job_key(cfg)}.json"
+    whole = doc.read_bytes()
+    raw = json.loads(whole)
+    del raw["sha256"]
+    doc.write_text(json.dumps(raw))
+    assert run(cfg)["volatile"]["cache"] == {"hits": 0, "misses": 17, "corrupt": 1}
+    assert doc.read_bytes() == whole
+    assert run(cfg)["volatile"]["cache"] == {"hits": 17, "misses": 0, "corrupt": 0}
+
+
 def test_smaller_job_keeps_higher_degrees(tmp_path):
     cache = tmp_path / "cache"
     run(config_from_dict({**BASE, "cache_dir": str(cache)}))
@@ -189,7 +225,9 @@ def test_smaller_job_keeps_higher_degrees(tmp_path):
     whole = doc.read_bytes()
     raw = json.loads(whole)
     del raw["vectors"]["4"]
-    doc.write_text(json.dumps(raw))
+    # a whole document without degree 4, digest and all
+    del raw["sha256"]
+    doc.write_text(json.dumps({"sha256": _content_digest(raw), **raw}))
     assert run(small)["volatile"]["cache"] == {"hits": 8, "misses": 1, "corrupt": 0}
     # degree 4 is back, and degrees 9..16 survived the n_max = 8 rewrite
     assert doc.read_bytes() == whole

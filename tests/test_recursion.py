@@ -15,6 +15,7 @@ from sympow import koszul as kz
 from sympow import linalg as la
 from sympow.gf import make_field
 from sympow.groups import ModuleRep, close_group
+from sympow.modules import _content_digest
 from sympow.pipeline import canonical_json, config_from_dict, job_key, run
 
 S3_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
@@ -218,7 +219,9 @@ def test_recursion_reads_degrees_from_the_cache(tmp_path):
     assert warm["volatile"]["sweep"] == {"form_degree": None, "recursion": 0, "direct": 0}
     raw = json.loads(whole)
     del raw["vectors"]["9"]
-    doc.write_text(json.dumps(raw))
+    # a whole document without degree 9, digest and all
+    del raw["sha256"]
+    doc.write_text(json.dumps({"sha256": _content_digest(raw), **raw}))
     # degree 9 comes back from the cached degree 7 and Q_9
     partial = run(cfg)
     assert partial["volatile"]["sweep"] == {"form_degree": 2, "recursion": 1, "direct": 0}
