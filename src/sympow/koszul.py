@@ -81,12 +81,17 @@ def mul_form_entries(form: np.ndarray, deg: int, k: int, d1: int):
     return rows, np.tile(np.arange(len(src)), len(nz)), np.repeat(form[nz], len(src))
 
 
-def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
-    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
-    rows, cols, vals = mul_form_entries(form, deg, k, d1)
-    out = la.zeros(sym_dim(d1, k + deg), sym_dim(d1, k))
+def _dense(entries: tuple, m: int, n: int) -> np.ndarray:
+    """The m x n matrix with the entries (rows, cols, vals), zero elsewhere."""
+    rows, cols, vals = entries
+    out = la.zeros(m, n)
     out[rows, cols] = vals
     return out
+
+
+def mul_form_matrix(form: np.ndarray, deg: int, k: int, d1: int) -> np.ndarray:
+    """Matrix of multiplication by a degree-`deg` form: Sym^k -> Sym^(k+deg)."""
+    return _dense(mul_form_entries(form, deg, k, d1), sym_dim(d1, k + deg), sym_dim(d1, k))
 
 
 def form_product(F: Field, lin_forms: list[np.ndarray]) -> np.ndarray:
@@ -212,10 +217,7 @@ class KoszulComplex:
 
     def mult(self, r: int, i: int) -> np.ndarray:
         """M_i of tau_(r+1) as a dense matrix: multiplication by forms[i]."""
-        rows, cols, vals = self.mults[r][i]
-        out = la.zeros(self.block_dim(r), self.block_dim(r + 1))
-        out[rows, cols] = vals
-        return out
+        return _dense(self.mults[r][i], self.block_dim(r), self.block_dim(r + 1))
 
     def _transposed_rows(self, r: int, keep: np.ndarray) -> np.ndarray:
         """The rows of tau_(r+1) transposed that the mask `keep` (over the
@@ -358,15 +360,9 @@ def _paths_vanish(K: KoszulComplex, r: int, terms: tuple) -> bool:
     """Whether sum c * M_i M_i' over `terms`, ((i, i'), c) pairs with M_i of
     tau_(r+1) and M_i' of tau_(r+2), is zero."""
     F = K.group.field
-
-    def product(i: int, i2: int) -> np.ndarray:
-        return la.mat_mul(F, K.mult(r, i), K.mult(r + 1, i2))
-
-    if len(terms) == 2 and (terms[0][1] + terms[1][1]) % F.p == 0:
-        return np.array_equal(product(*terms[0][0]), product(*terms[1][0]))
     acc = None
-    for pair, c in terms:
-        P = F.vec_mul(product(*pair), np.int64(c))
+    for (i, i2), c in terms:
+        P = la.mat_mul(F, K.mult(r, i), F.vec_mul(K.mult(r + 1, i2), np.int64(c)))
         acc = P if acc is None else F.vec_add(acc, P)
     return acc is None or not np.any(acc)
 

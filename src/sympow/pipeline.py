@@ -21,9 +21,8 @@ With a cache directory, a job keeps one JSON document, `<job_key>.json`: the
 registry's classes in id order and the vectors over them, keyed by degree,
 under a digest of both (`modules.save_registry`).  A sweep reads it whole or
 not at all; a document that fails to load or fails its digest is a miss on
-every degree.  A sweep that computed any
-degree replaces the document with one atomic write, keeping the degrees it
-already held.
+every degree.  A sweep that computed any degree replaces the document with
+one atomic write, keeping the degrees it already held.
 """
 
 from __future__ import annotations
@@ -196,8 +195,9 @@ def _read_cache(path: str | None, G: GroupData, stats: dict):
     """(registry, {n: vector}) from a job's cache document, or a miss on every degree.
 
     A document that does not parse, fails its digest or has the wrong shape
-    counts once in stats["corrupt"] and is ignored; the next sweep that computes a degree
-    replaces it whole.  Reads never write or delete anything.
+    counts once in stats["corrupt"] and is ignored; the next sweep that
+    computes a degree replaces it whole.  Reads never write or delete
+    anything.
     """
     if path:
         try:

@@ -520,8 +520,9 @@ def test_complex_holds_blocks_not_dense_maps(p3, monkeypatch):
 
     Building it keeps the multiplication entries alone, a small fraction of
     the dense maps, and no step of the build, the block checks included,
-    comes near holding them.  The exact and split checks assemble no map;
-    their peaks are set by the echelon forms and the quotient modules.
+    comes near holding them.  The exact and split checks assemble no map,
+    but their peaks are not bounded here: the kept echelon forms and the
+    quotient modules take them past the dense maps' bytes.
     """
     G, forms, m = p3
     t, j = 4, 2

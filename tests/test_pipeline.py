@@ -120,25 +120,41 @@ def _truncate(doc):
     doc.write_text(text[: len(text) // 2])
 
 
+def _write_signed(doc, raw):
+    """Write a hand-edited document with the digest of its content, as a
+    writer would, so that loading it reaches the check its damage is for."""
+    content = {k: v for k, v in raw.items() if k != "sha256"}
+    doc.write_text(json.dumps({"sha256": _content_digest(content), **content}))
+
+
 def _dangling_id(doc):
     raw = json.loads(doc.read_text())
     raw["vectors"]["3"] = {str(len(raw["classes"])): 1}
-    doc.write_text(json.dumps(raw))
+    _write_signed(doc, raw)
 
 
 def _non_square_class(doc):
     raw = json.loads(doc.read_text())
     raw["classes"][0]["gens"][0] = "1 2\n1 0\n"
-    doc.write_text(json.dumps(raw))
+    _write_signed(doc, raw)
+
+
+def _wrong_dim_class(doc):
+    # square generators, but not of the dimension the entry declares
+    raw = json.loads(doc.read_text())
+    raw["classes"][0]["dim"] += 1
+    _write_signed(doc, raw)
 
 
 @pytest.mark.parametrize("damage", [
     _truncate,
     lambda doc: doc.write_text("[]"),
-    lambda doc: doc.write_text(json.dumps({"classes": 5, "vectors": {}})),
+    lambda doc: _write_signed(doc, {"classes": 5, "vectors": {}}),
     _non_square_class,
     _dangling_id,
-], ids=["truncated", "list", "wrong-shape", "non-square-class", "dangling-id"])
+    _wrong_dim_class,
+], ids=["truncated", "list", "wrong-shape", "non-square-class", "dangling-id",
+        "wrong-dim-class"])
 def test_corrupt_cache_entry_is_a_miss(tmp_path, damage):
     cfg_path = write_config(tmp_path, cache_dir=str(tmp_path / "cache"))
     ref, out = str(tmp_path / "ref.json"), str(tmp_path / "out.json")
@@ -165,18 +181,25 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, damage):
     assert os.listdir(tmp_path / "cache") == [doc.name]
 
 
-@pytest.mark.parametrize("mult", [4, 0, -3])
-def test_damaged_multiplicity_is_a_miss(tmp_path, mult):
+@pytest.mark.parametrize("edit", [
+    pytest.param({"1": 4}, id="4"),
+    pytest.param({"1": 0}, id="0"),
+    pytest.param({"1": -3}, id="-3"),
+    pytest.param({"0": 0}, id="zero-class"),
+])
+def test_damaged_multiplicity_is_a_miss(tmp_path, edit):
     """A vector that cannot be degree n's (a multiplicity below 1, or class
-    dimensions that do not add up to n + 1 on P^1) is a corrupt document."""
+    dimensions that do not add up to n + 1 on P^1) is a corrupt document.
+    A class listed with multiplicity 0 is one even though the dimensions
+    still add up."""
     cfg = config_from_dict({**BASE, "generators": S3_GENS, "n_max": 12,
                             "cache_dir": str(tmp_path / "cache")})
     cold = canonical_json(run(cfg))
     doc = tmp_path / "cache" / f"{job_key(cfg)}.json"
     raw = json.loads(doc.read_text())
-    assert raw["vectors"]["9"]["1"] == 3
-    raw["vectors"]["9"]["1"] = mult
-    doc.write_text(json.dumps(raw))
+    assert raw["vectors"]["9"] == {"1": 3, "2": 2}
+    raw["vectors"]["9"].update(edit)
+    _write_signed(doc, raw)
     warm = run(cfg)
     assert warm["volatile"]["cache"]["corrupt"] == 1
     assert canonical_json(warm) == cold
@@ -226,8 +249,7 @@ def test_smaller_job_keeps_higher_degrees(tmp_path):
     raw = json.loads(whole)
     del raw["vectors"]["4"]
     # a whole document without degree 4, digest and all
-    del raw["sha256"]
-    doc.write_text(json.dumps({"sha256": _content_digest(raw), **raw}))
+    _write_signed(doc, raw)
     assert run(small)["volatile"]["cache"] == {"hits": 8, "misses": 1, "corrupt": 0}
     # degree 4 is back, and degrees 9..16 survived the n_max = 8 rewrite
     assert doc.read_bytes() == whole
