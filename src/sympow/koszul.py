@@ -14,28 +14,40 @@ modules splits iff the decomposition vector of the middle equals the sum of
 the outer ones.
 
 A complex is held as its multiplication blocks, never as dense maps.  For
-each map tau_(r+1) and each form f_i it keeps the nonzero entries of M_i,
-multiplication by f_i from the Sym degree of C_(r+1) to that of C_r
-(`mul_form_entries`): at most #supp(f_i) per column, computed once per
-complex.  The subset rule (`KoszulComplex.faces`) places them, with their
-signs, as the blocks of tau_(r+1); every other block is zero.  Three readers
-assemble what they need: `_verify_complex` multiplies single blocks,
-`KoszulComplex._echelon` scatters only the rows it eliminates, and
-`KoszulComplex.map` assembles a dense tau, which only a kernel at an inexact
-spot reads.
+each map tau_(r+1) and each form f_i it keeps M_i, multiplication by f_i
+from the Sym degree of C_(r+1) to that of C_r, in shift form
+(`mul_form_entries`): R[l, a] is the position of z^(b_l + a) and v[l] the
+coefficient of f_i at its l-th monomial z^(b_l), computed once per complex.
+The subset rule (`KoszulComplex.faces`) places them, with their signs, as
+the blocks of tau_(r+1); every other block is zero.  `KoszulComplex._echelon`
+scatters only the rows it eliminates, and `KoszulComplex.map` assembles a
+dense tau, which only a kernel at an inexact spot reads.
 
-Each map is eliminated forward once, transposed, top-down, and that
-echelon form is kept: ranks and exactness read its pivot count alone.  Of
-tau_(r+1) transposed only the rows outside the pivots of the map above are
-eliminated: C_(r+1) is the span of those coordinates plus im tau_(r+2),
-which tau_(r+1) kills (tau o tau = 0, checked exactly by `_verify_complex`),
-so they span its row space.  The form is back-substituted in place the first
-time a map's RREF is read (`image_rref`); its first rank rows are the
-canonical basis of the map's image, off which the quotients
-Q_s = C_s / im tau_(s+1) (`quotient`; Q_0 is the cokernel) and, at exact
-spots, the canonical kernel bases (`kernel`) are read.  So at an all-exact
-d = 3 complex the middle map is only ever reduced forward.  Only a kernel at
-an inexact spot costs a second elimination.
+tau o tau = 0 is proved term by term, with no product (`_verify_complex`):
+the faces' signs cancel in pairs, and the two products M_a M_b and M_b M_a
+put the same coefficient f_a[b_l] f_b[b'_l'] at the same monomial
+z^(b_l + b'_l' + c), which the shift forms show as equal index and value
+arrays.
+
+Each map is eliminated forward once, transposed, and that echelon form is
+kept: ranks and exactness read its pivot count alone.  Of tau_(r+1)
+transposed only the rows outside a set of leading positions of
+im tau_(r+2) are eliminated: C_(r+1) is the span of those coordinates plus
+im tau_(r+2), which tau_(r+1) kills, so they span its row space.  For
+r >= 1 that set is the pivots of tau_(r+2), eliminated first.  For tau_1 it
+is L, read off the forms by Faugere's F5 signature criterion (Faugere,
+ISSAC 2002; Bardet, Faugere and Salvy, J. Symbolic Comput. 70, 2015) from
+matrices of one form and one degree each: block i of C_1 at the leading
+positions of the ideal (f_(i+1), f_(i+2), ...).  For any forms L lies within
+the pivots of im tau_2; for a regular sequence it is all of them, and
+rank tau_2 = |L| whenever |L| = dim ker tau_1.  So the middle map is
+eliminated only when a check reads its RREF (a kernel or Q_1), or when
+that equality fails.  The form is back-substituted in place the first time
+a map's RREF is read (`image_rref`); its first rank rows are the canonical
+basis of the map's image, off which the quotients Q_s = C_s / im tau_(s+1)
+(`quotient`; Q_0 is the cokernel) and, at exact spots, the canonical kernel
+bases (`kernel`) are read.  Only a kernel at an inexact spot costs a second
+elimination.
 
 A complex holds its terms as the group's Sym matrices and builds a term's
 module only when a check reads it (`KoszulComplex.term`): the identity
@@ -64,28 +76,29 @@ FORM_ATTEMPTS = 64
 
 
 def mul_form_entries(form: np.ndarray, deg: int, k: int, d1: int):
-    """Nonzero entries (rows, cols, vals) of multiplication by a degree-`deg`
-    form, Sym^k -> Sym^(k+deg).
+    """Multiplication by a degree-`deg` form, Sym^k -> Sym^(k+deg), in shift
+    form (R, v).
 
-    `form` holds the coefficients on the degree-`deg` monomial basis.  The
-    column of a source monomial z^a has the coefficient of z^b at the
-    position of z^(a+b), which `monomial_index` reads off for every (b, a)
-    pair at once.  The (row, col) pairs are distinct, #supp(form) per column.
+    `form` holds the coefficients on the degree-`deg` monomial basis, and
+    z^(b_l) is its l-th monomial with a nonzero coefficient v[l].  R[l, a] is
+    the position of z^(b_l + a), which `monomial_index` reads off for every
+    (l, a) pair at once: column a of the matrix holds v[l] at row R[l, a],
+    #supp(form) distinct rows per column.
     """
     src = monomials(d1, k)
     nz = np.flatnonzero(form)
     prods = (monomials(d1, deg)[nz, None, :] + src[None, :, :]).reshape(-1, d1)
-    rows = monomial_index(prods)
-    if not np.array_equal(monomials(d1, k + deg)[rows], prods):
+    R = monomial_index(prods)
+    if not np.array_equal(monomials(d1, k + deg)[R], prods):
         raise AssertionError("monomial index lookup failed")
-    return rows, np.tile(np.arange(len(src)), len(nz)), np.repeat(form[nz], len(src))
+    return R.reshape(len(nz), len(src)), form[nz]
 
 
 def _dense(entries: tuple, m: int, n: int) -> np.ndarray:
-    """The m x n matrix with the entries (rows, cols, vals), zero elsewhere."""
-    rows, cols, vals = entries
+    """The m x n matrix of the shift form (R, v): v[l] at (R[l, a], a)."""
+    R, v = entries
     out = la.zeros(m, n)
-    out[rows, cols] = vals
+    out[R, np.arange(n)] = v[:, None]
     return out
 
 
@@ -115,13 +128,15 @@ def is_invariant_form(G: GroupData, form: np.ndarray, deg: int) -> bool:
     return True
 
 
-def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int]:
-    """d independent invariant norm forms of degree #G; returns (forms, degree).
+def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], KoszulComplex]:
+    """d independent invariant norm forms of degree #G, and their level-d
+    complex (t = d, j = 0; its `m` is the degree).
 
     Each form is the product of the G-orbit of a random linear form.
     Invariance is verified against every generator, and independence is
     certified by exactness of the level-d complex they define; failing
-    choices are resampled up to a fixed budget.
+    choices are resampled up to a fixed budget.  The complex is returned
+    built, verified and checked, for its caller to report on.
     """
     F = G.field
     d1 = G.dim
@@ -142,10 +157,11 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], int
             last = "norm form failed the invariance identity"
             continue
         K = build_complex(G, forms, t=d, j=0)
-        rep = check_exact(K)
-        if rep["exact"]:
-            return forms, m
-        last = f"level-{d} complex inexact at stages {rep['inexact_at']}"
+        inexact = check_exact(K)["inexact_at"]
+        if not inexact:
+            return forms, K
+        del K  # one complex alive at a time
+        last = f"level-{d} complex inexact at stages {inexact}"
     raise RuntimeError(f"no valid invariant forms found: {last}")
 
 
@@ -160,9 +176,9 @@ class KoszulComplex:
     term of two or more copies is a block-diagonal copy.  Dimensions (`dim`)
     need no module.
 
-    No dense tau is stored.  `mults[r][i]` holds the nonzero entries
-    (rows, cols, vals) of M_i, multiplication by forms[i] from the Sym degree
-    of C_(r+1) to that of C_r (`mult` gives it dense).  `faces[r]` lists the
+    No dense tau is stored.  `mults[r][i]` holds the shift form (R, v) of
+    M_i, multiplication by forms[i] from the Sym degree of C_(r+1) to that
+    of C_r (`mul_form_entries`; `mult` gives it dense).  `faces[r]` lists the
     nonzero blocks of tau_(r+1) as (T, S, sign, i), T and S positions in
     `subsets`: for i = S[l], the block in row block S - {i} and column block
     S is (-1)^l M_i.  From these two, `_echelon` scatters the rows it
@@ -170,8 +186,10 @@ class KoszulComplex:
 
     `echelons` caches one forward echelon form per map, of the map
     transposed, with its pivots; ranks and exactness (`is_exact`) read the
-    pivot count.  Maps are eliminated top-down, each on the rows the pivots
-    of the map above leave free (`_echelon`).  The indices in `reduced` mark
+    pivot count.  Each map is eliminated on the rows that the pivots of the
+    map above leave free, and tau_1 on those the signature leads leave free
+    (`_echelon`); `leads` memoizes the lead sets (`_leads`), and rank tau_2
+    reads their count when it can (`rank`).  The indices in `reduced` mark
     forms back-substituted in place into the RREF (`image_rref`), whose
     first rank rows are the canonical basis of the image: the quotients
     Q_s = C_s / im tau_(s+1) (`quotient`) and, at exact spots, the kernels
@@ -185,10 +203,11 @@ class KoszulComplex:
     t: int
     forms: list[np.ndarray]
     syms: list[list[np.ndarray]]  # syms[r]: Sym^(m(t-r)+j) of each generator
-    mults: list[list[tuple]]      # mults[r][i]: entries of M_i out of C_(r+1)'s degree
+    mults: list[list[tuple]]      # mults[r][i]: (R, v) of M_i out of C_(r+1)'s degree
     faces: list[list[tuple[int, int, int, int]]]  # faces[r]: blocks of tau_(r+1)
     subsets: list[list[tuple[int, ...]]]
     echelons: dict = field(default_factory=dict)
+    leads: dict = field(default_factory=dict)  # (k, r) -> Leads(k) in C_r's degree
     reduced: set = field(default_factory=set)
     built: dict = field(default_factory=dict)  # r -> C_r, once read
 
@@ -227,28 +246,74 @@ class KoszulComplex:
         at = np.cumsum(keep) - 1  # output row of each kept coordinate
         out = la.zeros(int(at[-1]) + 1, self.dim(r))
         for T, S, sign, i in self.faces[r]:
-            rows, cols, vals = self.mults[r][i]
-            c = S * src + cols
-            sel = keep[c]
-            out[at[c[sel]], T * dst + rows[sel]] = vals[sel] if sign > 0 else F.vec_neg(vals[sel])
+            R, v = self.mults[r][i]
+            a = np.flatnonzero(keep[S * src:(S + 1) * src])
+            out[at[S * src + a], T * dst + R[:, a]] = (v if sign > 0 else F.vec_neg(v))[:, None]
         return out
 
     def map(self, r: int) -> np.ndarray:
         """tau_(r+1) : C_(r+1) -> C_r as a dense matrix, assembled on each call."""
         return self._transposed_rows(r, np.ones(self.dim(r + 1), dtype=bool)).T
 
+    def _leads(self, k: int, r: int) -> np.ndarray:
+        """Leads(k) in the degree of C_r: the pivot columns of the rows
+        f_i z^a, i >= k, z^a in the degree of C_(r+1); memoized.
+
+        The rows span that degree of the ideal (f_k, f_(k+1), ...), so these
+        are the leading positions of its nonzero elements.  The rows of f_i
+        at z^a in Leads(i+1) one degree down are dropped before eliminating
+        (Faugere's F5 signature criterion): z^a leads some monic g in
+        (f_(i+1), ...), and f_i z^a = f_i g - f_i (g - z^a), where f_i g is a
+        sum of rows of later forms (the forms commute, `_verify_complex`) and
+        g - z^a holds only later monomials.  By descending induction on a the
+        dropped rows lie in the span of the kept ones, so the pivots are
+        those of all the rows.  Empty from C_top on, and past the last form.
+        """
+        if (k, r) not in self.leads:
+            rows = []
+            if r < self.top:
+                for i in range(k, self.d):
+                    keep = np.ones(self.block_dim(r + 1), dtype=bool)
+                    keep[self._leads(i + 1, r + 1)] = False
+                    rows.append(self.mult(r, i).T[keep])
+            A = np.vstack(rows) if rows else la.zeros(0, 0)
+            self.leads[k, r] = np.array(
+                la.forward_echelon(self.group.field, A, overwrite=True)[1], dtype=np.int64)
+        return self.leads[k, r]
+
+    def _signature_leads(self) -> np.ndarray:
+        """L: block i of C_1 at Leads(i+1), the coordinates where the
+        signature rule finds a leading entry of im tau_2.
+
+        tau_2 sends h e_(i,k), i < k, to h f_i e_k - h f_k e_i, so the
+        elements of im tau_2 that vanish on the blocks before i have, in block
+        i, every element of the ideal (f_(i+1), f_(i+2), ...): L lies within
+        the pivots of im tau_2, for any forms.  For a regular sequence the
+        signature rule misses no syzygy and L is those pivots exactly.
+        """
+        n = self.block_dim(1)
+        return np.concatenate([i * n + self._leads(i + 1, 1) for i in range(self.copies(1))])
+
     def _echelon(self, r: int):
         """Cached forward echelon form of tau_(r+1) transposed: (W, pivots).
 
-        Only the rows outside the pivots of tau_(r+2) (all rows for the top
-        map) are scattered, into the array that is then eliminated in place;
-        they span the row space since tau o tau = 0 (`_verify_complex`).  So
-        the pivots are the whole map's, but W may have fewer than
-        dim C_(r+1) rows; only its first rank rows are read.
+        Only the rows outside a set of leading positions of im tau_(r+2) are
+        scattered, into the array that is then eliminated in place: for
+        r >= 1 the pivots of tau_(r+2), and for tau_1 the signature leads L
+        (`_signature_leads`), so tau_2 is not eliminated for it.  A leading
+        position c of some w in im tau_(r+2) can be dropped: tau_(r+1) kills
+        w (tau o tau = 0, `_verify_complex`), and e_c is w, scaled to lead
+        with 1, less coordinates after c, so by descending induction the kept
+        rows span the row space.
+        So the pivots are the whole map's, but W may have fewer than
+        dim C_(r+1) rows; only its first rank rows are read.  The top map
+        keeps all its rows.
         """
         if r not in self.echelons:
             keep = np.ones(self.dim(r + 1), dtype=bool)
-            if r + 1 < self.top:
+            if r == 0:
+                keep[self._signature_leads()] = False
+            elif r + 1 < self.top:
                 keep[self._echelon(r + 1)[1]] = False
             self.echelons[r] = la.forward_echelon(
                 self.group.field, self._transposed_rows(r, keep), overwrite=True)
@@ -270,8 +335,21 @@ class KoszulComplex:
         return W, len(piv), piv
 
     def rank(self, r: int) -> int:
-        """rank tau_(r+1); 0 at the top, where no map leaves C_top."""
-        return len(self._echelon(r)[1]) if r < self.top else 0
+        """rank tau_(r+1); 0 at the top, where no map leaves C_top.
+
+        rank tau_2 is |L| (`_signature_leads`) when |L| = dim C_1 - rank tau_1,
+        with no elimination of tau_2: L lies within the pivots of im tau_2,
+        and im tau_2 lies within ker tau_1, so |L| <= rank tau_2 <=
+        dim ker tau_1, and equal ends pin it.  Otherwise (an inexact spot, or
+        forms the signature rule does not certify) tau_2 is eliminated.
+        """
+        if r >= self.top:
+            return 0
+        if r == 1 and r not in self.echelons:
+            n = len(self._signature_leads())
+            if n == self.dim(1) - self.rank(0):
+                return n
+        return len(self._echelon(r)[1])
 
     def is_exact(self, r: int) -> bool:
         """ker tau_r == im tau_(r+1), 1 <= r <= top: both lie in C_r and
@@ -324,9 +402,9 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
 
     Each form's multiplication entries are computed once per map
     (`mul_form_entries`) and placed by the subset rule (`faces`); no dense
-    map is assembled.  Verifies tau o tau = 0 and equivariance against every
-    generator (`_verify_complex`); both are exact matrix identities, not
-    spot checks.  No term module is built here.
+    map is assembled.  Verifies tau o tau = 0, term by term, and
+    equivariance against every generator (`_verify_complex`); both are
+    exact matrix identities, not spot checks.  No term module is built here.
     """
     d = len(forms)
     m = G.order
@@ -356,33 +434,50 @@ def _block_equivariance(F: Field, M: np.ndarray, S_src: np.ndarray, S_dst: np.nd
         raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
-def _paths_vanish(K: KoszulComplex, r: int, terms: tuple) -> bool:
-    """Whether sum c * M_i M_i' over `terms`, ((i, i'), c) pairs with M_i of
-    tau_(r+1) and M_i' of tau_(r+2), is zero."""
+def _well_placed(R: np.ndarray, m: int) -> bool:
+    """Whether the rows R of a shift form lie in range(m) and are distinct
+    in each column, so that the dense matrix is the sum of its terms."""
+    S = np.sort(R, axis=0)
+    return not S.size or (S[0].min() >= 0 and S[-1].max() < m and bool(np.all(S[1:] != S[:-1])))
+
+
+def _commute_termwise(K: KoszulComplex, r: int, a: int, b: int) -> bool:
+    """Whether M_a(hi) M_b(lo) and M_b(hi) M_a(lo) have the same terms, hi
+    the blocks of tau_(r+1) and lo those of tau_(r+2).
+
+    With the shift forms (R, v), M_a(hi) M_b(lo) is the sum over (l, l', c)
+    of v_a(hi)[l] v_b(lo)[l'] at (R_a(hi)[l, R_b(lo)[l', c]], c).  The other
+    product's terms are indexed (l', l, c); equal rows and values under that
+    swap make the two sums the same, term by term.  No matrix is multiplied.
+    """
     F = K.group.field
-    acc = None
-    for (i, i2), c in terms:
-        P = la.mat_mul(F, K.mult(r, i), F.vec_mul(K.mult(r + 1, i2), np.int64(c)))
-        acc = P if acc is None else F.vec_add(acc, P)
-    return acc is None or not np.any(acc)
+    (Ra, va), (Rb, vb) = K.mults[r][a], K.mults[r][b]
+    (Ra_lo, va_lo), (Rb_lo, vb_lo) = K.mults[r + 1][a], K.mults[r + 1][b]
+    return (np.array_equal(Ra[:, Rb_lo], Rb[:, Ra_lo].swapaxes(0, 1))
+            and np.array_equal(F.vec_mul(va[:, None], vb_lo[None, :]),
+                               F.vec_mul(vb[:, None], va_lo[None, :]).T))
 
 
 def _verify_complex(K: KoszulComplex):
     """Exact identity checks on the blocks of the complex; no dense map.
 
-    tau o tau = 0, block by block.  Block (T, S) of tau_(r+1) o tau_(r+2) is
-    the sum over the paths S -> S' -> T of the two maps' faces:
-    sign' * sign * M_i M_i' for a face (S', S, sign', i') of tau_(r+2) and a
-    face (T, S', sign, i) of tau_(r+1).  By the subset rule T = S - {a, b}
-    with a < b at positions k < l of S, and its two paths remove a then b,
-    with signs (-1)^k (-1)^(l-1), or b then a, with (-1)^l (-1)^k: opposite.
-    So the block is +-(M_a M_b - M_b M_a), zero exactly when
-    M_a(hi) M_b(lo) == M_b(hi) M_a(lo), hi the block of tau_(r+1) and lo
-    that of tau_(r+2).  Each such equation is checked once per (r, {a, b}),
-    and no zero block of either map is multiplied.  The signs are read off
-    the faces, not assumed: each block sums its path coefficients in the
-    field (`_paths_vanish`), so its verdict is the dense product's whatever
-    the faces hold.
+    tau o tau = 0, term by term, with no product.  Block (T, S) of
+    tau_(r+1) o tau_(r+2) is the sum over the paths S -> S' -> T of the two
+    maps' faces: c * M_i(hi) M_i'(lo), c the summed signs of the faces
+    (S', S, sign', i') of tau_(r+2) and (T, S', sign, i) of tau_(r+1), hi
+    the blocks of tau_(r+1) and lo those of tau_(r+2).  The complex is
+    accepted only when, in every block, the coefficients of (a, b) and
+    (b, a) cancel mod p and no (a, a) path is left, so the block is a sum of
+    c * (M_a(hi) M_b(lo) - M_b(hi) M_a(lo)); and when, for each (r, {a, b})
+    with a live coefficient, those two products have the same terms
+    (`_commute_termwise`) on entries at distinct positions (`_well_placed`).
+    Then every block is zero as a dense matrix: the check never accepts a
+    complex whose dense composite is nonzero.  By the subset rule
+    T = S - {a, b} with a < b at positions k < l of S, and its two paths
+    remove a then b, with signs (-1)^k (-1)^(l-1), or b then a, with
+    (-1)^l (-1)^k: opposite.  The signs are read off the faces, not assumed.
+    And multiplications by forms commute term by term: both products put
+    f_a[b_l] f_b[b'_l'] at the monomial z^(b_l + b'_l' + c).
 
     Equivariance: every rho is block diagonal with one Sym matrix repeated
     and every tau block is a signed multiplication map, so the full identity
@@ -391,6 +486,10 @@ def _verify_complex(K: KoszulComplex):
     no term module is built.
     """
     F = K.group.field
+    for r in range(K.top):
+        for i, (R, _) in enumerate(K.mults[r]):
+            if not _well_placed(R, K.block_dim(r)):
+                raise AssertionError(f"entries of M_{i} into C_{r} overlap or leave it")
     for r in range(K.top - 1):
         out_of = defaultdict(list)  # faces of tau_(r+1) by column block
         for T, S, sign, i in K.faces[r]:
@@ -399,17 +498,16 @@ def _verify_complex(K: KoszulComplex):
         for S1, S, sign1, i1 in K.faces[r + 1]:
             for T, sign, i in out_of[S1]:
                 paths[T, S][i, i1] += sign * sign1
-        checked = set()
+        pairs = set()
         for coeffs in paths.values():
-            live = [(pair, c % F.p) for pair, c in sorted(coeffs.items()) if c % F.p]
-            # a unit multiple vanishes with the block: scale the first to 1,
-            # so the blocks of T and of S that differ by a sign share one check
-            unit = pow(live[0][1], -1, F.p) if live else 1
-            terms = tuple((pair, c * unit % F.p) for pair, c in live)
-            if terms not in checked:
-                checked.add(terms)
-                if not _paths_vanish(K, r, terms):
+            for (a, b), c in coeffs.items():
+                if (c + (coeffs[b, a] if a != b else 0)) % F.p:
                     raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
+                if a != b and c % F.p:
+                    pairs.add((min(a, b), max(a, b)))
+        for a, b in sorted(pairs):
+            if not _commute_termwise(K, r, a, b):
+                raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
     for r in range(K.top):
         for i in range(len(K.forms)):
             M = K.mult(r, i)

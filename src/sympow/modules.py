@@ -431,12 +431,12 @@ def _peel_trace(M: ModuleRep):
 
     Pivot preimages of the trace span a maximal free summand in one round
     (the trace rank IS the free rank over a p-group).  Only the trace's
-    pivot columns are needed, so it is eliminated forward only
-    (`la.pivot_columns`).
+    pivot columns are needed, so the sum, a fresh array (|G| > 1 actions),
+    is eliminated forward only, in place.
     """
     G, F = M.group, M.field
     acts = M.orbit(la.identity(M.dim))
-    pivT = la.pivot_columns(F, _trace(F, acts))
+    pivT = la.forward_echelon(F, _trace(F, acts), overwrite=True)[1]
     rkT = len(pivT)
     if rkT == 0:
         return 0, M

@@ -468,23 +468,28 @@ def _run_growth(cfg: JobConfig, G: GroupData) -> dict:
 def _run_koszul(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> dict:
     """One report entry per (t, j) complex, t = d..d+2.
 
-    Each complex is built, checked and dropped inside `_koszul_entry`, so
-    at most one complex is alive at a time: the next one is built only
-    after the last is garbage.
+    The first complex, (d, 0), is the one `choose_forms` certified its forms
+    with.  Each complex is built, checked and dropped in turn, so at most one
+    complex is alive at a time: the next one is built only after the last is
+    garbage.
     """
     d = G.dim - 1
-    forms, m = kz.choose_forms(G, d, child_seed(cfg.seed, "forms"))
+    forms, K = kz.choose_forms(G, d, child_seed(cfg.seed, "forms"))
+    m = K.m
     js = range(m) if m <= 4 else range(2)
     seed = child_seed(cfg.seed, "koszul")
-    entries = [_koszul_entry(G, registry, vectors, forms, seed, t, j)
-               for t in range(d, d + 3) for j in js]
+    entries = []
+    for t in range(d, d + 3):
+        for j in js:
+            if K is None:
+                K = kz.build_complex(G, forms, t=t, j=j)
+            entries.append(_koszul_entry(registry, vectors, K, seed))
+            K = None
     return {"form_degree": m, "complexes": entries}
 
 
-def _koszul_entry(G: GroupData, registry: Registry, vectors, forms, seed: int,
-                  t: int, j: int) -> dict:
-    K = kz.build_complex(G, forms, t=t, j=j)
-    d, m = K.d, K.m
+def _koszul_entry(registry: Registry, vectors, K: kz.KoszulComplex, seed: int) -> dict:
+    d, m, t, j = K.d, K.m, K.t, K.j
     ex = kz.check_exact(K)
     sp = kz.check_split_stagewise(K, registry, seed, sym_vectors=vectors)
     entry = {

@@ -268,7 +268,8 @@ MU0_SPACE = 3
 def plane_data():
     F4 = make_field(2, 2)
     G = close_group(F4, [_mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
-    forms, m = choose_forms(G, 2, seed=11)
+    forms, K = choose_forms(G, 2, seed=11)
+    m = K.m
     reg = Registry(G)
     sv = {}
     for n in range(22):
@@ -307,7 +308,8 @@ def test_criterion_08_koszul_splitting_and_euler():
     F9 = make_field(3, 2)
     G3 = close_group(F9, [_mat([[0, 0, 1, 0], [1, 0, 0, 0],
                                 [0, 1, 0, 0], [0, 0, 0, 1]])])
-    forms3, m3 = choose_forms(G3, 3, seed=11)
+    forms3, K3 = choose_forms(G3, 3, seed=11)
+    m3 = K3.m
     assert m3 == 3
     reg3 = Registry(G3)
     sv3 = {}

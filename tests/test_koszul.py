@@ -46,8 +46,8 @@ SEED = 11
 def plane_fixture():
     F = make_field(2, 2)
     G = close_group(F, [np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)])
-    forms, m = choose_forms(G, 2, SEED)
-    return G, forms, m
+    forms, K = choose_forms(G, 2, SEED)
+    return G, forms, K.m
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,8 @@ def p3():
     P = np.zeros((4, 4), dtype=np.int64)
     P[[0, 1, 2, 3], [2, 0, 1, 3]] = 1
     G = close_group(F, [P])
-    forms, m = choose_forms(G, 3, SEED)
-    return G, forms, m
+    forms, K = choose_forms(G, 3, SEED)
+    return G, forms, K.m
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,8 @@ def complexes(plane, p3):
 def test_trivial_group_line_complex():
     F = make_field(3)
     G = close_group(F, [np.eye(2, dtype=np.int64)])
-    forms, m = choose_forms(G, 1, seed=4)
-    assert m == 1 and len(forms) == 1 and forms[0].shape == (2,)
+    forms, K = choose_forms(G, 1, seed=4)
+    assert K.m == 1 and len(forms) == 1 and forms[0].shape == (2,)
     for t in (1, 2, 5):
         K = build_complex(G, forms, t=t, j=0)
         assert [K.dim(r) for r in range(K.top + 1)] == [t + 1, t]
@@ -228,8 +228,9 @@ def p3_noncoker(p3):
     split.
     """
     G, _, _ = p3
-    forms, _ = choose_forms(G, 3, child_seed(1241856672, "forms"))
-    return build_complex(G, forms, t=3, j=0)
+    _, K = choose_forms(G, 3, child_seed(1241856672, "forms"))
+    assert (K.t, K.j) == (3, 0)
+    return K
 
 
 def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
@@ -270,43 +271,56 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
     assert verdicts["c"][0] is False
 
 
-def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
-    """Each map is eliminated forward once, top-down, on the rows the map
-    above leaves free; only RREFs that are read get reduced.
+def _count_eliminations(monkeypatch):
+    """Record the input shape of every forward elimination and
+    back-substitution from here on: (forward, back)."""
+    forward, back = [], []
+    real_forward, real_back = la.forward_echelon, la.back_substitute
+    monkeypatch.setattr(la, "forward_echelon",
+                        lambda F, A, **kw: forward.append(A.shape) or real_forward(F, A, **kw))
+    monkeypatch.setattr(la, "back_substitute",
+                        lambda F, W, pivots: back.append(W.shape) or real_back(F, W, pivots))
+    return forward, back
 
-    On the all-exact t = 3 complex the stages read Q_0, Q_2 and the ranks,
-    so tau_2 is never back-substituted; its kernel role is taken by
-    `image_rref(2)`.  Reading tau_2's RREF later (`kernel(0)`) finishes the
-    cached form and eliminates nothing forward again.
+
+def test_signature_leads_are_the_pivots_of_tau_2(complexes, p3_noncoker):
+    """L, the leading positions of im tau_2 that the signature rule finds,
+    is the pivot set of a full RREF of tau_2 transposed on every fixture
+    complex: the exact ones, whose forms are regular sequences, and the
+    repeated-form ones, whose only extra syzygy is the trivial one."""
+    for K in complexes + [p3_noncoker]:
+        assert K.top >= 2
+        piv = la.rref(K.group.field, K.map(1).T)[2]
+        assert K._signature_leads().tolist() == piv, (K.t, K.j)
+
+
+def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
+    """On an all-exact complex the ranks and every stage read never
+    eliminate the middle map: rank tau_2 is |L| and tau_1 drops the rows at
+    L.  tau_1 and tau_3 are each eliminated forward once, and only the
+    RREFs that are read are reduced.  Reading tau_2's RREF (`kernel(0)`)
+    eliminates it forward once, on the rows tau_3's pivots leave free.
     """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
+    F = G.field
     maps = [K.map(r) for r in range(K.top)]
-    ranks = [la.rank(G.field, A) for A in maps] + [0]
-    shapes = [(A.shape[1] - ranks[r + 1], A.shape[0]) for r, A in enumerate(maps)]
-    assert all(shapes[r][0] < maps[r].shape[1] for r in (0, 1))
-    forward, back = [], []
-    real_forward, real_back = la.forward_echelon, la.back_substitute
-
-    def counted_forward(F, A, **kwargs):
-        forward.append(A.shape)
-        return real_forward(F, A, **kwargs)
-
-    def counted_back(F, W, pivots):
-        back.append(W.shape)
-        return real_back(F, W, pivots)
-
-    monkeypatch.setattr(la, "forward_echelon", counted_forward)
-    monkeypatch.setattr(la, "back_substitute", counted_back)
+    ranks = [la.rank(F, A) for A in maps] + [0]
+    forward, back = _count_eliminations(monkeypatch)
     assert check_exact(K)["exact"] and K.top == 3
     K.cokernel()
     K.quotient(2)
     for r in range(1, K.top):
         K.kernel(r)
-    assert forward == shapes[::-1]
-    assert back == [shapes[0], shapes[2]]
+    by_map = [[x for x in forward if x[1] == A.shape[0]] for A in maps]
+    L = K._signature_leads()
+    assert by_map == [[(K.dim(1) - len(L), K.dim(0))], [], [(K.dim(3), K.dim(2))]]
+    assert len(L) == ranks[1] == K.rank(1)
+    assert back == [by_map[0][0], by_map[2][0]]
+    seen = len(forward)
     K.kernel(0)
-    assert forward == shapes[::-1] and back == [shapes[0], shapes[2], shapes[1]]
+    tau_2 = (K.dim(2) - ranks[2], K.dim(1))
+    assert forward[seen:] == [tau_2] and back[2:] == [tau_2]
 
 
 def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, monkeypatch):
@@ -314,37 +328,43 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
 
     Exact complexes over GF(4) and GF(9), the seed-43 complex (exact, with a
     cokernel that is not free) and the repeated-form complexes, which are
-    inexact.  Each map is eliminated once, top-down, on the rows of C_(r+1)
-    outside the pivots of im tau_(r+2), inexact spots included.
+    inexact.  tau_1 is eliminated on the rows outside L, and each other map
+    on the rows of C_(r+1) outside the pivots of im tau_(r+2), once.  rank
+    tau_2 eliminates tau_2 (the fallback) exactly when |L| falls short of
+    dim ker tau_1, here wherever exactness fails at 1.  L lies within the
+    pivots of tau_2 and equals them except with (f_0, f_1, f_1), whose
+    repeated pair the signature rule does not see.
     """
     G3, f3, _ = p3
     cases = [complexes[0], complexes[1], complexes[2], complexes[3],
              build_complex(G3, f3, t=4, j=2), p3_noncoker, complexes[4],
              build_complex(G3, [f3[0], f3[1], f3[1]], t=3, j=0)]
-    forward = []
-    real_forward = la.forward_echelon
-    monkeypatch.setattr(la, "forward_echelon",
-                        lambda F, A, **kw: forward.append(A.shape) or real_forward(F, A, **kw))
-    inexact_seen = 0
+    forward, _ = _count_eliminations(monkeypatch)
+    inexact_seen, short_leads = 0, 0
     for K in cases:
-        K = dataclasses.replace(K, echelons={}, reduced=set())
+        K = dataclasses.replace(K, echelons={}, reduced=set(), leads={})
         F = K.group.field
         maps = [K.map(r) for r in range(K.top)]
         full = [la.rref(F, A.T) for A in maps]
         ranks = [rk for _, rk, _ in full] + [0]
+        L = set(K._signature_leads().tolist())
+        assert L <= set(full[1][2])
+        short_leads += len(L) < ranks[1]
         forward.clear()
         assert [K.rank(r) for r in range(K.top)] == ranks[:-1]
         for r in range(1, K.top + 1):
             exact = K.dim(r) - ranks[r - 1] == ranks[r]
             assert K.is_exact(r) == exact
             inexact_seen += not exact
-        assert forward == [(A.shape[1] - ranks[r + 1], A.shape[0])
-                           for r, A in reversed(list(enumerate(maps)))]
+        tau_2_eliminated = [x for x in forward if x[1] == K.dim(1)]
+        assert bool(tau_2_eliminated) == (len(L) != K.dim(1) - ranks[0])
+        assert len(tau_2_eliminated) <= 1
+        assert [x for x in forward if x[1] == K.dim(0)] == [(K.dim(1) - len(L), K.dim(0))]
         for r, (R, rk, piv) in enumerate(full):
             got, got_rk, got_piv = K.image_rref(r)
             assert got_rk == rk and got_piv == piv
             assert np.array_equal(got[:rk], R[:rk]) and not np.any(got[rk:])
-    assert inexact_seen == 3
+    assert inexact_seen == 3 and short_leads == 1
 
 
 def _dense_verdict(K):
@@ -365,47 +385,88 @@ def _block_verdict(K):
     return None
 
 
-def _flip_sign(face):
-    T, S, sign, i = face
-    return T, S, -sign, i
+def _faces_changed(K, change):
+    """K with the first face of tau_2 changed by `change`."""
+    faces = [list(f) for f in K.faces]
+    faces[1][0] = change(*faces[1][0])
+    return dataclasses.replace(K, faces=faces)
 
 
-def _other_form(face):
-    T, S, sign, i = face
-    return T, S, sign, (i + 1) % 3  # the P^3 fixture has three forms
+def _mults_changed(K, change):
+    """K with the shift form of M_0 in tau_2 replaced by `change(K, R, v)`."""
+    mults = [list(level) for level in K.mults]
+    mults[1][0] = change(K, *mults[1][0])
+    return dataclasses.replace(K, mults=mults)
 
 
-@pytest.mark.parametrize("fixture, damage, verdict", [
-    ("p3", _flip_sign, "tau_1 o tau_2"),
-    ("p3", _other_form, "tau_1 o tau_2"),
-    ("plane", _flip_sign, None),
-], ids=["sign", "form", "sign-char-2"])
-def test_verify_complex_rejects_a_damaged_block(request, fixture, damage, verdict):
-    """One block of tau_2 with its sign flipped, or taken from the next
-    form: the block checks give the dense product's verdict.  Over GF(9)
-    both reject it; over GF(4) a flipped sign changes nothing."""
+def _row_moved(K, R, v, overlap=False):
+    """R with its first entry moved onto the next row of its column, or
+    onto the first row the column does not hold."""
+    R = R.copy()
+    R[0, 0] = R[1, 0] if overlap else min(set(range(K.block_dim(1))) - set(R[:, 0].tolist()))
+    return R, v
+
+
+def _coefficient_changed(K, R, v):
+    v = v.copy()
+    v[0] = v[0] % (K.group.field.q - 1) + 1  # another nonzero code
+    return R, v
+
+
+DAMAGES = {
+    "sign": lambda K: _faces_changed(K, lambda T, S, sign, i: (T, S, -sign, i)),
+    # the P^3 fixture has three forms
+    "form": lambda K: _faces_changed(K, lambda T, S, sign, i: (T, S, sign, (i + 1) % 3)),
+    "row": lambda K: _mults_changed(K, _row_moved),
+    "row-overlap": lambda K: _mults_changed(K, lambda K, R, v: _row_moved(K, R, v, True)),
+    "coefficient": lambda K: _mults_changed(K, _coefficient_changed),
+    "level": lambda K: _mults_changed(K, lambda K, R, v: K.mults[1][1]),
+}
+
+
+OVERLAP = "entries of M_0 into C_1 overlap or leave it"
+
+
+@pytest.mark.parametrize("fixture, damage, verdict, rejected_by", [
+    ("p3", "sign", "tau_1 o tau_2", "tau_1 o tau_2"),
+    ("p3", "form", "tau_1 o tau_2", "tau_1 o tau_2"),
+    ("plane", "sign", None, None),
+    ("p3", "row", "tau_1 o tau_2", "tau_1 o tau_2"),
+    ("p3", "row-overlap", "tau_1 o tau_2", OVERLAP),
+    ("p3", "coefficient", "tau_1 o tau_2", "tau_1 o tau_2"),
+    ("p3", "level", "tau_1 o tau_2", "tau_1 o tau_2"),
+], ids=["sign", "form", "sign-char-2", "row", "row-overlap", "coefficient", "level"])
+def test_verify_complex_rejects_a_damaged_block(request, fixture, damage, verdict, rejected_by):
+    """One block of tau_2 damaged: a face's sign flipped, or its block taken
+    from the next form; or M_0's multiplication entries with one row index
+    moved (onto a row its column lacks, or onto one it holds), one
+    coefficient changed, or the whole level taken from form 1 (an invariant
+    form, so only the tau o tau check can see it).  The check passes only
+    where the dense composite is zero.  Over GF(9) every damage makes it
+    nonzero and is rejected, an entry moved onto another by the placement
+    check; over GF(4) a flipped sign changes nothing, and both pass."""
     G, forms, _ = request.getfixturevalue(fixture)
     K = build_complex(G, forms, t=3, j=0)
     assert _block_verdict(K) is None and _dense_verdict(K) is None
-    faces = [list(f) for f in K.faces]
-    faces[1][0] = damage(faces[1][0])
-    bad = dataclasses.replace(K, faces=faces)
+    bad = DAMAGES[damage](K)
     assert np.array_equal(bad.map(1), K.map(1)) == (verdict is None)
-    assert _block_verdict(bad) == _dense_verdict(bad) == verdict
+    assert _dense_verdict(bad) == verdict
+    assert _block_verdict(bad) == rejected_by
+    assert _block_verdict(bad) is not None or _dense_verdict(bad) is None
 
 
 def test_block_checks_run_once_per_map_and_pair(monkeypatch):
     """With four linear forms on P^4 the pair {a, b} meets several blocks of
-    each composite, with both signs; each (r, {a, b}) is multiplied once."""
+    each composite, with both signs; each (r, {a, b}) is checked once."""
     F = make_field(5)
     G = close_group(F, [la.identity(5)])
     forms, _ = choose_forms(G, 4, seed=3)
     calls = []
-    real = kz._paths_vanish
-    monkeypatch.setattr(kz, "_paths_vanish",
-                        lambda K, r, terms: calls.append((r, terms)) or real(K, r, terms))
+    real = kz._commute_termwise
+    monkeypatch.setattr(kz, "_commute_termwise",
+                        lambda K, r, a, b: calls.append((r, {a, b})) or real(K, r, a, b))
     K = build_complex(G, forms, t=4, j=0)
-    pairs = [(r, frozenset(i for pair, _ in terms for i in pair)) for r, terms in calls]
+    pairs = [(r, frozenset(ab)) for r, ab in calls]
     assert len(pairs) == len(set(pairs)) == (K.top - 1) * math.comb(4, 2)
     for r in range(K.top - 1):
         assert not np.any(la.mat_mul(F, K.map(r), K.map(r + 1)))
@@ -444,6 +505,8 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
 
     monkeypatch.setattr(la, "_mm_kron", dense)
     monkeypatch.setattr(la, "_mm_xpow", dense)
+    # the build's checks: tau o tau term by term, equivariance by gathers
+    build_complex(G, forms, t=3, j=1)
     ker = module_on_basis(K.term(1), Kb, lead, verify=False)
     assert all(np.array_equal(X, Y) for X, Y in zip(ker.mats, expect))
     _block_equivariance(F, M, P, G.sym(4 + m)[0], 0)
@@ -470,24 +533,29 @@ def test_stagewise_accepts_precomputed_sym_vectors(plane):
 
 def test_koszul_stage_holds_one_complex_at_a_time(plane, monkeypatch):
     """`pipeline._run_koszul` drops each complex before it builds the next:
-    when a complex is built, every earlier one is garbage."""
+    when a complex is built, every earlier one is garbage.  The first entry
+    reports on the level-d complex `choose_forms` built, so (d, 0) is not
+    built again."""
     G, _, _ = plane
     built = []
     real = kz.build_complex
 
-    def tracked(*args, **kwargs):
+    def tracked(G, forms, t, j):
         gc.collect()
-        alive = [i for i, ref in enumerate(built) if ref() is not None]
+        alive = [i for i, (ref, _) in enumerate(built) if ref() is not None]
         assert not alive, f"complexes {alive} are still alive at build {len(built)}"
-        K = real(*args, **kwargs)
-        built.append(weakref.ref(K))
+        K = real(G, forms, t=t, j=j)
+        built.append((weakref.ref(K), (t, j)))
         return K
 
     monkeypatch.setattr(kz, "build_complex", tracked)
     cfg = JobConfig(p=2, e=2, generators=[], n_max=0, seed=SEED, checks=("koszul",))
     out = _run_koszul(cfg, G, Registry(G), None)
-    # choose_forms builds at least one complex, then one per (t, j)
-    assert len(out["complexes"]) == 6 and len(built) >= 7
+    levels = [(c["t"], c["j"]) for c in out["complexes"]]
+    # choose_forms builds (2, 0) at least once, then one complex per other (t, j)
+    assert levels == [(t, j) for t in (2, 3, 4) for j in (0, 1)]
+    assert [tj for _, tj in built[-5:]] == levels[1:]
+    assert all(tj == (2, 0) for _, tj in built[:-5])
 
 
 def test_terms_are_built_only_when_read(p3, monkeypatch):
