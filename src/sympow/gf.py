@@ -19,7 +19,9 @@ share one distinct-degree loop, `_frobenius_gcds`.
 
 Vectorized variants (vec_add and friends) act elementwise on numpy int64
 arrays of codes and are the substrate for the linalg layer.  Past TABLE_CAP
-they work on base-p digit layers and multiply through `times_x`.
+they work on base-p digit layers and multiply through `times_x`.  Elimination
+makes one scalar call, `Field.inv` per pivot; its additions, products and
+negations all go through the vector ops, never scalar `add`, `mul` or `neg`.
 """
 
 from __future__ import annotations
@@ -283,10 +285,11 @@ class Field:
         return self.join_layers(self.split_layers(a) + self.split_layers(b))
 
     def vec_add_into(self, out: np.ndarray, b: np.ndarray) -> None:
-        """out[...] = out + b in place; b (int64, out's shape) is scratch."""
-        if self.e == 1 or self.q > TABLE_CAP:
-            out[...] = self.vec_add(out, b)
-            return
+        """out[...] = out + b in place; b (int64, out's shape) is scratch.
+
+        Only for a field with op tables: an extension field of at most
+        TABLE_CAP elements, as every Kronecker-packed GF(p^2) is.
+        """
         # the add table is symmetric, so index b*q + a gives a + b; take
         # reads each index before it overwrites that slot
         b *= self.q

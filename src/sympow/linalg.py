@@ -17,6 +17,11 @@ reference `_echelon_naive` in `tests/oracles.py`: it reassociates the work
 into matrix products, and with the pivots fixed the echelon form, reduced or
 not, is unique.  Differential tests keep the two in lockstep.  A caller that may need only
 the pivots keeps the forward form and back-substitutes it later, if at all.
+Outside the products, elimination runs on Field's vector ops, the same for
+every field: a panel's pivot rows reach the rest through the inverse of its
+lower-triangular multiplier block, built by forward substitution one column
+at a time (`_invert_lower`), and the only scalar call is `Field.inv` on each
+pivot.
 
 Matrix text format: a `rows cols` header line, then one row per line of
 scalar serializations separated by spaces.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FUSED_CAP, TABLE_CAP, Field, _mod_p
+from .gf import Field, _mod_p
 
 _PANEL = 128
 # from this many entries on, elimination splits panels and back-substitution
@@ -210,50 +215,23 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _mm_xpow(F, A, B)
 
 
-def _scalar_ops(F: Field):
-    """(muladd, finish) on codes: a + m*t, and -a*s, for `_invert_lower`.
-
-    Over GF(p) the sums stay plain integers until `finish` reduces them.
-    """
-    if F.e == 1:
-        p = F.p
-        return (lambda a, m, t: a + m * t), (lambda a, s: -a * s % p)
-    if F.q <= TABLE_CAP:
-        q = F.q
-        add, _, mul, neg, _ = F._tables()
-        if q <= FUSED_CAP:
-            add, mul, neg = add.tolist(), mul.tolist(), neg.tolist()
-        return (lambda a, m, t: add[a * q + mul[m * q + t]]), (lambda a, s: neg[mul[s * q + a]])
-    return (lambda a, m, t: F.add(a, F.mul(m, t))), (lambda a, s: F.neg(F.mul(s, a)))
-
-
 def _invert_lower(F: Field, M: np.ndarray, T: np.ndarray, t0: int, t1: int) -> None:
     """Set T[t0:t1, t0:t1] to the inverse of diag(1/s) + (the strict lower part of M).
 
-    The scales s sit on T's diagonal already.  With T the inverse, row j of
-    T @ U is s[j] * (U[j] - M[j, :j] @ (T @ U)[:j]): the panel's own row
-    operations, done to the trailing part of its pivot rows in one product.
-    Small blocks go entry by entry; larger ones are halved and joined.
+    The scales s sit on T's diagonal already, and T is zero below it.  With
+    T the inverse, row j of T @ U is s[j] * (U[j] - M[j, :j] @ (T @ U)[:j]):
+    the panel's own row operations, done to the trailing part of its pivot
+    rows in one product.  Forward substitution by columns: once column l of
+    M is reached, row l of T is final, and the rows below it take
+    s * M[:, l] times that row away, one vector op per column.
     """
-    if t1 - t0 > _LEAF:
-        h = (t0 + t1) // 2
-        _invert_lower(F, M, T, t0, h)
-        _invert_lower(F, M, T, h, t1)
-        _join_lower(F, M, T, t0, h, t1)
-        return
-    L = M[t0:t1, t0:t1].tolist()
-    out = T[t0:t1, t0:t1].tolist()
-    muladd, finish = _scalar_ops(F)
-    for j in range(1, t1 - t0):
-        row = out[j]
-        for l, m in enumerate(L[j][:j]):
-            if m:
-                for c, t in enumerate(out[l][:l + 1]):
-                    if t:
-                        row[c] = muladd(row[c], m, t)
-        for c in range(j):
-            row[c] = finish(row[c], row[j])
-    T[t0:t1, t0:t1] = out
+    B = T[t0:t1, t0:t1]
+    S = F.vec_mul(B.diagonal()[:, None], M[t0:t1, t0:t1])  # row j scaled by s[j]
+    for l in range(t1 - t0 - 1):
+        mult = S[l + 1:, l]
+        if mult.any():
+            B[l + 1:, :l + 1] = F.vec_submul(B[l + 1:, :l + 1], mult[:, None],
+                                             B[l, :l + 1][None, :])
 
 
 def _join_lower(F: Field, M: np.ndarray, T: np.ndarray, t0: int, t1: int, t2: int) -> None:
@@ -398,16 +376,16 @@ def _clear_above(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarray,
             W[rows_idx, c:] = F.vec_submul(W[rows_idx, c:], above[nz][:, None], W[j, c:][None, :])
 
 
-def _leaf(W: np.ndarray, panel: int) -> int:
-    return _LEAF if W.size >= _SPLIT_CELLS else panel
+def _leaf(W: np.ndarray) -> int:
+    return _LEAF if W.size >= _SPLIT_CELLS else _PANEL
 
 
-def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL, overwrite: bool = False):
+def forward_echelon(F: Field, A: np.ndarray, overwrite: bool = False):
     """Blocked forward elimination of a copy of A; returns (W, pivots).
 
     W is the row echelon form `oracles._echelon_naive(F, A, reduce=False)` gives:
     leading entries 1, zeros below them, nothing cleared above.  Columns go
-    in panels of `panel`; each panel's pivots reach the columns right of it
+    in panels of _PANEL; each panel's pivots reach the columns right of it
     through two products (`_apply_pivots`).  From _SPLIT_CELLS entries on,
     panels split recursively down to _LEAF columns, so nearly all the work
     runs as matrix products.  `back_substitute` finishes W into the RREF.
@@ -416,12 +394,12 @@ def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL, overwrite: boo
     """
     W = A.astype(np.int64, copy=not overwrite)
     m, n = W.shape
-    leaf = _leaf(W, panel)
+    leaf = _leaf(W)
     pivots: list[int] = []
     r = 0
     c0 = 0
     while r < m and c0 < n:
-        c1 = min(c0 + panel, n)
+        c1 = min(c0 + _PANEL, n)
         base = r
         k = min(c1 - c0, m - base)  # most pivots this panel can hold
         # multiplier buffer, rows aligned with W[base:] through every swap
@@ -435,7 +413,7 @@ def forward_echelon(F: Field, A: np.ndarray, panel: int = _PANEL, overwrite: boo
     return W, pivots
 
 
-def back_substitute(F: Field, W: np.ndarray, pivots: list[int], panel: int = _PANEL) -> None:
+def back_substitute(F: Field, W: np.ndarray, pivots: list[int]) -> None:
     """Turn a `forward_echelon` form W into the RREF of the same rows, in place.
 
     With the pivots fixed the reduced form is unique, so this is the RREF
@@ -445,7 +423,7 @@ def back_substitute(F: Field, W: np.ndarray, pivots: list[int], panel: int = _PA
     if pivots:
         free = np.ones(W.shape[1], dtype=bool)
         free[pivots] = False
-        _clear_above(F, W, pivots, np.flatnonzero(free), 0, len(pivots), _leaf(W, panel))
+        _clear_above(F, W, pivots, np.flatnonzero(free), 0, len(pivots), _leaf(W))
 
 
 def rref(F: Field, A: np.ndarray):
@@ -610,6 +588,8 @@ def mat_to_text(F: Field, A: np.ndarray) -> str:
 
 def mat_from_text(F: Field, text: str) -> np.ndarray:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
     try:
         m, n = (int(t) for t in lines[0].split())
     except Exception as exc:

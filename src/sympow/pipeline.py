@@ -135,6 +135,8 @@ def config_from_dict(raw: dict) -> JobConfig:
             raise ConfigError(f"generator {i}: {exc}") from None
         if A.shape[0] != A.shape[1]:
             raise ConfigError(f"generator {i} is not square: shape {A.shape}")
+        if not A.shape[0]:
+            raise ConfigError(f"generator {i} has size 0")
         if size is None:
             size = A.shape[0]
         elif A.shape[0] != size:

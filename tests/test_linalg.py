@@ -112,18 +112,19 @@ def test_jordan_conjugation_invariance(F):
         assert sum(part) == n
 
 
-def _blocked(F, A, reduce, **panel):
+def _blocked(F, A, reduce):
     """The blocked elimination: the forward pass, then back-substitution with `reduce`."""
-    W, pivots = la.forward_echelon(F, A, **panel)
+    W, pivots = la.forward_echelon(F, A)
     if reduce:
-        la.back_substitute(F, W, pivots, **panel)
+        la.back_substitute(F, W, pivots)
     return W, pivots
 
 
 @pytest.mark.parametrize("F", FIELDS + [make_field(3, 2), make_field(3, 5), make_field(23, 2)],
                          ids=str)
-def test_blocked_vs_naive_differential(F):
+def test_blocked_vs_naive_differential(F, monkeypatch):
     """The panel-blocked elimination must match the reference exactly."""
+    monkeypatch.setattr(la, "_PANEL", 16)
     rng = np.random.default_rng(4242 + F.q)
     shapes = [(1, 1), (5, 8), (8, 5), (70, 70), (130, 40), (40, 130), (150, 150)]
     for m, n in shapes:
@@ -134,13 +135,15 @@ def test_blocked_vs_naive_differential(F):
         if n > 3:
             A[:, 2] = 0
         for reduce in (False, True):
-            R1, p1 = _blocked(F, A, reduce, panel=16)
+            R1, p1 = _blocked(F, A, reduce)
             R2, p2 = _echelon_naive(F, A, reduce=reduce)
             assert p1 == p2, f"pivot mismatch on {m}x{n} over {F}"
             assert np.array_equal(R1, R2), f"echelon mismatch on {m}x{n} over {F}"
 
 
-@pytest.mark.parametrize("F", [F4, make_field(3, 2), F5], ids=str)
+# GF(3^5) has op tables but no fused ones, GF(23^2) works on digit layers
+@pytest.mark.parametrize("F", [F4, make_field(3, 2), F5, make_field(3, 5), make_field(23, 2)],
+                         ids=str)
 def test_recursive_vs_naive_differential(F):
     """Matrices past la._SPLIT_CELLS take the recursive elimination; it must
     match the reference exactly, pivots and entries, reduced or not."""
@@ -416,6 +419,9 @@ def test_matrix_text_roundtrip():
         assert np.array_equal(la.mat_from_text(F, text), A)
     with pytest.raises(ValueError):
         la.mat_from_text(F3, "2 2\n1 2\n0")
+    for empty in ("", " \n\n"):
+        with pytest.raises(ValueError, match="empty matrix text"):
+            la.mat_from_text(F3, empty)
 
 
 def test_min_poly_known_shapes():
