@@ -39,6 +39,7 @@ TABLE_CAP = 512
 FUSED_CAP = 64
 # from this many entries on, `_mod_p` reduces through division
 _REM_MIN = 2048
+_SPLIT_TRIES = 40  # random draws before the equal-degree split gives up
 
 
 class CapacityError(RuntimeError):
@@ -616,15 +617,15 @@ def _poly_saturate(F: Field, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return poly_gcd(F, f, power)
 
 
-def _equal_degree_divisor(F: Field, g: np.ndarray, i: int, rng, tries: int):
+def _equal_degree_divisor(F: Field, g: np.ndarray, i: int, rng):
     """Proper divisor of squarefree g whose irreducible factors all have degree i.
 
     Cantor-Zassenhaus randomization; g is guaranteed reducible by the caller,
-    so failure after `tries` draws is a coin-flip miracle reported as None.
+    so failure after _SPLIT_TRIES draws is a coin-flip miracle reported as None.
     """
     n = poly_deg(g)
     one = np.array([1], dtype=np.int64)
-    for _ in range(tries):
+    for _ in range(_SPLIT_TRIES):
         a = poly_trim(rng.integers(0, F.q, size=n).astype(np.int64))
         if poly_deg(a) < 1:
             continue
@@ -649,11 +650,11 @@ def _equal_degree_divisor(F: Field, g: np.ndarray, i: int, rng, tries: int):
     return None
 
 
-def poly_coprime_split(F: Field, f: np.ndarray, rng, tries: int = 40):
+def poly_coprime_split(F: Field, f: np.ndarray, rng):
     """Split monic f as (u, v) with u*v = f, gcd(u, v) = 1, both nonconstant.
 
     Returns None when f is a power of a single irreducible (certified, except
-    that the equal-degree step is randomized with failure odds ~2^-tries).
+    that the equal-degree step is randomized with failure odds ~2^-_SPLIT_TRIES).
     Scans rational roots first, then distinct-degree classes.
     """
     f = poly_monic(F, f)
@@ -675,7 +676,7 @@ def poly_coprime_split(F: Field, f: np.ndarray, rng, tries: int = 40):
             return u, poly_divmod(F, f, u)[0]
         if poly_deg(g) == i:
             return None  # single irreducible factor of degree i
-        t = _equal_degree_divisor(F, g, i, rng, tries)
+        t = _equal_degree_divisor(F, g, i, rng)
         if t is None:
             return None
         u = _poly_saturate(F, f, t)

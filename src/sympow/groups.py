@@ -66,7 +66,7 @@ class GroupData:
 
     # -- enumeration -----------------------------------------------------
 
-    def _close(self, cap: int):
+    def _close(self):
         F = self.field
         I = la.identity(self.dim)
         self.elements = [I]
@@ -88,8 +88,8 @@ class GroupData:
             frontier = []
             for k, Y, xi, gi in discovered:
                 idx = len(self.elements)
-                if idx >= cap:
-                    raise CapacityError(f"group order exceeds cap {cap}")
+                if idx >= GROUP_CAP:
+                    raise CapacityError(f"group order exceeds cap {GROUP_CAP}")
                 self.index[k] = idx
                 self.elements.append(Y)
                 self.words.append((xi, gi))
@@ -245,7 +245,7 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def close_group(F: Field, gens: list[np.ndarray], cap: int = GROUP_CAP) -> GroupData:
+def close_group(F: Field, gens: list[np.ndarray]) -> GroupData:
     """The group the generator matrices generate, closed.
 
     The generators must be at least one invertible square matrix over F, all
@@ -261,7 +261,7 @@ def close_group(F: Field, gens: list[np.ndarray], cap: int = GROUP_CAP) -> Group
         if la.rank(F, A) != A.shape[0]:
             raise ValueError(f"generator {i} is not invertible")
     G = GroupData(F, gens)
-    G._close(cap)
+    G._close()
     return G
 
 
@@ -348,7 +348,7 @@ def sym_dim(d1: int, n: int) -> int:
     return math.comb(n + d1 - 1, d1 - 1)
 
 
-def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
+def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start):
     """Yield (k, Sym^k(A)) for k = 0..n, holding one degree at a time.
 
     Degree k columns are built from degree k-1: the column of a monomial is
@@ -356,8 +356,8 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start=None):
     that variable's image.  Peeling the first positive exponent makes the
     recursion consistent, and grouping columns by peel variable vectorizes it.
 
-    start, when given, is a pair (k0, Sym^k0(A)) to resume from; yields then
-    begin at degree k0.
+    start is None, to begin at degree 0, or a pair (k0, Sym^k0(A)) to resume
+    from; yields then begin at degree k0.
     """
     d1 = A.shape[0]
     if sym_dim(d1, n) > SYM_DIM_CAP:

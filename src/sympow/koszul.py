@@ -27,7 +27,8 @@ tau o tau = 0 is proved term by term, with no product (`_verify_complex`):
 the faces' signs cancel in pairs, and the two products M_a M_b and M_b M_a
 put the same coefficient f_a[b_l] f_b[b'_l'] at the same monomial
 z^(b_l + b'_l' + c), which the shift forms show as equal index and value
-arrays.
+arrays.  G acts on the polynomial ring by graded ring automorphisms, so
+multiplication by an invariant form is a G-map: equivariance is the forms'.
 
 Each map is eliminated forward once, transposed, and that echelon form is
 kept: ranks and exactness read its pivot count alone.  Of tau_(r+1)
@@ -121,6 +122,7 @@ def form_product(F: Field, lin_forms: list[np.ndarray]) -> np.ndarray:
 
 
 def is_invariant_form(G: GroupData, form: np.ndarray, deg: int) -> bool:
+    """Whether g.f = f for every generator g: one Sym^deg(g) f product each."""
     F = G.field
     for S in G.sym(deg):
         if not np.array_equal(la.mat_mul(F, S, form[:, None])[:, 0], form):
@@ -132,19 +134,19 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], Kos
     """d independent invariant norm forms of degree #G, and their level-d
     complex (t = d, j = 0; its `m` is the degree).
 
-    Each form is the product of the G-orbit of a random linear form.
-    Invariance is verified against every generator, and independence is
-    certified by exactness of the level-d complex they define; failing
-    choices are resampled up to a fixed budget.  The complex is returned
-    built, verified and checked, for its caller to report on.
+    Each form is the product of the G-orbit of a random linear form,
+    Pi_g g.r, invariant by construction: a generator permutes the factors.
+    Independence is certified by exactness of the level-d complex they
+    define, whose build checks the invariance (`_verify_complex`); choices
+    whose complex is inexact are resampled up to a fixed budget.  The
+    complex is returned built, verified and checked, for its caller to
+    report on.
     """
     F = G.field
     d1 = G.dim
     if d1 != d + 1:
         raise ValueError("form count must match the projective dimension")
-    m = G.order
     rng = child_rng(seed, "forms", F.p, F.e, G.order)
-    last = "no attempt"
     for _ in range(FORM_ATTEMPTS):
         forms = []
         for _ in range(d):
@@ -153,16 +155,13 @@ def choose_forms(G: GroupData, d: int, seed: int) -> tuple[list[np.ndarray], Kos
                 r[0] = 1
             orbit = ModuleRep(G, G.gens).orbit(r[:, None])
             forms.append(form_product(F, [x[:, 0] for x in orbit]))
-        if not all(is_invariant_form(G, N, m) for N in forms):
-            last = "norm form failed the invariance identity"
-            continue
         K = build_complex(G, forms, t=d, j=0)
         inexact = check_exact(K)["inexact_at"]
         if not inexact:
             return forms, K
         del K  # one complex alive at a time
-        last = f"level-{d} complex inexact at stages {inexact}"
-    raise RuntimeError(f"no valid invariant forms found: {last}")
+    raise RuntimeError(f"no valid invariant forms found: level-{d} complex inexact "
+                       f"at stages {inexact}")
 
 
 @dataclass
@@ -401,10 +400,11 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
     """The complex's multiplication blocks over the group's Sym matrices.
 
     Each form's multiplication entries are computed once per map
-    (`mul_form_entries`) and placed by the subset rule (`faces`); no dense
-    map is assembled.  Verifies tau o tau = 0, term by term, and
-    equivariance against every generator (`_verify_complex`); both are
-    exact matrix identities, not spot checks.  No term module is built here.
+    (`mul_form_entries`) and placed by the subset rule (`faces`): every
+    block is made from `forms`, and no dense map is assembled.
+    `_verify_complex` decides tau o tau = 0 term by term, and equivariance
+    from the forms' invariance, multiplying no block; a form that is not
+    invariant raises AssertionError.  No term module is built here.
     """
     d = len(forms)
     m = G.order
@@ -425,13 +425,6 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
                       subsets=subsets)
     _verify_complex(K)
     return K
-
-
-def _block_equivariance(F: Field, M: np.ndarray, S_src: np.ndarray, S_dst: np.ndarray,
-                        gi: int):
-    """Check that the multiplication map M commutes with Sym(g): M S_src == S_dst M."""
-    if not np.array_equal(la.mat_mul(F, M, S_src), la.mat_mul(F, S_dst, M)):
-        raise AssertionError(f"multiplication by form is not equivariant for generator {gi}")
 
 
 def _well_placed(R: np.ndarray, m: int) -> bool:
@@ -479,11 +472,15 @@ def _verify_complex(K: KoszulComplex):
     And multiplications by forms commute term by term: both products put
     f_a[b_l] f_b[b'_l'] at the monomial z^(b_l + b'_l' + c).
 
-    Equivariance: every rho is block diagonal with one Sym matrix repeated
-    and every tau block is a signed multiplication map, so the full identity
-    holds exactly when each M_i commutes with the Sym action; that is
-    checked for every map, form and generator, on the Sym matrices alone:
-    no term module is built.
+    Equivariance, from the forms.  rho is block diagonal with one Sym
+    matrix repeated, and each tau block is a signed M_f, f in `K.forms`
+    (`build_complex`), so tau commutes with rho iff each M_f commutes with
+    Sym(g).  `sym_matrix_stream` builds Sym^*(g) as a ring automorphism: a
+    monomial's column is the product of its variables' images (pinned by
+    `test_sym_matrix_columns_expand_products_of_images`).  So
+    Sym^(k+m)(g)(f h) - f Sym^k(g)h = (g.f - f)(g.h), zero for all h iff
+    g.f = f: one Sym^m(g) f product per form and generator
+    (`is_invariant_form`), and no block is multiplied.
     """
     F = K.group.field
     for r in range(K.top):
@@ -508,11 +505,10 @@ def _verify_complex(K: KoszulComplex):
         for a, b in sorted(pairs):
             if not _commute_termwise(K, r, a, b):
                 raise AssertionError(f"tau_{r + 1} o tau_{r + 2} != 0")
-    for r in range(K.top):
-        for i in range(len(K.forms)):
-            M = K.mult(r, i)
-            for gi, (S_src, S_dst) in enumerate(zip(K.syms[r + 1], K.syms[r])):
-                _block_equivariance(F, M, S_src, S_dst, gi)
+    for i, f in enumerate(K.forms):
+        if not is_invariant_form(K.group, f, K.m):
+            raise AssertionError(f"form {i} is not invariant: multiplication by it "
+                                 "is not equivariant")
 
 
 def check_exact(K: KoszulComplex) -> dict:
@@ -534,7 +530,7 @@ def check_exact(K: KoszulComplex) -> dict:
 
 
 def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
-                          sym_vectors: dict[int, dict[int, int]] | None = None) -> dict:
+                          sym_vectors: dict[int, dict[int, int]] | None) -> dict:
     """Per-stage splitting verdicts plus freeness of the cokernel class.
 
     Stage r is 0 -> ker tau_r -> C_r -> C_r / ker tau_r -> 0, with
@@ -592,7 +588,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
             kdim = K.rank(r)
         else:
             Kb, lead = K.kernel(r - 1)
-            ker = module_on_basis(K.term(r), Kb, lead, verify=False)
+            ker = module_on_basis(K.term(r), Kb, lead)
             vker = decompose(ker, registry, seed)
             kdim = Kb.shape[1]
         kernel_vecs[r] = vker
@@ -619,7 +615,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
 
 
 def euler_identity(registry: Registry, sym_vectors: dict[int, dict[int, int]],
-                   d: int, m: int, j: int, t: int, seed: int = 0) -> dict:
+                   d: int, m: int, j: int, t: int, seed: int) -> dict:
     """Signed Euler class sum((-1)^r C(d,r) [Sym^(m(t-r)+j)]) and its free multiple."""
     if t < d:
         raise ValueError("euler identity needs t >= d")
@@ -633,7 +629,7 @@ def euler_identity(registry: Registry, sym_vectors: dict[int, dict[int, int]],
 
 
 def surface_progression_check(registry: Registry, sym_vectors: dict[int, dict[int, int]],
-                              m: int, j: int, t_range, seed: int = 0) -> dict:
+                              m: int, j: int, t_range, seed: int) -> dict:
     """Are first differences of nonfree classes along stride m eventually constant?"""
     ts = sorted(t_range)
     vecs = [nonfree(sym_vectors[m * t + j], registry, seed) for t in ts]

@@ -434,7 +434,7 @@ def rref(F: Field, A: np.ndarray):
 
 
 def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray,
-                need: int = 0):
+                need: int):
     """rref(F, vstack([R, S])) for R already in RREF with the given pivots.
 
     The new rows are reduced against R with one product, only their

@@ -94,27 +94,22 @@ def _colspace_canonical(F: Field, C: np.ndarray):
     return R[:rk].T.copy(), list(piv)
 
 
-def submodule(M: ModuleRep, C: np.ndarray, verify: bool = True) -> ModuleRep:
-    """The G-invariant column space of C as a module in a canonical basis."""
+def submodule(M: ModuleRep, C: np.ndarray) -> ModuleRep:
+    """The column space of C, which the caller knows to be G-invariant, as a
+    module in a canonical basis."""
     B, piv = _colspace_canonical(M.field, C)
-    return module_on_basis(M, B, piv, verify)
+    return module_on_basis(M, B, piv)
 
 
-def module_on_basis(M: ModuleRep, B: np.ndarray, piv: list[int],
-                    verify: bool = True) -> ModuleRep:
-    """The span of the canonical basis B (identity rows at piv) as a module.
+def module_on_basis(M: ModuleRep, B: np.ndarray, piv: list[int]) -> ModuleRep:
+    """The span of the canonical basis B (identity rows at piv), which the
+    caller knows to be G-invariant, as a module.
 
     Coordinates of any vector in the span are its entries at piv, so only
-    those rows of each A @ B are computed unless invariance is verified.
+    those rows of each A @ B are computed.
     """
     F = M.field
-    mats = []
-    for A in M.mats:
-        X = la.mat_mul(F, A[piv], B)
-        if verify and not np.array_equal(la.mat_mul(F, B, X), la.mat_mul(F, A, B)):
-            raise ValueError("column space is not invariant under the action")
-        mats.append(X)
-    return ModuleRep(M.group, mats)
+    return ModuleRep(M.group, [la.mat_mul(F, A[piv], B) for A in M.mats])
 
 
 # -- Fitting decomposition ----------------------------------------------------
@@ -147,7 +142,7 @@ def _ker_module(M: ModuleRep, U: np.ndarray) -> ModuleRep | None:
         return None
     pivset = set(piv)
     free = [c for c in range(M.dim) if c not in pivset]
-    return module_on_basis(M, la.kernel_from_rref(F, R, rk, piv, M.dim), free, verify=False)
+    return module_on_basis(M, la.kernel_from_rref(F, R, rk, piv, M.dim), free)
 
 
 def _split_by(M: ModuleRep, psi: np.ndarray) -> tuple[ModuleRep, ModuleRep] | None:
@@ -155,7 +150,7 @@ def _split_by(M: ModuleRep, psi: np.ndarray) -> tuple[ModuleRep, ModuleRep] | No
     ker_mod = _ker_module(M, psi)
     if ker_mod is None or ker_mod.dim == M.dim:
         return None
-    im_mod = submodule(M, psi, verify=False)  # im of an endomorphism is invariant
+    im_mod = submodule(M, psi)  # im of an endomorphism is invariant
     return ker_mod, im_mod
 
 
@@ -228,7 +223,7 @@ def _peel_trivial_pair(M: ModuleRep) -> tuple[ModuleRep, ModuleRep] | None:
         return None
     lam = funcs[:, hits[0][0]]
     triv = ModuleRep(M.group, [la.identity(1) for _ in M.mats])
-    comp = submodule(M, la.kernel_basis(F, lam[None, :]), verify=False)
+    comp = submodule(M, la.kernel_basis(F, lam[None, :]))
     return triv, comp
 
 
@@ -329,7 +324,7 @@ class Registry:
         self.entries[mid] = M
         return mid
 
-    def regular_vec(self, seed: int = 0) -> dict[int, int]:
+    def regular_vec(self, seed: int) -> dict[int, int]:
         """Decomposition vector of the regular module kG (cached)."""
         if self._regular_vec is None:
             parts = fitting_decompose(regular_rep(self.group), child_seed(seed, "regular"))
@@ -533,13 +528,13 @@ def projective_part_dim(M: ModuleRep) -> int:
     return len(syl) * la.rank(M.field, _trace(M.field, [acts[h] for h in syl]))
 
 
-def free_rank(vec: dict[int, int], registry: Registry, seed: int = 0) -> int:
+def free_rank(vec: dict[int, int], registry: Registry, seed: int) -> int:
     """Multiplicity of kG inside vec: max r with r*[kG] <= vec componentwise."""
     kg = registry.regular_vec(seed)
     return min((vec.get(mid, 0) // mult for mid, mult in kg.items()), default=0)
 
 
-def nonfree(vec: dict[int, int], registry: Registry, seed: int = 0) -> dict[int, int]:
+def nonfree(vec: dict[int, int], registry: Registry, seed: int) -> dict[int, int]:
     r = free_rank(vec, registry, seed)
     return dvec_sub(vec, dvec_scale(registry.regular_vec(seed), r))
 

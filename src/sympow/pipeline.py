@@ -428,7 +428,7 @@ def _char_window(d1: int, stride: int, floor: int, want: int) -> int:
 def _run_description(cfg: JobConfig, G: GroupData, vectors) -> dict:
     seq = [vectors[n] for n in sorted(vectors)]
     cands = cfg.m_candidates or _divisors(G.order ** 2)
-    desc = detect_description(seq, cands, dmax=G.dim - 1, holdout=3)
+    desc = detect_description(seq, cands, dmax=G.dim - 1)
     if desc is None:
         return {"found": False}
     return {"found": True, **desc.to_json()}
@@ -565,6 +565,8 @@ def run(cfg: JobConfig) -> dict:
     """
     t0 = time.monotonic()
     G = _group(cfg)
+    if "koszul" in cfg.checks and G.dim < 2:  # P^0 has no forms to take
+        raise ConfigError("the koszul check needs an action on at least two coordinates")
     checks: dict = {}
     errors: dict = {}
     echo = cfg.echo()

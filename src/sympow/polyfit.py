@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+HOLDOUT = 3  # entries of each residue class withheld from the fit, then replayed
+
 
 def delta(seq: list, k: int = 1) -> list:
     """k-fold forward difference of a sequence (any type supporting '-')."""
@@ -131,13 +133,12 @@ class PolynomialDescription:
         return {"m": self.m, "t_min": self.t_min, "residues": residues}
 
 
-def detect_description(seq: list[dict[int, int]], m_candidates, dmax: int,
-                       holdout: int = 3):
+def detect_description(seq: list[dict[int, int]], m_candidates, dmax: int):
     """Least period m admitting an exact polynomial description of the tail.
 
     seq[n] is the DecompVector at degree n.  For each candidate m the
     multiplicity sequence of every id in every residue class is fitted with
-    the final `holdout` entries withheld, then the whole description is
+    the final HOLDOUT entries withheld, then the whole description is
     replayed against every vector from t_min*m on, holdout included.
     """
     all_ids = sorted({mid for vec in seq for mid in vec})
@@ -145,14 +146,13 @@ def detect_description(seq: list[dict[int, int]], m_candidates, dmax: int,
         if m < 1:
             continue
         per_residue = min(len(range(a, len(seq), m)) for a in range(m))
-        if per_residue < dmax + 3 + holdout:
+        if per_residue < dmax + 3 + HOLDOUT:
             continue
         desc = PolynomialDescription(m=m, t_min=0, ids=all_ids)
         ok = True
         t_min = 0
         for a in range(m):
-            ns = list(range(a, len(seq), m))
-            fit_ns = ns[:-holdout] if holdout else ns
+            fit_ns = list(range(a, len(seq), m))[:-HOLDOUT]
             for mid in all_ids:
                 counts = [seq[n].get(mid, 0) for n in fit_ns]
                 fit = fit_polynomial_tail(counts, dmax)

@@ -101,7 +101,7 @@ def ses_split_check(C: ModuleRep, sub_cols: np.ndarray, registry: Registry,
     submodule and the quotient directly, with none of the stagewise
     shortcuts.
     """
-    sub = submodule(C, sub_cols, verify=False)
+    sub = submodule(C, sub_cols)
     quo = quotient_module(C, sub_cols)
     vc = decompose(C, registry, seed)
     vs = decompose(sub, registry, seed)

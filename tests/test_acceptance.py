@@ -80,7 +80,7 @@ def test_criterion_02_polynomial_description():
     for p in (2, 3, 5):
         _, reg, vecs, _ = cyclic_data(p)
         cands = [k for k in range(1, p * p + 1) if (p * p) % k == 0]
-        desc = detect_description(vecs, cands, dmax=1, holdout=3)
+        desc = detect_description(vecs, cands, dmax=1)
         assert desc is not None and desc.m == p
         assert max(len(c) - 1 for c in desc.polys.values()) == 1
         jp = next(mid for mid in desc.ids if reg.entries[mid].dim == p)
@@ -220,7 +220,7 @@ def test_criterion_06_semisimple_sanity():
         vec = decompose(sym_power(G, n), reg, seed=child_seed(6, "ss", n))
         assert all(is_projective(reg.entries[mid]) for mid in vec), n
         vecs.append(vec)
-    desc = detect_description(vecs, [1, 3, 9], dmax=1, holdout=3)
+    desc = detect_description(vecs, [1, 3, 9], dmax=1)
     assert desc is not None
     assert all(is_projective(reg.entries[mid]) for mid in desc.ids)
     _pass(6, "coprime order: no nonprojective part, all-projective description",

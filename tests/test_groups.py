@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sympow.gf import CapacityError, make_field
+from sympow import groups
 from sympow import linalg as la
 from sympow.groups import (
     ModuleRep,
@@ -31,7 +32,7 @@ def mk(F, rows):
 
 def sym_of(F, A, n):
     """Sym^n(A) for any square A: the last degree `sym_matrix_stream` yields."""
-    return list(sym_matrix_stream(F, A, n))[-1][1]
+    return list(sym_matrix_stream(F, A, n, None))[-1][1]
 
 
 def c2_gens():
@@ -102,12 +103,13 @@ def test_close_group_rejects_singular_generator():
             close_group(F2, gens)
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
     F5 = make_field(5)
     big = [mk(F5, [[2, 0], [0, 1]]), mk(F5, [[1, 1], [0, 1]])]
     assert close_group(F5, big).order == 20
-    with pytest.raises(CapacityError):
-        close_group(F5, big, cap=10)
+    monkeypatch.setattr(groups, "GROUP_CAP", 10)
+    with pytest.raises(CapacityError, match="cap 10"):
+        close_group(F5, big)
 
 
 def test_element_orders_and_inverse():

@@ -30,7 +30,7 @@ from sympow import koszul as kz
 from sympow import linalg as la
 from sympow.gf import make_field
 from sympow.groups import ModuleRep, close_group, monomials, sym_dim, sym_power
-from sympow.koszul import (_block_equivariance, _verify_complex, build_complex,
+from sympow.koszul import (_verify_complex, build_complex,
                            check_exact, check_split_stagewise, choose_forms,
                            euler_identity, form_product, is_invariant_form,
                            mul_form_matrix, surface_progression_check)
@@ -147,20 +147,20 @@ def test_mul_form_matrix_matches_dict_oracle():
         assert np.array_equal(M[:, col], expect)
 
 
-def test_complex_identities_hold_densely(plane):
-    G, forms, _ = plane
-    K = build_complex(G, forms, t=3, j=1)
-    F = G.field
-    maps = [K.map(r) for r in range(K.top)]
-    for r in range(K.top - 1):
-        comp = la.mat_mul(F, maps[r], maps[r + 1])
-        assert not np.any(comp)
-    for r in range(K.top):
-        src, dst = K.term(r + 1), K.term(r)
-        for gi in range(len(G.gens)):
-            left = la.mat_mul(F, maps[r], src.mats[gi])
-            right = la.mat_mul(F, dst.mats[gi], maps[r])
-            assert np.array_equal(left, right)
+def test_complex_identities_hold_densely(complexes, p3_noncoker):
+    """tau o tau = 0 and tau rho = rho tau as dense products, on every
+    fixture complex: the oracle for the build's checks, which multiply no
+    block (equivariance is read off the forms' invariance)."""
+    for K in complexes + [p3_noncoker]:
+        F = K.group.field
+        maps = [K.map(r) for r in range(K.top)]
+        for r in range(K.top - 1):
+            assert not np.any(la.mat_mul(F, maps[r], maps[r + 1])), (K.t, K.j, r)
+        for r in range(K.top):
+            src, dst = K.term(r + 1), K.term(r)
+            for A, B in zip(src.mats, dst.mats):
+                left = la.mat_mul(F, maps[r], A)
+                assert np.array_equal(left, la.mat_mul(F, B, maps[r])), (K.t, K.j, r)
 
 
 def test_blocks_assemble_the_dense_maps(complexes, p3_noncoker):
@@ -191,7 +191,7 @@ def test_stagewise_matches_direct_ses_route(plane):
     G, forms, _ = plane
     reg = Registry(G)
     K = build_complex(G, forms, t=3, j=0)
-    out = check_split_stagewise(K, reg, seed=SEED)
+    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=None)
     assert out["all_split"] and out["coker_free"]
     assert out["coker_free_rank"] * G.order == 4
     for stage in out["stages"]:
@@ -247,7 +247,7 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
     for name, K in cases.items():
         F = K.group.field
         reg = Registry(K.group)
-        out = check_split_stagewise(K, reg, seed=SEED)
+        out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=None)
         for stage in out["stages"]:
             r = stage["r"]
             Kb = la.kernel_basis(F, K.map(r - 1))
@@ -472,21 +472,29 @@ def test_block_checks_run_once_per_map_and_pair(monkeypatch):
         assert not np.any(la.mat_mul(F, K.map(r), K.map(r + 1)))
 
 
-def test_block_equivariance_rejects_a_non_invariant_form(plane):
-    G, forms, m = plane
-    y_sq = np.zeros(len(monomials(3, m)), dtype=np.int64)
-    y_sq[monomials(3, m).tolist().index([0, 2, 0])] = 1
-    S_src, S_dst = G.sym(3)[0], G.sym(3 + m)[0]
-    F = G.field
-    _block_equivariance(F, mul_form_matrix(forms[0], m, 3, 3), S_src, S_dst, 0)
-    with pytest.raises(AssertionError, match="not equivariant"):
-        _block_equivariance(F, mul_form_matrix(y_sq, m, 3, 3), S_src, S_dst, 0)
+@pytest.mark.parametrize("fixture", ["plane", "p3"])
+def test_build_rejects_a_non_invariant_form(request, fixture):
+    """y^2 w^(m-2), w the last variable, in place of the first form: the
+    transvection over GF(4) (dense Sym matrices) and the 3-cycle over GF(9)
+    (permutation Sym matrices) both move y.  Multiplication by it is not
+    equivariant, and the build refuses it; the dense identity agrees."""
+    G, forms, m = request.getfixturevalue(fixture)
+    e = np.zeros(G.dim, dtype=np.int64)
+    e[1], e[-1] = 2, m - 2
+    y_sq = np.zeros(len(monomials(G.dim, m)), dtype=np.int64)
+    y_sq[monomials(G.dim, m).tolist().index(e.tolist())] = 1
+    assert not is_invariant_form(G, y_sq, m)
+    with pytest.raises(AssertionError, match="form 0 is not invariant"):
+        build_complex(G, [y_sq] + forms[1:], t=2, j=0)
+    M = mul_form_matrix(y_sq, m, 2, G.dim)
+    assert not all(np.array_equal(la.mat_mul(G.field, M, S), la.mat_mul(G.field, T, M))
+                   for S, T in zip(G.sym(2), G.sym(2 + m)))
 
 
 def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkeypatch):
     # the 3-cycle makes every Sym^n matrix a permutation matrix, so the
     # products with it are gathers (la._mm_monomial)
-    G, forms, m = p3
+    G, forms, _ = p3
     F = G.field
     K = complexes[3]
     Kb, lead = K.kernel(0)
@@ -496,7 +504,6 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     A2[1, 3] = 1
     B[:2] = rng.integers(1, F.q, (2, 5))  # two nonzeros in every column of B
     P = G.sym(4)[0]
-    M = mul_form_matrix(forms[0], m, 4, G.dim)
     F3 = make_field(3)
     B3 = la.rand_mat(F3, rng, P.shape[0], 6)
 
@@ -505,11 +512,10 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
 
     monkeypatch.setattr(la, "_mm_kron", dense)
     monkeypatch.setattr(la, "_mm_xpow", dense)
-    # the build's checks: tau o tau term by term, equivariance by gathers
+    # the build's checks: tau o tau term by term, the forms' invariance by gathers
     build_complex(G, forms, t=3, j=1)
-    ker = module_on_basis(K.term(1), Kb, lead, verify=False)
+    ker = module_on_basis(K.term(1), Kb, lead)
     assert all(np.array_equal(X, Y) for X, Y in zip(ker.mats, expect))
-    _block_equivariance(F, M, P, G.sym(4 + m)[0], 0)
     with pytest.raises(AssertionError, match="dense product"):
         la.mat_mul(F, A2, B)
     # prime fields keep the BLAS product, with no gather in front of it

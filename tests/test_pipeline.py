@@ -506,19 +506,19 @@ def test_repeated_koszul_job_in_one_process_does_the_same_work(monkeypatch):
     import sympow.koszul as koszul
 
     degrees, checks = [], []
-    real_stream, real_check = groups.sym_matrix_stream, koszul._block_equivariance
+    real_stream, real_check = groups.sym_matrix_stream, koszul.is_invariant_form
 
     def counting_stream(*args, **kwargs):
         for k, S in real_stream(*args, **kwargs):
             degrees.append(k)
             yield k, S
 
-    def counting_check(*args):
-        checks.append(args[-1])
-        return real_check(*args)
+    def counting_check(G, form, deg):
+        checks.append(deg)
+        return real_check(G, form, deg)
 
     monkeypatch.setattr(groups, "sym_matrix_stream", counting_stream)
-    monkeypatch.setattr(koszul, "_block_equivariance", counting_check)
+    monkeypatch.setattr(koszul, "is_invariant_form", counting_check)
     cfg = config_from_dict({**BASE, "generators": S3_GENS, "checks": ["koszul"]})
     counts, texts = [], []
     for _ in range(2):
@@ -579,6 +579,25 @@ def test_singular_generator_is_one_error_line(tmp_path, capsys, command):
     cfg_path = write_config(tmp_path, generators=["2 2\n1 1\n0 1\n", "2 2\n1 1\n1 1\n"])
     assert main([command[0], "--config", cfg_path, *command[1:]]) == 1
     assert _one_error_line(capsys) == "error: generator 1 is not invertible"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "--name", "koszul"]],
+                         ids=["analyze", "check"])
+def test_koszul_on_a_point_is_one_error_line(tmp_path, capsys, command):
+    """A one-dimensional action (P^0) has no Koszul forms: the default check
+    list under `analyze`, or `check --name koszul` over a config that does
+    not list it, is refused before any check runs."""
+    checks = None if command[0] == "analyze" else BASE["checks"]
+    cfg_path = write_config(tmp_path, field={"p": 2}, generators=["1 1\n1\n"], n_max=8,
+                            seed=1, checks=checks)
+    out = tmp_path / "report.json"
+    assert main([command[0], "--config", cfg_path, *command[1:], "--output", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        "error: the koszul check needs an action on at least two coordinates")
+    assert not out.exists()
+    assert main(["analyze", "--config", write_config(tmp_path, "rest.json", field={"p": 2},
+                 generators=["1 1\n1\n"], n_max=8, seed=1,
+                 checks=[c for c in CHECKS if c != "koszul"]), "--output", str(out)]) == 0
 
 
 def test_degree_past_the_sym_cap_is_one_error_line(tmp_path, capsys):
