@@ -71,7 +71,7 @@ from .groups import GroupData, ModuleRep, monomial_index, monomials, sym_dim
 from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
                       dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
                       nonfree)
-from .polyfit import tail_threshold
+from .polyfit import HOLDOUT, tail_threshold
 
 FORM_ATTEMPTS = 64
 
@@ -513,19 +513,14 @@ def _verify_complex(K: KoszulComplex):
 
 def check_exact(K: KoszulComplex) -> dict:
     """Rank bookkeeping: exact at r iff rank tau_(r+1) = dim ker tau_r."""
-    R = K.top
     exact_at, inexact_at = [], []
-    for r in range(1, R + 1):
+    for r in range(1, K.top + 1):
         (exact_at if K.is_exact(r) else inexact_at).append(r)
-    coker = K.dim(0) - K.rank(0)
-    expected = K.m ** K.d if R == K.d else None
     return {
         "exact_at": exact_at,
         "inexact_at": inexact_at,
         "exact": not inexact_at,
-        "coker_dim": coker,
-        "coker_expected": expected,
-        "coker_matches": (expected is None) or (coker == expected),
+        "coker_dim": K.dim(0) - K.rank(0),
     }
 
 
@@ -630,17 +625,24 @@ def euler_identity(registry: Registry, sym_vectors: dict[int, dict[int, int]],
 
 def surface_progression_check(registry: Registry, sym_vectors: dict[int, dict[int, int]],
                               m: int, j: int, t_range, seed: int) -> dict:
-    """Are first differences of nonfree classes along stride m eventually constant?"""
+    """Are first differences of nonfree classes along stride m eventually constant?
+
+    Yes when the last HOLDOUT or more differences are equal; `stable_from`
+    is then the t that ends the first of them.  A shorter run of equal
+    differences at the end of the window is not evidence, so the verdict is
+    no, with no `stable_from` and no constant.
+    """
     ts = sorted(t_range)
     vecs = [nonfree(sym_vectors[m * t + j], registry, seed) for t in ts]
     diffs = [dvec_sub(b, a) for a, b in zip(vecs, vecs[1:])]
     # all of diffs[i:] equal diffs[i] exactly when they all equal diffs[-1]
     i = tail_threshold([d == diffs[-1] for d in diffs])
+    ok = i is not None and len(diffs) - i >= HOLDOUT
     return {
         "offset": j,
         "stride": m,
         "t_range": ts,
-        "stable_from": None if i is None else ts[i + 1],
-        "constant": None if i is None else diffs[-1],
-        "ok": i is not None,
+        "stable_from": ts[i + 1] if ok else None,
+        "constant": diffs[-1] if ok else None,
+        "ok": ok,
     }

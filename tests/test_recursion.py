@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sympow.pipeline as pipeline
+from sympow import groups
 from sympow import koszul as kz
 from sympow import linalg as la
 from sympow.gf import make_field
@@ -173,6 +174,23 @@ def test_each_distinct_cokernel_is_decomposed_once(monkeypatch):
     report = run(cfg)
     assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 149, "direct": 2}
     assert calls == [1, 2, 2, 2, 2]
+
+
+def test_the_sweep_builds_no_sym_past_the_form_search(monkeypatch):
+    # on S3 the form search stops at degree 2 and every later degree comes
+    # from the cokernel tower, so no Sym^n with n > 2 is ever built
+    real_stream = groups.sym_matrix_stream
+    degrees = []
+
+    def recording_stream(F, A, n, start):
+        for k, S in real_stream(F, A, n, start):
+            degrees.append(k)
+            yield k, S
+
+    monkeypatch.setattr(groups, "sym_matrix_stream", recording_stream)
+    report = run(job({"p": 2}, S3_GENS, 150))
+    assert report["volatile"]["sweep"] == {"form_degree": 2, "recursion": 149, "direct": 2}
+    assert max(degrees) == 2
 
 
 def test_two_runs_in_one_process_give_equal_bytes():
