@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg as la
 from .gf import Field
 from .groups import GroupData
-from .polyfit import tail_threshold
+from .polyfit import HOLDOUT, tail_threshold
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -172,15 +172,18 @@ def delta_vanishing_report(chars: dict[int, np.ndarray], j: int, m: int, k: int,
     `chars` maps each degree m n + j, n = 0..n_max, to its Brauer character
     (`sym_brauer_sequence`), so one sequence serves every offset and order
     of a job.  The report gives threshold data over that window:
-    `vanishes_from` is the least n from which every k-th difference is zero,
-    or None if even the last one is nonzero, and `zero_tail` counts the
-    zero differences from there on.
+    `vanishes_from` is the least n from which every k-th difference is zero
+    and `zero_tail` counts the zero differences from there on.  A zero tail
+    shorter than HOLDOUT differences is not evidence of vanishing, so the
+    report then gives None and 0.
     """
     if n_max < k:
         raise ValueError("window too short for the requested difference order")
     seq = reduced(np.stack([chars[m * n + j] for n in range(n_max + 1)]))
     flags = [not d.any() for d in np.diff(seq, n=k, axis=0)]
     thr = tail_threshold(flags)
+    if thr is not None and len(flags) - thr < HOLDOUT:
+        thr = None
     return {
         "stride": m,
         "offset": j,

@@ -30,24 +30,33 @@ z^(b_l + b'_l' + c), which the shift forms show as equal index and value
 arrays.  G acts on the polynomial ring by graded ring automorphisms, so
 multiplication by an invariant form is a G-map: equivariance is the forms'.
 
-Each map is eliminated forward once, transposed, and that echelon form is
-kept: ranks and exactness read its pivot count alone.  Of tau_(r+1)
-transposed only the rows outside a set of leading positions of
-im tau_(r+2) are eliminated: C_(r+1) is the span of those coordinates plus
-im tau_(r+2), which tau_(r+1) kills, so they span its row space.  For
-r >= 1 that set is the pivots of tau_(r+2), eliminated first.  For tau_1 it
-is L, read off the forms by Faugere's F5 signature criterion (Faugere,
-ISSAC 2002; Bardet, Faugere and Salvy, J. Symbolic Comput. 70, 2015) from
-matrices of one form and one degree each: block i of C_1 at the leading
-positions of the ideal (f_(i+1), f_(i+2), ...).  For any forms L lies within
-the pivots of im tau_2; for a regular sequence it is all of them, and
-rank tau_2 = |L| whenever |L| = dim ker tau_1.  So the middle map is
-eliminated only when a check reads its RREF (a kernel or Q_1), or when
-that equality fails.  The form is back-substituted in place the first time
-a map's RREF is read (`image_rref`); its first rank rows are the canonical
-basis of the map's image, off which the quotients Q_s = C_s / im tau_(s+1)
-(`quotient`; Q_0 is the cokernel) and, at exact spots, the canonical kernel
-bases (`kernel`) are read.  Only a kernel at an inexact spot costs a second
+Each map is brought to an echelon form once, transposed, and that form is
+kept: ranks and exactness read its pivot count alone.  Every row is a
+signed form times a monomial, so its leading column is known before any
+elimination: a form's support is held in ascending position and graded-lex
+is a monomial order, so f z^a leads at z^(b_0 + a).  The rows are scattered
+in ascending lead order, and, as in the symbolic preprocessing of
+Faugere's F4 (J. Pure Appl. Algebra 139, 1999), the first row of each lead
+is a pivot row as it stands; only the rows whose lead repeats are
+eliminated (`la.echelon_from_leads`).  Of tau_(r+1) transposed only the
+rows outside a set of leading positions of im tau_(r+2) are scattered:
+C_(r+1) is the span of those coordinates plus im tau_(r+2), which
+tau_(r+1) kills, so they span its row space.  For r >= 1 that set is the
+pivots of tau_(r+2), eliminated first.  For tau_1 it is L, read off the
+forms by Faugere's F5 signature criterion (Faugere, ISSAC 2002; Bardet,
+Faugere and Salvy, J. Symbolic Comput. 70, 2015) from matrices of one form
+and one degree each, eliminated from their leads the same way: block i of
+C_1 at the leading positions of the ideal (f_(i+1), f_(i+2), ...).  For any
+forms L lies within the pivots of im tau_2; for a regular sequence it is
+all of them, and rank tau_2 = |L| whenever |L| = dim ker tau_1.  So the
+middle map is eliminated only when a check reads its RREF (a kernel or
+Q_1), or when that equality fails.  The form is back-substituted in place
+the first time a map's RREF is read (`image_rref`); pivots and RREF are
+unique to the row space, so they are those of a full elimination of the
+dense map.  The RREF's first rank rows are the canonical basis of the
+map's image, off which the quotients Q_s = C_s / im tau_(s+1) (`quotient`;
+Q_0 is the cokernel) and, at exact spots, the canonical kernel bases
+(`kernel`) are read.  Only a kernel at an inexact spot costs a second
 elimination.
 
 A complex holds its terms as the group's Sym matrices and builds a term's
@@ -177,22 +186,26 @@ class KoszulComplex:
 
     No dense tau is stored.  `mults[r][i]` holds the shift form (R, v) of
     M_i, multiplication by forms[i] from the Sym degree of C_(r+1) to that
-    of C_r (`mul_form_entries`; `mult` gives it dense).  `faces[r]` lists the
-    nonzero blocks of tau_(r+1) as (T, S, sign, i), T and S positions in
-    `subsets`: for i = S[l], the block in row block S - {i} and column block
-    S is (-1)^l M_i.  From these two, `_echelon` scatters the rows it
-    eliminates and `map` assembles the dense tau_(r+1).
+    of C_r (`mul_form_entries`).  `faces[r]` lists the nonzero blocks of
+    tau_(r+1) as (T, S, sign, i), T and S positions in `subsets`: for
+    i = S[l], the block in row block S - {i} and column block S is
+    (-1)^l M_i.  From these two, `_scatter` places rows of tau_(r+1)
+    transposed: `map` all of them, as the dense tau_(r+1), and
+    `_rows_by_lead` those a map's elimination reads, in ascending order of
+    their leads, which the shift forms give with no scan.
 
-    `echelons` caches one forward echelon form per map, of the map
-    transposed, with its pivots; ranks and exactness (`is_exact`) read the
-    pivot count.  Each map is eliminated on the rows that the pivots of the
-    map above leave free, and tau_1 on those the signature leads leave free
-    (`_echelon`); `leads` memoizes the lead sets (`_leads`), and rank tau_2
-    reads their count when it can (`rank`).  The indices in `reduced` mark
-    forms back-substituted in place into the RREF (`image_rref`), whose
-    first rank rows are the canonical basis of the image: the quotients
-    Q_s = C_s / im tau_(s+1) (`quotient`) and, at exact spots, the kernels
-    (`kernel`) are read off these.  No map is eliminated forward twice.
+    `echelons` caches one echelon form per map, of the map transposed, with
+    its pivots; ranks and exactness (`is_exact`) read the pivot count.  Each
+    map is eliminated on the rows that the pivots of the map above leave
+    free, and tau_1 on those the signature leads leave free (`_echelon`),
+    from the rows' leads: only rows whose lead repeats are eliminated
+    (`la.echelon_from_leads`).  `leads` memoizes the lead sets
+    (`_leads`), and rank tau_2 reads their count when it can (`rank`).  The
+    indices in `reduced` mark forms back-substituted in place into the RREF
+    (`image_rref`), whose first rank rows are the canonical basis of the
+    image: the quotients Q_s = C_s / im tau_(s+1) (`quotient`) and, at exact
+    spots, the kernels (`kernel`) are read off these.  No map is eliminated
+    twice.
     """
 
     group: GroupData
@@ -233,26 +246,45 @@ class KoszulComplex:
             self.built[r] = ModuleRep(self.group, mats)
         return self.built[r]
 
-    def mult(self, r: int, i: int) -> np.ndarray:
-        """M_i of tau_(r+1) as a dense matrix: multiplication by forms[i]."""
-        return _dense(self.mults[r][i], self.block_dim(r), self.block_dim(r + 1))
-
-    def _transposed_rows(self, r: int, keep: np.ndarray) -> np.ndarray:
-        """The rows of tau_(r+1) transposed that the mask `keep` (over the
-        coordinates of C_(r+1)) selects, scattered from the blocks."""
+    def _scatter(self, r: int, faces: list, at: np.ndarray, m: int, n: int) -> np.ndarray:
+        """An m x n matrix whose row at[S * src + a] is row (S, a) of the
+        blocks `faces` of multiplications out of C_(r+1)'s degree, src its
+        dimension: sign * v_i at column T * dst + R_i[l, a] for each face
+        (T, S, sign, i).  Rows with a negative `at` are left out.
+        """
         F = self.group.field
         src, dst = self.block_dim(r + 1), self.block_dim(r)
-        at = np.cumsum(keep) - 1  # output row of each kept coordinate
-        out = la.zeros(int(at[-1]) + 1, self.dim(r))
-        for T, S, sign, i in self.faces[r]:
+        out = la.zeros(m, n)
+        for T, S, sign, i in faces:
             R, v = self.mults[r][i]
-            a = np.flatnonzero(keep[S * src:(S + 1) * src])
-            out[at[S * src + a], T * dst + R[:, a]] = (v if sign > 0 else F.vec_neg(v))[:, None]
+            rows = at[S * src:(S + 1) * src]
+            a = np.flatnonzero(rows >= 0)
+            out[rows[a], T * dst + R[:, a]] = (v if sign > 0 else F.vec_neg(v))[:, None]
         return out
+
+    def _rows_by_lead(self, r: int, faces: list, keep: np.ndarray, n: int):
+        """The rows of `faces` that the mask `keep` selects, scattered in
+        ascending order of their leads (stable), and those leads.
+
+        The leads need no scan.  `mul_form_entries` lists the form's support
+        in ascending position, and graded-lex is a monomial order, so R[0, a]
+        is the least position in column a: row (S, a) leads in its least row
+        block T, at T * dst + R_i[0, a].
+        """
+        src, dst = self.block_dim(r + 1), self.block_dim(r)
+        lead = np.empty(len(keep), dtype=np.int64)
+        for T, S, _, i in sorted(faces, reverse=True):  # each S's least T is written last
+            lead[S * src:(S + 1) * src] = T * dst + self.mults[r][i][0][0]
+        kept = np.flatnonzero(keep)
+        order = np.argsort(lead[kept], kind="stable")
+        at = np.full(len(keep), -1, dtype=np.int64)
+        at[kept[order]] = np.arange(len(kept))
+        return self._scatter(r, faces, at, len(kept), n), lead[kept[order]]
 
     def map(self, r: int) -> np.ndarray:
         """tau_(r+1) : C_(r+1) -> C_r as a dense matrix, assembled on each call."""
-        return self._transposed_rows(r, np.ones(self.dim(r + 1), dtype=bool)).T
+        n = self.dim(r + 1)
+        return self._scatter(r, self.faces[r], np.arange(n), n, self.dim(r)).T
 
     def _leads(self, k: int, r: int) -> np.ndarray:
         """Leads(k) in the degree of C_r: the pivot columns of the rows
@@ -266,18 +298,21 @@ class KoszulComplex:
         sum of rows of later forms (the forms commute, `_verify_complex`) and
         g - z^a holds only later monomials.  By descending induction on a the
         dropped rows lie in the span of the kept ones, so the pivots are
-        those of all the rows.  Empty from C_top on, and past the last form.
+        those of all the rows.  The rows are the faces (0, i - k, +1, i) of
+        one row block, eliminated from their leads
+        (`la.echelon_from_leads`).  Empty from C_top on, and past the last
+        form.
         """
         if (k, r) not in self.leads:
-            rows = []
-            if r < self.top:
-                for i in range(k, self.d):
-                    keep = np.ones(self.block_dim(r + 1), dtype=bool)
-                    keep[self._leads(i + 1, r + 1)] = False
-                    rows.append(self.mult(r, i).T[keep])
-            A = np.vstack(rows) if rows else la.zeros(0, 0)
-            self.leads[k, r] = np.array(
-                la.forward_echelon(self.group.field, A, overwrite=True)[1], dtype=np.int64)
+            piv = []
+            if r < self.top and k < self.d:
+                faces = [(0, s, 1, i) for s, i in enumerate(range(k, self.d))]
+                keep = np.ones((self.d - k, self.block_dim(r + 1)), dtype=bool)
+                for s in range(self.d - k):
+                    keep[s, self._leads(k + s + 1, r + 1)] = False
+                rows = self._rows_by_lead(r, faces, keep.reshape(-1), self.block_dim(r))
+                piv = la.echelon_from_leads(self.group.field, *rows)[1]
+            self.leads[k, r] = np.array(piv, dtype=np.int64)
         return self.leads[k, r]
 
     def _signature_leads(self) -> np.ndarray:
@@ -294,12 +329,13 @@ class KoszulComplex:
         return np.concatenate([i * n + self._leads(i + 1, 1) for i in range(self.copies(1))])
 
     def _echelon(self, r: int):
-        """Cached forward echelon form of tau_(r+1) transposed: (W, pivots).
+        """Cached echelon form of tau_(r+1) transposed: (W, pivots).
 
         Only the rows outside a set of leading positions of im tau_(r+2) are
-        scattered, into the array that is then eliminated in place: for
-        r >= 1 the pivots of tau_(r+2), and for tau_1 the signature leads L
-        (`_signature_leads`), so tau_2 is not eliminated for it.  A leading
+        scattered, by lead, into the array that is then eliminated in place
+        from those leads (`la.echelon_from_leads`): for r >= 1 the pivots of
+        tau_(r+2), and for tau_1 the signature leads L (`_signature_leads`),
+        so tau_2 is not eliminated for it.  A leading
         position c of some w in im tau_(r+2) can be dropped: tau_(r+1) kills
         w (tau o tau = 0, `_verify_complex`), and e_c is w, scaled to lead
         with 1, less coordinates after c, so by descending induction the kept
@@ -314,8 +350,8 @@ class KoszulComplex:
                 keep[self._signature_leads()] = False
             elif r + 1 < self.top:
                 keep[self._echelon(r + 1)[1]] = False
-            self.echelons[r] = la.forward_echelon(
-                self.group.field, self._transposed_rows(r, keep), overwrite=True)
+            rows = self._rows_by_lead(r, self.faces[r], keep, self.dim(r))
+            self.echelons[r] = la.echelon_from_leads(self.group.field, *rows)
         return self.echelons[r]
 
     def image_rref(self, r: int):

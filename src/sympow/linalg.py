@@ -23,6 +23,12 @@ lower-triangular multiplier block, built by forward substitution one column
 at a time (`_invert_lower`), and the only scalar call is `Field.inv` on each
 pivot.
 
+Rows whose leading columns are known and ascend are brought to an echelon
+form from those leads (`echelon_from_leads`): only rows whose lead repeats
+are eliminated.  That form is not the first-nonzero one, so it is read only
+through what is unique to the row space: its pivots, and the RREF that
+`back_substitute` makes of it.
+
 Matrix text format: a `rows cols` header line, then one row per line of
 scalar serializations separated by spaces.
 """
@@ -424,6 +430,94 @@ def back_substitute(F: Field, W: np.ndarray, pivots: list[int]) -> None:
         free = np.ones(W.shape[1], dtype=bool)
         free[pivots] = False
         _clear_above(F, W, pivots, np.flatnonzero(free), 0, len(pivots), _leaf(W))
+
+
+def _move_rows(W: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """W[dst] = W[src] in place, for ascending src with dst <= src.
+
+    Rows go _PANEL at a time in ascending order: a block's targets come
+    before every later block's sources, so no row is overwritten before it
+    moves, and no temporary holds more than one block.
+    """
+    if np.array_equal(src, dst):
+        return
+    for b0 in range(0, len(src), _PANEL):
+        W[dst[b0:b0 + _PANEL]] = W[src[b0:b0 + _PANEL]]
+
+
+def _reduce_by_pivot_rows(F: Field, X: np.ndarray, B: np.ndarray, lead: np.ndarray) -> None:
+    """X -= C @ B in place, with C chosen so that X vanishes at the columns `lead`.
+
+    B's rows lead with 1 at the ascending columns `lead`, so B[:, lead] is
+    unit upper triangular and C solves C @ B[:, lead] = X[:, lead]: forward
+    substitution one column at a time over _LEAF columns, each leaf reaching
+    the rest of the block through one product.  Then one product updates X
+    from the block's first lead on.  Rows and columns of zeros are skipped.
+    """
+    C = X[:, lead]
+    if not C.any():
+        return
+    U = B[:, lead]
+    b = len(lead)
+    for l0 in range(0, b, _LEAF):
+        l1 = min(l0 + _LEAF, b)
+        # the leaf's columns whose pivot row reaches a later lead of the leaf
+        for j in l0 + np.flatnonzero(np.triu(U[l0:l1, l0:l1], 1).any(axis=1)):
+            rows = np.flatnonzero(C[:, j])
+            if rows.size:
+                C[rows, j + 1:l1] = F.vec_submul(C[rows, j + 1:l1], C[rows, j][:, None],
+                                                 U[j, None, j + 1:l1])
+        A = C[:, l0:l1]
+        rows = np.flatnonzero(A.any(axis=1))
+        if l1 < b and rows.size and U[l0:l1, l1:].any():
+            mat_submul_into(F, C, A[rows], U[l0:l1, l1:], rows=rows, cols=slice(l1, None))
+    rows = np.flatnonzero(C.any(axis=1))
+    mat_submul_into(F, X, C[rows], B[:, lead[0]:], rows=rows, cols=slice(lead[0], None))
+
+
+def echelon_from_leads(F: Field, W: np.ndarray, leads: np.ndarray):
+    """An echelon form of W's rows, computed in W in place; returns (W, pivots).
+
+    leads[i] is the column of row i's first nonzero entry, and leads ascend.
+    The first row of each lead is a pivot row as it stands, scaled to lead
+    with 1.  Only the rows whose lead repeats are copied out and eliminated:
+    reduced against the pivot rows, _PANEL at a time, until they vanish at
+    every lead (`_reduce_by_pivot_rows`), then `forward_echelon` on the other
+    columns.  The pivot rows and that echelon form's rank rows lead at
+    distinct columns, so merged in place by pivot they are an echelon form
+    of W's rows, with leading entries 1 and zero rows below.  It need not be
+    `forward_echelon(W)`, but its pivots are the same and so is its RREF
+    after `back_substitute`: both are unique to the row space.
+    """
+    m, n = W.shape
+    repeat = np.zeros(m, dtype=bool)
+    repeat[1:] = leads[1:] == leads[:-1]
+    X = W[repeat]
+    src = np.flatnonzero(~repeat)
+    lead = leads[src]
+    scale = F.vec_inv(W[src, lead])
+    for b0 in range(0, len(src), _PANEL):
+        at = src[b0:b0 + _PANEL]
+        B = F.vec_mul(W[at], scale[b0:b0 + _PANEL, None])
+        W[at] = B
+        if X.size:
+            _reduce_by_pivot_rows(F, X, B, lead[b0:b0 + _PANEL])
+    new = np.zeros(0, dtype=np.int64)
+    if X.size:
+        rest = np.ones(n, dtype=bool)
+        rest[lead] = False
+        rest = np.flatnonzero(rest)
+        Y, piv = forward_echelon(F, X[:, rest], overwrite=True)
+        new = rest[piv]
+    # pivot row i moves up: the new pivots before lead[i] come from the
+    # remainders of the repeated rows that lead before it, at most as many
+    _move_rows(W, src, np.arange(len(src)) + np.searchsorted(new, lead))
+    if new.size:
+        at = np.arange(len(new)) + np.searchsorted(lead, new)
+        W[at] = 0
+        W[np.ix_(at, rest)] = Y[:len(new)]
+    W[len(src) + len(new):] = 0
+    return W, np.sort(np.concatenate([lead, new])).tolist()
 
 
 def rref(F: Field, A: np.ndarray):

@@ -158,6 +158,8 @@ def config_from_dict(raw: dict) -> JobConfig:
         if not isinstance(m_cands, list):
             raise ConfigError("m_candidates must be a list of positive integers")
         m_cands = [_int(m, "m_candidates entry") for m in m_cands]
+        if not m_cands:
+            raise ConfigError("m_candidates must not be empty; omit it for the divisors of |G|^2")
         if any(m < 1 for m in m_cands):
             raise ConfigError("m_candidates must be positive")
     out = raw.get("output", {})
@@ -422,15 +424,17 @@ def _run_delta(G: GroupData) -> dict:
     d = G.dim - 1
     m = G.order ** 2
     hi, lo = d + 1, d
-    nw = _char_window(G.dim, m, hi + 1, max(hi + 3, 8))
     # The window's top degree must fit the sym cap, which bounds the one
     # character sequence below (degrees 0..m*nw + m - 1).  Groups whose
-    # only p-regular class is the identity are exempt: their characters are
-    # the dimensions C(n+d, d).
+    # only p-regular class is the identity are exempt, window included:
+    # their characters are the dimensions C(n+d, d).
+    if len(G.p_regular_class_reps()) == 1:
+        nw = max(hi + 3, 8)
+    else:
+        nw = _char_window(G.dim, m, hi + 1, max(hi + 3, 8))
+        if sym_dim(G.dim, m * nw + m - 1) > SYM_DIM_CAP:
+            raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     top = m * nw + m - 1
-    if (sym_dim(G.dim, top) > SYM_DIM_CAP
-            and len(G.p_regular_class_reps()) > 1):
-        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     chars = sym_brauer_sequence(G, range(top + 1))
     hi_reports = [delta_vanishing_report(chars, j, m, hi, nw) for j in range(m)]
     lo_reports = [delta_vanishing_report(chars, j, m, lo, nw) for j in range(m)]

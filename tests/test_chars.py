@@ -16,7 +16,7 @@ from sympow.gf import make_field
 from sympow.groups import SYM_DIM_CAP, close_group, regular_rep, sym_power
 from sympow.chars import (char_growth_check, cyclotomic, delta_vanishing_report,
                           reduce_root_vector, reduced, root_space_dims, sym_brauer_sequence)
-from sympow.polyfit import delta
+from sympow.polyfit import HOLDOUT, delta
 
 from oracles import brauer_char, char_zero, direct_sum
 
@@ -205,6 +205,18 @@ def test_delta_vanishing_s3_line(s3):
     assert r1["vanishes_from"] is None
     r2 = delta_vanishing_report(chars, j=1, m=36, k=2, n_max=6)
     assert r2["vanishes_from"] == 0
+
+
+@pytest.mark.parametrize("values,expected", [
+    ([0, 1, 3, 6, 10, 10], (None, 0)),        # only the last difference is zero
+    ([0, 1, 3, 6, 6, 6], (None, 0)),          # a zero tail one short of HOLDOUT
+    ([0, 1, 3, 6, 6, 6, 6], (3, HOLDOUT)),    # HOLDOUT zero differences
+])
+def test_delta_vanishing_needs_holdout_zero_differences(values, expected):
+    """A zero tail counts as vanishing only from HOLDOUT differences on."""
+    chars = {n: np.array([[v]], dtype=np.int64) for n, v in enumerate(values)}
+    r = delta_vanishing_report(chars, j=0, m=1, k=1, n_max=len(values) - 1)
+    assert (r["vanishes_from"], r["zero_tail"]) == expected
 
 
 def test_char_growth_three_cycle(s3):

@@ -14,6 +14,7 @@ fallback routes meet the same oracle.
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from sympow.koszul import (_verify_complex, build_complex,
                            mul_form_matrix, surface_progression_check)
 from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose, dvec_add,
                             dvec_scale, free_rank, module_on_basis)
-from sympow.pipeline import JobConfig, _run_koszul
+from sympow.pipeline import JobConfig, _run_koszul, canonical_json, config_from_dict, run
 from sympow.polyfit import HOLDOUT
 
 from oracles import direct_sum, koszul_map, quotient_module, rand_invertible, ses_split_check
@@ -234,6 +235,26 @@ def p3_noncoker(p3):
     return K
 
 
+def test_seed_43_job_reports_a_cokernel_that_is_not_free():
+    """The benchmark's P^3 job at job seed 1241856672 (benchmark seed 43):
+    every complex is exact, but its cokernel is not free and stage 1 does
+    not split, so the benchmark gate refuses it.  The report's bytes are
+    pinned: the first 16 hex digits of the sha256 of `canonical_json`."""
+    cfg = config_from_dict({
+        "field": {"p": 3, "e": 2},
+        "generators": ["4 4\n00 00 10 00\n10 00 00 00\n00 10 00 00\n00 00 00 10\n"],
+        "n_max": 17, "checks": ["decompose", "koszul"], "seed": 1241856672})
+    report = run(cfg)
+    assert report["errors"] == {}
+    complexes = report["checks"]["koszul"]["complexes"]
+    assert len(complexes) == 9
+    for c in complexes:
+        assert c["exact"] and not c["all_split"] and not c["coker_free"], (c["t"], c["j"])
+        assert c["stages"][0] == {"r": 1, "split": False}
+    text = canonical_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b7a3e2ce079778c2"
+
+
 def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
     """Every stage verdict against `ses_split_check` on the P^3 / GF(9) group.
 
@@ -273,15 +294,39 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
 
 
 def _count_eliminations(monkeypatch):
-    """Record the input shape of every forward elimination and
-    back-substitution from here on: (forward, back)."""
-    forward, back = [], []
-    real_forward, real_back = la.forward_echelon, la.back_substitute
+    """Record every elimination from here on: (scattered, forward, back).
+
+    `scattered` gets, per `la.echelon_from_leads` call, the shape of the
+    rows scattered from a complex's blocks, how many of them repeat a lead,
+    and the input shapes of the forward eliminations made inside it;
+    `forward` and `back` get the input shape of every forward elimination
+    and back-substitution.
+    """
+    scattered, forward, back = [], [], []
+    real_leads, real_forward, real_back = (la.echelon_from_leads, la.forward_echelon,
+                                           la.back_substitute)
+
+    def from_leads(F, W, leads):
+        seen, shape = len(forward), W.shape
+        out = real_leads(F, W, leads)
+        scattered.append((shape, len(leads) - len(np.unique(leads)), forward[seen:]))
+        return out
+
+    monkeypatch.setattr(la, "echelon_from_leads", from_leads)
     monkeypatch.setattr(la, "forward_echelon",
                         lambda F, A, **kw: forward.append(A.shape) or real_forward(F, A, **kw))
     monkeypatch.setattr(la, "back_substitute",
                         lambda F, W, pivots: back.append(W.shape) or real_back(F, W, pivots))
-    return forward, back
+    return scattered, forward, back
+
+
+def _only_repeats_eliminated(scattered, forward):
+    """Whether every forward elimination ran inside `la.echelon_from_leads`,
+    on exactly the scattered rows whose lead repeats."""
+    inner = [x for _, _, calls in scattered for x in calls]
+    return sorted(inner) == sorted(forward) and all(
+        [rows for rows, _ in calls] == ([repeats] if repeats else [])
+        for _, repeats, calls in scattered)
 
 
 def test_signature_leads_are_the_pivots_of_tau_2(complexes, p3_noncoker):
@@ -295,33 +340,61 @@ def test_signature_leads_are_the_pivots_of_tau_2(complexes, p3_noncoker):
         assert K._signature_leads().tolist() == piv, (K.t, K.j)
 
 
+def test_row_leads_match_a_dense_scan(complexes, p3_noncoker):
+    """The leads read off the shift forms are the first nonzero columns of
+    the scattered rows, which are the rows of the dense map sorted by lead.
+    The top map's rows and one form's rows (a one-form Leads) all lead at
+    distinct columns, so they eliminate nothing."""
+    for K in complexes + [p3_noncoker]:
+        for r in range(K.top):
+            n = K.dim(r + 1)
+            W, lead = K._rows_by_lead(r, K.faces[r], np.ones(n, dtype=bool), K.dim(r))
+            nonzero = W != 0
+            assert nonzero.any(axis=1).all() and np.array_equal(lead, nonzero.argmax(axis=1))
+            assert np.all(np.diff(lead) >= 0)
+            dense = K.map(r).T
+            order = np.argsort((dense != 0).argmax(axis=1), kind="stable")
+            assert np.array_equal(W, dense[order]), (K.t, K.j, r)
+            if r == K.top - 1 and K.copies(r + 1) == 1:
+                assert len(np.unique(lead)) == n, (K.t, K.j)
+            one = [(0, 0, 1, K.d - 1)]
+            _, lead = K._rows_by_lead(r, one, np.ones(K.block_dim(r + 1), dtype=bool),
+                                      K.block_dim(r))
+            assert len(np.unique(lead)) == len(lead), (K.t, K.j, r)
+
+
 def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     """On an all-exact complex the ranks and every stage read never
     eliminate the middle map: rank tau_2 is |L| and tau_1 drops the rows at
-    L.  tau_1 and tau_3 are each eliminated forward once, and only the
-    RREFs that are read are reduced.  Reading tau_2's RREF (`kernel(0)`)
-    eliminates it forward once, on the rows tau_3's pivots leave free.
+    L.  tau_1 and tau_3 each have their rows scattered once, only the rows
+    whose lead repeats reach `forward_echelon` (none of tau_3's), and only
+    the RREFs that are read are reduced.  Reading tau_2's RREF
+    (`kernel(0)`) scatters its rows once, those tau_3's pivots leave free.
     """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
     F = G.field
     maps = [K.map(r) for r in range(K.top)]
     ranks = [la.rank(F, A) for A in maps] + [0]
-    forward, back = _count_eliminations(monkeypatch)
+    scattered, forward, back = _count_eliminations(monkeypatch)
     assert check_exact(K)["exact"] and K.top == 3
     K.cokernel()
     K.quotient(2)
     for r in range(1, K.top):
         K.kernel(r)
-    by_map = [[x for x in forward if x[1] == A.shape[0]] for A in maps]
+    by_map = [[x for x in scattered if x[0][1] == A.shape[0]] for A in maps]
     L = K._signature_leads()
-    assert by_map == [[(K.dim(1) - len(L), K.dim(0))], [], [(K.dim(3), K.dim(2))]]
+    assert [[x[0] for x in xs] for xs in by_map] == \
+        [[(K.dim(1) - len(L), K.dim(0))], [], [(K.dim(3), K.dim(2))]]
+    assert by_map[0][0][1] > 0 and by_map[2][0][1] == 0
+    assert _only_repeats_eliminated(scattered, forward)
     assert len(L) == ranks[1] == K.rank(1)
-    assert back == [by_map[0][0], by_map[2][0]]
-    seen = len(forward)
+    assert back == [by_map[0][0][0], by_map[2][0][0]]
+    seen = len(scattered)
     K.kernel(0)
     tau_2 = (K.dim(2) - ranks[2], K.dim(1))
-    assert forward[seen:] == [tau_2] and back[2:] == [tau_2]
+    assert [x[0] for x in scattered[seen:]] == [tau_2] and back[2:] == [tau_2]
+    assert _only_repeats_eliminated(scattered, forward)
 
 
 def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, monkeypatch):
@@ -330,7 +403,8 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
     Exact complexes over GF(4) and GF(9), the seed-43 complex (exact, with a
     cokernel that is not free) and the repeated-form complexes, which are
     inexact.  tau_1 is eliminated on the rows outside L, and each other map
-    on the rows of C_(r+1) outside the pivots of im tau_(r+2), once.  rank
+    on the rows of C_(r+1) outside the pivots of im tau_(r+2), once, with
+    only the rows whose lead repeats sent to `forward_echelon`.  rank
     tau_2 eliminates tau_2 (the fallback) exactly when |L| falls short of
     dim ker tau_1, here wherever exactness fails at 1.  L lies within the
     pivots of tau_2 and equals them except with (f_0, f_1, f_1), whose
@@ -340,7 +414,7 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
     cases = [complexes[0], complexes[1], complexes[2], complexes[3],
              build_complex(G3, f3, t=4, j=2), p3_noncoker, complexes[4],
              build_complex(G3, [f3[0], f3[1], f3[1]], t=3, j=0)]
-    forward, _ = _count_eliminations(monkeypatch)
+    scattered, forward, _ = _count_eliminations(monkeypatch)
     inexact_seen, short_leads = 0, 0
     for K in cases:
         K = dataclasses.replace(K, echelons={}, reduced=set(), leads={})
@@ -351,16 +425,18 @@ def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, mo
         L = set(K._signature_leads().tolist())
         assert L <= set(full[1][2])
         short_leads += len(L) < ranks[1]
+        scattered.clear()
         forward.clear()
         assert [K.rank(r) for r in range(K.top)] == ranks[:-1]
         for r in range(1, K.top + 1):
             exact = K.dim(r) - ranks[r - 1] == ranks[r]
             assert K.is_exact(r) == exact
             inexact_seen += not exact
-        tau_2_eliminated = [x for x in forward if x[1] == K.dim(1)]
+        tau_2_eliminated = [x for x in scattered if x[0][1] == K.dim(1)]
         assert bool(tau_2_eliminated) == (len(L) != K.dim(1) - ranks[0])
         assert len(tau_2_eliminated) <= 1
-        assert [x for x in forward if x[1] == K.dim(0)] == [(K.dim(1) - len(L), K.dim(0))]
+        assert [x[0] for x in scattered if x[0][1] == K.dim(0)] == [(K.dim(1) - len(L), K.dim(0))]
+        assert _only_repeats_eliminated(scattered, forward)
         for r, (R, rk, piv) in enumerate(full):
             got, got_rk, got_piv = K.image_rref(r)
             assert got_rk == rk and got_piv == piv

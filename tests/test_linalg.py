@@ -172,6 +172,70 @@ def test_recursive_vs_naive_differential(F):
             assert np.array_equal(R1, R2), f"echelon mismatch on {name} over {F}, reduce={reduce}"
 
 
+def _rows_with_leads(F, rng, leads, n, density=1.0):
+    """Random rows, row i zero before column leads[i] and nonzero there."""
+    A = la.rand_mat(F, rng, len(leads), n) * (rng.random((len(leads), n)) < density)
+    A[np.arange(n)[None, :] < np.asarray(leads)[:, None]] = 0
+    A[np.arange(len(leads)), leads] = rng.integers(1, F.q, size=len(leads))
+    return A
+
+
+def _lead_cases(F, rng):
+    """name -> (rows sorted by lead, their leads)."""
+    cases = {}
+
+    def add(name, leads, n, density=1.0):
+        leads = np.sort(np.asarray(leads, dtype=np.int64))
+        cases[name] = (_rows_with_leads(F, rng, leads, n, density), leads)
+
+    add("distinct", rng.choice(90, size=60, replace=False), 90, 0.1)
+    add("distinct dense", np.arange(0, 150, 2), 160)
+    add("one lead", np.full(40, 3), 50)
+    add("no rows", [], 12)
+    add("sparse ties", rng.integers(0, 200, size=300), 230, 0.05)
+    # ties whose remainders are dependent: half are multiples of the row
+    # before, the other half that plus a row that leads later
+    leads = np.sort(rng.integers(0, 25, size=50))
+    A = _rows_with_leads(F, rng, leads, 70)
+    for i in np.flatnonzero(leads[1:] == leads[:-1]) + 1:
+        A[i] = F.vec_mul(A[i - 1], np.int64(rng.integers(1, F.q)))
+        later = np.flatnonzero(leads > leads[i])
+        if i % 2 and later.size:
+            A[i] = F.vec_add(A[i], A[rng.choice(later)])
+    cases["dependent ties"] = (A, leads)
+    # past la._SPLIT_CELLS, with enough repeats that the remainder is too
+    add("split", rng.integers(0, 100, size=380) * 3, 330, 0.3)
+    return cases
+
+
+@pytest.mark.parametrize("F", [F2, make_field(3, 2), make_field(3, 5), make_field(23, 2)],
+                         ids=str)
+def test_echelon_from_leads_vs_naive_differential(F, monkeypatch):
+    """Rows sorted by known leads: pivots and the RREF after back-substitution
+    match the reference.  Rows with distinct leads eliminate nothing, and
+    `forward_echelon` sees only the rows whose lead repeats."""
+    rng = np.random.default_rng(31 + F.q)
+    real_forward = la.forward_echelon
+    calls = []
+    monkeypatch.setattr(la, "forward_echelon",
+                        lambda F, A, **kw: calls.append(A.shape) or real_forward(F, A, **kw))
+    for name, (A, leads) in _lead_cases(F, rng).items():
+        calls.clear()
+        W, piv = la.echelon_from_leads(F, A.copy(), leads)
+        repeats = len(leads) - len(np.unique(leads))
+        if repeats:
+            assert [rows for rows, _ in calls] == [repeats], name
+        else:
+            assert calls == [], name
+        if name == "split":
+            assert calls[0][0] * calls[0][1] >= la._SPLIT_CELLS
+        R, p = _echelon_naive(F, A)
+        assert piv == p, f"pivot mismatch on {name} over {F}"
+        assert name != "dependent ties" or len(p) < len(leads)
+        la.back_substitute(F, W, piv)
+        assert np.array_equal(W, R), f"RREF mismatch on {name} over {F}"
+
+
 @pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(67108879)], ids=str)
 def test_rref_extend_matches_stacked_rref(F):
     """Extending an RREF by new rows must equal the RREF of the stacked rows."""
