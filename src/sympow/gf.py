@@ -180,9 +180,6 @@ class Field:
             return (-a) % self.p
         return self.from_coeffs(-c for c in self.coeffs(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p

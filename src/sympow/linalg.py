@@ -23,11 +23,14 @@ lower-triangular multiplier block, built by forward substitution one column
 at a time (`_invert_lower`), and the only scalar call is `Field.inv` on each
 pivot.
 
-Rows whose leading columns are known and ascend are brought to an echelon
-form from those leads (`echelon_from_leads`): only rows whose lead repeats
-are eliminated.  That form is not the first-nonzero one, so it is read only
-through what is unique to the row space: its pivots, and the RREF that
-`back_substitute` makes of it.
+An echelon form is extended one way and finished one way.  Rows whose
+leading columns are known and ascend, below rows whose lead is not known,
+are brought to an echelon form from those leads (`echelon_from_leads`):
+only the rows whose lead is unknown or repeats are eliminated.  The Koszul
+maps' rows come with their leads; the free peel stacks new rows above an
+RREF.  That form is not the first-nonzero one, so it is read only through
+what is unique to the row space: its pivots, and the RREF that
+`back_substitute` makes of it, bottom up on the non-pivot columns alone.
 
 Matrix text format: a `rows cols` header line, then one row per line of
 scalar serializations separated by spaces.
@@ -40,8 +43,8 @@ import numpy as np
 from .gf import Field, _mod_p
 
 _PANEL = 128
-# from this many entries on, elimination splits panels and back-substitution
-# blocks recursively down to _LEAF columns or rows
+# from this many entries on, elimination splits panels recursively down to
+# _LEAF columns, and back-substitution takes _LEAF rows at a time
 _SPLIT_CELLS = 1 << 15
 _LEAF = 16
 # below this many inner columns per packed product (p > 19), the x-power
@@ -252,18 +255,18 @@ def _join_lower(F: Field, M: np.ndarray, T: np.ndarray, t0: int, t1: int, t2: in
 
 
 def _submul_rows(F: Field, W: np.ndarray, r: int, A: np.ndarray, src: slice,
-                 cols) -> None:
-    """W[r:r + len(A), cols] -= A @ W[src, cols], in place.
+                 cols: slice) -> None:
+    """W[r:r + len(A), cols] -= A @ W[src, cols], in place, for a slice `cols`.
 
     Rows where A is zero and columns where W[src] is zero stay as they are,
-    so the product skips them.  `cols` is a slice or an index array.
+    so the product skips them.
     """
     nz = np.flatnonzero(A.any(axis=1))
     idx = np.arange(W.shape[1])[cols]
     keep = idx[W[src].any(axis=0)[idx]]
     if not nz.size or not keep.size:
         return
-    if nz.size == A.shape[0] and keep.size == idx.size and isinstance(cols, slice):
+    if nz.size == A.shape[0] and keep.size == idx.size:
         mat_submul_into(F, W[r:r + nz.size, cols], A, W[src, cols])
     else:
         mat_submul_into(F, W, A[nz], W[src][:, keep], rows=r + nz, cols=keep)
@@ -357,31 +360,6 @@ def _eliminate(F: Field, W: np.ndarray, M: np.ndarray, T: np.ndarray,
     return r
 
 
-def _clear_above(F: Field, W: np.ndarray, pivots: list[int], free: np.ndarray,
-                 a: int, b: int, leaf: int) -> None:
-    """Clear each pivot column pivots[j] in rows a..j-1, for j in a..b-1.
-
-    Rows are halved: once the bottom half is reduced, one product clears its
-    pivot columns in the top half.  Outside those columns, where it holds
-    the identity, the bottom half is nonzero only in non-pivot columns
-    (`free`), so the product runs over those alone.
-    """
-    if b - a > leaf:
-        h = (a + b) // 2
-        _clear_above(F, W, pivots, free, h, b, leaf)
-        _submul_rows(F, W, a, W[a:h, pivots[h:b]], slice(h, b), free)
-        W[a:h, pivots[h:b]] = 0
-        _clear_above(F, W, pivots, free, a, h, leaf)
-        return
-    for j in range(a + 1, b):
-        c = pivots[j]
-        above = W[a:j, c]
-        nz = np.nonzero(above)[0]
-        if nz.size:
-            rows_idx = a + nz
-            W[rows_idx, c:] = F.vec_submul(W[rows_idx, c:], above[nz][:, None], W[j, c:][None, :])
-
-
 def _leaf(W: np.ndarray) -> int:
     return _LEAF if W.size >= _SPLIT_CELLS else _PANEL
 
@@ -420,16 +398,39 @@ def forward_echelon(F: Field, A: np.ndarray, overwrite: bool = False):
 
 
 def back_substitute(F: Field, W: np.ndarray, pivots: list[int]) -> None:
-    """Turn a `forward_echelon` form W into the RREF of the same rows, in place.
+    """Turn an echelon form W, leading entries 1, into the RREF of its rows, in place.
 
     With the pivots fixed the reduced form is unique, so this is the RREF
-    `oracles._echelon_naive` gives.  From _SPLIT_CELLS entries on, rows halve
-    recursively down to _LEAF, as in the forward pass.
+    `oracles._echelon_naive` gives.  RREF row j is W's row j less
+    W[j, pivots[l]] times RREF row l for each l > j, so the multipliers are
+    W's own entries and only the non-pivot columns (a rank x free copy)
+    change.  Pivot rows go bottom up, `_leaf(W)` at a time: inside a block
+    one vector op per pivot clears it in the block's rows above it, then
+    one product clears the block's pivot columns in every row above the
+    block.  The pivot columns become the identity at the end.
     """
-    if pivots:
-        free = np.ones(W.shape[1], dtype=bool)
-        free[pivots] = False
-        _clear_above(F, W, pivots, np.flatnonzero(free), 0, len(pivots), _leaf(W))
+    k = len(pivots)
+    if not k:
+        return
+    piv = np.array(pivots)
+    free = np.ones(W.shape[1], dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    X = W[:k, free]
+    if free.size:
+        leaf = _leaf(W)
+        for j1 in range(k, 0, -leaf):
+            j0 = max(0, j1 - leaf)
+            U = W[j0:j1, piv[j0:j1]]
+            # U is unit upper triangular: the pivots with a nonzero above
+            # them, bottom up
+            for j in np.flatnonzero((U != 0).sum(axis=0) > 1)[::-1]:
+                X[j0:j0 + j] = F.vec_submul(X[j0:j0 + j], U[:j, j, None], X[j0 + j])
+            if j0:
+                _submul_rows(F, X, 0, W[:j0, piv[j0:j1]], slice(j0, j1), slice(None))
+    W[:k] = 0
+    W[:k, free] = X
+    W[np.arange(k), piv] = 1
 
 
 def _move_rows(W: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
@@ -459,7 +460,8 @@ def _reduce_by_pivot_rows(F: Field, X: np.ndarray, B: np.ndarray, lead: np.ndarr
         return
     U = B[:, lead]
     b = len(lead)
-    for l0 in range(0, b, _LEAF):
+    # U is unit upper triangular; the identity (B in RREF) leaves C as it is
+    for l0 in range(0, b, _LEAF) if np.count_nonzero(U) > b else ():
         l1 = min(l0 + _LEAF, b)
         # the leaf's columns whose pivot row reaches a later lead of the leaf
         for j in l0 + np.flatnonzero(np.triu(U[l0:l1, l0:l1], 1).any(axis=1)):
@@ -478,28 +480,32 @@ def _reduce_by_pivot_rows(F: Field, X: np.ndarray, B: np.ndarray, lead: np.ndarr
 def echelon_from_leads(F: Field, W: np.ndarray, leads: np.ndarray):
     """An echelon form of W's rows, computed in W in place; returns (W, pivots).
 
-    leads[i] is the column of row i's first nonzero entry, and leads ascend.
-    The first row of each lead is a pivot row as it stands, scaled to lead
-    with 1.  Only the rows whose lead repeats are copied out and eliminated:
-    reduced against the pivot rows, _PANEL at a time, until they vanish at
-    every lead (`_reduce_by_pivot_rows`), then `forward_echelon` on the other
-    columns.  The pivot rows and that echelon form's rank rows lead at
-    distinct columns, so merged in place by pivot they are an echelon form
-    of W's rows, with leading entries 1 and zero rows below.  It need not be
-    `forward_echelon(W)`, but its pivots are the same and so is its RREF
-    after `back_substitute`: both are unique to the row space.
+    leads[i] is the column of row i's first nonzero entry, or -1 when it is
+    not known, and leads ascend, so rows of unknown lead come first.  The
+    first row of each known lead is a pivot row as it stands, scaled to lead
+    with 1.  Only the other rows, whose lead is unknown or repeats, are
+    copied out and eliminated: reduced against the pivot rows, _PANEL at a
+    time, until they vanish at every lead (`_reduce_by_pivot_rows`), then
+    `forward_echelon` on the other columns.  The pivot rows and that echelon
+    form's rank rows lead at distinct columns, so merged in place by pivot
+    they are an echelon form of W's rows, with leading entries 1 and zero
+    rows below.  It need not be `forward_echelon(W)`, but its pivots are the
+    same and so is its RREF after `back_substitute`: both are unique to the
+    row space.
     """
-    m, n = W.shape
-    repeat = np.zeros(m, dtype=bool)
-    repeat[1:] = leads[1:] == leads[:-1]
+    n = W.shape[1]
+    repeat = leads < 0
+    repeat[1:] |= leads[1:] == leads[:-1]
     X = W[repeat]
     src = np.flatnonzero(~repeat)
     lead = leads[src]
-    scale = F.vec_inv(W[src, lead])
+    head = W[src, lead]
     for b0 in range(0, len(src), _PANEL):
         at = src[b0:b0 + _PANEL]
-        B = F.vec_mul(W[at], scale[b0:b0 + _PANEL, None])
-        W[at] = B
+        B = W[at]
+        if (head[b0:b0 + _PANEL] != 1).any():
+            B = F.vec_mul(B, F.vec_inv(head[b0:b0 + _PANEL])[:, None])
+            W[at] = B
         if X.size:
             _reduce_by_pivot_rows(F, X, B, lead[b0:b0 + _PANEL])
     new = np.zeros(0, dtype=np.int64)
@@ -510,12 +516,13 @@ def echelon_from_leads(F: Field, W: np.ndarray, leads: np.ndarray):
         Y, piv = forward_echelon(F, X[:, rest], overwrite=True)
         new = rest[piv]
     # pivot row i moves up: the new pivots before lead[i] come from the
-    # remainders of the repeated rows that lead before it, at most as many
+    # remainders of the rows of unknown or repeated lead before it, at most
+    # as many
     _move_rows(W, src, np.arange(len(src)) + np.searchsorted(new, lead))
     if new.size:
         at = np.arange(len(new)) + np.searchsorted(lead, new)
         W[at] = 0
-        W[np.ix_(at, rest)] = Y[:len(new)]
+        W[at[:, None], rest] = Y[:len(new)]
     W[len(src) + len(new):] = 0
     return W, np.sort(np.concatenate([lead, new])).tolist()
 
@@ -525,44 +532,6 @@ def rref(F: Field, A: np.ndarray):
     R, pivots = forward_echelon(F, A)
     back_substitute(F, R, pivots)
     return R, len(pivots), pivots
-
-
-def rref_extend(F: Field, R: np.ndarray, pivots: list[int], S: np.ndarray,
-                need: int):
-    """rref(F, vstack([R, S])) for R already in RREF with the given pivots.
-
-    The new rows are reduced against R with one product, only their
-    remainder is eliminated (on the non-pivot columns), and R is cleared at
-    the new pivot columns before the rows interleave by pivot.  An RREF is
-    unique to its row space, so the result equals that of the stacked rows.
-    None when the remainder adds fewer than `need` pivots, before any merge.
-    """
-    m, n = R.shape[0] + S.shape[0], S.shape[1]
-    if not pivots:
-        out, rk, piv = rref(F, S)
-        if rk < need:
-            return None
-        return np.vstack([out, zeros(R.shape[0], n)]), rk, piv
-    old = R[:len(pivots)]
-    S = S.copy()
-    mat_submul_into(F, S, S[:, pivots], old)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    T0, k, fp = rref(F, S[:, free])
-    if k < need:
-        return None
-    new = [int(c) for c in free[fp]]
-    T = zeros(k, n)
-    T[:, free] = T0[:k]
-    base = old.copy()
-    if k:
-        mat_submul_into(F, base, base[:, new], T)
-    piv = pivots + new
-    order = np.argsort(piv, kind="stable")
-    out = zeros(m, n)
-    out[:len(piv)] = np.vstack([base, T])[order]
-    return out, len(piv), sorted(piv)
 
 
 def pivot_columns(F: Field, A: np.ndarray) -> list[int]:
@@ -626,7 +595,9 @@ def min_poly(F: Field, A: np.ndarray) -> np.ndarray:
 
     Stacks vectorized powers I, A, A^2, ... as columns; the first column that
     is dependent on its predecessors has index equal to the degree, and the
-    dependence coefficients are the lower-order terms.
+    dependence coefficients are the lower-order terms.  Columns 0..deg-1
+    are the first pivots, so the RREF holds those coefficients in column
+    deg, rows 0..deg-1.
     """
     d = A.shape[0]
     if d == 0:
@@ -637,12 +608,10 @@ def min_poly(F: Field, A: np.ndarray) -> np.ndarray:
         cur = mat_mul(F, cur, A)
         cols.append(cur.reshape(-1))
     S = np.stack(cols, axis=1)
-    _, _, piv = rref(F, S)
+    R, _, piv = rref(F, S)
     pivset = set(piv)
     deg = next(j for j in range(d + 1) if j not in pivset)
-    low = solve(F, S[:, :deg], S[:, deg])
-    assert low is not None, "powers of A below the minimal degree are independent"
-    return np.concatenate([F.vec_neg(low), np.array([1], dtype=np.int64)])
+    return np.concatenate([F.vec_neg(R[:deg, deg]), np.array([1], dtype=np.int64)])
 
 
 def mat_eval_poly(F: Field, coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -447,7 +447,9 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
     permutation or monomial action) is read off its basis orbits
     (`_peel_orbits`), and any other M goes through the trace operator
     (`_peel_trace`).  General route: exponential ramp of random vectors,
-    keeping orbit stacks only while the rank grows by |G| per vector.
+    keeping orbit stacks only while the rank grows by |G| per vector.  Each
+    step stacks the new orbit rows above the RREF so far and extends it with
+    `la.echelon_from_leads`; an accepted step is back-substituted at once.
     """
     G, F, D = M.group, M.field, M.dim
     n = G.order
@@ -457,20 +459,19 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
         perms = _monomial_perms(M)
         return _peel_trace(M) if perms is None else _peel_orbits(M, perms)
     # ramp route
-    state_R = la.zeros(0, D)
-    state_piv: list[int] = []
-    r = 0
+    R = la.zeros(0, D)
+    piv: list[int] = []
     s = 0
     t = 1
     fails = 0
-    while fails < 3 and r + n <= D:
-        t = max(1, min(t, (D - r) // n))
-        V = la.rand_mat(F, rng, D, t)
-        S = _orbit_stack(M, V)
-        ext = la.rref_extend(F, state_R, state_piv, S, need=t * n)
-        if ext is not None:
-            R, r, state_piv = ext
-            state_R, s = R[:r], s + t
+    while fails < 3 and len(piv) + n <= D:
+        t = max(1, min(t, (D - len(piv)) // n))
+        S = _orbit_stack(M, la.rand_mat(F, rng, D, t))
+        W, ext = la.echelon_from_leads(F, np.vstack([S, R]),
+                                       np.array([-1] * len(S) + piv, dtype=np.int64))
+        if len(ext) == len(piv) + t * n:
+            la.back_substitute(F, W, ext)
+            R, piv, s = W[:len(ext)], ext, s + t
             t *= 2
             fails = 0
         elif t > 1:
@@ -479,8 +480,7 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
             fails += 1
     if s == 0:
         return 0, M
-    Q = _quotient_from_rowspace(M, state_R, state_piv)
-    return s, Q
+    return s, _quotient_from_rowspace(M, R, piv)
 
 
 def _quotient_from_rowspace(M: ModuleRep, R: np.ndarray, piv: list[int]) -> ModuleRep:

@@ -153,6 +153,8 @@ def config_from_dict(raw: dict) -> JobConfig:
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; valid names are {list(CHECKS)}")
+    if not checks:
+        raise ConfigError("checks must not be empty; omit it to run every check")
     m_cands = raw.get("m_candidates")
     if m_cands is not None:
         if not isinstance(m_cands, list):

@@ -172,6 +172,31 @@ def test_recursive_vs_naive_differential(F):
             assert np.array_equal(R1, R2), f"echelon mismatch on {name} over {F}, reduce={reduce}"
 
 
+@pytest.mark.parametrize("F", [F2, F5, make_field(3, 2)], ids=str)
+def test_back_substitute_vs_naive_at_block_edges(F):
+    """Back-substitution goes `_leaf(W)` pivot rows at a time from the
+    bottom: ranks on either side of a block edge, rank 0 and no free column
+    must give the reference RREF."""
+    rng = np.random.default_rng(808 + F.q)
+    cases = [(40, 30, 0, la._PANEL), (150, 150, 150, la._PANEL), (220, 200, 200, la._LEAF)]
+    for r in (la._PANEL - 1, la._PANEL, la._PANEL + 1):
+        cases.append((r + 3, 200, r, la._PANEL))
+    for r in (la._LEAF - 1, la._LEAF, la._LEAF + 1, 2 * la._LEAF - 1, 2 * la._LEAF,
+              2 * la._LEAF + 1, 150):
+        cases.append((r + 5, 2400 if r < 100 else 300, r, la._LEAF))
+    for m, n, r, leaf in cases:
+        # rank exactly r: an identity block in each factor, rows and columns shuffled
+        L = np.vstack([la.identity(r), la.rand_mat(F, rng, m - r, r)])[rng.permutation(m)]
+        U = np.hstack([la.identity(r), la.rand_mat(F, rng, r, n - r)])[:, rng.permutation(n)]
+        A = la.mat_mul(F, L, U)
+        assert la._leaf(A) == leaf, (m, n, r)
+        W, piv = la.forward_echelon(F, A)
+        assert len(piv) == r, (m, n, r)
+        la.back_substitute(F, W, piv)
+        R, p = _echelon_naive(F, A)
+        assert piv == p and np.array_equal(W, R), f"RREF mismatch on {m}x{n} rank {r} over {F}"
+
+
 def _rows_with_leads(F, rng, leads, n, density=1.0):
     """Random rows, row i zero before column leads[i] and nonzero there."""
     A = la.rand_mat(F, rng, len(leads), n) * (rng.random((len(leads), n)) < density)
@@ -205,16 +230,43 @@ def _lead_cases(F, rng):
     cases["dependent ties"] = (A, leads)
     # past la._SPLIT_CELLS, with enough repeats that the remainder is too
     add("split", rng.integers(0, 100, size=380) * 3, 330, 0.3)
+
+    # new rows of unknown lead above an RREF basis, as the free peel's ramp
+    # stacks them
+    def extend(name, base, new):
+        R, rk, piv = la.rref(F, base)
+        unknown = np.vstack([new, R[rk:]])
+        cases[name] = (np.vstack([unknown, R[:rk]]),
+                       np.array([-1] * len(unknown) + piv, dtype=np.int64))
+
+    n = 12
+    new = la.rand_mat(F, rng, 4, n)
+    extend("empty base", la.zeros(0, n), new)
+    extend("zero base rows", la.zeros(2, n), new)
+    A = la.rand_mat(F, rng, 5, n)
+    A[4] = A[0]
+    extend("base with its zero rows", A, new)
+    base = la.rand_mat(F, rng, 5, n)
+    extend("dependent", base, la.mat_mul(F, la.rand_mat(F, rng, 3, 5), base))
+    A = la.rand_mat(F, rng, 4, n)
+    A[:, :6] = 0
+    extend("new pivots left of old ones", A, la.rand_mat(F, rng, 3, n))
+    extend("more new rows than columns", la.rand_mat(F, rng, 3, n), la.rand_mat(F, rng, 2 * n, n))
+    A = la.rand_mat(F, rng, 6, n)
+    A[1] = A[0]
+    A[:, 3] = 0
+    extend("mixed, zero column", A[:4], A[4:])
     return cases
 
 
-@pytest.mark.parametrize("F", [F2, make_field(3, 2), make_field(3, 5), make_field(23, 2)],
-                         ids=str)
+@pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(3, 5), make_field(23, 2),
+                               make_field(67108879)], ids=str)
 def test_echelon_from_leads_vs_naive_differential(F, monkeypatch):
-    """Rows sorted by known leads: pivots and the RREF after back-substitution
-    match the reference.  Rows with distinct leads eliminate nothing, and
-    `forward_echelon` sees only the rows whose lead repeats."""
-    rng = np.random.default_rng(31 + F.q)
+    """Rows sorted by lead, unknown leads first: pivots and the RREF after
+    back-substitution match the reference.  Rows with distinct known leads
+    eliminate nothing, and `forward_echelon` sees only the rows whose lead
+    is unknown or repeats."""
+    rng = np.random.default_rng(31 + F.q % 1000)
     real_forward = la.forward_echelon
     calls = []
     monkeypatch.setattr(la, "forward_echelon",
@@ -222,7 +274,7 @@ def test_echelon_from_leads_vs_naive_differential(F, monkeypatch):
     for name, (A, leads) in _lead_cases(F, rng).items():
         calls.clear()
         W, piv = la.echelon_from_leads(F, A.copy(), leads)
-        repeats = len(leads) - len(np.unique(leads))
+        repeats = len(leads) - len(np.unique(leads[leads >= 0]))
         if repeats:
             assert [rows for rows, _ in calls] == [repeats], name
         else:
@@ -234,43 +286,6 @@ def test_echelon_from_leads_vs_naive_differential(F, monkeypatch):
         assert name != "dependent ties" or len(p) < len(leads)
         la.back_substitute(F, W, piv)
         assert np.array_equal(W, R), f"RREF mismatch on {name} over {F}"
-
-
-@pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(67108879)], ids=str)
-def test_rref_extend_matches_stacked_rref(F):
-    """Extending an RREF by new rows must equal the RREF of the stacked rows."""
-    rng = np.random.default_rng(515 + F.q % 1000)
-
-    def check(R, piv, S):
-        got = la.rref_extend(F, R, piv, S, need=0)
-        want = la.rref(F, np.vstack([R, S]))
-        assert got[1:] == want[1:], f"rank/pivots differ over {F}"
-        assert np.array_equal(got[0], want[0]), f"RREF differs over {F}"
-        # a step that needs every new pivot it gets passes; one more is short
-        added = want[1] - len(piv)
-        full = la.rref_extend(F, R, piv, S, need=added)
-        assert full[1:] == want[1:] and np.array_equal(full[0], want[0])
-        assert la.rref_extend(F, R, piv, S, need=added + 1) is None
-
-    n = 12
-    for _ in range(6):
-        S = la.rand_mat(F, rng, 4, n)
-        check(la.zeros(0, n), [], S)                         # empty base
-        check(la.zeros(2, n), [], S)                         # zero base rows
-        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 5, n))
-        check(R, piv, la.rand_mat(F, rng, 4, n))           # base with its zero rows
-        check(R[:rk], piv, la.mat_mul(F, la.rand_mat(F, rng, 3, rk), R[:rk]))  # dependent
-        A = la.rand_mat(F, rng, 4, n)
-        A[:, :6] = 0
-        R, rk, piv = la.rref(F, A)
-        check(R[:rk], piv, la.rand_mat(F, rng, 3, n))     # new pivots left of old ones
-        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 3, n))
-        check(R[:rk], piv, la.rand_mat(F, rng, 2 * n, n))  # more new rows than columns
-        A = la.rand_mat(F, rng, 6, n)
-        A[1] = A[0]
-        A[:, 3] = 0
-        R, rk, piv = la.rref(F, A[:4])
-        check(R[:rk], piv, A[4:])                           # mixed, zero column
 
 
 def test_inv_and_solve_random():

@@ -23,8 +23,8 @@ from sympow.modules import (_colspace_canonical, _iso_detail, _monomial_perms, _
                             _peel_orbits, _peel_trace, _quotient_from_rowspace,
                             _span_element, _trace)
 
-from oracles import (direct_sum, extend_scalars, extended_group, is_iso, is_projective,
-                     quotient_module, rand_invertible, unipotent_jordan)
+from oracles import (_echelon_naive, direct_sum, extend_scalars, extended_group, is_iso,
+                     is_projective, quotient_module, rand_invertible, unipotent_jordan)
 
 
 def cyclic_group(p: int):
@@ -550,3 +550,34 @@ def test_dense_conjugate_takes_the_trace_route(monkeypatch):
     assert routes == ["_peel_trace"]
     assert s == _peel_free(M, None)[0] > 0 and Q.dim == M.dim - s * G.order
     assert routes == ["_peel_trace", "_peel_orbits"]
+
+
+def test_ramp_extends_its_rref_from_leads(monkeypatch):
+    """The ramp of a peel over a group that is not a p-group (S3 permuting
+    P^2's coordinates over GF(2)) stacks new orbit rows, of unknown lead,
+    above its RREF and extends it with `la.echelon_from_leads`.  For every
+    call the pivots, and the RREF after back-substitution, are those of the
+    reference elimination of the same rows, and some step onto a nonempty
+    basis is accepted."""
+    F = make_field(2)
+    G = close_group(F, [_perm(3, [1, 0, 2]), _perm(3, [1, 2, 0])])
+    assert p_part(G.order, F.p) < G.order
+    real = la.echelon_from_leads
+    steps = []
+
+    def from_leads(F, W, leads):
+        A = W.copy()
+        W, piv = real(F, W, leads)
+        R, p = _echelon_naive(F, A)
+        assert piv == p
+        B = W.copy()
+        la.back_substitute(F, B, piv)
+        assert np.array_equal(B, R)
+        steps.append((int(np.count_nonzero(leads >= 0)), len(piv) == len(leads)))
+        return W, piv
+
+    monkeypatch.setattr(la, "echelon_from_leads", from_leads)
+    for n in range(2, 13):
+        s, Q = _peel_free(sym_power(G, n), np.random.default_rng(n))
+        assert Q.dim == sym_power(G, n).dim - s * G.order
+    assert any(basis and accepted for basis, accepted in steps)

@@ -79,6 +79,7 @@ def test_load_config_minimal(tmp_path):
     ({"generators": [""]}, "generator 0: empty matrix text"),
     ({"generators": ["0 0\n"]}, "generator 0 has size 0"),
     ({"m_candidates": []}, "m_candidates must not be empty"),
+    ({"checks": []}, "checks must not be empty; omit it to run every check"),
 ])
 def test_config_validation_errors(tmp_path, capsys, overrides, fragment):
     path = write_config(tmp_path, **overrides)

@@ -65,7 +65,7 @@ def _reduce_power(F, monic, a):
         c = poly[top]
         if c:
             for i in range(m + 1):
-                poly[top - m + i] = F.sub(poly[top - m + i], F.mul(c, monic[i]))
+                poly[top - m + i] = F.add(poly[top - m + i], F.neg(F.mul(c, monic[i])))
     return (poly + [0] * m)[:m]
 
 
