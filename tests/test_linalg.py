@@ -231,31 +231,11 @@ def _lead_cases(F, rng):
     # past la._SPLIT_CELLS, with enough repeats that the remainder is too
     add("split", rng.integers(0, 100, size=380) * 3, 330, 0.3)
 
-    # new rows of unknown lead above an RREF basis, as the free peel's ramp
-    # stacks them
-    def extend(name, base, new):
-        R, rk, piv = la.rref(F, base)
-        unknown = np.vstack([new, R[rk:]])
-        cases[name] = (np.vstack([unknown, R[:rk]]),
-                       np.array([-1] * len(unknown) + piv, dtype=np.int64))
-
-    n = 12
-    new = la.rand_mat(F, rng, 4, n)
-    extend("empty base", la.zeros(0, n), new)
-    extend("zero base rows", la.zeros(2, n), new)
-    A = la.rand_mat(F, rng, 5, n)
-    A[4] = A[0]
-    extend("base with its zero rows", A, new)
-    base = la.rand_mat(F, rng, 5, n)
-    extend("dependent", base, la.mat_mul(F, la.rand_mat(F, rng, 3, 5), base))
-    A = la.rand_mat(F, rng, 4, n)
-    A[:, :6] = 0
-    extend("new pivots left of old ones", A, la.rand_mat(F, rng, 3, n))
-    extend("more new rows than columns", la.rand_mat(F, rng, 3, n), la.rand_mat(F, rng, 2 * n, n))
-    A = la.rand_mat(F, rng, 6, n)
-    A[1] = A[0]
-    A[:, 3] = 0
-    extend("mixed, zero column", A[:4], A[4:])
+    # rows of unknown lead above rows whose known leads tie
+    leads = np.sort(rng.integers(0, 30, size=40))
+    cases["unknown and ties"] = (np.vstack([la.rand_mat(F, rng, 10, 40),
+                                            _rows_with_leads(F, rng, leads, 40)]),
+                                 np.concatenate([np.full(10, -1), leads]))
     return cases
 
 
@@ -286,6 +266,49 @@ def test_echelon_from_leads_vs_naive_differential(F, monkeypatch):
         assert name != "dependent ties" or len(p) < len(leads)
         la.back_substitute(F, W, piv)
         assert np.array_equal(W, R), f"RREF mismatch on {name} over {F}"
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, make_field(3, 2), make_field(67108879)], ids=str)
+def test_rref_extend_matches_stacked_rref(F, monkeypatch):
+    """Extending an RREF by new rows, stacked above its basis with unknown
+    lead as the free peel's ramp does, must give the RREF of the stacked
+    rows; `forward_echelon` sees only the new rows and the base's zero rows."""
+    rng = np.random.default_rng(515 + F.q % 1000)
+    real_forward = la.forward_echelon
+    calls = []
+    monkeypatch.setattr(la, "forward_echelon",
+                        lambda F, A, **kw: calls.append(A.shape) or real_forward(F, A, **kw))
+
+    def check(R, piv, S):
+        unknown = np.vstack([S, R[len(piv):]])
+        calls.clear()
+        W, got = la.echelon_from_leads(F, np.vstack([unknown, R[:len(piv)]]),
+                                       np.array([-1] * len(unknown) + piv, dtype=np.int64))
+        assert [rows for rows, _ in calls] == [len(unknown)]
+        want, rk, want_piv = la.rref(F, np.vstack([R, S]))
+        assert got == want_piv and len(got) == rk, f"rank/pivots differ over {F}"
+        la.back_substitute(F, W, got)
+        assert np.array_equal(W, want), f"RREF differs over {F}"
+
+    n = 12
+    for _ in range(6):
+        S = la.rand_mat(F, rng, 4, n)
+        check(la.zeros(0, n), [], S)                         # empty base
+        check(la.zeros(2, n), [], S)                         # zero base rows
+        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 5, n))
+        check(R, piv, la.rand_mat(F, rng, 4, n))           # base with its zero rows
+        check(R[:rk], piv, la.mat_mul(F, la.rand_mat(F, rng, 3, rk), R[:rk]))  # dependent
+        A = la.rand_mat(F, rng, 4, n)
+        A[:, :6] = 0
+        R, rk, piv = la.rref(F, A)
+        check(R[:rk], piv, la.rand_mat(F, rng, 3, n))     # new pivots left of old ones
+        R, rk, piv = la.rref(F, la.rand_mat(F, rng, 3, n))
+        check(R[:rk], piv, la.rand_mat(F, rng, 2 * n, n))  # more new rows than columns
+        A = la.rand_mat(F, rng, 6, n)
+        A[1] = A[0]
+        A[:, 3] = 0
+        R, rk, piv = la.rref(F, A[:4])
+        check(R[:rk], piv, A[4:])                           # mixed, zero column
 
 
 def test_inv_and_solve_random():
