@@ -61,8 +61,9 @@ elimination.
 
 A complex holds its terms as the group's Sym matrices and builds a term's
 module only when a check reads it (`KoszulComplex.term`): the identity
-checks, ranks and dimensions need none, and with precomputed Sym vectors an
-all-exact complex with a free cokernel never builds C_1 or C_top.
+checks, ranks and dimensions need none, and the split check reads each
+term's class off the Sym vectors, so an all-exact complex with a free
+cokernel never builds C_1 or C_top.
 """
 
 from __future__ import annotations
@@ -561,14 +562,12 @@ def check_exact(K: KoszulComplex) -> dict:
 
 
 def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
-                          sym_vectors: dict[int, dict[int, int]] | None) -> dict:
+                          sym_vectors: dict[int, dict[int, int]]) -> dict:
     """Per-stage splitting verdicts plus freeness of the cokernel class.
 
     Stage r is 0 -> ker tau_r -> C_r -> C_r / ker tau_r -> 0, with
-    tau_r : C_r -> C_(r-1).  sym_vectors may carry precomputed
-    decompositions of the symmetric powers (keyed by degree); C_r vectors
-    are then their block multiples, which is the same Krull-Schmidt class
-    without redoing the big modules.
+    tau_r : C_r -> C_(r-1).  The class of C_r is C(d, r) times that of its
+    Sym block, read from sym_vectors (keyed by degree, over `registry`).
 
     Both outer classes lean on verified identities instead of fresh
     decompositions where possible, through the quotients
@@ -590,10 +589,9 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     modules decomposed are then Q_0 and Q_2, ..., Q_(top-1).
 
     Terms are built only where a path reads one (`KoszulComplex.term`): the
-    cokernel reads C_0, a kernel taken as Q_(r+1) reads C_(r+1), a kernel
-    or quotient decomposed directly reads C_r, and a term's class reads C_r
-    only when sym_vectors lacks its degree.  So with sym vectors at a fully
-    exact complex with a free cokernel, C_1 and C_top are never built.
+    cokernel reads C_0, a kernel taken as Q_(r+1) reads C_(r+1), and a
+    kernel or quotient decomposed directly reads C_r.  So at a fully exact
+    complex with a free cokernel, C_1 and C_top are never built.
     """
     R = K.top
     exact_spots = set(check_exact(K)["exact_at"])
@@ -603,10 +601,7 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
     coker_free = vcoker == dvec_scale(kg, q)
 
     def term_vec(r: int) -> dict[int, int]:
-        deg = K.m * (K.t - r) + K.j
-        if sym_vectors is not None and deg in sym_vectors:
-            return dvec_scale(sym_vectors[deg], K.copies(r))
-        return decompose(K.term(r), registry, seed)
+        return dvec_scale(sym_vectors[K.m * (K.t - r) + K.j], K.copies(r))
 
     stages = []
     kernel_vecs: dict[int, dict[int, int]] = {}

@@ -7,7 +7,10 @@ canonical JSON (sorted keys, exact fraction strings); wall-clock timing and
 cache counters live in a `volatile` section that the canonical form drops,
 which is what makes the determinism contract byte-exact.
 
-The degree sweep runs in this process, in ascending degree order, and
+A job has one degree sweep (`Sweep`), and every class of a Sym^n that a
+check reads comes from it: the checks that read vectors sweep to `n_max`,
+and the Koszul check extends the sweep to the top degree its complexes
+read.  The sweep runs in this process, in ascending degree order, and
 decomposes every degree into one job registry, so kG is decomposed at most
 once and each part is matched once.  On P¹ the sweep first looks for an
 invariant form f of some degree m.  With one, each degree n >= m whose
@@ -22,7 +25,9 @@ registry's classes in id order and the vectors over them, keyed by degree,
 under a digest of both (`modules.save_registry`).  A sweep reads it whole or
 not at all; a document that fails to load or fails its digest is a miss on
 every degree.  A sweep that computed any degree replaces the document with
-one atomic write, keeping the degrees it already held.
+one atomic write, keeping the degrees it already held.  The Koszul
+extension runs before any Koszul module is decomposed, so the document
+holds only classes a sweep minted.
 """
 
 from __future__ import annotations
@@ -197,24 +202,6 @@ def _cache_path(cfg: JobConfig) -> str | None:
     return os.path.join(cfg.cache_dir, f"{job_key(cfg)}.json") if cfg.cache_dir else None
 
 
-def _read_cache(path: str | None, G: GroupData, stats: dict):
-    """(registry, {n: vector}) from a job's cache document, or a miss on every degree.
-
-    A document that does not parse, fails its digest or has the wrong shape
-    counts once in stats["corrupt"] and is ignored; the next sweep that
-    computes a degree replaces it whole.  Reads never write or delete
-    anything.
-    """
-    if path:
-        try:
-            return load_registry(path, G)
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError):
-            stats["corrupt"] += 1
-    return Registry(G), {}
-
-
 # -- the P¹ recursion -----------------------------------------------------------
 
 FORM_DRAWS = 4
@@ -349,53 +336,71 @@ def _find_form(G: GroupData, seed: int, top: int) -> Cokernels | None:
 # -- the degree sweep --------------------------------------------------------------
 
 
-def _compute_vectors(cfg: JobConfig, G: GroupData, errors: dict):
-    """(vectors, registry, volatile counters) for n = 0..n_max, cache-aware.
+class Sweep:
+    """The job's degree sweep: vec(Sym^n) for n = 0, 1, ... in one registry.
 
-    One loop in ascending degree order.  A degree is a cache hit, a
-    recursion degree, or a direct one.  On P¹ a found invariant form of
-    degree m gives every degree n >= m as vec(n − m) + vec(Q_n)
-    (`Cokernels.vector`).  Every other degree decomposes Sym^n into the job
-    registry.  The counters are the cache's hits, misses and corrupt
-    documents, and the sweep's form degree and degrees per route.
+    It opens with the job's cache document (`stored`); one that does not
+    load counts once in `cache["corrupt"]` and is a miss on every degree.
+    `extend(top)` is the one loop over degrees: in ascending order, it takes
+    each degree up to top that `vectors` lacks from the document, from the
+    recursion (`Cokernels.vector`), or directly.  On P¹ the first degree the
+    document lacks starts the form search.  `cache` counts hits, misses and
+    corrupt documents, and `counts` the form's degree and each route's degrees.
 
-    The first degree that fails (a capacity overflow, say) records its error
-    and ends the sweep, keeping the prefix; later degrees can only be larger.
-    `sym_power` raises before `decompose` touches the registry, so an overflow
-    degree leaves no classes behind.
+    The first degree that fails (a capacity overflow, say) raises and ends
+    the sweep, keeping the prefix; an extension past it raises the same
+    error, since later degrees can only be larger.  `sym_power` raises
+    before `decompose` touches the registry, so an overflow degree leaves no
+    classes behind.
     """
-    path = _cache_path(cfg)
-    stats = {"hits": 0, "misses": 0, "corrupt": 0}
-    registry, stored = _read_cache(path, G, stats)
-    cached = {n: stored[n] for n in range(cfg.n_max + 1) if n in stored}
-    missing = len(cached) <= cfg.n_max
-    tower = _find_form(G, cfg.seed, cfg.n_max) if G.dim == 2 and missing else None
-    sweep = {"form_degree": tower.m if tower else None, "recursion": 0, "direct": 0}
-    vectors: dict[int, dict[int, int]] = {}
-    for n in range(cfg.n_max + 1):
-        if n in cached:
-            vectors[n] = cached[n]
-            continue
-        seed = child_seed(cfg.seed, "sym", n)
+
+    def __init__(self, cfg: JobConfig, G: GroupData):
+        self.cfg, self.group, self.path = cfg, G, _cache_path(cfg)
+        self.cache = {"hits": 0, "misses": 0, "corrupt": 0}
+        self.registry, self.stored = Registry(G), {}
+        if self.path:
+            try:
+                self.registry, self.stored = load_registry(self.path, G)
+            except FileNotFoundError:
+                pass
+            except (OSError, ValueError):
+                self.cache["corrupt"] += 1
+        self.vectors: dict[int, dict[int, int]] = {}
+        self.search, self.tower = G.dim == 2, None
+        self.counts = {"form_degree": None, "recursion": 0, "direct": 0}
+        self.failure: Exception | None = None
+
+    def extend(self, top: int):
+        degrees = range(len(self.vectors), top + 1)
+        if degrees and self.failure is not None:
+            raise self.failure
+        cfg, misses = self.cfg, self.cache["misses"]
         try:
-            route, vec = "recursion", None
-            if tower is not None and n >= tower.m:
-                vec = tower.vector(n, vectors, registry, seed)
-            if vec is None:
-                route = "direct"
-                vec = decompose(sym_power(G, n), registry, seed)
+            for n in degrees:
+                if n in self.stored:
+                    self.vectors[n] = self.stored[n]
+                    self.cache["hits"] += 1
+                    continue
+                if self.search:
+                    self.search, self.tower = False, _find_form(self.group, cfg.seed, cfg.n_max)
+                    self.counts["form_degree"] = self.tower.m if self.tower else None
+                seed = child_seed(cfg.seed, "sym", n)
+                route, vec = "recursion", None
+                if self.tower is not None and n >= self.tower.m:
+                    vec = self.tower.vector(n, self.vectors, self.registry, seed)
+                if vec is None:
+                    route = "direct"
+                    vec = decompose(sym_power(self.group, n), self.registry, seed)
+                self.vectors[n] = vec
+                self.counts[route] += 1
+                self.cache["misses"] += 1
         except Exception as exc:
-            errors[f"decompose_n{n}"] = f"{type(exc).__name__}: {exc}"
-            break
-        vectors[n] = vec
-        sweep[route] += 1
-    fresh = [n for n in vectors if n not in cached]
-    if path and fresh:
-        # degrees the document held past this job's n_max are kept
-        os.makedirs(cfg.cache_dir, exist_ok=True)
-        save_registry(registry, path, {**stored, **vectors})
-    stats.update(hits=len(cached), misses=len(fresh))
-    return vectors, registry, {"cache": stats, "sweep": sweep}
+            self.failure = exc
+            raise
+        finally:
+            if self.path and self.cache["misses"] > misses:
+                os.makedirs(cfg.cache_dir, exist_ok=True)
+                save_registry(self.registry, self.path, {**self.stored, **self.vectors})
 
 
 # -- checks ----------------------------------------------------------------------
@@ -457,48 +462,36 @@ def _run_growth(cfg: JobConfig, G: GroupData) -> dict:
     return fit
 
 
-def _run_koszul(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> dict:
+def _run_koszul(cfg: JobConfig, G: GroupData, sweep: Sweep) -> dict:
     """One report entry per (t, j) complex, t = d..d+2.
 
     The first complex, (d, 0), is the one `choose_forms` certified its forms
-    with.  Each complex is built, checked and dropped in turn, so at most one
-    complex is alive at a time: the next one is built only after the last is
-    garbage.
+    with.  The sweep is then extended to the top degree the complexes read,
+    m(d + 2) + max j, before any Koszul module is decomposed, so every term's
+    class is read from it.  Each complex is built, checked and dropped in
+    turn, so at most one complex is alive at a time: the next one is built
+    only after the last is garbage.
     """
     d = G.dim - 1
     forms, K = kz.choose_forms(G, d, child_seed(cfg.seed, "forms"))
     m = K.m
     js = range(m) if m <= 4 else range(2)
+    sweep.extend(m * (d + 2) + js[-1])
     seed = child_seed(cfg.seed, "koszul")
-    entries = []
+    registry, vectors, entries = sweep.registry, sweep.vectors, []
     for t in range(d, d + 3):
         for j in js:
             if K is None:
                 K = kz.build_complex(G, forms, t=t, j=j)
-            entries.append(_koszul_entry(registry, vectors, K, seed))
+            ex = kz.check_exact(K)
+            sp = kz.check_split_stagewise(K, registry, seed, vectors)
+            eu = kz.euler_identity(registry, vectors, d, m, j, t, seed)
+            entries.append({"t": t, "j": j, "exact": ex["exact"], "coker_dim": ex["coker_dim"],
+                            "stages": [{"r": s["r"], "split": s["split"]} for s in sp["stages"]],
+                            "all_split": sp["all_split"], "coker_free": sp["coker_free"],
+                            "euler_free_multiple": eu["free_multiple"]})
             K = None
     return {"form_degree": m, "complexes": entries}
-
-
-def _koszul_entry(registry: Registry, vectors, K: kz.KoszulComplex, seed: int) -> dict:
-    d, m, t, j = K.d, K.m, K.t, K.j
-    ex = kz.check_exact(K)
-    sp = kz.check_split_stagewise(K, registry, seed, sym_vectors=vectors)
-    entry = {
-        "t": t,
-        "j": j,
-        "exact": ex["exact"],
-        "coker_dim": ex["coker_dim"],
-        "stages": [{"r": s["r"], "split": s["split"]} for s in sp["stages"]],
-        "all_split": sp["all_split"],
-        "coker_free": sp["coker_free"],
-        "euler_free_multiple": None,
-    }
-    need = {m * (t - r) + j for r in range(d + 1)}
-    if vectors is not None and need <= set(vectors):
-        entry["euler_free_multiple"] = kz.euler_identity(
-            registry, vectors, d, m, j, t, seed)["free_multiple"]
-    return entry
 
 
 def _run_surface(cfg: JobConfig, G: GroupData, registry: Registry, vectors) -> dict:
@@ -569,10 +562,17 @@ def run(cfg: JobConfig) -> dict:
         "errors": errors,
         "volatile": {"delivery": cfg.delivery()},
     }
-    vectors = registry = None
+    sweep = vectors = registry = None
+    if _NEED_VECTORS & set(cfg.checks) or "koszul" in cfg.checks:
+        sweep = Sweep(cfg, G)
+        registry = sweep.registry
+        report["volatile"].update(cache=sweep.cache, sweep=sweep.counts)
     if _NEED_VECTORS & set(cfg.checks):
-        vectors, registry, counters = _compute_vectors(cfg, G, errors)
-        report["volatile"].update(counters)
+        try:
+            sweep.extend(cfg.n_max)
+        except Exception as exc:
+            errors[f"decompose_n{len(sweep.vectors)}"] = f"{type(exc).__name__}: {exc}"
+        vectors = dict(sweep.vectors)
         if "decompose" in cfg.checks:
             checks["decompose"] = {
                 "vectors": {n: dict(sorted(v.items())) for n, v in vectors.items()},
@@ -596,9 +596,7 @@ def run(cfg: JobConfig) -> dict:
     guarded("delta_vanishing", _run_delta, G)
     guarded("growth", _run_growth, cfg, G)
     guarded("ramification", ramification, G)
-    if "koszul" in cfg.checks and registry is None:
-        registry = Registry(G)
-    guarded("koszul", _run_koszul, cfg, G, registry, vectors)
+    guarded("koszul", _run_koszul, cfg, G, sweep)
     guarded("surface_progression", _run_surface, cfg, G, registry, vectors)
     guarded("char_growth", _run_char_growth, G)
     report["volatile"]["elapsed_s"] = round(time.monotonic() - t0, 3)
@@ -608,14 +606,15 @@ def run(cfg: JobConfig) -> dict:
 def run_single(cfg: JobConfig, n: int) -> dict:
     """Decompose one symmetric power, reusing the cache read-only.
 
-    Only full `analyze` sweeps write the cache: they assign registry ids in
-    ascending-degree first-appearance order, and a stray single-degree write
-    would bake a different id numbering into the shared registry.  An
-    unreadable cache document is a miss, as on any read.
+    The job's `Sweep` opens the document but is never extended, so nothing
+    is written.  Only an extending sweep writes the cache, whichever checks
+    opened it: a sweep assigns registry ids in ascending-degree
+    first-appearance order, and a stray single-degree write would bake a
+    different id numbering into the shared registry.
     """
     G = _group(cfg)
-    registry, cached = _read_cache(_cache_path(cfg), G, {"corrupt": 0})
-    vec = cached.get(n)
+    sweep = Sweep(cfg, G)
+    registry, vec = sweep.registry, sweep.stored.get(n)
     if vec is None:
         vec = decompose(sym_power(G, n), registry, child_seed(cfg.seed, "sym", n))
     return {

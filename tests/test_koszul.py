@@ -37,7 +37,8 @@ from sympow.koszul import (_verify_complex, build_complex,
                            mul_form_matrix, surface_progression_check)
 from sympow.modules import (Registry, _colspace_canonical, child_seed, decompose, dvec_add,
                             dvec_scale, free_rank, module_on_basis)
-from sympow.pipeline import JobConfig, _run_koszul, canonical_json, config_from_dict, run
+from sympow.pipeline import (JobConfig, Sweep, _run_koszul, canonical_json, config_from_dict,
+                             job_key, run)
 from sympow.polyfit import HOLDOUT
 
 from oracles import direct_sum, koszul_map, quotient_module, rand_invertible, ses_split_check
@@ -189,17 +190,24 @@ def test_repeated_form_breaks_exactness(plane):
     assert not rep["exact"] and 1 in rep["inexact_at"]
 
 
+def oracle_vectors(K, reg):
+    """The Sym class of every term of K, each Sym^k decomposed directly into reg."""
+    degs = sorted({K.m * (K.t - r) + K.j for r in range(K.top + 1)})
+    return {k: decompose(sym_power(K.group, k), reg, SEED) for k in degs}
+
+
 def test_stagewise_matches_direct_ses_route(plane):
     G, forms, _ = plane
-    reg = Registry(G)
-    K = build_complex(G, forms, t=3, j=0)
-    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=None)
-    assert out["all_split"] and out["coker_free"]
-    assert out["coker_free_rank"] * G.order == 4
-    for stage in out["stages"]:
-        r = stage["r"]
-        Kb, _ = K.kernel(r - 1)
-        assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"]
+    for j in (0, 1):
+        reg = Registry(G)
+        K = build_complex(G, forms, t=3, j=j)
+        out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=oracle_vectors(K, reg))
+        assert out["all_split"] and out["coker_free"]
+        assert out["coker_free_rank"] * G.order == 4
+        for stage in out["stages"]:
+            r = stage["r"]
+            Kb, _ = K.kernel(r - 1)
+            assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"], (j, r)
 
 
 def test_kernel_is_the_canonical_rref_basis(complexes):
@@ -269,7 +277,7 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
     for name, K in cases.items():
         F = K.group.field
         reg = Registry(K.group)
-        out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=None)
+        out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=oracle_vectors(K, reg))
         for stage in out["stages"]:
             r = stage["r"]
             Kb = la.kernel_basis(F, K.map(r - 1))
@@ -604,16 +612,6 @@ def test_permutation_action_products_skip_the_dense_routes(p3, complexes, monkey
     assert primes == [1]
 
 
-def test_stagewise_accepts_precomputed_sym_vectors(plane):
-    G, forms, m = plane
-    reg = Registry(G)
-    degs = {m * (3 - r) + 1 for r in range(3)}
-    sv = {k: decompose(sym_power(G, k), reg, SEED) for k in degs}
-    K = build_complex(G, forms, t=3, j=1)
-    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
-    assert out["all_split"] and out["coker_free"]
-
-
 def test_koszul_stage_holds_one_complex_at_a_time(plane, monkeypatch):
     """`pipeline._run_koszul` drops each complex before it builds the next:
     when a complex is built, every earlier one is garbage.  The first entry
@@ -633,7 +631,7 @@ def test_koszul_stage_holds_one_complex_at_a_time(plane, monkeypatch):
 
     monkeypatch.setattr(kz, "build_complex", tracked)
     cfg = JobConfig(p=2, e=2, generators=[], n_max=0, seed=SEED, checks=("koszul",))
-    out = _run_koszul(cfg, G, Registry(G), None)
+    out = _run_koszul(cfg, G, Sweep(cfg, G))
     levels = [(c["t"], c["j"]) for c in out["complexes"]]
     # choose_forms builds (2, 0) at least once, then one complex per other (t, j)
     assert levels == [(t, j) for t in (2, 3, 4) for j in (0, 1)]
@@ -641,9 +639,88 @@ def test_koszul_stage_holds_one_complex_at_a_time(plane, monkeypatch):
     assert all(tj == (2, 0) for _, tj in built[:-5])
 
 
+S3_P1_GENS = ["2 2\n0 1\n1 0\n", "2 2\n1 1\n0 1\n"]
+P3_GENS = ["4 4\n00 00 10 00\n10 00 00 00\n00 10 00 00\n00 00 00 10\n"]
+
+# name: (field, generators, the Koszul top degree m(d + 2) + max j)
+KOSZUL_ACTIONS = {
+    "S3-P1-GF2": ({"p": 2, "e": 1}, S3_P1_GENS, 19),
+    "C3-P3-GF9": ({"p": 3, "e": 2}, P3_GENS, 17),
+}
+
+
+def koszul_job(name, checks, n_max, **extra):
+    field, gens, _ = KOSZUL_ACTIONS[name]
+    return config_from_dict({"field": field, "generators": gens, "n_max": n_max, "seed": 7,
+                             "checks": checks, **extra})
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_ACTIONS))
+def test_koszul_only_job_reads_every_term_class_from_the_sweep(name, monkeypatch):
+    """A job that checks `koszul` alone sweeps to the top degree its
+    complexes read: every complex reports its Euler multiple, the section
+    equals that of a job whose `n_max` reaches that degree, and no term of
+    two or more Sym blocks is decomposed for its class."""
+    top = KOSZUL_ACTIONS[name][2]
+    full = run(koszul_job(name, ["decompose", "koszul"], top))
+    blocks, decomposed = [], []
+    real_term, real_decompose = kz.KoszulComplex.term, kz.decompose
+
+    def recording_term(self, r):
+        C = real_term(self, r)
+        if self.copies(r) >= 2:
+            blocks.append(C)
+        return C
+
+    def recording_decompose(M, registry, seed):
+        decomposed.append(M)
+        return real_decompose(M, registry, seed)
+
+    monkeypatch.setattr(kz.KoszulComplex, "term", recording_term)
+    monkeypatch.setattr(kz, "decompose", recording_decompose)
+    report = run(koszul_job(name, ["koszul"], 8))
+    assert report["errors"] == {}
+    complexes = report["checks"]["koszul"]["complexes"]
+    assert all(c["euler_free_multiple"] is not None for c in complexes)
+    assert report["checks"]["koszul"] == full["checks"]["koszul"]
+    assert decomposed and not any(M is C for M in decomposed for C in blocks)
+    assert report["volatile"]["cache"]["misses"] == top + 1
+
+
+def test_a_koszul_only_cache_serves_a_longer_sweep(tmp_path):
+    """A Koszul-only job writes the degrees its sweep took to the cache
+    document, before any Koszul module is decomposed; a job to a higher
+    `n_max` on that cache reads them and reports a cold run's bytes.  At the
+    benchmark's seed-43 job seed the cokernels hold a 2-dimensional class
+    that no Sym^k up to the top degree holds, so a document written after
+    the Koszul checks would carry a class a cold sweep never mints."""
+    name, top, seed = "C3-P3-GF9", KOSZUL_ACTIONS["C3-P3-GF9"][2], 1241856672
+    cache = str(tmp_path / "cache")
+    run(koszul_job(name, ["koszul"], 8, seed=seed, cache_dir=cache))
+    warm = run(koszul_job(name, ["decompose"], top + 2, seed=seed, cache_dir=cache))
+    assert warm["volatile"]["cache"] == {"hits": top + 1, "misses": 2, "corrupt": 0}
+    cold = run(koszul_job(name, ["decompose"], top + 2, seed=seed))
+    assert canonical_json(warm) == canonical_json(cold)
+
+
+def test_koszul_past_n_max_leaves_the_sweep_sections_alone():
+    """S3 on P^1 at `n_max` 12, below the Koszul top degree 19: the sections
+    read off the sweep to `n_max` are those of the same job without
+    `koszul`, and every complex reports its Euler multiple."""
+    name = "S3-P1-GF2"
+    report = run(koszul_job(name, ["decompose", "description", "koszul"], 12))
+    alone = run(koszul_job(name, ["decompose", "description"], 12))
+    assert report["errors"] == {}
+    for key in ("decompose", "description"):
+        assert report["checks"][key] == alone["checks"][key], key
+    complexes = report["checks"]["koszul"]["complexes"]
+    assert len(complexes) == 6
+    assert all(c["euler_free_multiple"] is not None for c in complexes)
+
+
 def test_terms_are_built_only_when_read(p3, monkeypatch):
     """On an all-exact complex with a free cokernel, the rank checks and the
-    stages with Sym vectors read C_0 (the cokernel) and C_2 (Q_2) alone.
+    stages read C_0 (the cokernel) and C_2 (Q_2) alone.
     C_1 and C_top are never built, and the one-copy C_0 shares the group's
     Sym matrices: the only block-diagonal copy is C_2's."""
     G, forms, m = p3

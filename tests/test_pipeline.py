@@ -496,11 +496,17 @@ def test_failing_degree_ends_the_sweep(monkeypatch):
 
     monkeypatch.setattr(pipeline, "sym_power", recording_sym_power)
     monkeypatch.setattr(pipeline, "decompose", failing_decompose)
-    report = run(config_from_dict({**BASE, "generators": ["3 3\n1 1 0\n0 1 0\n0 0 1\n"],
-                                   "checks": ["decompose"]}))
+    job = {**BASE, "generators": ["3 3\n1 1 0\n0 1 0\n0 0 1\n"]}
+    report = run(config_from_dict({**job, "checks": ["decompose"]}))
     assert built == [0, 1, 2, 3]
     assert report["errors"] == {"decompose_n3": "RuntimeError: decompose failed"}
     assert sorted(report["checks"]["decompose"]["vectors"]) == [0, 1, 2]
+    # the Koszul stage extends the same sweep, which does not try degree 3 again
+    built.clear()
+    report = run(config_from_dict({**job, "checks": ["decompose", "koszul"]}))
+    assert built == [0, 1, 2, 3]
+    assert report["errors"] == {"decompose_n3": "RuntimeError: decompose failed",
+                                "koszul": "RuntimeError: decompose failed"}
 
 
 def test_repeated_koszul_job_in_one_process_does_the_same_work(monkeypatch):

@@ -9,7 +9,11 @@ config reaches; their digests were recorded on the code that kept each
 character as a per-class dict of tuples.  The P² probes run the plane's
 sweep, whose splits go through the Fitting primary split
 (`gf.poly_coprime_split`); their digests were recorded on the code whose
-field layer had a second, list-based polynomial engine.  Every expected value
+field layer had a second, list-based polynomial engine.  S3-P2-GF2-koszul is
+the one pinned job whose Koszul degrees (up to 25) pass its `n_max` (12): its
+Koszul stage extends the job's sweep, and its digest was recorded on the code
+that first did so, whose report differed from the code before only in
+`euler_free_multiple` (null on 5 of 6 complexes before).  Every expected value
 is the first 16 hex digits of the sha256 of `canonical_json`.
 """
 
@@ -74,6 +78,7 @@ P2_PROBES = {
     "S3-P2-GF2": (2, S3_PLANE_GENS, 16, ["decompose", "description"], "aed90e9c5f1c9595"),
     "S3-P2-GF3": (3, S3_PLANE_GENS, 12, ["decompose", "description"], "7b7ef09520197898"),
     "GL3F2-P2": (2, GL3_GENS, 8, ["decompose"], "12ead18b6f1ec571"),
+    "S3-P2-GF2-koszul": (2, S3_PLANE_GENS, 12, ["decompose", "koszul"], "11c63c5e22929e42"),
 }
 
 
