@@ -210,6 +210,16 @@ def test_stagewise_matches_direct_ses_route(plane):
             assert ses_split_check(K.term(r), Kb, reg, seed=SEED) == stage["split"], (j, r)
 
 
+def test_stagewise_accepts_precomputed_sym_vectors(plane):
+    G, forms, m = plane
+    reg = Registry(G)
+    degs = {m * (3 - r) + 1 for r in range(3)}
+    sv = {k: decompose(sym_power(G, k), reg, SEED) for k in degs}
+    K = build_complex(G, forms, t=3, j=1)
+    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
+    assert out["all_split"] and out["coker_free"]
+
+
 def test_kernel_is_the_canonical_rref_basis(complexes):
     assert any(not check_exact(K)["exact"] for K in complexes)
     for K in complexes:
