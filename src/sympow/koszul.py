@@ -55,15 +55,17 @@ the first time a map's RREF is read (`image_rref`); pivots and RREF are
 unique to the row space, so they are those of a full elimination of the
 dense map.  The RREF's first rank rows are the canonical basis of the
 map's image, off which the quotients Q_s = C_s / im tau_(s+1) (`quotient`;
-Q_0 is the cokernel) and, at exact spots, the canonical kernel bases
-(`kernel`) are read.  Only a kernel at an inexact spot costs a second
-elimination.
+Q_0 is the cokernel) are read.  Only a kernel at an inexact spot
+(`kernel`) costs a second elimination.
 
 A complex holds its terms as the group's Sym matrices and builds a term's
 module only when a check reads it (`KoszulComplex.term`): the identity
-checks, ranks and dimensions need none, and the split check reads each
-term's class off the Sym vectors, so an all-exact complex with a free
-cokernel never builds C_1 or C_top.
+checks, ranks and dimensions need none.  The split check reads each term's
+class off the Sym vectors and each stage's outer classes off the quotients:
+at an exact spot r the kernel is im tau_(r+1), the quotient above, and the
+quotient is Q_r.  No term is decomposed.  C_top is never built, and C_1
+only for Q_1 (a cokernel that is not free, on P^d with d >= 2) or at an
+inexact spot.
 """
 
 from __future__ import annotations
@@ -204,9 +206,9 @@ class KoszulComplex:
     (`_leads`), and rank tau_2 reads their count when it can (`rank`).  The
     indices in `reduced` mark forms back-substituted in place into the RREF
     (`image_rref`), whose first rank rows are the canonical basis of the
-    image: the quotients Q_s = C_s / im tau_(s+1) (`quotient`) and, at exact
-    spots, the kernels (`kernel`) are read off these.  No map is eliminated
-    twice.
+    image: the quotients Q_s = C_s / im tau_(s+1) (`quotient`) are read off
+    these.  Only a kernel at an inexact spot (`kernel`) eliminates a map
+    twice, as a dense tau.
     """
 
     group: GroupData
@@ -397,11 +399,10 @@ class KoszulComplex:
 
         The rows of `image_rref(s)` are the RREF of the transposed map, so
         this is C_s modulo the column space of tau_(s+1) in the same basis a
-        quotient by that column space from scratch would give.
-        Q_top = C_top.
+        quotient by that column space from scratch would give.  Read for
+        s < top only: the split check takes Q_top = C_top's class from the
+        Sym vectors.
         """
-        if s == self.top:
-            return self.term(s)
         R, rk, piv = self.image_rref(s)
         return _quotient_from_rowspace(self.term(s), R[:rk], piv)
 
@@ -413,20 +414,15 @@ class KoszulComplex:
         """Canonical basis of ker tau_(r+1) and its leading coordinates.
 
         The basis is the RREF of the kernel, transposed: exactly what
-        `_colspace_canonical` returns.  At an exact spot r + 1 the kernel is
-        im tau_(r+2), whose basis `image_rref(r + 1)` holds already (at the
-        top it is 0).  Elsewhere the dense tau_(r+1) (`map`) is eliminated
-        with its columns reversed: a kernel vector read off that RREF is 1
-        at its free column, 0 at the other free columns and nonzero only
-        before it, so flipped back the vectors lead with that 1 in ascending
-        order.
+        `_colspace_canonical` returns.  The split check reads it only at an
+        inexact spot r + 1; at an exact one the kernel is im tau_(r+2), whose
+        class is the stage above's quotient.  The dense tau_(r+1) (`map`) is
+        eliminated with its columns reversed: a kernel vector read off that
+        RREF is 1 at its free column, 0 at the other free columns and nonzero
+        only before it, so flipped back the vectors lead with that 1 in
+        ascending order.
         """
         F, n = self.group.field, self.dim(r + 1)
-        if self.is_exact(r + 1):
-            if r + 1 == self.top:
-                return la.zeros(n, 0), []
-            R, rk, piv = self.image_rref(r + 1)
-            return R[:rk].T.copy(), list(piv)
         R, rk, piv = la.rref(F, np.ascontiguousarray(self.map(r)[:, ::-1]))
         Kb = la.kernel_from_rref(F, R, rk, piv, n)[::-1, ::-1]
         pivset = set(piv)
@@ -567,70 +563,53 @@ def check_split_stagewise(K: KoszulComplex, registry: Registry, seed: int,
 
     Stage r is 0 -> ker tau_r -> C_r -> C_r / ker tau_r -> 0, with
     tau_r : C_r -> C_(r-1).  The class of C_r is C(d, r) times that of its
-    Sym block, read from sym_vectors (keyed by degree, over `registry`).
+    Sym block, read from sym_vectors (keyed by degree, over `registry`); no
+    term is decomposed.  One pass from the top down keeps `quo[r]`, the
+    class of C_r / ker tau_r, and `ker[r]`, that of ker tau_r, by two facts:
 
-    Both outer classes lean on verified identities instead of fresh
-    decompositions where possible, through the quotients
-    Q_s = C_s / im tau_(s+1) (`KoszulComplex.quotient`; Q_0 is the cokernel,
-    Q_top = C_top):
+    * at an exact spot r, ker tau_r = im tau_(r+1), so C_r / ker tau_r is
+      Q_r = C_r / im tau_(r+1) (`KoszulComplex.quotient`), which is C_top
+      at the top; and im tau_(r+1) is isomorphic to C_(r+1) / ker tau_(r+1),
+      so ker[r] = quo[r + 1], and 0 at the top.
+    * C_1 / ker tau_1 is isomorphic to im tau_1, which complements the
+      cokernel Q_0 in C_0 whenever Q_0 is free (free modules are injective
+      over a group algebra, so 0 -> im tau_1 -> C_0 -> Q_0 -> 0 splits).
 
-    * kernel: at a rank-verified exact spot r, ker tau_r = im tau_(r+1),
-      which is isomorphic to C_(r+1) / ker tau_(r+1).  If r + 1 is exact as
-      well, that is Q_(r+1); at an exact top the kernel is 0.
-    * quotient: C_1 / ker tau_1 is isomorphic to im tau_1, which complements
-      the cokernel in C_0 whenever that cokernel verified as free (free
-      modules are injective over a group algebra, so the sequence
-      0 -> im -> C_0 -> coker -> 0 splits).  For r > 1, C_r / ker tau_r
-      is isomorphic to im tau_r, which is the previous stage's kernel
-      when r - 1 is exact.
-
-    Absent a certificate the kernel or quotient module is decomposed
-    directly.  At a fully exact complex with a free cokernel the only
-    modules decomposed are then Q_0 and Q_2, ..., Q_(top-1).
-
-    Terms are built only where a path reads one (`KoszulComplex.term`): the
-    cokernel reads C_0, a kernel taken as Q_(r+1) reads C_(r+1), and a
-    kernel or quotient decomposed directly reads C_r.  So at a fully exact
-    complex with a free cokernel, C_1 and C_top are never built.
+    Otherwise Q_r is decomposed, and at an inexact spot the kernel
+    (`KoszulComplex.kernel`) and the quotient by it.  Terms are built only
+    where a module is read (`KoszulComplex.term`): C_0 for the cokernel,
+    C_r for Q_r, 0 < r < top, or at an inexact spot.  So at a fully exact
+    complex with a free cokernel the only modules decomposed are Q_0 and
+    Q_2, ..., Q_(top-1), and C_1 and C_top are never built.
     """
     R = K.top
-    exact_spots = set(check_exact(K)["exact_at"])
+    exact = set(check_exact(K)["exact_at"])
     vcoker = decompose(K.cokernel(), registry, seed)
     q = free_rank(vcoker, registry, seed)
-    kg = registry.regular_vec(seed)
-    coker_free = vcoker == dvec_scale(kg, q)
+    coker_free = vcoker == dvec_scale(registry.regular_vec(seed), q)
 
     def term_vec(r: int) -> dict[int, int]:
         return dvec_scale(sym_vectors[K.m * (K.t - r) + K.j], K.copies(r))
 
-    stages = []
-    kernel_vecs: dict[int, dict[int, int]] = {}
-    for r in range(1, R + 1):
-        Kb = None
-        if r == R and r in exact_spots:
-            vker, kdim = {}, 0
-        elif {r, r + 1} <= exact_spots:
-            vker = term_vec(R) if r + 1 == R else decompose(K.quotient(r + 1), registry, seed)
-            kdim = K.rank(r)
+    im1 = dvec_sub(term_vec(0), vcoker) if coker_free else None
+    if im1 is not None and any(v < 0 for v in im1.values()):
+        im1 = None
+    quo, ker = {}, {}
+    for r in range(R, 0, -1):
+        if r in exact:
+            ker[r] = quo.get(r + 1, {})
         else:
             Kb, lead = K.kernel(r - 1)
-            ker = module_on_basis(K.term(r), Kb, lead)
-            vker = decompose(ker, registry, seed)
-            kdim = Kb.shape[1]
-        kernel_vecs[r] = vker
-        vquo = None
-        if r == 1 and coker_free:
-            cand = dvec_sub(term_vec(0), vcoker)
-            if all(v > 0 for v in cand.values()):
-                vquo = cand
-        elif r > 1 and (r - 1) in exact_spots:
-            vquo = kernel_vecs[r - 1]
-        if vquo is None:
-            if Kb is None:
-                Kb, lead = K.kernel(r - 1)
-            vquo = decompose(_quotient_from_rowspace(K.term(r), Kb.T, lead), registry, seed)
-        split = term_vec(r) == dvec_add(vker, vquo)
-        stages.append({"r": r, "split": bool(split), "kernel_dim": kdim})
+            ker[r] = decompose(module_on_basis(K.term(r), Kb, lead), registry, seed)
+        if r == R and r in exact:
+            quo[r] = term_vec(r)
+        elif r == 1 and im1 is not None:
+            quo[r] = im1
+        else:
+            Q = K.quotient(r) if r in exact else _quotient_from_rowspace(K.term(r), Kb.T, lead)
+            quo[r] = decompose(Q, registry, seed)
+    stages = [{"r": r, "split": term_vec(r) == dvec_add(ker[r], quo[r]),
+               "kernel_dim": K.dim(r) - K.rank(r - 1)} for r in range(1, R + 1)]
     return {
         "stages": stages,
         "all_split": all(s["split"] for s in stages),

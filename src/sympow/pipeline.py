@@ -606,11 +606,13 @@ def run(cfg: JobConfig) -> dict:
 def run_single(cfg: JobConfig, n: int) -> dict:
     """Decompose one symmetric power, reusing the cache read-only.
 
-    The job's `Sweep` opens the document but is never extended, so nothing
-    is written.  Only an extending sweep writes the cache, whichever checks
-    opened it: a sweep assigns registry ids in ascending-degree
-    first-appearance order, and a stray single-degree write would bake a
-    different id numbering into the shared registry.
+    The job's `Sweep` opens the document but is never extended (a sweep to
+    n would multiply the cost on P^d, d >= 2), so nothing is written: a
+    sweep assigns registry ids in ascending-degree first-appearance order,
+    and a stray single-degree write would bake a different numbering into
+    the shared registry.  Without a document from an `analyze` run the
+    class ids are this call's own and can differ from `analyze`'s; with
+    one they agree, as its classes keep their ids.
     """
     G = _group(cfg)
     sweep = Sweep(cfg, G)

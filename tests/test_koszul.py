@@ -2,8 +2,8 @@
 
 The C2-on-the-plane fixture over GF(4) is small enough that each complex
 builds in milliseconds, yet its cokernel and stage behavior are the real
-thing.  The fast paths (kernels and the cokernel read off each map's image
-RREF, stage classes from the quotients C_s / im tau_s) are differentially
+thing.  The fast paths (the quotients read off each map's image RREF,
+stage classes from the quotients C_s / im tau_(s+1)) are differentially
 tested against direct eliminations and against the direct
 short-exact-sequence route so they cannot drift, and the multiplication
 blocks a complex holds against the dense assembly of its maps
@@ -278,7 +278,7 @@ def test_stage_routes_match_the_ses_oracle(complexes, p3_noncoker):
 
     (a) exact with a free cokernel, where every class comes from the
     quotients Q_s; (b) exact with a cokernel that is not free, where stage 1
-    decomposes its quotient module; (c) inexact, where kernels are
+    decomposes Q_1; (c) inexact, where kernels are
     eliminated and decomposed.  The oracle's kernel comes from the map
     directly, not from `KoszulComplex.kernel`.
     """
@@ -381,25 +381,49 @@ def test_row_leads_match_a_dense_scan(complexes, p3_noncoker):
             assert len(np.unique(lead)) == len(lead), (K.t, K.j, r)
 
 
+def _count_maps(monkeypatch):
+    """Record the r of every dense tau_(r+1) assembled (`KoszulComplex.map`)
+    from here on."""
+    assembled = []
+    real_map = kz.KoszulComplex.map
+    monkeypatch.setattr(kz.KoszulComplex, "map",
+                        lambda self, r: assembled.append(r) or real_map(self, r))
+    return assembled
+
+
 def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
-    """On an all-exact complex the ranks and every stage read never
-    eliminate the middle map: rank tau_2 is |L| and tau_1 drops the rows at
-    L.  tau_1 and tau_3 each have their rows scattered once, only the rows
-    whose lead repeats reach `forward_echelon` (none of tau_3's), and only
-    the RREFs that are read are reduced.  Reading tau_2's RREF
-    (`kernel(0)`) scatters its rows once, those tau_3's pivots leave free.
+    """On an all-exact complex with a free cokernel the split check
+    assembles no dense map and never eliminates the middle map: rank tau_2
+    is |L| and tau_1 drops the rows at L.  tau_1 and tau_3 each have their
+    rows scattered once, only the rows whose lead repeats reach
+    `forward_echelon` (none of tau_3's), and only the RREFs that are read,
+    for Q_0 and Q_2, are reduced.  Reading Q_1 (`quotient(1)`) then
+    scatters tau_2's rows once, those tau_3's pivots leave free.  The
+    eliminations inside `decompose` are not the complex's and are not
+    counted.
     """
     G, forms, _ = p3
     K = build_complex(G, forms, t=3, j=1)
     F = G.field
     maps = [K.map(r) for r in range(K.top)]
     ranks = [la.rank(F, A) for A in maps] + [0]
+    reg = Registry(G)
+    sv = oracle_vectors(K, reg)
     scattered, forward, back = _count_eliminations(monkeypatch)
+    assembled = _count_maps(monkeypatch)
+    real_decompose = kz.decompose
+
+    def uncounted(M, registry, seed):
+        seen = len(scattered), len(forward), len(back)
+        out = real_decompose(M, registry, seed)
+        for calls, n in zip((scattered, forward, back), seen):
+            del calls[n:]
+        return out
+
+    monkeypatch.setattr(kz, "decompose", uncounted)
+    out = check_split_stagewise(K, reg, seed=SEED, sym_vectors=sv)
     assert check_exact(K)["exact"] and K.top == 3
-    K.cokernel()
-    K.quotient(2)
-    for r in range(1, K.top):
-        K.kernel(r)
+    assert out["coker_free"] and out["all_split"]
     by_map = [[x for x in scattered if x[0][1] == A.shape[0]] for A in maps]
     L = K._signature_leads()
     assert [[x[0] for x in xs] for xs in by_map] == \
@@ -409,10 +433,11 @@ def test_exact_complex_eliminates_each_map_once(p3, monkeypatch):
     assert len(L) == ranks[1] == K.rank(1)
     assert back == [by_map[0][0][0], by_map[2][0][0]]
     seen = len(scattered)
-    K.kernel(0)
+    K.quotient(1)
     tau_2 = (K.dim(2) - ranks[2], K.dim(1))
     assert [x[0] for x in scattered[seen:]] == [tau_2] and back[2:] == [tau_2]
     assert _only_repeats_eliminated(scattered, forward)
+    assert assembled == []
 
 
 def test_complement_ranks_match_full_eliminations(p3, complexes, p3_noncoker, monkeypatch):
@@ -665,35 +690,46 @@ def koszul_job(name, checks, n_max, **extra):
                              "checks": checks, **extra})
 
 
+def _carries_a_term(M, terms):
+    """Whether the module M has the matrices of a term C_r, C(d, r) copies
+    of one Sym block on the diagonal, among `terms` (the (syms, copies) of
+    each term of each complex built)."""
+    for syms, n in terms:
+        if M.dim == syms[0].shape[0] * n and all(
+                np.array_equal(A, la.block_diag([B] * n)) for A, B in zip(M.mats, syms)):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("name", sorted(KOSZUL_ACTIONS))
 def test_koszul_only_job_reads_every_term_class_from_the_sweep(name, monkeypatch):
     """A job that checks `koszul` alone sweeps to the top degree its
     complexes read: every complex reports its Euler multiple, the section
-    equals that of a job whose `n_max` reaches that degree, and no term of
-    two or more Sym blocks is decomposed for its class."""
+    equals that of a job whose `n_max` reaches that degree, and no module
+    with a term's matrices, one Sym block or C(d, r) block copies, is
+    decomposed for its class, whatever object carries them."""
     top = KOSZUL_ACTIONS[name][2]
     full = run(koszul_job(name, ["decompose", "koszul"], top))
-    blocks, decomposed = [], []
-    real_term, real_decompose = kz.KoszulComplex.term, kz.decompose
+    terms, carried = [], []
+    real_build, real_decompose = kz.build_complex, kz.decompose
 
-    def recording_term(self, r):
-        C = real_term(self, r)
-        if self.copies(r) >= 2:
-            blocks.append(C)
-        return C
+    def recording_build(G, forms, t, j):
+        K = real_build(G, forms, t=t, j=j)
+        terms.extend((K.syms[r], K.copies(r)) for r in range(K.top + 1))
+        return K
 
     def recording_decompose(M, registry, seed):
-        decomposed.append(M)
+        carried.append(_carries_a_term(M, terms))
         return real_decompose(M, registry, seed)
 
-    monkeypatch.setattr(kz.KoszulComplex, "term", recording_term)
+    monkeypatch.setattr(kz, "build_complex", recording_build)
     monkeypatch.setattr(kz, "decompose", recording_decompose)
     report = run(koszul_job(name, ["koszul"], 8))
     assert report["errors"] == {}
     complexes = report["checks"]["koszul"]["complexes"]
     assert all(c["euler_free_multiple"] is not None for c in complexes)
     assert report["checks"]["koszul"] == full["checks"]["koszul"]
-    assert decomposed and not any(M is C for M in decomposed for C in blocks)
+    assert carried and not any(carried)
     assert report["volatile"]["cache"]["misses"] == top + 1
 
 
@@ -767,10 +803,8 @@ def test_complex_holds_blocks_not_dense_maps(p3, monkeypatch):
     reg = Registry(G)
     sv = {m * (t - r) + j: decompose(sym_power(G, m * (t - r) + j), reg, SEED)
           for r in range(4)}
-    assembled = []
     real_map = kz.KoszulComplex.map
-    monkeypatch.setattr(kz.KoszulComplex, "map",
-                        lambda self, r: assembled.append(r) or real_map(self, r))
+    assembled = _count_maps(monkeypatch)
     tracemalloc.start()
     try:
         K = build_complex(G, forms, t=t, j=j)
