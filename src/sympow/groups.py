@@ -21,7 +21,9 @@ A closed group is the one handle for an action: `close_group(F, gens)`
 checks the generators and closes them, and every API past it takes the group
 alone.  A group owns the data derived from it: `GroupData.sym(n)` keeps Sym^k
 of its generators for the group's lifetime and resumes from the highest
-degree built.  Nothing outlives the group that made it.
+degree built.  A monomial action (one nonzero per column) keeps no tower:
+its Sym^n is monomial too, built in closed form on each call.  Nothing
+outlives the group that made it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class GroupData:
     """Closed element list with words, orders, Sylow subgroup, classes.
 
     Also the owner of state derived from the group: the Sym^k towers of its
-    generators (`sym`).  Built by `close_group` only, which checks the
-    generators.
+    generators (`sym`), kept for non-monomial actions only.  Built by
+    `close_group` only, which checks the generators.
     """
 
     def __init__(self, field: Field, gens: list[np.ndarray]):
@@ -62,6 +64,9 @@ class GroupData:
         self._orders: list[int] | None = None
         self._sylow: tuple[int, ...] | None = None
         self._conj_classes: list[tuple[int, ...]] | None = None
+        picks = [la._monomial_picks(g, 0) for g in self.gens]
+        # (sigma, c) per generator, g.z_j = c[j] z_sigma[j], when every generator is monomial
+        self._monomial = None if None in picks else [(i, v[0]) for i, v in picks]
         self._sym_towers: list[dict[int, np.ndarray]] = [{} for _ in self.gens]
 
     # -- enumeration -----------------------------------------------------
@@ -223,10 +228,13 @@ class GroupData:
     def sym(self, n: int) -> list[np.ndarray]:
         """Sym^n of each generator, on the graded-lex monomial basis.
 
-        Every degree built is kept, so a request resumes from the highest
-        degree below n instead of restarting at zero.  A degree past
-        SYM_DIM_CAP raises CapacityError from `sym_matrix_stream`.
+        A monomial action's matrices are built in closed form
+        (`_sym_monomial`) on each call and kept nowhere; any other action
+        keeps every degree built, and resumes from the highest one below n.
+        A degree past SYM_DIM_CAP raises CapacityError before any is built.
         """
+        if self._monomial is not None:
+            return [_sym_monomial(self.field, sigma, c, n) for sigma, c in self._monomial]
         for A, tower in zip(self.gens, self._sym_towers):
             if n not in tower:
                 below = [k for k in tower if k < n]
@@ -271,8 +279,9 @@ class ModuleRep:
     Convention is column-image: mats[g][i, j] is the z_i coefficient of the
     image of basis vector z_j.  Element actions come from `orbit`, one walk
     over the group's words per call; nothing is memoized.  int64 matrices
-    are kept as given, not copied (a Sym^n module shares its group's Sym
-    matrices), so no caller writes into a module's matrices.
+    are kept as given, not copied (a Sym^n module of a non-monomial action
+    shares its group's Sym matrices), so no caller writes into a module's
+    matrices.
     """
 
     def __init__(self, group: GroupData, mats: list[np.ndarray]):
@@ -389,11 +398,30 @@ def sym_matrix_stream(F: Field, A: np.ndarray, n: int, start):
         prev, mons_prev = cur, mons_k
 
 
-def sym_power(group: GroupData, n: int) -> ModuleRep:
-    """The degree-n graded piece H^0(P^d, O(n)) as a module over `group`.
+def _sym_monomial(F: Field, sigma: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Sym^n of the monomial matrix g.z_j = c[j] z_sigma[j], in closed form.
 
-    The matrices come from the group's Sym^k towers.
+    A ring automorphism is fixed by the images of the variables, so column
+    z^a holds prod_j c[j]^(a_j) alone, in the row of z^b, b_sigma[j] = a_j:
+    the matrix `sym_matrix_stream` builds, with no lower degree.
     """
+    d1 = len(sigma)
+    if sym_dim(d1, n) > SYM_DIM_CAP:
+        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
+    mons = monomials(d1, n)
+    powers = np.ones((n + 1, d1), dtype=np.int64)  # powers[k, j] = c[j]^k
+    for k in range(1, n + 1):
+        powers[k] = F.vec_mul(powers[k - 1], c)
+    vals = np.ones(len(mons), dtype=np.int64)
+    for j in range(d1):
+        vals = F.vec_mul(vals, powers[mons[:, j], j])
+    out = la.zeros(len(mons), len(mons))
+    out[monomial_index(mons[:, np.argsort(sigma)]), np.arange(len(mons))] = vals
+    return out
+
+
+def sym_power(group: GroupData, n: int) -> ModuleRep:
+    """The degree-n graded piece H^0(P^d, O(n)) as a module over `group`."""
     if n < 0:
         raise ValueError("sym_power needs n >= 0")
     return ModuleRep(group, group.sym(n))

@@ -58,12 +58,12 @@ map's image, off which the quotients Q_s = C_s / im tau_(s+1) (`quotient`;
 Q_0 is the cokernel) are read.  Only a kernel at an inexact spot
 (`kernel`) costs a second elimination.
 
-A complex holds its terms as the group's Sym matrices and builds a term's
-module only when a check reads it (`KoszulComplex.term`): the identity
-checks, ranks and dimensions need none.  The split check reads each term's
-class off the Sym vectors and each stage's outer classes off the quotients:
-at an exact spot r the kernel is im tau_(r+1), the quotient above, and the
-quotient is Q_r.  No term is decomposed.  C_top is never built, and C_1
+A complex holds each term's Sym degree and builds a term's module from the
+group's Sym matrices only when a check reads it (`KoszulComplex.term`): the
+identity checks, ranks and dimensions need none.  The split check reads
+each term's class off the Sym vectors and each stage's outer classes off
+the quotients: at an exact spot r the kernel is im tau_(r+1), the quotient
+above, and the quotient is Q_r.  No term is decomposed.  C_top is never built, and C_1
 only for Q_1 (a cokernel that is not free, on P^d with d >= 2) or at an
 inexact spot.
 """
@@ -78,8 +78,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .gf import Field
-from .groups import GroupData, ModuleRep, monomial_index, monomials, sym_dim
+from .gf import CapacityError, Field
+from .groups import SYM_DIM_CAP, GroupData, ModuleRep, monomial_index, monomials, sym_dim
 from .modules import (Registry, _quotient_from_rowspace, child_rng, decompose,
                       dvec_add, dvec_scale, dvec_sub, free_rank, module_on_basis,
                       nonfree)
@@ -181,11 +181,11 @@ class KoszulComplex:
     """Terms C_0..C_top and the blocks of tau_(r+1) : C_(r+1) -> C_r, r < top.
 
     C_r is `copies(r)` = C(d, r) copies of Sym^(m(t-r)+j).  The complex
-    keeps each term's Sym matrices (the group's own, one per generator) and
-    builds the term as a `ModuleRep` only when a check reads it (`term`),
-    caching it.  A one-copy term shares the group's Sym matrices; only a
-    term of two or more copies is a block-diagonal copy.  Dimensions (`dim`)
-    need no module.
+    keeps each term's Sym degree, not its matrices, and builds the term as a
+    `ModuleRep` from `group.sym` only when a check reads it (`term`),
+    caching it.  A one-copy term holds the group's Sym matrices; a term of
+    two or more copies is a block-diagonal copy.  Dimensions (`dim`) need no
+    module.
 
     No dense tau is stored.  `mults[r][i]` holds the shift form (R, v) of
     M_i, multiplication by forms[i] from the Sym degree of C_(r+1) to that
@@ -217,7 +217,7 @@ class KoszulComplex:
     j: int
     t: int
     forms: list[np.ndarray]
-    syms: list[list[np.ndarray]]  # syms[r]: Sym^(m(t-r)+j) of each generator
+    degs: list[int]               # degs[r]: m(t-r)+j, the Sym degree of C_r's blocks
     mults: list[list[tuple]]      # mults[r][i]: (R, v) of M_i out of C_(r+1)'s degree
     faces: list[list[tuple[int, int, int, int]]]  # faces[r]: blocks of tau_(r+1)
     subsets: list[list[tuple[int, ...]]]
@@ -228,7 +228,7 @@ class KoszulComplex:
 
     @property
     def top(self) -> int:
-        return len(self.syms) - 1
+        return len(self.degs) - 1
 
     def copies(self, r: int) -> int:
         """Number of Sym blocks in C_r: one per r-subset of the forms."""
@@ -236,7 +236,7 @@ class KoszulComplex:
 
     def block_dim(self, r: int) -> int:
         """Dimension of one Sym block of C_r."""
-        return self.syms[r][0].shape[0]
+        return sym_dim(self.group.dim, self.degs[r])
 
     def dim(self, r: int) -> int:
         return self.block_dim(r) * self.copies(r)
@@ -244,8 +244,8 @@ class KoszulComplex:
     def term(self, r: int) -> ModuleRep:
         """C_r as a module, built on first use and cached."""
         if r not in self.built:
-            n = self.copies(r)
-            mats = self.syms[r] if n == 1 else [la.block_diag([B] * n) for B in self.syms[r]]
+            n, syms = self.copies(r), self.group.sym(self.degs[r])
+            mats = syms if n == 1 else [la.block_diag([B] * n) for B in syms]
             self.built[r] = ModuleRep(self.group, mats)
         return self.built[r]
 
@@ -430,14 +430,15 @@ class KoszulComplex:
 
 
 def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> KoszulComplex:
-    """The complex's multiplication blocks over the group's Sym matrices.
+    """The complex's multiplication blocks between the terms' Sym degrees.
 
     Each form's multiplication entries are computed once per map
     (`mul_form_entries`) and placed by the subset rule (`faces`): every
     block is made from `forms`, and no dense map is assembled.
     `_verify_complex` decides tau o tau = 0 term by term, and equivariance
     from the forms' invariance, multiplying no block; a form that is not
-    invariant raises AssertionError.  No term module is built here.
+    invariant raises AssertionError.  No term module is built here, and a
+    C_0 past SYM_DIM_CAP raises CapacityError before anything is.
     """
     d = len(forms)
     m = G.order
@@ -445,6 +446,8 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
         raise ValueError("need t >= 1 and 0 <= j < form degree")
     R = min(d, t)
     degs = [m * (t - r) + j for r in range(R + 1)]
+    if sym_dim(G.dim, degs[0]) > SYM_DIM_CAP:
+        raise CapacityError(f"sym dimension exceeds cap {SYM_DIM_CAP}")
     subsets = [list(itertools.combinations(range(d), r)) for r in range(R + 1)]
     faces = []
     for r in range(R):
@@ -454,7 +457,7 @@ def build_complex(G: GroupData, forms: list[np.ndarray], t: int, j: int) -> Kosz
     mults = [[mul_form_entries(form, m, degs[r + 1], G.dim) for form in forms]
              for r in range(R)]
     K = KoszulComplex(group=G, d=d, m=m, j=j, t=t, forms=forms,
-                      syms=[G.sym(deg) for deg in degs], mults=mults, faces=faces,
+                      degs=degs, mults=mults, faces=faces,
                       subsets=subsets)
     _verify_complex(K)
     return K

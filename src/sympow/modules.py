@@ -440,16 +440,18 @@ def _peel_trace(M: ModuleRep):
     return rkT, _quotient_from_rowspace(M, R[:rk], piv)
 
 
-def _peel_free(M: ModuleRep, rng: np.random.Generator):
+def _peel_free(M: ModuleRep, seed: int):
     """Split off s free summands; returns (s, remainder module).
 
     Over a p-group the peel is exact in one round: a monomial M (Sym^n of a
     permutation or monomial action) is read off its basis orbits
     (`_peel_orbits`), and any other M goes through the trace operator
-    (`_peel_trace`).  General route: exponential ramp of random vectors,
-    keeping orbit stacks only while the rank grows by |G| per vector.  Each
-    step stacks the new orbit rows above the RREF so far and extends it with
-    `la.echelon_from_leads`; an accepted step is back-substituted at once.
+    (`_peel_trace`).  Neither draws, so neither hashes M.  General route:
+    exponential ramp of random vectors, drawn from `child_rng(seed, M.key(),
+    "peel")`, keeping orbit stacks only while the rank grows by |G| per
+    vector.  Each step stacks the new orbit rows above the RREF so far and
+    extends it with `la.echelon_from_leads`; an accepted step is
+    back-substituted at once.
     """
     G, F, D = M.group, M.field, M.dim
     n = G.order
@@ -458,7 +460,7 @@ def _peel_free(M: ModuleRep, rng: np.random.Generator):
     if p_part(n, F.p) == n:
         perms = _monomial_perms(M)
         return _peel_trace(M) if perms is None else _peel_orbits(M, perms)
-    # ramp route
+    rng = child_rng(seed, M.key(), "peel")
     R = la.zeros(0, D)
     piv: list[int] = []
     s = 0
@@ -501,14 +503,17 @@ def _quotient_from_rowspace(M: ModuleRep, R: np.ndarray, piv: list[int]) -> Modu
 
 
 def decompose(M: ModuleRep, registry: Registry, seed: int) -> dict[int, int]:
-    """DecompVector of M over the registry, minting ids for unseen classes."""
+    """DecompVector of M over the registry, minting ids for unseen classes.
+
+    The free peel (`_peel_free`) hashes M for its draws on the ramp route
+    alone: the p-group routes draw nothing, so they hash nothing.
+    """
     if M.group is not registry.group:
         raise ValueError("decompose: registry belongs to a different group")
     vec: dict[int, int] = {}
     work = M
     if M.dim >= M.group.order and M.group.order > 1:
-        rng = child_rng(seed, M.key(), "peel")
-        s, work = _peel_free(M, rng)
+        s, work = _peel_free(M, seed)
         if s:
             vec = dvec_scale(registry.regular_vec(seed), s)
     for part in fitting_decompose(work, seed):

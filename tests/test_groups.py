@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ from sympow.groups import (
     monomials,
     p_part,
     regular_rep,
+    sym_dim,
     sym_matrix_stream,
     sym_power,
 )
-from sympow.modules import _orbit_stack, _trace, projective_part_dim
+from sympow.modules import Registry, _orbit_stack, _trace, decompose, projective_part_dim
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
+F9 = make_field(3, 2)
+W9 = F9.root  # of order 8
 
 
 def mk(F, rows):
@@ -215,6 +219,64 @@ def test_group_sym_towers_resume_and_stay_per_group():
             assert np.array_equal(S, sym_of(F2, A, n))
     assert G1.sym(9)[0] is G1.sym(9)[0]
     assert G2.sym(9)[0] is not G1.sym(9)[0]
+
+
+def _monomial(images, scalars):
+    """The matrix sending z_j to scalars[j] z_(images[j])."""
+    A = np.zeros((len(images), len(images)), dtype=np.int64)
+    A[images, np.arange(len(images))] = scalars
+    return A
+
+
+MONOMIAL_ACTIONS = {
+    "C3-P3-GF9": (F9, [_monomial([1, 2, 0, 3], [1, 1, 1, 1])]),
+    "scalars-P2-GF9": (F9, [_monomial([2, 0, 1], [W9, F9.pow(W9, 3), 1])]),
+    "scalars-P2-GF3": (F3, [_monomial([1, 0, 2], [2, 1, 2])]),
+    "diagonal-P3-GF9": (F9, [_monomial([0, 1, 2, 3], [W9, 1, F9.pow(W9, 2), F9.pow(W9, 5)])]),
+    "P1-GF9": (F9, [_monomial([1, 0], [1, 1]), _monomial([0, 1], [W9, 1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_ACTIONS))
+def test_monomial_sym_is_the_streams(name, monkeypatch):
+    """A monomial action's Sym^n, n = 0..12, is built in closed form, with no
+    stream, and is the matrix `sym_matrix_stream` (the oracle) builds for
+    each generator; past SYM_DIM_CAP both raise the same CapacityError."""
+    F, gens = MONOMIAL_ACTIONS[name]
+    G = close_group(F, gens)
+    with pytest.raises(CapacityError) as stream:
+        sym_of(F, gens[0], 10**5)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a monomial action builds no Sym tower")
+
+    monkeypatch.setattr(groups, "sym_matrix_stream", no_stream)
+    with pytest.raises(CapacityError) as closed:
+        G.sym(10**5)
+    assert str(closed.value) == str(stream.value)
+    for n in range(13):
+        got = G.sym(n)
+        assert len(got) == len(gens)
+        for S, A in zip(got, gens):
+            want = sym_of(F, A, n)
+            assert S.dtype == want.dtype and np.array_equal(S, want), (name, n)
+
+
+def test_monomial_sweep_keeps_no_sym_matrices():
+    """A decompose sweep of C3 permuting P^3's coordinates over GF(9), n <= 12,
+    holds less traced memory once it returns than one dense Sym^12: a
+    monomial action keeps no Sym tower."""
+    F, gens = MONOMIAL_ACTIONS["C3-P3-GF9"]
+    G = close_group(F, gens)
+    reg = Registry(G)
+    tracemalloc.start()
+    try:
+        vectors = [decompose(sym_power(G, n), reg, seed=n) for n in range(13)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 13
+    assert held < sym_dim(4, 12) ** 2 * np.dtype(np.int64).itemsize
 
 
 def test_sym_square_hand_expansion():

@@ -14,7 +14,7 @@ import pytest
 
 from sympow import linalg as la
 from sympow.gf import make_field
-from sympow.groups import ModuleRep, close_group, p_part, regular_rep, sym_power
+from sympow.groups import ModuleRep, close_group, p_part, regular_rep, sym_dim, sym_power
 from sympow.modules import (Registry, decompose, dvec_add, dvec_scale, fitting_decompose,
                             free_rank, hom_basis, load_registry, nonfree,
                             projective_part_dim, save_registry, submodule)
@@ -475,7 +475,7 @@ def test_orbit_rref_skips_unit_rows_and_keeps_the_quotient(p, e, gens, degrees):
             assert pivT == la.rref(F, T)[2] and pivT
             want = la.rref(F, np.vstack([a[:, pivT].T for a in acts]))
             assert want[1] == len(pivT) * G.order
-            s, Q = _peel_free(M, rng)
+            s, Q = _peel_free(M, None)
             Qw = _quotient_from_rowspace(M, want[0][:want[1]], want[2])
             assert s == len(pivT) and Q.dim == Qw.dim == M.dim - want[1]
             assert all(np.array_equal(X, Y) for X, Y in zip(Q.mats, Qw.mats))
@@ -552,6 +552,35 @@ def test_dense_conjugate_takes_the_trace_route(monkeypatch):
     assert routes == ["_peel_trace", "_peel_orbits"]
 
 
+def test_p_group_peel_hashes_nothing(monkeypatch):
+    """With `ModuleRep.key` refusing, Sym^n of C3 permuting P^3's coordinates
+    over GF(9), n = 0..12, still splits as it does with the key: the fixed
+    monomials z0^a z1^a z2^a z3^b give the trivial summands (id 0) and the
+    other lines, in regular orbits, kG (id 1).  So does a dense conjugate,
+    which the trace route peels.  The ramp of a group that is not a p-group
+    (S3 on P^1 over GF(2)) still seeds from the key of the module it peels."""
+    class Hashed(Exception):
+        pass
+
+    def refuse(M):
+        raise Hashed(M)
+
+    F = make_field(3, 2)
+    G = close_group(F, [_perm(4, [1, 2, 0, 3])])
+    reg, rng = Registry(G), np.random.default_rng(5)
+    monkeypatch.setattr(ModuleRep, "key", refuse)
+    for n in range(13):
+        fixed = n // 3 + 1
+        want = {mid: k for mid, k in ((0, fixed), (1, (sym_dim(4, n) - fixed) // 3)) if k}
+        S = sym_power(G, n)
+        assert decompose(S, reg, seed=n) == want, n
+        assert decompose(_conjugate(S, rng), reg, seed=n) == want, n
+    M = sym_power(s3_group(), 7)
+    with pytest.raises(Hashed) as hashed:
+        decompose(M, Registry(M.group), seed=7)
+    assert hashed.value.args[0] is M
+
+
 def test_ramp_extends_its_rref_from_leads(monkeypatch):
     """The ramp of a peel over a group that is not a p-group (S3 permuting
     P^2's coordinates over GF(2)) stacks new orbit rows, of unknown lead,
@@ -578,6 +607,6 @@ def test_ramp_extends_its_rref_from_leads(monkeypatch):
 
     monkeypatch.setattr(la, "echelon_from_leads", from_leads)
     for n in range(2, 13):
-        s, Q = _peel_free(sym_power(G, n), np.random.default_rng(n))
+        s, Q = _peel_free(sym_power(G, n), n)
         assert Q.dim == sym_power(G, n).dim - s * G.order
     assert any(basis and accepted for basis, accepted in steps)
